@@ -300,12 +300,12 @@ func BenchmarkCityScale(b *testing.B) {
 	}
 }
 
-// benchMultiSite runs the partitioned-engine snapshot workload: the
-// city-scale trio with roaming phones and a far-field crowd, on either the
-// classic serialized engine (parts 0) or the conservative parallel engine.
-// The two benchmarks share one workload so the snapshot pair reads as a
-// speedup table; on multi-core runners the partitioned engine overlaps the
-// three site loops, on a single core it measures the coordination overhead.
+// benchMultiSite runs the multi-site snapshot workload: the city-scale
+// trio with roaming phones and a far-field crowd, its three site groups on
+// one goroutine (parts 0) or one goroutine each. The two benchmarks run
+// identical simulations, so the snapshot pair reads as a speedup table; on
+// multi-core runners the groups overlap, on a single core the pair
+// measures the coordination overhead.
 func benchMultiSite(b *testing.B, parts int) {
 	w := benchWorld(b)
 	sites := []cityhunter.Venue{
@@ -333,13 +333,12 @@ func benchMultiSite(b *testing.B, parts int) {
 	}
 }
 
-// BenchmarkMultiSiteSerial is the classic serialized engine on the
-// three-site roaming + far-field workload — the baseline of the scaling
-// pair.
+// BenchmarkMultiSiteSerial runs the three-site roaming + far-field
+// workload on one goroutine — the baseline of the scaling pair.
 func BenchmarkMultiSiteSerial(b *testing.B) { benchMultiSite(b, 0) }
 
-// BenchmarkMultiSitePartitioned is the same workload on the conservative
-// parallel engine with one partition per site (DESIGN.md §5.13).
+// BenchmarkMultiSitePartitioned is the same workload with one goroutine
+// per site group (DESIGN.md §5.13).
 func BenchmarkMultiSitePartitioned(b *testing.B) { benchMultiSite(b, cityhunter.AutoPartitions) }
 
 // BenchmarkCountermeasures regenerates the §VI defence report.

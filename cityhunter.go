@@ -194,7 +194,7 @@ const (
 // MaxDeploymentSites bounds a deployment's site count.
 const MaxDeploymentSites = scenario.MaxSites
 
-// AutoPartitions asks WithPartitions for one partition per deployment site.
+// AutoPartitions asks WithPartitions for one goroutine per site group.
 const AutoPartitions = scenario.AutoPartitions
 
 // Common hour slots of the 8am–8pm profiles.
@@ -797,16 +797,15 @@ func WithRunOptions(opts ...RunOption) DeployOption {
 	return deployOptionFunc(func(o *deployOptions) { ApplyOptions(&o.dcfg.Base, opts...) })
 }
 
-// WithPartitions selects the conservative parallel execution engine: each
-// site partition runs its own event loop on its own goroutine, advancing
-// in lookahead-bounded windows with cross-partition events (roaming
-// transits, knowledge syncs, level-of-detail handoffs) applied at
-// deterministic barriers. Results are identical at any partition count
-// and any GOMAXPROCS, but follow the partitioned semantics — per-site RNG
-// streams and radio shards — so they are not byte-comparable with the
-// default serialized engine (see DESIGN §5.13). Pass AutoPartitions for
-// one partition per site, or a positive count (clamped to the site
-// count); 0 keeps the classic engine.
+// WithPartitions sets how many goroutines run the deployment's site
+// groups. Sites whose radio ranges or promotion boundaries overlap, or
+// that share one knowledge database, form one group; groups advance in
+// lookahead-bounded windows with cross-group events (roaming transits,
+// knowledge syncs, level-of-detail handoffs) applied at deterministic
+// barriers (see DESIGN §5.13). The count changes wall time only: results
+// are identical at every count and any GOMAXPROCS. Pass AutoPartitions
+// for one goroutine per group or a positive count (clamped to the group
+// count); 0, the default, runs every group on one goroutine.
 func WithPartitions(n int) DeployOption {
 	return deployOptionFunc(func(o *deployOptions) { o.dcfg.Partitions = n })
 }
@@ -852,9 +851,10 @@ func WithFarField(cfg FarFieldConfig) DeployOption {
 
 // DeploySites runs one attacker of the chosen kind at each site for the
 // slot's test — the city-scale generalisation of Run. All sites share one
-// radio medium and one virtual clock; phones may roam between them (see
-// WithRoaming) and the attackers may share knowledge (see
-// WithKnowledgePlane). It is DeploySitesContext with a background context.
+// virtual clock, and sites within radio range of each other one radio
+// medium; phones may roam between them (see WithRoaming) and the attackers
+// may share knowledge (see WithKnowledgePlane). It is DeploySitesContext
+// with a background context.
 func (w *World) DeploySites(sites []Venue, kind AttackKind, slot int, duration time.Duration, opts ...DeployOption) (*DeploymentResult, error) {
 	return w.DeploySitesContext(context.Background(), sites, kind, slot, duration, opts...)
 }

@@ -1,6 +1,7 @@
 package cityhunter_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -94,5 +95,42 @@ func TestCityScaleCityConfig(t *testing.T) {
 			t.Errorf("stop %d (%s) degenerate: weight %v radius %v",
 				i, cfg.Hotspots[i].Name, s.Weight, s.Radius)
 		}
+	}
+}
+
+// TestDeploymentPartitionsIdentical runs the benchmark's city deployment —
+// City-Hunter at the station, canteen and mall on the calibrated default
+// world, 30 % roaming, a 4000-pedestrian far field promoted within 80 m —
+// on one goroutine and on one per site group. The partition count changes
+// wall time only, so the two results must be deeply equal.
+func TestDeploymentPartitionsIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two city-scale deployment runs")
+	}
+	w, err := cityhunter.NewWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(partitions int) *cityhunter.DeploymentResult {
+		sites := []cityhunter.Venue{cityhunter.StationVenue(), cityhunter.CanteenVenue(), cityhunter.MallVenue()}
+		res, err := w.DeploySites(sites, cityhunter.CityHunter, cityhunter.LunchSlot, 10*time.Minute,
+			cityhunter.WithRoaming(0.3),
+			cityhunter.WithPopulationScale(4000),
+			cityhunter.WithLODRadius(80),
+			cityhunter.WithCityRoutes(w.City.RouteStops()),
+			cityhunter.WithPartitions(partitions),
+			cityhunter.WithRunOptions(cityhunter.WithRunSeed(1001)))
+		if err != nil {
+			t.Fatalf("partitions=%d: %v", partitions, err)
+		}
+		return res
+	}
+	one, auto := run(0), run(cityhunter.AutoPartitions)
+	if one.FarField == nil || one.FarField.Promotions == 0 {
+		t.Fatal("the far field never promoted; the comparison exercises nothing")
+	}
+	if !reflect.DeepEqual(one, auto) {
+		t.Errorf("partitions=0 and partitions=auto diverge: tallies %+v vs %+v, roams %d vs %d",
+			one.Tally, auto.Tally, one.Roams, auto.Roams)
 	}
 }

@@ -14,9 +14,6 @@
 //	-store       result store directory         (default cityhunter-store)
 //	-workers     per-job campaign pool width    (default 0 = GOMAXPROCS)
 //	-max-jobs    concurrently running jobs      (default 1)
-//	-partitions  default engine for deployment plans that don't pick one:
-//	             0 = one partition per site, N = explicit count,
-//	             -1 = classic serial engine     (default -1)
 //
 // Endpoints:
 //
@@ -56,27 +53,14 @@ func run(args []string) error {
 	store := fs.String("store", "cityhunter-store", "content-addressed result store directory")
 	workers := fs.Int("workers", 0, "per-job campaign pool width (0 = GOMAXPROCS)")
 	maxJobs := fs.Int("max-jobs", 1, "concurrently running jobs")
-	partitions := fs.Int("partitions", -1, "default deployment engine: 0 = one partition per site, N = explicit count, -1 = serial engine")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var defaultPartitions int
-	switch {
-	case *partitions < -1:
-		return fmt.Errorf("-partitions %d invalid: use -1 (serial), 0 (one per site), or a positive count", *partitions)
-	case *partitions == -1:
-		defaultPartitions = 0
-	case *partitions == 0:
-		defaultPartitions = cityhunter.AutoPartitions
-	default:
-		defaultPartitions = *partitions
-	}
 
 	srv, err := cityhunter.NewCampaignServer(cityhunter.CampaignServerConfig{
-		StoreDir:          *store,
-		Workers:           *workers,
-		MaxJobs:           *maxJobs,
-		DefaultPartitions: defaultPartitions,
+		StoreDir: *store,
+		Workers:  *workers,
+		MaxJobs:  *maxJobs,
 	})
 	if err != nil {
 		return err

@@ -24,16 +24,15 @@
 //
 // Deployment mode: -deployment F loads a JSON multi-site deployment plan
 // (see cityhunter.SaveDeployment/LoadDeployment: sites, knowledge plane,
-// roaming model) and runs one attacker per site on a single shared radio
-// medium, printing per-site rows and the pooled tally. -attack, -slot,
+// roaming model) and runs one attacker per site on one virtual clock,
+// printing per-site rows and the pooled tally. -attack, -slot,
 // -minutes, -seed and the population flags apply; the single-run output
 // flags (-pcap, -trace-out, -breakdown) do not. -population without a
 // -deployment plan hunts the default city-scale trio (station, canteen,
 // mall) with that many far-field pedestrians. -partitions 0 runs the
-// deployment on the conservative parallel engine with one partition per
-// site (-partitions N for an explicit count); the default -1 keeps the
-// classic serialized engine unless the plan file itself asks for
-// partitions.
+// deployment's site groups on one goroutine each (-partitions N on at most
+// N); the default -1 keeps the plan file's setting. The partition count
+// changes wall time only, never the output.
 //
 // Live monitoring: -monitor ADDR serves read-only telemetry over HTTP for
 // the lifetime of the process — Prometheus exposition on /metrics, run
@@ -89,7 +88,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		deployFile   = fs.String("deployment", "", "run the multi-site deployment plan in this JSON file instead of a single venue")
 		parallel     = fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		population   = fs.Int("population", 0, "far-field pedestrians roaming the city in a -deployment run (level-of-detail tier)")
-		partitions   = fs.Int("partitions", -1, "conservative parallel deployment engine: 0 = one partition per site, N = explicit count, -1 = serial engine (or the plan's setting)")
+		partitions   = fs.Int("partitions", -1, "goroutines running a deployment's site groups: 0 = one per group, N = at most N, -1 = the plan's setting; changes wall time only")
 		lodRadius    = fs.Float64("lod-radius", 0, "promotion boundary radius in metres around each site (0 = 1.25x the largest radio range)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -359,9 +358,9 @@ func runCampaign(ctx context.Context, out io.Writer, path string, seed int64, pa
 	return runErr
 }
 
-// runDeployment loads a multi-site deployment plan and runs it end to end on
-// one shared medium, printing the per-site rows followed by the pooled tally
-// that the plan's knowledge plane produced.
+// runDeployment loads a multi-site deployment plan and runs it end to end,
+// printing the per-site rows followed by the pooled tally that the plan's
+// knowledge plane produced.
 func runDeployment(ctx context.Context, out io.Writer, path string, kind cityhunter.AttackKind,
 	slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
 	opts ...cityhunter.RunOption) error {
@@ -465,13 +464,13 @@ func runCityScale(ctx context.Context, out io.Writer, kind cityhunter.AttackKind
 }
 
 // partitionsFlagValue maps the -partitions flag onto the DeploymentConfig
-// field. The flag default -1 means "don't override" (classic engine, or
-// whatever the plan file says) and maps to 0; flag 0 asks for one partition
-// per site and maps to AutoPartitions; a positive flag is an explicit count.
+// field. The flag default -1 means "don't override" (whatever the plan
+// file says) and maps to 0; flag 0 asks for one goroutine per site group
+// and maps to AutoPartitions; a positive flag is an explicit count.
 func partitionsFlagValue(flag int) (int, error) {
 	switch {
 	case flag < -1:
-		return 0, fmt.Errorf("-partitions %d invalid: use -1 (serial), 0 (one per site), or a positive count", flag)
+		return 0, fmt.Errorf("-partitions %d invalid: use -1 (the plan's setting), 0 (one per site group), or a positive count", flag)
 	case flag == -1:
 		return 0, nil
 	case flag == 0:

@@ -239,11 +239,11 @@ func TestRunDeploymentPopulation(t *testing.T) {
 	}
 }
 
-// TestRunDeploymentPartitions drives the -partitions flag: 0 selects the
-// conservative parallel engine with one partition per site, an explicit
-// count produces identical output (partition-count invariance through the
-// CLI), and invalid or unsupported combinations fail before any
-// simulation starts.
+// TestRunDeploymentPartitions drives the -partitions flag: 0 runs one
+// goroutine per site group, an explicit count and the plan's own setting
+// produce identical output (partition-count invariance through the CLI),
+// an invalid count fails before any simulation starts, and a shared
+// knowledge plane runs partitioned.
 func TestRunDeploymentPartitions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "city.json")
 	plan := cityhunter.DeploymentConfig{
@@ -284,6 +284,9 @@ func TestRunDeploymentPartitions(t *testing.T) {
 	if explicit := invoke("2"); explicit != auto {
 		t.Errorf("-partitions 2 diverged from -partitions 0:\n--- auto ---\n%s\n--- explicit ---\n%s", auto, explicit)
 	}
+	if serial := invoke("-1"); serial != auto {
+		t.Errorf("-partitions -1 diverged from -partitions 0:\n--- auto ---\n%s\n--- plan's setting ---\n%s", auto, serial)
+	}
 
 	var out bytes.Buffer
 	if err := run(context.Background(),
@@ -292,8 +295,8 @@ func TestRunDeploymentPartitions(t *testing.T) {
 		t.Fatalf("err = %v, want invalid-partitions complaint", err)
 	}
 
-	// A shared knowledge plane has zero lookahead; the partitioned engine
-	// refuses it before the run starts.
+	// A shared knowledge plane puts both sites in one group; it runs at
+	// any partition count.
 	shared := filepath.Join(t.TempDir(), "shared.json")
 	splan := plan
 	splan.Knowledge = cityhunter.Shared
@@ -310,9 +313,11 @@ func TestRunDeploymentPartitions(t *testing.T) {
 	}
 	out.Reset()
 	if err := run(context.Background(),
-		[]string{"-deployment", shared, "-partitions", "0", "-minutes", "2"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "shared knowledge") {
-		t.Fatalf("err = %v, want shared-knowledge rejection", err)
+		[]string{"-deployment", shared, "-partitions", "0", "-minutes", "2"}, &out); err != nil {
+		t.Fatalf("shared plane at -partitions 0: %v", err)
+	}
+	if !strings.Contains(out.String(), "shared knowledge plane") {
+		t.Errorf("shared-plane output missing its plane\n--- output ---\n%s", out.String())
 	}
 }
 

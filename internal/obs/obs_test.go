@@ -123,6 +123,38 @@ func TestJournalDefaultCap(t *testing.T) {
 	}
 }
 
+// TestTraceAppend: appending a separately recorded trace keeps its events
+// on its own tracks, renumbered past the destination's.
+func TestTraceAppend(t *testing.T) {
+	a, b := NewTrace(), NewTrace()
+	a.Span("client", "lifecycle", a.Track("client a"), 0, time.Second, nil)
+	bt := b.Track("client b")
+	b.Track("attacker b")
+	b.Span("scan", "scan", bt, 0, time.Second, nil)
+	b.Instant("engine", "untracked", 0, time.Second, nil)
+	a.Append(b)
+	a.Append(nil)
+	var nilTrace *Trace
+	nilTrace.Append(a)
+
+	want := NewTrace()
+	want.Span("client", "lifecycle", want.Track("client a"), 0, time.Second, nil)
+	wt := want.Track("client b")
+	want.Track("attacker b")
+	want.Span("scan", "scan", wt, 0, time.Second, nil)
+	want.Instant("engine", "untracked", 0, time.Second, nil)
+	var got, exp bytes.Buffer
+	if err := a.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteJSON(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != exp.String() {
+		t.Errorf("appended trace\n%s\nwant\n%s", got.String(), exp.String())
+	}
+}
+
 func TestTraceWriteJSON(t *testing.T) {
 	tr := NewTrace()
 	client := tr.Track("client 02:00:00:00:00:01")

@@ -76,6 +76,23 @@ func (t *Trace) Instant(cat, name string, tid int, at time.Duration, args map[st
 	})
 }
 
+// Append moves src's tracks and events onto the end of t, renumbering src's
+// track ids past t's own, so traces recorded apart (one per deployment site
+// group) merge into one. Either side may be nil.
+func (t *Trace) Append(src *Trace) {
+	if t == nil || src == nil {
+		return
+	}
+	off := len(t.tracks)
+	t.tracks = append(t.tracks, src.tracks...)
+	for _, e := range src.events {
+		if e.TID > 0 {
+			e.TID += off
+		}
+		t.events = append(t.events, e)
+	}
+}
+
 // Len returns the number of recorded events (excluding track metadata).
 func (t *Trace) Len() int {
 	if t == nil {

@@ -267,9 +267,6 @@ func TestPlanStrictRejection(t *testing.T) {
 		{"invalid partition count",
 			`{"version":1,"kind":"deployment","deployment":{"knowledge":"isolated","roamFraction":0,"partitions":-2,"sites":[` + venuePayload + `]}}`,
 			"partition count -2 invalid"},
-		{"partitioned shared knowledge",
-			`{"version":1,"kind":"deployment","deployment":{"knowledge":"shared","roamFraction":0,"partitions":-1,"sites":[` + venuePayload + `]}}`,
-			"shared knowledge plane cannot run partitioned"},
 	}
 	for _, tc := range cases {
 		_, err := Decode([]byte(tc.json))
@@ -284,8 +281,9 @@ func TestPlanStrictRejection(t *testing.T) {
 }
 
 // TestPartitionsRoundTrip: the partitions field survives the envelope
-// byte-stably for every encodable value, and its absence decodes to the
-// classic engine — pre-partitioning plans keep meaning what they meant.
+// byte-stably for every encodable value, its absence decodes to 0 —
+// pre-partitioning plans keep their bytes — and it combines with every
+// knowledge plane.
 func TestPartitionsRoundTrip(t *testing.T) {
 	for _, parts := range []int{scenario.AutoPartitions, 1, 3} {
 		d := fixtureDeployment()
@@ -329,6 +327,14 @@ func TestPartitionsRoundTrip(t *testing.T) {
 	}
 	if loaded.Deployment.Partitions != 0 {
 		t.Errorf("absent partitions decoded to %d, want 0", loaded.Deployment.Partitions)
+	}
+
+	shared := `{"version":1,"kind":"deployment","deployment":{"knowledge":"shared","roamFraction":0,"partitions":-1,"sites":[` +
+		`{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}]}}`
+	if p, err := Decode([]byte(shared)); err != nil {
+		t.Errorf("partitioned shared knowledge refused: %v", err)
+	} else if p.Deployment.Knowledge != scenario.Shared || p.Deployment.Partitions != scenario.AutoPartitions {
+		t.Errorf("partitioned shared knowledge decoded to %v/%d", p.Deployment.Knowledge, p.Deployment.Partitions)
 	}
 }
 

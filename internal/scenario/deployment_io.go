@@ -22,9 +22,10 @@ type deploymentFile struct {
 	SyncEverySec float64      `json:"syncEverySeconds,omitempty"`
 	RoamFraction float64      `json:"roamFraction"`
 	Transit      *transitFile `json:"transit,omitempty"`
-	// Partitions selects the execution engine (0 classic serialized, -1
-	// one partition per site, positive an explicit count); omitted for 0
-	// so every pre-partitioning plan round-trips byte-identically.
+	// Partitions is how many goroutines run the site groups (0 or 1 one,
+	// -1 one per group, positive at most that many); it changes wall time
+	// only. Omitted for 0 so every pre-partitioning plan round-trips
+	// byte-identically.
 	Partitions int `json:"partitions,omitempty"`
 }
 

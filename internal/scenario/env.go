@@ -11,10 +11,10 @@ import (
 )
 
 // runEnv is the world-build layer shared by the single-venue runner and
-// multi-site deployments: the virtual-time engine, ONE city-wide radio
-// medium, the observability runtime, and the PNL model. Everything above
-// this layer — sites, attackers, populations — plugs into the same four
-// handles, which is what lets a deployment place N attackers in one city.
+// multi-site deployments: the virtual-time engine, a radio medium, the run
+// RNG, the observability runtime, and the PNL model. A single-venue run has
+// one; a deployment has one per site group. Everything above this layer —
+// sites, attackers, populations — plugs into the same handles.
 type runEnv struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -79,50 +79,66 @@ func (cfg Config) normalized() (Config, error) {
 	return cfg, nil
 }
 
-// newRunEnv builds the environment layer. radioRange is the medium's
-// delivery radius: the venue's range for a single-venue run, the largest
-// site range for a deployment (the spatial hash grid keeps far-apart sites
-// cheap). Construction consumes no randomness beyond creating the seeded
-// generator, so the layers above it draw in a stable order.
+// pnlModel returns the configured PNL model, building the default one when
+// none is set.
+func (cfg Config) pnlModel() (*pnl.Model, error) {
+	if cfg.PNL != nil {
+		return cfg.PNL, nil
+	}
+	model, err := pnl.NewModel(cfg.City.DB, cfg.HeatMap, pnl.DefaultConfig())
+	if err != nil {
+		return nil, fmt.Errorf("scenario: build pnl model: %w", err)
+	}
+	return model, nil
+}
+
+// newRunEnv builds the environment layer of a single-venue run on a fresh
+// engine: the run RNG seeded cfg.Seed, a medium of the venue's radio range,
+// and a private registry.
 func newRunEnv(cfg Config, radioRange float64) (*runEnv, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	engine := sim.NewEngine()
+	model, err := cfg.pnlModel()
+	if err != nil {
+		return nil, err
+	}
+	var reg *obs.Registry
+	if cfg.Metrics || cfg.Publisher != nil {
+		// A live publisher needs the registry even when the caller did not
+		// ask for a post-run snapshot.
+		reg = obs.NewRegistry()
+	}
+	env := newEnv(cfg, sim.NewEngine(), radioRange, cfg.Seed, reg, model)
+	env.engine.Instrument(env.rt)
+	return env, nil
+}
+
+// newEnv builds one environment on engine: a medium of the given delivery
+// radius, a run RNG seeded seed, frame loss seeded seed+5, and — when any
+// observability is on — a runtime feeding reg with its own journal and
+// trace. A deployment builds one per site group, all on a shared registry.
+// Construction consumes no randomness beyond creating the seeded
+// generator, so the layers above it draw in a stable order.
+func newEnv(cfg Config, engine *sim.Engine, radioRange float64, seed int64, reg *obs.Registry, model *pnl.Model) *runEnv {
 	var mediumOpts []sim.MediumOption
 	if cfg.FrameLoss > 0 {
-		mediumOpts = append(mediumOpts, sim.WithFrameLoss(cfg.FrameLoss, cfg.Seed+5))
+		mediumOpts = append(mediumOpts, sim.WithFrameLoss(cfg.FrameLoss, seed+5))
 	}
 	medium := sim.NewMedium(engine, radioRange, mediumOpts...)
 
 	// Observability: one runtime feeds every instrumented layer. It never
 	// consumes run randomness, so enabling it cannot perturb a seed.
 	var rt *obs.Runtime
-	if cfg.Metrics || cfg.FlightRecorderCap > 0 || cfg.SpanTrace || cfg.Publisher != nil {
-		rt = &obs.Runtime{}
-		if cfg.Metrics || cfg.Publisher != nil {
-			// A live publisher needs the registry even when the caller did
-			// not ask for a post-run snapshot.
-			rt.Metrics = obs.NewRegistry()
-		}
+	if reg != nil || cfg.FlightRecorderCap > 0 || cfg.SpanTrace {
+		rt = &obs.Runtime{Metrics: reg}
 		if cfg.FlightRecorderCap > 0 {
 			rt.Journal = obs.NewJournal(cfg.FlightRecorderCap)
 			// Surface ring overwrites on the live registry, not only in
 			// Journal.Dropped after the run.
-			rt.Journal.Overflow = rt.Metrics.Counter("obs_journal_overwritten_events")
+			rt.Journal.Overflow = reg.Counter("obs_journal_overwritten_events")
 		}
 		if cfg.SpanTrace {
 			rt.Trace = obs.NewTrace()
 		}
-		engine.Instrument(rt)
 		medium.Instrument(rt)
 	}
-
-	pnlModel := cfg.PNL
-	if pnlModel == nil {
-		var err error
-		pnlModel, err = pnl.NewModel(cfg.City.DB, cfg.HeatMap, pnl.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("scenario: build pnl model: %w", err)
-		}
-	}
-	return &runEnv{cfg: cfg, rng: rng, engine: engine, medium: medium, rt: rt, model: pnlModel}, nil
+	return &runEnv{cfg: cfg, rng: rand.New(rand.NewSource(seed)), engine: engine, medium: medium, rt: rt, model: model}
 }

@@ -107,6 +107,15 @@ func (f FarFieldConfig) normalized(sites []Venue, maxRange float64, baseSeed int
 	return f, nil
 }
 
+// boundary returns the promotion radius across which pedestrians move
+// between sites: zero without a far field or without pedestrians in it.
+func (f *FarFieldConfig) boundary() float64 {
+	if f == nil || f.Pedestrians == 0 {
+		return 0
+	}
+	return f.Radius
+}
+
 // FarFieldSite is the per-site accounting of the far-field tier.
 type FarFieldSite struct {
 	// Name echoes the site's venue name.
@@ -165,10 +174,6 @@ type pedestrian struct {
 
 	cur  *client.Client   // live client while promoted
 	snap *client.Snapshot // durable state between promotions
-	// epoch guards movement tickers: each promote/demote bumps it, so a
-	// ticker scheduled for an earlier leg of churn becomes a no-op instead
-	// of dragging a stale position along.
-	epoch int
 
 	direct     bool
 	firstPromo time.Duration
@@ -186,9 +191,19 @@ func farFieldMAC(id int) ieee80211.MAC {
 
 // tierManager owns the far-field tier: it spawns the statistical
 // population, turns routes into promotion windows via the site grid, and
-// performs the promote/demote transitions during the run.
+// performs the promote/demote transitions during the run. Each window's
+// promote/demote runs in the group of the site that owns its boundary, so
+// all tier accounting is kept per site (touched only by the owning group)
+// and folded after the run.
+//
+// A pedestrian's consecutive windows in DIFFERENT groups hand its snapshot
+// and RNG stream across without locks: boundaries in different groups are
+// disjoint, so between a demote in one group and the next promote in
+// another the pedestrian walks at least the boundary gap — at least one
+// lookahead of virtual time, hence at least one coordinator barrier, whose
+// join publishes the demote's writes.
 type tierManager struct {
-	env   *runEnv
+	envs  []*runEnv // per site: the environment of the site's group
 	cfg   FarFieldConfig
 	sites []*site
 
@@ -197,39 +212,57 @@ type tierManager struct {
 
 	peds []*pedestrian
 
+	// perSite[i] is written only by site i's group during the run.
+	perSite []tierSite
+
+	mDemotions *obs.Counter // atomic; shared across groups
+}
+
+// tierSite is one site's tier accounting plus its live metric handles.
+// promotedNow/peak are per-site because a run-time global count would need
+// cross-group writes; the exact global peak is reconstructed after the run
+// from the per-site delta logs.
+type tierSite struct {
+	stats        FarFieldSite
 	promotedNow  int
 	peakPromoted int
-	promotions   int
 	demotions    int
-	siteStats    []FarFieldSite
+	// deltas logs every tier transition at this site as (time, ±1); the
+	// post-run merge across sites — ordered by time, site index breaking
+	// ties — yields a global occupancy walk independent of how groups map
+	// onto goroutines.
+	deltas []tierDelta
 
-	// Live registry handles (all nil-safe no-ops when observability is
-	// off) so a monitor sees the tier churn as it happens.
-	mPromotions []*obs.Counter // per site
-	mDemotions  *obs.Counter
+	mPromotions *obs.Counter
 	gPromoted   *obs.Gauge
 	gPeak       *obs.Gauge
 }
 
-func newTierManager(env *runEnv, cfg FarFieldConfig, sites []*site) (*tierManager, error) {
+type tierDelta struct {
+	at    time.Duration
+	delta int
+}
+
+func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierManager, error) {
 	grid, err := geo.NewHashGrid(cfg.Radius)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: far-field grid: %w", err)
 	}
-	tm := &tierManager{env: env, cfg: cfg, sites: sites, grid: grid}
+	tm := &tierManager{envs: envs, cfg: cfg, sites: sites, grid: grid}
+	tm.perSite = make([]tierSite, len(sites))
 	for i, st := range sites {
 		tm.grid.Insert(int32(i), st.venue.Position)
 		tm.sitePos = append(tm.sitePos, st.venue.Position)
-		tm.siteStats = append(tm.siteStats, FarFieldSite{Name: st.venue.Name})
-	}
-	if env.rt != nil {
-		for _, st := range sites {
-			tm.mPromotions = append(tm.mPromotions,
-				env.rt.Metrics.Counter("lod_promotions", env.siteLabels(st.venue.Name)...))
+		tm.perSite[i].stats = FarFieldSite{Name: st.venue.Name}
+		if env := envs[i]; env.rt != nil {
+			// Gauges are per-site series: groups setting one shared gauge
+			// from several goroutines would race on who wrote last.
+			labels := env.siteLabels(st.venue.Name)
+			tm.perSite[i].mPromotions = env.rt.Metrics.Counter("lod_promotions", labels...)
+			tm.perSite[i].gPromoted = env.rt.Metrics.Gauge("lod_promoted_now", labels...)
+			tm.perSite[i].gPeak = env.rt.Metrics.Gauge("lod_promoted_peak", labels...)
+			tm.mDemotions = env.rt.Metrics.Counter("lod_demotions")
 		}
-		tm.mDemotions = env.rt.Metrics.Counter("lod_demotions")
-		tm.gPromoted = env.rt.Metrics.Gauge("lod_promoted_now")
-		tm.gPeak = env.rt.Metrics.Gauge("lod_promoted_peak")
 	}
 	return tm, nil
 }
@@ -238,13 +271,15 @@ func newTierManager(env *runEnv, cfg FarFieldConfig, sites []*site) (*tierManage
 // (engine time runs 0..horizon regardless of slot; the slot only selects
 // profiles). All scheduling happens here, before the engine runs, in
 // pedestrian-ID order: arrivals, itineraries and promotion windows are
-// fully determined by the spawn seed alone. The run RNG is never touched.
+// fully determined by the spawn seed alone, and each window lands on the
+// engine of its owning site's group. The run RNG is never touched.
 func (tm *tierManager) spawn(horizon time.Duration) {
+	cfg := tm.envs[0].cfg
 	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
 	for id := 0; id < tm.cfg.Pedestrians; id++ {
 		seed := spawn.Int63()
 		p := &pedestrian{id: id, mac: farFieldMAC(id), rng: rand.New(rand.NewSource(seed))}
-		p.direct = p.rng.Float64() < tm.env.cfg.DirectProberFraction
+		p.direct = p.rng.Float64() < cfg.DirectProberFraction
 		arrival := time.Duration(p.rng.Int63n(int64(horizon)))
 		entry := geo.Pt(
 			tm.cfg.Entry.Min.X+p.rng.Float64()*tm.cfg.Entry.Width(),
@@ -252,17 +287,12 @@ func (tm *tierManager) spawn(horizon time.Duration) {
 		)
 		p.route = tm.cfg.Route.Sample(p.rng, arrival, entry, tm.cfg.Stops)
 		tm.peds = append(tm.peds, p)
-		for _, w := range tm.windows(p.route) {
+		for _, w := range promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, p.route) {
 			w := w
-			tm.env.engine.At(w.start, func() { tm.promote(p, w) })
-			tm.env.engine.At(w.end, func() { tm.demote(p) })
+			tm.envs[w.site].engine.At(w.start, func() { tm.promote(p, w) })
+			tm.envs[w.site].engine.At(w.end, func() { tm.demote(p, w.site) })
 		}
 	}
-}
-
-// windows computes the pedestrian's stays inside promotion boundaries.
-func (tm *tierManager) windows(route mobility.Route) []promoWindow {
-	return promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, route)
 }
 
 // promoWindows computes a route's stays inside promotion boundaries,
@@ -270,9 +300,7 @@ func (tm *tierManager) windows(route mobility.Route) []promoWindow {
 // intersection against every candidate site from the grid, per dwell leg a
 // point-in-disk test. The grid query radius — half the leg length plus the
 // promotion radius — routinely exceeds the grid's cell size, which is why
-// AppendNeighborhood scans as many rings as the radius needs. Shared by
-// the classic tier manager and the partitioned one, whose windows must be
-// identical for a partitioned run to mirror the serial reference.
+// AppendNeighborhood scans as many rings as the radius needs.
 func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
 	var raw []promoWindow
 	var cand []int32
@@ -337,21 +365,23 @@ func sortSiteIDs(ids []int32) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
-// promote raises a pedestrian to full client fidelity. The first promotion
-// materialises the phone — PNL, behaviour flags and scan jitter all drawn
-// from the pedestrian's private stream — and later ones resume the
-// suspended snapshot, so a phone keeps its MAC, stats, sequence counter
-// and unmasked-twin memory across boundaries.
+// promote raises a pedestrian to full client fidelity in the group of the
+// window's site. The first promotion materialises the phone — PNL,
+// behaviour flags and scan jitter all drawn from the pedestrian's private
+// stream — and later ones resume the suspended snapshot, so a phone keeps
+// its MAC, stats, sequence counter and unmasked-twin memory across
+// boundaries.
 func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	if p.cur != nil {
 		return
 	}
-	now := tm.env.engine.Now()
+	env := tm.envs[w.site]
+	now := env.engine.Now()
 	pos := p.route.At(now)
 	var c *client.Client
 	var err error
 	if p.snap == nil {
-		cfg := tm.env.cfg
+		cfg := env.cfg
 		// The PNL is drawn at the owning site's venue position — the same
 		// canonical positions the venue populations use — not the exact
 		// boundary-crossing point. pnl.Model caches venue-local pools on a
@@ -359,9 +389,9 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 		// query point, so querying at arbitrary city coordinates would
 		// poison cells that classic runs on the same shared World read
 		// later, perturbing their results.
-		list := tm.env.model.NewList(p.rng, tm.sites[w.site].venue.Position)
+		list := env.model.NewList(p.rng, tm.sites[w.site].venue.Position)
 		if p.direct {
-			list = tm.env.model.AugmentUnsafe(p.rng, list)
+			list = env.model.AugmentUnsafe(p.rng, list)
 		}
 		ccfg := client.Config{
 			MAC:           p.mac,
@@ -370,10 +400,10 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 			ScanInterval:  time.Duration(float64(cfg.ScanInterval) * (0.7 + 0.6*p.rng.Float64())),
 			CanaryProbing: cfg.CanaryFraction > 0 && p.rng.Float64() < cfg.CanaryFraction,
 			RandomizeMAC:  cfg.RandomizeMACFraction > 0 && p.rng.Float64() < cfg.RandomizeMACFraction,
-			Obs:           tm.env.rt,
+			Obs:           env.rt,
 		}
 		cfg.applyRandomization(&ccfg)
-		c, err = client.New(tm.env.engine, tm.env.medium, p.rng, ccfg)
+		c, err = client.New(env.engine, env.medium, p.rng, ccfg)
 		if err == nil {
 			c.SetPos(pos)
 			err = c.Start()
@@ -382,7 +412,7 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 			p.firstPromo = now
 		}
 	} else {
-		c, err = client.Resume(tm.env.engine, tm.env.medium, p.rng, *p.snap)
+		c, err = resumeClient(env, p.rng, *p.snap)
 		if err == nil {
 			c.SetPos(pos)
 		}
@@ -394,74 +424,89 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	}
 	p.cur = c
 	p.snap = nil
-	p.epoch++
 	p.promotions++
-	tm.promotions++
-	tm.siteStats[w.site].Promotions++
-	tm.promotedNow++
-	if tm.promotedNow > tm.peakPromoted {
-		tm.peakPromoted = tm.promotedNow
+	s := &tm.perSite[w.site]
+	s.stats.Promotions++
+	s.promotedNow++
+	if s.promotedNow > s.peakPromoted {
+		s.peakPromoted = s.promotedNow
 	}
-	if tm.env.rt != nil {
-		tm.mPromotions[w.site].Inc()
-		tm.gPromoted.Set(float64(tm.promotedNow))
-		tm.gPeak.SetMax(float64(tm.peakPromoted))
-		tm.env.rt.Event(now, obs.EventPromotion, p.mac.String(),
+	s.deltas = append(s.deltas, tierDelta{at: now, delta: 1})
+	if env.rt != nil {
+		s.mPromotions.Inc()
+		s.gPromoted.Set(float64(s.promotedNow))
+		s.gPeak.SetMax(float64(s.peakPromoted))
+		env.rt.Event(now, obs.EventPromotion, p.mac.String(),
 			"promoted near "+tm.sites[w.site].venue.Name)
 	}
-	tm.driveMovement(p)
+	tm.driveMovement(p, env)
 }
 
-// demote suspends a promoted client back to the statistical tier.
-func (tm *tierManager) demote(p *pedestrian) {
+// demote suspends a promoted client back to the statistical tier, in the
+// group that owns the boundary being exited.
+func (tm *tierManager) demote(p *pedestrian, siteIdx int) {
 	if p.cur == nil {
 		return
 	}
-	p.epoch++
+	env := tm.envs[siteIdx]
 	snap, err := p.cur.Suspend()
 	p.cur = nil
 	if err == nil {
 		p.snap = &snap
 	}
-	p.lastDemote = tm.env.engine.Now()
-	tm.demotions++
-	tm.promotedNow--
-	if tm.env.rt != nil {
+	p.lastDemote = env.engine.Now()
+	s := &tm.perSite[siteIdx]
+	s.demotions++
+	s.promotedNow--
+	s.deltas = append(s.deltas, tierDelta{at: p.lastDemote, delta: -1})
+	if env.rt != nil {
 		tm.mDemotions.Inc()
-		tm.gPromoted.Set(float64(tm.promotedNow))
-		tm.env.rt.Event(p.lastDemote, obs.EventDemotion, p.mac.String(),
+		s.gPromoted.Set(float64(s.promotedNow))
+		env.rt.Event(p.lastDemote, obs.EventDemotion, p.mac.String(),
 			"suspended to far-field tier")
 	}
 }
 
 // driveMovement walks a promoted client along its route, 2 s steps like
-// the venue walkers. The ticker dies on the next epoch bump (demotion, or
-// re-promotion churn).
-func (tm *tierManager) driveMovement(p *pedestrian) {
+// the venue walkers. The ticker captures the client and consults only its
+// state: a demoted client is Departed forever, so a stale ticker dies
+// without reading pedestrian fields that a LATER promotion in another
+// group may be rewriting (every promotion materialises a fresh client, so
+// a live captured client always means the ticker is current).
+func (tm *tierManager) driveMovement(p *pedestrian, env *runEnv) {
 	const step = 2 * time.Second
-	epoch := p.epoch
+	c := p.cur
 	var tick func()
 	tick = func() {
-		if p.epoch != epoch || p.cur == nil {
+		if c.State() == client.StateDeparted {
 			return
 		}
-		p.cur.SetPos(p.route.At(tm.env.engine.Now()))
-		tm.env.engine.Schedule(step, tick)
+		c.SetPos(p.route.At(env.engine.Now()))
+		env.engine.Schedule(step, tick)
 	}
-	tm.env.engine.Schedule(step, tick)
+	env.engine.Schedule(step, tick)
 }
 
-// result assembles the far-field accounting after the run. Clients still
-// promoted at the horizon are read live; everyone else from their last
-// snapshot. siteByMAC maps attacker MACs to site indices for per-site hit
-// counts.
+// result folds the per-site accounting into the FarFieldResult. The global
+// peak is the maximum of the occupancy walk over all deltas merged by
+// (time, site) — an ordering the run itself never depends on. Clients
+// still promoted at the horizon are read live; everyone else from their
+// last snapshot.
 func (tm *tierManager) result(now time.Duration, engines []*core.Engine) *FarFieldResult {
-	res := &FarFieldResult{
-		Pedestrians:  len(tm.peds),
-		Promotions:   tm.promotions,
-		Demotions:    tm.demotions,
-		PeakPromoted: tm.peakPromoted,
-		Sites:        append([]FarFieldSite(nil), tm.siteStats...),
+	res := &FarFieldResult{Pedestrians: len(tm.peds)}
+	var deltas []tierDelta
+	for i := range tm.perSite {
+		s := &tm.perSite[i]
+		res.Promotions += s.stats.Promotions
+		res.Demotions += s.demotions
+		res.Sites = append(res.Sites, s.stats)
+		deltas = append(deltas, s.deltas...)
+	}
+	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].at < deltas[j].at })
+	occupancy := 0
+	for _, d := range deltas {
+		occupancy += d.delta
+		res.PeakPromoted = max(res.PeakPromoted, occupancy)
 	}
 	siteByMAC := make(map[ieee80211.MAC]int, len(tm.sites))
 	for i, st := range tm.sites {

@@ -178,12 +178,8 @@ func TestFarFieldWindows(t *testing.T) {
 	}
 	grid.Insert(0, geo.Pt(500, 0))
 	grid.Insert(1, geo.Pt(560, 0))
-	tm := &tierManager{
-		cfg:       FarFieldConfig{Radius: 100},
-		grid:      grid,
-		sitePos:   []geo.Point{geo.Pt(500, 0), geo.Pt(560, 0)},
-		siteStats: []FarFieldSite{{}, {}},
-	}
+	sitePos := []geo.Point{geo.Pt(500, 0), geo.Pt(560, 0)}
+	windows := func(route mobility.Route) []promoWindow { return promoWindows(grid, sitePos, 100, route) }
 
 	// Leg 1: walk 0→1000 along y=0 between minutes 0 and 10, crossing both
 	// boundaries; their windows overlap and must merge into one.
@@ -194,7 +190,7 @@ func TestFarFieldWindows(t *testing.T) {
 		{Kind: mobility.LegDwell, From: geo.Pt(505, 0), To: geo.Pt(505, 0),
 			Start: 10 * time.Minute, End: 20 * time.Minute, Stop: 0},
 	}}
-	ws := tm.windows(route)
+	ws := windows(route)
 	if len(ws) != 2 {
 		t.Fatalf("got %d windows, want 2 (merged transit + dwell): %+v", len(ws), ws)
 	}
@@ -216,7 +212,7 @@ func TestFarFieldWindows(t *testing.T) {
 		{Kind: mobility.LegTransit, From: geo.Pt(0, 5000), To: geo.Pt(1000, 5000),
 			Start: 0, End: 10 * time.Minute, Stop: -1},
 	}}
-	if ws := tm.windows(far); len(ws) != 0 {
+	if ws := windows(far); len(ws) != 0 {
 		t.Errorf("distant route produced windows: %+v", ws)
 	}
 }

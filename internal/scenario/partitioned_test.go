@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 )
 
 // partitionedTrio is the 3-site deployment the determinism matrix runs:
-// pairwise gaps well above zero so every partitioned precondition holds.
+// pairwise RF gaps well above zero, so each site is a group of its own.
 func partitionedTrio(t *testing.T, seed int64) DeploymentConfig {
 	t.Helper()
 	d := deployConfig(t, CityHunter, seed)
@@ -27,7 +29,7 @@ func partitionedTrio(t *testing.T, seed int64) DeploymentConfig {
 
 // trioFarField routes far-field pedestrians between the first and third
 // sites' districts, so itineraries cross MULTIPLE promotion boundaries and
-// the level-of-detail handoff carries snapshots across partitions.
+// the level-of-detail handoff carries snapshots across site groups.
 func trioFarField(d DeploymentConfig, pedestrians int) *FarFieldConfig {
 	return &FarFieldConfig{
 		Pedestrians: pedestrians,
@@ -41,7 +43,7 @@ func trioFarField(d DeploymentConfig, pedestrians int) *FarFieldConfig {
 	}
 }
 
-// comparePartitioned asserts two partitioned runs produced identical
+// comparePartitioned asserts two deployment runs produced identical
 // results, field family by field family so a divergence names itself.
 func comparePartitioned(t *testing.T, label string, ref, got *DeploymentResult) {
 	t.Helper()
@@ -76,47 +78,74 @@ func comparePartitioned(t *testing.T, label string, ref, got *DeploymentResult) 
 			t.Errorf("%s: far-field accounting diverges: %+v vs %+v", label, rf, gf)
 		}
 	}
+	if !reflect.DeepEqual(ref.Journal.Events(), got.Journal.Events()) {
+		t.Errorf("%s: merged journals diverge", label)
+	}
+	var rs, gs bytes.Buffer
+	if err := ref.Spans.WriteJSON(&rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Spans.WriteJSON(&gs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rs.Bytes(), gs.Bytes()) {
+		t.Errorf("%s: merged span traces diverge", label)
+	}
 }
 
-// TestPartitionedDeterminismMatrix is the tentpole's gate: the same
+// TestPartitionedDeterminismMatrix is the one-engine gate: the same
 // deployment must produce byte-identical results at every partition count
-// and every GOMAXPROCS, with the 1-partition run as the serial reference.
-// It runs the plain roaming trio and the city-scale trio (far-field tier
-// crossing multiple promotion boundaries).
+// and every GOMAXPROCS, with no cross-group message ever delivered late.
+// It covers the plain roaming trio, the city-scale trio (far-field tier
+// crossing multiple promotion boundaries), and the three configurations
+// that used to be refused: a shared knowledge plane (one group), two sites
+// with overlapping radio ranges (a two-site group beside a singleton), and
+// span tracing with the flight recorder armed (per-group recorders merged
+// after the run).
 func TestPartitionedDeterminismMatrix(t *testing.T) {
 	scenarios := []struct {
-		name     string
-		farField bool
+		name  string
+		setup func(d *DeploymentConfig)
 	}{
-		{"roaming-trio", false},
-		{"city-scale-trio", true},
+		{"roaming-trio", func(d *DeploymentConfig) {}},
+		{"city-scale-trio", func(d *DeploymentConfig) { d.FarField = trioFarField(*d, 40) }},
+		{"shared-trio", func(d *DeploymentConfig) { d.Knowledge = Shared }},
+		{"overlapping-trio", func(d *DeploymentConfig) {
+			d.Sites[1].Position = d.Sites[0].Position.Add(geo.Pt(80, 0))
+			d.FarField = trioFarField(*d, 40)
+		}},
+		{"span-trace-trio", func(d *DeploymentConfig) {
+			d.Base.SpanTrace = true
+			d.Base.FlightRecorderCap = 4096
+		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(partitions int) *DeploymentResult {
 				d := partitionedTrio(t, 31)
-				if sc.farField {
-					d.FarField = trioFarField(d, 40)
-				}
+				sc.setup(&d)
 				d.Partitions = partitions
-				res, err := RunDeployment(d, 0, 12*time.Minute)
+				res, coord, err := runDeployment(context.Background(), d, 0, 12*time.Minute)
 				if err != nil {
 					t.Fatalf("partitions=%d: %v", partitions, err)
 				}
+				if v := coord.LookaheadViolations(); v != 0 {
+					t.Errorf("partitions=%d: %d lookahead violations", partitions, v)
+				}
 				return res
 			}
-			ref := run(1) // serial reference under partitioned semantics
+			ref := run(0)
 			if ref.Roams == 0 {
 				t.Fatal("reference run never roamed; matrix exercises nothing")
 			}
-			if sc.farField && ref.FarField.Promotions == 0 {
+			if ref.FarField != nil && ref.FarField.Promotions == 0 {
 				t.Fatal("reference run never promoted; matrix exercises nothing")
 			}
 			old := runtime.GOMAXPROCS(0)
 			defer runtime.GOMAXPROCS(old)
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
-				for _, parts := range []int{1, 2, AutoPartitions} {
+				for _, parts := range []int{0, 1, 2, AutoPartitions} {
 					got := run(parts)
 					comparePartitioned(t, t.Name()+"/"+
 						"procs="+itoa(procs)+"/parts="+itoa(parts), ref, got)
@@ -136,9 +165,9 @@ func itoa(n int) string {
 	return string(rune('0' + n))
 }
 
-// TestPartitionedMatchesClassicShape: partitioned output follows its own
-// semantics, but the structural invariants of a deployment hold — per-site
-// accounting sums to the pooled accounting, roamers are counted once.
+// TestPartitionedMatchesClassicShape: the structural invariants of a
+// deployment hold on several goroutines — per-site accounting sums to the
+// pooled accounting, roamers are counted once.
 func TestPartitionedMatchesClassicShape(t *testing.T) {
 	d := partitionedTrio(t, 17)
 	d.Partitions = AutoPartitions
@@ -183,9 +212,11 @@ func TestPartitionedTransitWindowEdge(t *testing.T) {
 	comparePartitioned(t, "edge", ref, run(2))
 }
 
-// TestPartitionLookahead pins the lookahead derivation: the RF gap over
-// the transit speed, floored at the 1-second minimum leg duration, shrunk
-// by the promotion-boundary gap when a far-field tier rides along.
+// TestPartitionLookahead pins the lookahead derivation: the RF gap between
+// groups over the transit speed, floored at the 1-second minimum leg
+// duration, shrunk by the promotion-boundary gap when a far-field tier
+// rides along — and the whole run as one window once every site shares a
+// group.
 func TestPartitionLookahead(t *testing.T) {
 	site := func(x float64, rr float64) Venue {
 		v := CanteenVenue()
@@ -194,65 +225,111 @@ func TestPartitionLookahead(t *testing.T) {
 		return v
 	}
 	walk := mobility.TransitModel{SpeedMin: 1, SpeedMax: 1.5}
-	d := DeploymentConfig{Sites: []Venue{site(0, 50), site(400, 50)}}
+	look := func(sites []Venue, ff *FarFieldConfig) time.Duration {
+		groupOf, _ := siteGroups(sites, Isolated, ff)
+		return groupLookahead(sites, groupOf, walk, ff, time.Hour)
+	}
+	pair := []Venue{site(0, 50), site(400, 50)}
 
 	// gap 300 m at SpeedMax 1.5 m/s → 200 s.
-	if got, err := partitionLookahead(d, walk, nil, time.Hour); err != nil || got != 200*time.Second {
-		t.Fatalf("two sites: lookahead %v err %v, want 200s", got, err)
+	if got := look(pair, nil); got != 200*time.Second {
+		t.Fatalf("two sites: lookahead %v, want 200s", got)
+	}
+	if got := look([]Venue{site(0, 50)}, nil); got != time.Hour {
+		t.Fatalf("single site: lookahead %v, want full duration", got)
+	}
+	if got := look([]Venue{site(0, 50), site(100.5, 50)}, nil); got != time.Second {
+		t.Fatalf("sub-second gap: lookahead %v, want 1s floor", got)
+	}
+	if got := look([]Venue{site(0, 50), site(90, 50)}, nil); got != time.Hour {
+		t.Fatalf("overlapping ranges: lookahead %v, want one window", got)
+	}
+	// A third site almost 5 km out keeps its own group: the lookahead comes from
+	// the gap between groups, not the overlap inside one.
+	if got := look([]Venue{site(0, 50), site(90, 50), site(4990, 50)}, nil); got != 3200*time.Second {
+		t.Fatalf("overlapping pair plus a far site: lookahead %v, want 3200s", got)
 	}
 
-	single := DeploymentConfig{Sites: []Venue{site(0, 50)}}
-	if got, err := partitionLookahead(single, walk, nil, time.Hour); err != nil || got != time.Hour {
-		t.Fatalf("single site: lookahead %v err %v, want full duration", got, err)
-	}
-
-	near := DeploymentConfig{Sites: []Venue{site(0, 50), site(100.5, 50)}}
-	if got, err := partitionLookahead(near, walk, nil, time.Hour); err != nil || got != time.Second {
-		t.Fatalf("sub-second gap: lookahead %v err %v, want 1s floor", got, err)
-	}
-
-	touching := DeploymentConfig{Sites: []Venue{site(0, 50), site(90, 50)}}
-	if _, err := partitionLookahead(touching, walk, nil, time.Hour); err == nil {
-		t.Fatal("overlapping radio ranges accepted")
-	}
-
-	// A far-field tier shrinks the lookahead to the promotion-boundary
-	// gap over the route transit speed: 400 − 2·75 = 250 m at 2 m/s.
-	ff := &FarFieldConfig{Radius: 75, Route: mobility.RouteModel{
+	// A far-field tier shrinks the lookahead to the promotion-boundary gap
+	// over the route transit speed: 400 − 2·75 = 250 m at 2 m/s.
+	ff := &FarFieldConfig{Pedestrians: 1, Radius: 75, Route: mobility.RouteModel{
 		Transit: mobility.TransitModel{SpeedMin: 1, SpeedMax: 2}}}
-	if got, err := partitionLookahead(d, walk, ff, time.Hour); err != nil || got != 125*time.Second {
-		t.Fatalf("far-field lookahead %v err %v, want 125s", got, err)
+	if got := look(pair, ff); got != 125*time.Second {
+		t.Fatalf("far-field lookahead %v, want 125s", got)
 	}
-
-	wide := &FarFieldConfig{Radius: 200, Route: mobility.RouteModel{
-		Transit: mobility.TransitModel{SpeedMin: 1, SpeedMax: 2}}}
-	if _, err := partitionLookahead(d, walk, wide, time.Hour); err == nil {
-		t.Fatal("overlapping promotion boundaries accepted")
+	wide := &FarFieldConfig{Pedestrians: 1, Radius: 200, Route: ff.Route}
+	if got := look(pair, wide); got != time.Hour {
+		t.Fatalf("overlapping promotion boundaries: lookahead %v, want one window", got)
 	}
 }
 
-// TestPartitionedRejections pins the configurations the partitioned
-// engine refuses instead of silently serializing.
-func TestPartitionedRejections(t *testing.T) {
-	shared := partitionedTrio(t, 3)
-	shared.Knowledge = Shared
-	shared.Partitions = AutoPartitions
-	if _, err := RunDeployment(shared, 0, time.Minute); err == nil {
-		t.Error("shared knowledge plane accepted under partitioned execution")
+// TestSiteGroups unit-tests the grouping rules.
+func TestSiteGroups(t *testing.T) {
+	at := func(xs ...float64) []Venue {
+		var out []Venue
+		for _, x := range xs {
+			v := CanteenVenue()
+			v.Position = geo.Pt(x, 0)
+			v.RadioRange = 50
+			out = append(out, v)
+		}
+		return out
 	}
-
-	traced := partitionedTrio(t, 3)
-	traced.Base.SpanTrace = true
-	traced.Partitions = AutoPartitions
-	if _, err := RunDeployment(traced, 0, time.Minute); err == nil {
-		t.Error("span tracing accepted under partitioned execution")
+	ff := &FarFieldConfig{Pedestrians: 1, Radius: 150}
+	cases := []struct {
+		name      string
+		sites     []Venue
+		knowledge KnowledgePlane
+		ff        *FarFieldConfig
+		want      []int
+	}{
+		{"far apart stay singletons", at(0, 1000, 2000), Isolated, nil, []int{0, 1, 2}},
+		{"shared plane is one group", at(0, 1000, 2000), Shared, nil, []int{0, 0, 0}},
+		{"transitive overlap chain", at(0, 90, 180), Isolated, nil, []int{0, 0, 0}},
+		{"chain closing across a gap", at(180, 5000, 90, 0), PeriodicSync, nil, []int{0, 1, 0, 0}},
+		{"touching ranges join", at(0, 100), Isolated, nil, []int{0, 0}},
+		{"boundaries without a far field", at(0, 250, 1000), Isolated, nil, []int{0, 1, 2}},
+		{"overlapping boundaries join", at(0, 250, 1000), Isolated, ff, []int{0, 0, 1}},
+		{"empty far field joins nothing", at(0, 250), Isolated, &FarFieldConfig{Radius: 150}, []int{0, 1}},
+		{"numbered by lowest site", at(1000, 0, 1090, 5000, 40), Isolated, nil, []int{0, 1, 0, 2, 1}},
 	}
+	for _, tc := range cases {
+		got, n := siteGroups(tc.sites, tc.knowledge, tc.ff)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: groups %v, want %v", tc.name, got, tc.want)
+		}
+		if want := slices.Max(tc.want) + 1; n != want {
+			t.Errorf("%s: %d groups, want %d", tc.name, n, want)
+		}
+	}
+}
 
-	overlap := partitionedTrio(t, 3)
-	overlap.Sites[1].Position = overlap.Sites[0].Position.Add(geo.Pt(80, 0))
-	overlap.Partitions = AutoPartitions
-	if _, err := RunDeployment(overlap, 0, time.Minute); err == nil {
-		t.Error("overlapping radio ranges accepted under partitioned execution")
+// TestPartitionedAcceptsFormerRejections: the three configurations the
+// partitioned engine used to refuse — a shared knowledge plane,
+// overlapping radio ranges, span tracing — now run on several goroutines
+// and give the results they give on one.
+func TestPartitionedAcceptsFormerRejections(t *testing.T) {
+	configs := map[string]func(d *DeploymentConfig){
+		"shared":  func(d *DeploymentConfig) { d.Knowledge = Shared },
+		"overlap": func(d *DeploymentConfig) { d.Sites[1].Position = d.Sites[0].Position.Add(geo.Pt(80, 0)) },
+		"traced":  func(d *DeploymentConfig) { d.Base.SpanTrace = true },
+	}
+	for name, setup := range configs {
+		run := func(partitions int) *DeploymentResult {
+			d := partitionedTrio(t, 3)
+			setup(&d)
+			d.Partitions = partitions
+			res, err := RunDeployment(d, 0, 3*time.Minute)
+			if err != nil {
+				t.Fatalf("%s at partitions=%d refused: %v", name, partitions, err)
+			}
+			return res
+		}
+		ref := run(0)
+		if name == "traced" && ref.Spans.Len() == 0 {
+			t.Errorf("traced deployment recorded no spans")
+		}
+		comparePartitioned(t, name, ref, run(AutoPartitions))
 	}
 }
 

@@ -35,11 +35,9 @@ type member struct {
 }
 
 // macAllocator hands out unique, deterministic client MACs (locally
-// administered). Classic deployments share one allocator across their
-// per-site populations so phones stay unique city-wide; partitioned
-// deployments give each site its own allocator in a per-site space
-// (allocation order inside one shared space would depend on how arrivals
-// interleave across partitions).
+// administered). The populations of one site group share an allocator;
+// each group has its own block, since allocation order inside one shared
+// block would depend on how arrivals interleave across groups.
 type macAllocator struct {
 	next uint32
 	// space overrides the leading two MAC bytes; the zero value selects
@@ -57,12 +55,21 @@ func (a *macAllocator) mac() ieee80211.MAC {
 	return ieee80211.MAC{sp[0], sp[1], byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
 }
 
-// siteMACSpace is the per-site client MAC space partitioned deployments
-// use: locally administered 0x06 block with the site index in byte two —
-// disjoint from the classic 0x02,0x00 allocator and the far-field
-// 0x02,0x10 space for any site count a deployment allows.
-func siteMACSpace(siteIndex int) [2]byte {
-	return [2]byte{0x06, byte(siteIndex)}
+// siteMACSpace is the client MAC space of deployment site group g > 0
+// (group 0 keeps the classic block): locally administered 0x06 block with
+// the group index in byte two — disjoint from the classic 0x02,0x00
+// allocator and the far-field 0x02,0x10 space for any site count a
+// deployment allows.
+func siteMACSpace(g int) [2]byte {
+	return [2]byte{0x06, byte(g)}
+}
+
+// resumeClient restores a suspended phone onto env's engine and medium. The
+// snapshot's runtime is re-pointed at env's, so the phone journals and
+// traces into the group that now runs it, not the one it left.
+func resumeClient(env *runEnv, rng *rand.Rand, snap client.Snapshot) (*client.Client, error) {
+	snap.Config.Obs = env.rt
+	return client.Resume(env.engine, env.medium, rng, snap)
 }
 
 // population creates phones on arrival at one venue, moves the walkers,
@@ -212,9 +219,9 @@ func (p *population) finishDwell(m *member) {
 // scheduleMove updates a walker's position every 2 s along its path. The
 // ticker dies when the phone departs or starts a newer movement leg. It
 // captures the client pointer and consults its state before any member
-// field: in a partitioned deployment a suspended phone's old client is
-// Departed forever while ANOTHER partition rewrites the member for the
-// next dwell, so the state check is the only read a stale ticker may make.
+// field: a roaming phone's old client is Departed forever while ANOTHER
+// site group may be rewriting the member for the next dwell, so the state
+// check is the only read a stale ticker may make.
 func (p *population) scheduleMove(m *member, path mobility.Path) {
 	const step = 2 * time.Second
 	leg := m.leg

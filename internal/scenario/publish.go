@@ -13,20 +13,33 @@ import (
 // plots (hit counts, association counts) stay smooth.
 const DefaultPublishEvery = 5 * time.Second
 
-// runFeed couples a registered run's publisher handle with the engine
-// cadence driving it.
+// runFeed is a registered run's publisher handle. The caller arms tick on
+// its clock every feed.every of virtual time: an engine event for a
+// single-venue run, a coordinator global event for a deployment. A tick
+// only reads the registry — it consumes no randomness and mutates no
+// simulation state, so a published run is event-for-event identical to an
+// unpublished one.
 type runFeed struct {
-	rp  obs.RunPublisher
-	env *runEnv
+	rp      obs.RunPublisher
+	reg     *obs.Registry
+	every   time.Duration
+	buffers []*eventBuffer
 }
 
+// eventBuffer holds one site group's live events until the next tick. A
+// run publishes from a single goroutine, and the groups run on several, so
+// the feed forwards every group's events at a barrier, in group order.
+type eventBuffer struct {
+	obs.RunPublisher
+	events []obs.Event
+}
+
+func (b *eventBuffer) PublishEvent(ev obs.Event) { b.events = append(b.events, ev) }
+
 // startFeed registers the run with the configured publisher (nil-safe: no
-// publisher, no feed), announces its sites, and arms the virtual-time
-// snapshot tick. The tick is an ordinary engine event that only reads the
-// registry — it consumes no randomness and mutates no simulation state, so
-// a published run is event-for-event identical to an unpublished one.
-func startFeed(env *runEnv, kind string, slot int, sites []*site, extra map[string]string) *runFeed {
-	cfg := env.cfg
+// publisher, no feed), points rt's live events at it, and announces the
+// sites.
+func startFeed(rt *obs.Runtime, cfg Config, kind string, slot int, sites []*site, extra map[string]string) *runFeed {
 	if cfg.Publisher == nil {
 		return nil
 	}
@@ -48,19 +61,34 @@ func startFeed(env *runEnv, kind string, slot int, sites []*site, extra map[stri
 		}
 	}
 	rp := cfg.Publisher.StartRun(obs.RunInfo{Kind: kind, Label: label, Labels: labels})
-	env.rt.Publish = rp
+	rt.Publish = rp
 	for _, st := range sites {
-		env.rt.Event(0, obs.EventSiteDeploy, st.venue.Name,
+		rt.Event(0, obs.EventSiteDeploy, st.venue.Name,
 			fmt.Sprintf("attacker %s at (%.0f,%.0f)", st.id.attackerMAC, st.venue.Position.X, st.venue.Position.Y))
 	}
 	every := cfg.PublishEvery
 	if every <= 0 {
 		every = DefaultPublishEvery
 	}
-	env.engine.Every(0, every, func() {
-		rp.PublishSnapshot(env.engine.Now(), env.rt.Metrics.Snapshot())
-	})
-	return &runFeed{rp: rp, env: env}
+	return &runFeed{rp: rp, reg: rt.Metrics, every: every}
+}
+
+// buffer routes rt's live events through an eventBuffer the ticks drain.
+func (f *runFeed) buffer(rt *obs.Runtime) {
+	b := &eventBuffer{RunPublisher: f.rp}
+	rt.Publish = b
+	f.buffers = append(f.buffers, b)
+}
+
+// tick forwards the buffered events and publishes a snapshot as of now.
+func (f *runFeed) tick(now time.Duration) {
+	for _, b := range f.buffers {
+		for _, ev := range b.events {
+			f.rp.PublishEvent(ev)
+		}
+		b.events = b.events[:0]
+	}
+	f.rp.PublishSnapshot(now, f.reg.Snapshot())
 }
 
 // finish publishes the end-of-run snapshot — which now includes the
@@ -70,6 +98,6 @@ func (f *runFeed) finish(simulated time.Duration, runErr error) {
 	if f == nil {
 		return
 	}
-	f.rp.PublishSnapshot(simulated, f.env.rt.Metrics.Snapshot())
+	f.tick(simulated)
 	f.rp.FinishRun(simulated, runErr)
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -139,5 +140,40 @@ func TestPublisherFeed(t *testing.T) {
 	}
 	if !r.finished || r.finishErr != nil {
 		t.Errorf("finish = (%v, %v), want clean finish", r.finished, r.finishErr)
+	}
+}
+
+// TestDeploymentPublisherFeed: a deployment's site groups buffer their live
+// events and the feed forwards them at each tick, so the monitor sees every
+// group's events — site deploys, associations — as one stream that is the
+// same on one goroutine and on one per group.
+func TestDeploymentPublisherFeed(t *testing.T) {
+	stream := func(partitions int) []obs.Event {
+		d := partitionedTrio(t, 19)
+		pub := &fakePublisher{}
+		d.Base.Publisher = pub
+		d.Base.PublishEvery = time.Minute
+		d.Partitions = partitions
+		if _, err := RunDeployment(d, 0, 5*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		r := pub.run(t, 0)
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.info.Kind != "deployment" || !r.finished || r.finishErr != nil {
+			t.Errorf("partitions=%d: run %+v finished=%v err=%v", partitions, r.info, r.finished, r.finishErr)
+		}
+		return r.events
+	}
+	events := stream(0)
+	counts := map[string]int{}
+	for _, ev := range events {
+		counts[ev.Type]++
+	}
+	if counts[obs.EventSiteDeploy] != 3 || counts[obs.EventAssociation] == 0 {
+		t.Errorf("event counts %v, want 3 site deploys and some associations", counts)
+	}
+	if got := stream(AutoPartitions); !reflect.DeepEqual(events, got) {
+		t.Errorf("live event stream differs between one goroutine and one per group")
 	}
 }

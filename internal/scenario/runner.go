@@ -292,7 +292,10 @@ func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duratio
 
 	// Live telemetry feed (no-op without a publisher) and periodic engine
 	// sampling for the time-series figures.
-	feed := startFeed(env, "run", slot, sites, nil)
+	feed := startFeed(env.rt, cfg, "run", slot, sites, nil)
+	if feed != nil {
+		env.engine.Every(0, feed.every, func() { feed.tick(env.engine.Now()) })
+	}
 	scheduleSampling(env, sites)
 
 	// Arrivals for this slot only; offsets are measured from slot start.
@@ -313,9 +316,9 @@ func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duratio
 		// event, which is how much virtual time the partial result covers.
 		simulated = env.engine.Now()
 	}
-	res := assembleResult(env, st, pop, slot, simulated, uniqueEngines(sites))
+	res := assembleResult(cfg, st, pop, slot, simulated, uniqueEngines(sites))
 	if env.rt != nil {
-		emitRunTelemetry(env.rt, env, pop, res)
+		emitRunTelemetry(env.rt.Metrics, simulated, pop, res, func(*member) *obs.Trace { return env.rt.Trace })
 		attachObservability(env.rt, res)
 	}
 	feed.finish(simulated, runErr)

@@ -304,16 +304,16 @@ func scaledProfile(profile mobility.Profile, scale float64) mobility.Profile {
 // engines lists every distinct City-Hunter engine that may have replied to
 // the population's phones (more than one when clients roam between
 // isolated sites).
-func assembleResult(env *runEnv, st *site, pop *population, slot int, simulated time.Duration, engines []*core.Engine) *Result {
+func assembleResult(cfg Config, st *site, pop *population, slot int, simulated time.Duration, engines []*core.Engine) *Result {
 	canaryDetections := 0
 	for _, m := range pop.members {
 		canaryDetections += m.c.Stats.CanaryDetections
 	}
 	attackName := st.set.strategy.Name()
-	if env.cfg.Attack == KnownBeacons {
+	if cfg.Attack == KnownBeacons {
 		// The beaconing attacker reuses the silent KARMA strategy for
 		// its (absent) probe handling; report the kind instead.
-		attackName = env.cfg.Attack.String()
+		attackName = cfg.Attack.String()
 	}
 	res := &Result{
 		Venue:              st.venue.Name,
@@ -321,7 +321,7 @@ func assembleResult(env *runEnv, st *site, pop *population, slot int, simulated 
 		SlotLabel:          st.venue.Profile.SlotLabel(slot),
 		Duration:           simulated,
 		Attack:             attackName,
-		Outcomes:           pop.outcomes(env.engine.Now(), engines),
+		Outcomes:           pop.outcomes(simulated, engines),
 		Report:             st.atk.Report(),
 		Victims:            st.atk.Victims(),
 		Engine:             st.set.chEngine,
@@ -342,28 +342,27 @@ func assembleResult(env *runEnv, st *site, pop *population, slot int, simulated 
 	return res
 }
 
-// emitRunTelemetry records the end-of-run telemetry for one population:
-// a lifecycle span per phone and runner-level tallies in the registry.
-func emitRunTelemetry(rt *obs.Runtime, env *runEnv, pop *population, res *Result) {
-	now := env.engine.Now()
-	if rt.Trace != nil {
-		for _, m := range pop.members {
-			end := m.departAt
-			if end > now {
-				end = now
-			}
-			rt.Trace.Span("client", "lifecycle", m.c.TraceTID(), m.arrived, end, map[string]any{
-				"mac":    m.c.Addr().String(),
-				"direct": m.direct,
-			})
+// emitRunTelemetry records the end-of-run telemetry for one population: a
+// lifecycle span per phone, on the trace traceOf says holds its track, and
+// runner-level tallies in the registry.
+func emitRunTelemetry(reg *obs.Registry, now time.Duration, pop *population, res *Result, traceOf func(*member) *obs.Trace) {
+	for _, m := range pop.members {
+		tr := traceOf(m)
+		if tr == nil {
+			continue
 		}
+		end := min(m.departAt, now)
+		tr.Span("client", "lifecycle", m.c.TraceTID(), m.arrived, end, map[string]any{
+			"mac":    m.c.Addr().String(),
+			"direct": m.direct,
+		})
 	}
-	if rt.Metrics != nil {
-		rt.Metrics.Counter("scenario_clients").Add(int64(len(pop.members)))
-		rt.Metrics.Counter("scenario_victims").Add(int64(len(res.Victims)))
-		rt.Metrics.Counter("scenario_canary_detections").Add(int64(res.CanaryDetections))
-		rt.Metrics.Counter("scenario_trace_dropped_frames").Add(int64(res.TraceDropped))
-		rt.Metrics.Gauge("scenario_virtual_seconds").Set(now.Seconds())
+	if reg != nil {
+		reg.Counter("scenario_clients").Add(int64(len(pop.members)))
+		reg.Counter("scenario_victims").Add(int64(len(res.Victims)))
+		reg.Counter("scenario_canary_detections").Add(int64(res.CanaryDetections))
+		reg.Counter("scenario_trace_dropped_frames").Add(int64(res.TraceDropped))
+		reg.Gauge("scenario_virtual_seconds").Set(now.Seconds())
 	}
 }
 

@@ -103,21 +103,8 @@ func (d DeploymentConfig) Validate() error {
 		}
 	}
 	if d.Partitions < AutoPartitions {
-		return fieldf("partitions", "partition count %d invalid: use %d (one per site), 0 (serial), or a positive count",
+		return fieldf("partitions", "partition count %d invalid: use %d (one per site group), 0, or a positive count",
 			d.Partitions, AutoPartitions)
-	}
-	if d.Partitions != 0 {
-		if d.Knowledge == Shared {
-			return fieldf("knowledge", "shared knowledge plane cannot run partitioned (one database behind all sites has zero lookahead)")
-		}
-		if len(d.Sites) > 1 {
-			if gap, a, b := partitionRFGap(d.Sites); gap <= 0 {
-				return fieldf(fmt.Sprintf("sites[%d]", b),
-					"partitioned execution needs disjoint radio ranges: sites %d and %d are %.0fm apart with ranges %.0fm and %.0fm",
-					a, b, d.Sites[a].Position.Dist(d.Sites[b].Position),
-					d.Sites[a].RadioRange, d.Sites[b].RadioRange)
-			}
-		}
 	}
 	return nil
 }

@@ -63,14 +63,6 @@ type Config struct {
 	// MaxBodyBytes bounds submission bodies; 0 selects
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// DefaultPartitions, when non-zero, is applied to submitted
-	// deployment plans that do not choose an execution engine
-	// themselves (partitions 0): scenario.AutoPartitions for one
-	// partition per site, or a positive explicit count. The default is
-	// folded into the plan before hashing, so the content-addressed
-	// store keys reflect the engine the job actually ran on. Plans that
-	// carry their own partitions setting are never overridden.
-	DefaultPartitions int
 	// Monitor, when non-nil, is the telemetry plane to mount and publish
 	// into; nil creates a private one.
 	Monitor *monitor.Server
@@ -285,18 +277,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cfg.DefaultPartitions != 0 && p.Kind == plan.KindDeployment && p.Deployment.Partitions == 0 {
-		// Fold the server default in before admit hashes the plan, so
-		// identical submissions against differently-configured servers
-		// key on the engine they actually ran on. Re-validate: the
-		// partitioned engine rejects configurations (shared knowledge,
-		// overlapping radio ranges) the serial engine accepts.
-		p.Deployment.Partitions = s.cfg.DefaultPartitions
-		if err := p.Deployment.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
 	j, created, err := s.admit(p, sub)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -370,7 +350,16 @@ func (s *Server) admit(p plan.Plan, sub submission) (*job, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	canonical, err := plan.Encode(p)
+	// Like the worker count, a deployment's partition count changes wall
+	// time only, so it stays out of the content hash: a plan differing
+	// only in partitions is a store hit.
+	hashed := p
+	if p.Kind == plan.KindDeployment {
+		d := *p.Deployment
+		d.Partitions = 0
+		hashed.Deployment = &d
+	}
+	canonical, err := plan.Encode(hashed)
 	if err != nil {
 		return nil, false, err
 	}
@@ -742,9 +731,10 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.hs = &http.Server{Handler: s.Handler()}
-	go func() { _ = s.hs.Serve(ln) }()
+	hs := &http.Server{Handler: s.Handler()}
+	s.ln, s.hs = ln, hs
+	// Serve on the local: a Close racing this goroutine clears s.hs.
+	go func() { _ = hs.Serve(ln) }()
 	return ln.Addr().String(), nil
 }
 

@@ -509,38 +509,12 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-// TestServerDefaultPartitions: a server configured with DefaultPartitions
-// folds the engine choice into deployment plans that do not pick one —
-// before hashing, so a submission with the partitions field spelled out
-// explicitly is the same job — and rejects plans the partitioned engine
-// cannot run.
-func TestServerDefaultPartitions(t *testing.T) {
-	w := testWorld(t)
-	srv, err := cityhunter.NewCampaignServer(cityhunter.CampaignServerConfig{
-		StoreDir:          t.TempDir(),
-		Workers:           1,
-		DefaultPartitions: cityhunter.AutoPartitions,
-		BaseConfig: func(seed int64) (cityhunter.RunConfig, error) {
-			return cityhunter.RunConfig{
-				City:                 w.City,
-				HeatMap:              w.Heat,
-				PNL:                  w.PNL,
-				WiGLE:                w.WiGLE,
-				DirectProberFraction: 0.15,
-				Seed:                 seed,
-			}, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewCampaignServer: %v", err)
-	}
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	base := "http://" + addr
-
+// TestServerPartitionsCacheHit: a deployment's partition count changes
+// wall time only, so it stays out of the content hash — a plan differing
+// only in partitions is served from the store — and a shared knowledge
+// plane runs at any partition count.
+func TestServerPartitionsCacheHit(t *testing.T) {
+	_, base := newServer(t, t.TempDir())
 	planBody := func(dcfg cityhunter.DeploymentConfig) string {
 		var buf bytes.Buffer
 		if err := cityhunter.SavePlan(&buf, cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &dcfg}); err != nil {
@@ -554,19 +528,16 @@ func TestServerDefaultPartitions(t *testing.T) {
 	}
 	body := fmt.Sprintf(`{"plan": %s, "seed": 3, "minutes": 5}`, planBody(dcfg))
 	st := submit(t, base, body, http.StatusAccepted)
-	final := pollUntil(t, base, st.ID, "partitioned job to finish", terminal)
+	final := pollUntil(t, base, st.ID, "deployment job to finish", terminal)
 	if final.State != serve.StateFinished {
 		t.Fatalf("job state %v (%s), want finished", final.State, final.Error)
 	}
 
-	// The same plan with the partitions choice written out explicitly
-	// hashes to the content the first job stored: the default was applied
-	// before content addressing, so the spec is served from the store.
 	explicit := dcfg
 	explicit.Partitions = cityhunter.AutoPartitions
 	again := submit(t, base, fmt.Sprintf(`{"plan": %s, "seed": 3, "minutes": 5}`, planBody(explicit)), http.StatusOK)
 	if again.Hash != final.Hash {
-		t.Errorf("explicit-partitions submission hashed to %s, want %s (default not folded before hashing)",
+		t.Errorf("partitions=auto submission hashed to %s, want %s (partitions must not enter the hash)",
 			again.Hash, final.Hash)
 	}
 	done := pollUntil(t, base, again.ID, "cache-hit job to finish", terminal)
@@ -575,19 +546,31 @@ func TestServerDefaultPartitions(t *testing.T) {
 			done.State, done.SpecsCached, done.SpecsTotal)
 	}
 
-	// A shared knowledge plane cannot run partitioned; with the server
-	// default in force the submission is refused up front.
-	shared := dcfg
+	shared := explicit
 	shared.Knowledge = cityhunter.Shared
-	resp, err := http.Post(base+"/api/v1/jobs", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"plan": %s}`, planBody(shared))))
-	if err != nil {
-		t.Fatalf("POST shared plan: %v", err)
+	st = submit(t, base, fmt.Sprintf(`{"plan": %s, "seed": 3, "minutes": 2}`, planBody(shared)), http.StatusAccepted)
+	if final := pollUntil(t, base, st.ID, "shared-plane job to finish", terminal); final.State != serve.StateFinished {
+		t.Errorf("shared plane at partitions=auto: state %v (%s), want finished", final.State, final.Error)
 	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "shared knowledge") {
-		t.Errorf("shared plan: code %d body %s, want 400 with shared-knowledge rejection", resp.StatusCode, data)
+}
+
+// TestServerStartClose: Close racing the serving goroutine Start spawned
+// must neither panic nor race (run under -race).
+func TestServerStartClose(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		srv, err := serve.New(serve.Config{
+			StoreDir:   t.TempDir(),
+			BaseConfig: func(int64) (cityhunter.RunConfig, error) { return cityhunter.RunConfig{}, nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 }
 
