@@ -3,6 +3,8 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -224,40 +226,120 @@ func TestGridNearest(t *testing.T) {
 	}
 }
 
-func TestGridNearestMatchesBruteForce(t *testing.T) {
+// bruteForceOrder returns every index of pts in ascending (squared
+// distance, index) order from q: the order Nearest and VisitByDistance
+// promise.
+func bruteForceOrder(pts []Point, q Point) []int {
+	ids := make([]int, len(pts))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		da, db := pts[ids[a]].Dist2(q), pts[ids[b]].Dist2(q)
+		if da != db {
+			return da < db
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
+}
+
+// gridWithStrays indexes 500 random points, a tenth of them outside the
+// bounds (clamped into border cells), plus a few exact duplicates so that
+// equal distances exercise the ID tie-break.
+func gridWithStrays(t *testing.T, rng *rand.Rand) (*GridIndex, []Point) {
+	t.Helper()
 	g := mustGrid(t, NewRect(Pt(0, 0), Pt(1000, 1000)), 25)
-	rng := rand.New(rand.NewSource(7))
 	pts := make([]Point, 500)
 	for i := range pts {
-		pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
+		switch {
+		case i%10 == 9:
+			pts[i] = Pt(rng.Float64()*1600-300, rng.Float64()*1600-300)
+		case i%50 == 7:
+			pts[i] = pts[i-1]
+		default:
+			pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
+		}
 		g.Insert(i, pts[i])
 	}
-	for trial := 0; trial < 20; trial++ {
+	return g, pts
+}
+
+func TestGridNearestMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g, pts := gridWithStrays(t, rng)
+	lastRing := 25.0
+	for lastRing <= math.Hypot(1000, 1000)+25 {
+		lastRing *= 2
+	}
+	for trial := 0; trial < 40; trial++ {
+		// Half the queries fall outside the bounds.
 		q := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got := g.Nearest(q, 5)
-		if len(got) != 5 {
-			t.Fatalf("Nearest returned %d", len(got))
+		if trial%2 == 1 {
+			q = Pt(rng.Float64()*2000-500, rng.Float64()*2000-500)
 		}
-		// The 5th nearest distance must match brute force.
-		dists := make([]float64, len(pts))
-		for i, p := range pts {
-			dists[i] = p.Dist(q)
-		}
-		worst := 0.0
-		for _, id := range got {
-			if d := pts[id].Dist(q); d > worst {
-				worst = d
+		// Nearest's last ring is the first past the diagonal plus a
+		// cell; strays farther out than that are never reached.
+		want := bruteForceOrder(pts, q)
+		for i, id := range want {
+			if pts[id].Dist2(q) > lastRing*lastRing {
+				want = want[:i]
+				break
 			}
 		}
-		better := 0
-		for _, d := range dists {
-			if d < worst-1e-9 {
-				better++
+		for _, k := range []int{1, 5, 37, len(pts)} {
+			wantK := want[:min(k, len(want))]
+			if got := g.Nearest(q, k); !reflect.DeepEqual(got, wantK) {
+				t.Fatalf("trial %d k=%d at %v:\ngot  %v\nwant %v", trial, k, q, got, wantK)
 			}
 		}
-		if better > 5 {
-			t.Fatalf("trial %d: %d points closer than worst returned", trial, better)
+	}
+}
+
+func TestVisitByDistanceOrderAndEarlyStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g, pts := gridWithStrays(t, rng)
+	for trial := 0; trial < 20; trial++ {
+		q := Pt(rng.Float64()*2000-500, rng.Float64()*2000-500)
+		want := bruteForceOrder(pts, q)
+
+		// A full walk with an unreachable cap yields every item in order.
+		var all []int
+		g.VisitByDistance(q, 10, 1e6, func(id int) bool {
+			all = append(all, id)
+			return true
+		})
+		if !reflect.DeepEqual(all, want) {
+			t.Fatalf("trial %d: full walk out of order at %v", trial, q)
 		}
+
+		// Returning false stops the walk at once.
+		stop := 1 + rng.Intn(len(pts)-1)
+		var got []int
+		g.VisitByDistance(q, 10, 1e6, func(id int) bool {
+			got = append(got, id)
+			return len(got) < stop
+		})
+		if !reflect.DeepEqual(got, want[:stop]) {
+			t.Fatalf("trial %d: early stop after %d yielded %v", trial, stop, got)
+		}
+	}
+}
+
+func TestVisitByDistanceStopsPastMaxR(t *testing.T) {
+	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
+	for i := 0; i < 10; i++ {
+		g.Insert(i, Pt(float64(i*10), 0))
+	}
+	// Passes at radius 5, 10, 20: the 20 m pass is the first past maxR
+	// 15, so items up to 20 m away are visited and nothing farther.
+	var got []int
+	g.VisitByDistance(Pt(0, 0), 5, 15, func(id int) bool {
+		got = append(got, id)
+		return true
+	})
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("VisitByDistance = %v, want %v", got, want)
 	}
 }
 

@@ -1,8 +1,11 @@
 package geo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // GridIndex is a uniform spatial hash over a bounded region. It supports the
@@ -93,19 +96,48 @@ func (g *GridIndex) Nearest(p Point, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	// Grow the search ring until we have k candidates whose distance bound
-	// is guaranteed (all items within the scanned radius are included).
-	radius := g.cellSize
 	maxR := math.Hypot(g.bounds.Width(), g.bounds.Height()) + g.cellSize
-	for {
-		ids := g.WithinRadius(p, radius)
-		if len(ids) >= k || radius > maxR {
-			if len(ids) > k {
-				ids = ids[:k]
+	var ids []int
+	g.VisitByDistance(p, g.cellSize, maxR, func(id int) bool {
+		ids = append(ids, id)
+		return len(ids) < k
+	})
+	return ids
+}
+
+// VisitByDistance calls fn with item IDs in ascending (squared distance,
+// ID) order from p, the order WithinRadius returns, until fn returns false.
+// The search radius starts at start and doubles each pass; every pass
+// collects and sorts only the annulus the previous pass left out, so a
+// caller that stops early never pays for ordering the items beyond it. The
+// walk ends after the first pass whose radius exceeds maxR: items farther
+// than that pass's radius are never visited. start must be positive.
+func (g *GridIndex) VisitByDistance(p Point, start, maxR float64, fn func(id int) bool) {
+	buf := rings.Get().(*[]distItem)
+	ring := (*buf)[:0]
+	defer func() {
+		*buf = ring[:0]
+		rings.Put(buf)
+	}()
+	prev2 := -1.0 // the first pass also takes items at distance zero
+	for r := start; ; r *= 2 {
+		r2 := r * r
+		ring = ring[:0]
+		g.visitCells(p, r, func(it gridItem) {
+			if d2 := it.p.Dist2(p); d2 > prev2 && d2 <= r2 {
+				ring = append(ring, distItem{id: it.id, d2: d2})
 			}
-			return ids
+		})
+		sortByDist(ring)
+		for _, it := range ring {
+			if !fn(it.id) {
+				return
+			}
 		}
-		radius *= 2
+		if r > maxR {
+			return
+		}
+		prev2 = r2
 	}
 }
 
@@ -127,25 +159,26 @@ func (g *GridIndex) visitCells(p Point, radius float64, fn func(gridItem)) {
 	}
 }
 
+// rings recycles VisitByDistance's annulus buffers across walks: a walk in a
+// dense city collects thousands of items in its last pass, and attacker
+// seeding runs one walk per engine, from several campaign workers at once.
+var rings = sync.Pool{New: func() any { return new([]distItem) }}
+
 type distItem struct {
 	id int
 	d2 float64
 }
 
-// sortByDist is an insertion sort: candidate lists are short and mostly
-// ordered by cell traversal, and avoiding sort.Slice keeps this allocation
-// free.
+// sortByDist orders items by squared distance, then ID, so equidistant
+// items come out in a deterministic order.
 func sortByDist(items []distItem) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && less(items[j], items[j-1]); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
+	slices.SortFunc(items, func(a, b distItem) int {
+		switch {
+		case a.d2 < b.d2:
+			return -1
+		case a.d2 > b.d2:
+			return 1
 		}
-	}
-}
-
-func less(a, b distItem) bool {
-	if a.d2 != b.d2 {
-		return a.d2 < b.d2
-	}
-	return a.id < b.id
+		return cmp.Compare(a.id, b.id)
+	})
 }

@@ -309,27 +309,13 @@ func (m *Model) localPool(at geo.Point) []string {
 	if ok {
 		return pool
 	}
-	pool = m.db.NearestSSIDs(at, m.cfg.LocalPoolSize)
-	// Enforce the radius cap: drop SSIDs whose nearest AP is too far.
-	filtered := pool[:0]
-	for _, ssid := range pool {
-		if m.nearestAPWithin(ssid, at, m.cfg.LocalPoolRadius) {
-			filtered = append(filtered, ssid)
-		}
-	}
+	// An SSID's closest AP is met first, so capping the walk at the pool
+	// radius drops exactly the SSIDs whose nearest AP is too far.
+	pool = m.db.NearestSSIDsWithin(at, m.cfg.LocalPoolSize, m.cfg.LocalPoolRadius)
 	m.localPoolMu.Lock()
-	m.localPools[key] = filtered
+	m.localPools[key] = pool
 	m.localPoolMu.Unlock()
-	return filtered
-}
-
-func (m *Model) nearestAPWithin(ssid string, at geo.Point, radius float64) bool {
-	for _, r := range m.db.Nearby(at, radius, true) {
-		if r.SSID == ssid {
-			return true
-		}
-	}
-	return false
+	return pool
 }
 
 // NewList generates a fresh PNL for a phone observed at position at.

@@ -169,8 +169,15 @@ type promoWindow struct {
 type pedestrian struct {
 	id    int
 	mac   ieee80211.MAC
-	rng   *rand.Rand
 	route mobility.Route
+
+	// rng is the private stream, built at the first promotion from seed
+	// by skipping the spawnDraws values spawn took, so that pedestrians
+	// that never promote (most of a city) hold no generator state, about
+	// 5 KB each, for the whole run.
+	rng        *rand.Rand
+	seed       int64
+	spawnDraws int
 
 	cur  *client.Client   // live client while promoted
 	snap *client.Snapshot // durable state between promotions
@@ -179,6 +186,24 @@ type pedestrian struct {
 	firstPromo time.Duration
 	lastDemote time.Duration
 	promotions int
+}
+
+// countingSource counts the values drawn from its generator, so a stream
+// can be rebuilt later from its seed by skipping that many. Every draw
+// advances the generator one step, whether it is an Int63 or a Uint64.
+type countingSource struct {
+	rand.Source64
+	n int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.n++
+	return s.Source64.Int63()
+}
+
+func (s *countingSource) Uint64() uint64 {
+	s.n++
+	return s.Source64.Uint64()
 }
 
 // farFieldMAC derives pedestrian ID MACs from a locally administered space
@@ -276,16 +301,22 @@ func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierMan
 func (tm *tierManager) spawn(horizon time.Duration) {
 	cfg := tm.envs[0].cfg
 	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
+	// One generator, re-seeded per pedestrian, takes every spawn draw.
+	src := &countingSource{Source64: rand.NewSource(0).(rand.Source64)}
+	rng := rand.New(src)
 	for id := 0; id < tm.cfg.Pedestrians; id++ {
 		seed := spawn.Int63()
-		p := &pedestrian{id: id, mac: farFieldMAC(id), rng: rand.New(rand.NewSource(seed))}
-		p.direct = p.rng.Float64() < cfg.DirectProberFraction
-		arrival := time.Duration(p.rng.Int63n(int64(horizon)))
+		src.Seed(seed)
+		src.n = 0
+		p := &pedestrian{id: id, mac: farFieldMAC(id), seed: seed}
+		p.direct = rng.Float64() < cfg.DirectProberFraction
+		arrival := time.Duration(rng.Int63n(int64(horizon)))
 		entry := geo.Pt(
-			tm.cfg.Entry.Min.X+p.rng.Float64()*tm.cfg.Entry.Width(),
-			tm.cfg.Entry.Min.Y+p.rng.Float64()*tm.cfg.Entry.Height(),
+			tm.cfg.Entry.Min.X+rng.Float64()*tm.cfg.Entry.Width(),
+			tm.cfg.Entry.Min.Y+rng.Float64()*tm.cfg.Entry.Height(),
 		)
-		p.route = tm.cfg.Route.Sample(p.rng, arrival, entry, tm.cfg.Stops)
+		p.route = tm.cfg.Route.Sample(rng, arrival, entry, tm.cfg.Stops)
+		p.spawnDraws = src.n
 		tm.peds = append(tm.peds, p)
 		for _, w := range promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, p.route) {
 			w := w
@@ -380,6 +411,13 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	pos := p.route.At(now)
 	var c *client.Client
 	var err error
+	if p.rng == nil {
+		src := rand.NewSource(p.seed).(rand.Source64)
+		for i := 0; i < p.spawnDraws; i++ {
+			src.Uint64()
+		}
+		p.rng = rand.New(src)
+	}
 	if p.snap == nil {
 		cfg := env.cfg
 		// The PNL is drawn at the owning site's venue position — the same

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -112,31 +113,38 @@ func (db *DB) Nearby(p geo.Point, radius float64, openOnly bool) []Record {
 // nearby-SSID selection keeps free APs so that association succeeds without
 // user interaction.
 func (db *DB) NearestSSIDs(p geo.Point, n int) []string {
-	if n <= 0 {
+	return db.NearestSSIDsWithin(p, n, math.Inf(1))
+}
+
+// NearestSSIDsWithin is NearestSSIDs restricted to SSIDs with an open AP
+// within radius metres of p.
+//
+// The records are walked once in (distance, record index) order, so each
+// SSID is met first at its closest open AP. The search ring starts at 1/32
+// of the city width and doubles; it stops once n SSIDs are found, at the
+// first AP beyond radius, or after the first ring wider than the city's
+// width plus height.
+func (db *DB) NearestSSIDsWithin(p geo.Point, n int, radius float64) []string {
+	if n <= 0 || radius < 0 {
 		return nil
 	}
-	// Expand the search ring until n distinct open SSIDs are inside.
-	radius := db.bounds.Width() / 32
-	maxR := db.bounds.Width() + db.bounds.Height()
-	for {
-		recs := db.Nearby(p, radius, true)
-		seen := make(map[string]bool, n)
-		var out []string
-		for _, r := range recs {
-			if seen[r.SSID] {
-				continue
-			}
-			seen[r.SSID] = true
-			out = append(out, r.SSID)
-			if len(out) == n {
-				return out
-			}
+	r2 := radius * radius
+	maxR := math.Min(db.bounds.Width()+db.bounds.Height(), radius)
+	seen := make(map[string]bool, n)
+	var out []string
+	db.index.VisitByDistance(p, db.bounds.Width()/32, maxR, func(id int) bool {
+		r := &db.records[id]
+		if r.Pos.Dist2(p) > r2 {
+			return false
 		}
-		if radius > maxR {
-			return out
+		if !r.Open || seen[r.SSID] {
+			return true
 		}
-		radius *= 2
-	}
+		seen[r.SSID] = true
+		out = append(out, r.SSID)
+		return len(out) < n
+	})
+	return out
 }
 
 // CountBySSID returns the number of APs per SSID. When openOnly is set only
