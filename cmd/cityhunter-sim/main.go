@@ -16,23 +16,23 @@
 //	-metrics       print the deterministic metrics dump and journal tail
 //	-trace-out F   write a Chrome/Perfetto trace-event JSON file to F
 //
-// Campaign mode: -campaign-file F loads a JSON campaign spec file (see
-// cityhunter.SaveCampaign/LoadCampaign) and runs every declared deployment
-// over the campaign worker pool instead of the single run the flags above
-// describe; -parallel bounds the pool. Ctrl-C cancels mid-campaign and the
-// completed runs are still reported.
+// Plan mode: -plan F loads a plan envelope (see cityhunter.SavePlan) and
+// runs it according to its kind:
 //
-// Deployment mode: -deployment F loads a JSON multi-site deployment plan
-// (see cityhunter.SaveDeployment/LoadDeployment: sites, knowledge plane,
-// roaming model) and runs one attacker per site on one virtual clock,
-// printing per-site rows and the pooled tally. -attack, -slot,
-// -minutes, -seed and the population flags apply; the single-run output
-// flags (-pcap, -trace-out, -breakdown) do not. -population without a
-// -deployment plan hunts the default city-scale trio (station, canteen,
-// mall) with that many far-field pedestrians. -partitions 0 runs the
-// deployment's site groups on one goroutine each (-partitions N on at most
-// N); the default -1 keeps the plan file's setting. The partition count
-// changes wall time only, never the output.
+//   - venue: the single run above, at the plan's venue instead of -venue.
+//   - campaign: every declared run over the campaign worker pool; -seed
+//     and -parallel (the pool size) apply. Ctrl-C cancels mid-campaign and
+//     the completed runs are still reported.
+//   - deployment: one attacker per site on one virtual clock, printing
+//     per-site rows and the pooled tally. -attack, -slot, -minutes, -seed
+//     and the population flags apply; the single-run output flags (-pcap,
+//     -trace-out, -breakdown) do not. -partitions 0 runs the deployment's
+//     site groups on one goroutine each (-partitions N on at most N); the
+//     default -1 keeps the plan's setting. The partition count changes
+//     wall time only, never the output.
+//
+// -population without a deployment plan hunts the default city-scale trio
+// (station, canteen, mall) with that many far-field pedestrians.
 //
 // Live monitoring: -monitor ADDR serves read-only telemetry over HTTP for
 // the lifetime of the process — Prometheus exposition on /metrics, run
@@ -77,17 +77,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		preconnected = fs.Float64("preconnected", 0, "fraction of phones arriving connected to the venue AP")
 		breakdown    = fs.Bool("breakdown", false, "print the hit breakdown (City-Hunter only)")
 		pcapPath     = fs.String("pcap", "", "capture every frame at the venue into this pcap file")
-		venueFile    = fs.String("venue-file", "", "load the venue from this JSON file instead of -venue")
 		loss         = fs.Float64("loss", 0, "independent frame-loss probability (failure injection)")
 		canary       = fs.Float64("canary", 0, "fraction of phones running the canary-probe detector")
 		randomizeMAC = fs.Float64("randomize-macs", 0, "fraction of phones rotating their probe MAC per scan")
 		sentinel     = fs.Bool("sentinel", false, "deploy the passive evil-twin sentinel and report its findings")
 		metrics      = fs.Bool("metrics", false, "print the metrics dump and flight-recorder tail after the run")
 		traceOut     = fs.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (open in chrome://tracing)")
-		campaignFile = fs.String("campaign-file", "", "run the campaign declared in this JSON spec file instead of a single deployment")
-		deployFile   = fs.String("deployment", "", "run the multi-site deployment plan in this JSON file instead of a single venue")
+		planFile     = fs.String("plan", "", "run the venue, deployment or campaign in this plan envelope file")
 		parallel     = fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		population   = fs.Int("population", 0, "far-field pedestrians roaming the city in a -deployment run (level-of-detail tier)")
+		population   = fs.Int("population", 0, "far-field pedestrians roaming the city in a deployment run (level-of-detail tier)")
 		partitions   = fs.Int("partitions", -1, "goroutines running a deployment's site groups: 0 = one per group, N = at most N, -1 = the plan's setting; changes wall time only")
 		lodRadius    = fs.Float64("lod-radius", 0, "promotion boundary radius in metres around each site (0 = 1.25x the largest radio range)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -96,6 +94,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var p cityhunter.Plan
+	if *planFile != "" {
+		f, err := os.Open(*planFile)
+		if err != nil {
+			return err
+		}
+		p, err = cityhunter.LoadPlan(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -118,11 +128,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "monitor listening on http://%s — try /metrics, /runs, /events (SSE), /debug/pprof\n", bound)
 	}
 
-	if *campaignFile != "" {
-		return runCampaign(ctx, out, *campaignFile, *seed, *parallel, mon)
+	if p.Kind == cityhunter.KindCampaign {
+		return runCampaign(ctx, out, *planFile, p.Specs, *seed, *parallel, mon)
 	}
 
-	if *deployFile != "" || *population > 0 {
+	if p.Kind == cityhunter.KindDeployment || *population > 0 {
 		kind, err := attackByName(*attackName)
 		if err != nil {
 			return err
@@ -149,33 +159,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *deployFile != "" {
-			return runDeployment(ctx, out, *deployFile, kind, *slot, *minutes, *seed,
+		if p.Deployment != nil {
+			return runDeployment(ctx, out, *planFile, *p.Deployment, kind, *slot, *minutes, *seed,
 				*population, *lodRadius, parts, opts...)
 		}
-		// -population without a -deployment plan: hunt the default
+		// -population without a deployment plan: hunt the default
 		// city-scale trio (station, canteen, mall) in a synthetic city.
 		return runCityScale(ctx, out, kind, *slot, *minutes, *seed,
 			*population, *lodRadius, parts, opts...)
 	}
 
 	var venue cityhunter.Venue
-	if *venueFile != "" {
-		f, err := os.Open(*venueFile)
-		if err != nil {
-			return err
-		}
-		venue, err = cityhunter.LoadVenue(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		venue, err = venueByName(*venueName)
-		if err != nil {
-			return err
-		}
+	if p.Venue != nil {
+		venue = *p.Venue
+	} else if venue, err = venueByName(*venueName); err != nil {
+		return err
 	}
 	kind, err := attackByName(*attackName)
 	if err != nil {
@@ -304,22 +302,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// runCampaign loads a campaign spec file and fans its runs over the worker
-// pool. Per-run rows print in spec order once everything (that was allowed
-// to) finished, so output is identical at any -parallel value; progress goes
-// to stderr. On cancellation the completed runs still print before the
-// error is returned.
-func runCampaign(ctx context.Context, out io.Writer, path string, seed int64, parallel int, mon *cityhunter.MonitorServer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	specs, err := cityhunter.LoadCampaign(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-
+// runCampaign fans a campaign plan's runs over the worker pool. Per-run
+// rows print in spec order once everything (that was allowed to) finished,
+// so output is identical at any -parallel value; progress goes to stderr.
+// On cancellation the completed runs still print before the error is
+// returned.
+func runCampaign(ctx context.Context, out io.Writer, path string, specs []cityhunter.RunSpec, seed int64, parallel int, mon *cityhunter.MonitorServer) error {
 	world, err := cityhunter.NewWorld(cityhunter.WithSeed(seed))
 	if err != nil {
 		return err
@@ -358,23 +346,14 @@ func runCampaign(ctx context.Context, out io.Writer, path string, seed int64, pa
 	return runErr
 }
 
-// runDeployment loads a multi-site deployment plan and runs it end to end,
-// printing the per-site rows followed by the pooled tally that the plan's
-// knowledge plane produced.
-func runDeployment(ctx context.Context, out io.Writer, path string, kind cityhunter.AttackKind,
-	slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
+// runDeployment runs a deployment plan end to end, printing the per-site
+// rows followed by the pooled tally that the plan's knowledge plane
+// produced.
+func runDeployment(ctx context.Context, out io.Writer, path string, dcfg cityhunter.DeploymentConfig,
+	kind cityhunter.AttackKind, slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
 	opts ...cityhunter.RunOption) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	dcfg, err := cityhunter.LoadDeployment(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
 	if partitions != 0 {
-		// The flag overrides whatever the plan file carries; 0 (the
+		// The flag overrides whatever the plan carries; 0 (the
 		// mapped form of -partitions -1) keeps the plan's setting.
 		dcfg.Partitions = partitions
 	}
@@ -397,22 +376,12 @@ func runDeployment(ctx context.Context, out io.Writer, path string, kind cityhun
 
 	fmt.Fprintf(out, "deployment %s: %d sites, %s knowledge plane, %d roams\n",
 		path, len(res.Sites), res.Knowledge, res.Roams)
-	for _, r := range res.Sites {
-		fmt.Fprintf(out, "%-24s %s, %s: %v\n", r.Venue, r.Attack, r.SlotLabel, r.Tally)
-	}
-	fmt.Fprintf(out, "pooled: %v\n", res.Tally)
-	if ff := res.FarField; ff != nil {
-		fmt.Fprintf(out, "far field: %d pedestrians, %d promoted (%d promotions, %d demotions, peak %d), %v\n",
-			ff.Pedestrians, ff.Promoted, ff.Promotions, ff.Demotions, ff.PeakPromoted, ff.Tally)
-		for i, s := range ff.Sites {
-			fmt.Fprintf(out, "  site %-18s %d promotions, %d hits\n", res.Sites[i].Venue+":", s.Promotions, s.Hits)
-		}
-	}
+	printDeployment(out, res)
 	return nil
 }
 
-// runCityScale is the no-plan-file deployment path: -population with no
-// -deployment hunts the default city-scale trio (station, canteen, mall)
+// runCityScale is the no-plan deployment path: -population with no
+// deployment plan hunts the default city-scale trio (station, canteen, mall)
 // embedded in the synthetic dozen-district city, mirroring the
 // examples/city-scale walkthrough so a one-liner exercises the
 // level-of-detail tier (and, with -monitor, lights up the telemetry plane).
@@ -449,6 +418,13 @@ func runCityScale(ctx context.Context, out io.Writer, kind cityhunter.AttackKind
 		return err
 	}
 
+	printDeployment(out, res)
+	return nil
+}
+
+// printDeployment writes a deployment's per-site rows, the pooled tally
+// and, when the run had a far field, its promotion accounting.
+func printDeployment(out io.Writer, res *cityhunter.DeploymentResult) {
 	for _, r := range res.Sites {
 		fmt.Fprintf(out, "%-24s %s, %s: %v\n", r.Venue, r.Attack, r.SlotLabel, r.Tally)
 	}
@@ -460,12 +436,11 @@ func runCityScale(ctx context.Context, out io.Writer, kind cityhunter.AttackKind
 			fmt.Fprintf(out, "  site %-18s %d promotions, %d hits\n", res.Sites[i].Venue+":", s.Promotions, s.Hits)
 		}
 	}
-	return nil
 }
 
 // partitionsFlagValue maps the -partitions flag onto the DeploymentConfig
 // field. The flag default -1 means "don't override" (whatever the plan
-// file says) and maps to 0; flag 0 asks for one goroutine per site group
+// says) and maps to 0; flag 0 asks for one goroutine per site group
 // and maps to AutoPartitions; a positive flag is an explicit count.
 func partitionsFlagValue(flag int) (int, error) {
 	switch {

@@ -97,21 +97,68 @@ func TestRunDeterministicMetrics(t *testing.T) {
 	}
 }
 
-// TestRunCampaignFile drives the -campaign-file path: rows print in spec
-// order with the aggregate line, and output is identical at any -parallel.
+// writePlan saves p as a plan envelope file and returns its path.
+func writePlan(t *testing.T, p cityhunter.Plan) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), string(p.Kind)+".plan.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cityhunter.SavePlan(f, p)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("save plan: %v", err)
+	}
+	return path
+}
+
+// writeDeploymentPlan saves dcfg as a deployment plan envelope file.
+func writeDeploymentPlan(t *testing.T, dcfg cityhunter.DeploymentConfig) string {
+	t.Helper()
+	return writePlan(t, cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &dcfg})
+}
+
+// TestRunVenuePlan drives -plan with a venue plan: it runs the single-run
+// path, and a plan carrying the built-in canteen prints exactly what
+// -venue canteen prints.
+func TestRunVenuePlan(t *testing.T) {
+	venue := cityhunter.CanteenVenue()
+	path := writePlan(t, cityhunter.Plan{Kind: cityhunter.KindVenue, Venue: &venue})
+	invoke := func(args ...string) string {
+		var out bytes.Buffer
+		if err := run(context.Background(), append(args, "-minutes", "2", "-seed", "3"), &out); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		return out.String()
+	}
+	fromPlan := invoke("-plan", path)
+	if !strings.Contains(fromPlan, "at the canteen") {
+		t.Errorf("venue plan output does not name the canteen:\n%s", fromPlan)
+	}
+	if byName := invoke("-venue", "canteen"); byName != fromPlan {
+		t.Errorf("-plan output differs from -venue canteen:\n--- plan ---\n%s\n--- by name ---\n%s", fromPlan, byName)
+	}
+}
+
+// TestRunCampaignFile drives -plan with a campaign plan: rows print in
+// spec order with the aggregate line, and output is identical at any
+// -parallel.
 func TestRunCampaignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.json")
-	spec := `{"runs": [
+	spec := `{"version": 1, "kind": "campaign", "campaign": {"runs": [
 		{"name": "lunch", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 2, "arrivalScale": 0.4},
 		{"name": "rush", "venue": "passage", "attack": "mana", "slot": 0, "minutes": 2, "arrivalScale": 0.4}
-	]}`
+	]}}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	invoke := func(parallel string) string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-campaign-file", path, "-seed", "3", "-parallel", parallel}, &out)
+			[]string{"-plan", path, "-seed", "3", "-parallel", parallel}, &out)
 		if err != nil {
 			t.Fatalf("run -parallel %s: %v", parallel, err)
 		}
@@ -132,32 +179,20 @@ func TestRunCampaignFile(t *testing.T) {
 	}
 }
 
-// TestRunDeploymentFile drives the -deployment path: a two-site plan prints
-// the header with the knowledge plane, one row per site, and the pooled
-// tally, and the same seed reproduces byte-identical output.
+// TestRunDeploymentFile drives -plan with a deployment plan: a two-site
+// plan prints the header with the knowledge plane, one row per site, and
+// the pooled tally, and the same seed reproduces byte-identical output.
 func TestRunDeploymentFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "city.json")
-	plan := cityhunter.DeploymentConfig{
+	path := writeDeploymentPlan(t, cityhunter.DeploymentConfig{
 		Sites:        []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.PassageVenue()},
 		Knowledge:    cityhunter.Shared,
 		RoamFraction: 0.5,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(f, plan)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save plan: %v", err)
-	}
+	})
 
 	invoke := func() string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-deployment", path, "-attack", "cityhunter", "-minutes", "2", "-seed", "3"}, &out)
+			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "2", "-seed", "3"}, &out)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -175,40 +210,29 @@ func TestRunDeploymentFile(t *testing.T) {
 
 	// A broken plan surfaces the load error before any simulation starts.
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"knowledge":"telepathy","sites":[]}`), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"version":1,"kind":"deployment","deployment":{"knowledge":"telepathy","sites":[]}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-deployment", bad}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-plan", bad}, &out); err == nil ||
 		!strings.Contains(err.Error(), "telepathy") {
 		t.Fatalf("err = %v, want unknown-knowledge-plane complaint", err)
 	}
 }
 
 // TestRunDeploymentPopulation drives the level-of-detail flags: -population
-// adds the far-field tier to a -deployment run and the output reports
-// promoted-client accounting; without a deployment the flag is refused.
+// adds the far-field tier to a deployment-plan run and the output reports
+// promoted-client accounting; without a deployment plan it hunts the
+// default city-scale trio.
 func TestRunDeploymentPopulation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "city.json")
-	plan := cityhunter.DeploymentConfig{
+	path := writeDeploymentPlan(t, cityhunter.DeploymentConfig{
 		Sites: []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.StationVenue()},
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(f, plan)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save plan: %v", err)
-	}
+	})
 
 	invoke := func() string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-deployment", path, "-attack", "cityhunter", "-minutes", "20",
+			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "20",
 				"-seed", "3", "-population", "2000", "-lod-radius", "80"}, &out)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -225,7 +249,7 @@ func TestRunDeploymentPopulation(t *testing.T) {
 		t.Errorf("same-seed far-field runs diverged:\n--- first ---\n%s\n--- second ---\n%s", text, again)
 	}
 
-	// -population with no -deployment plan hunts the default city-scale
+	// -population with no deployment plan hunts the default city-scale
 	// trio instead of erroring.
 	var out bytes.Buffer
 	if err := run(context.Background(),
@@ -245,27 +269,16 @@ func TestRunDeploymentPopulation(t *testing.T) {
 // an invalid count fails before any simulation starts, and a shared
 // knowledge plane runs partitioned.
 func TestRunDeploymentPartitions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "city.json")
 	plan := cityhunter.DeploymentConfig{
 		Sites:        []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.StationVenue()},
 		RoamFraction: 0.5,
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(f, plan)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save plan: %v", err)
-	}
+	path := writeDeploymentPlan(t, plan)
 
 	invoke := func(parts string) string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-deployment", path, "-attack", "cityhunter", "-minutes", "10",
+			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "10",
 				"-seed", "3", "-partitions", parts}, &out)
 		if err != nil {
 			t.Fatalf("run -partitions %s: %v", parts, err)
@@ -290,30 +303,18 @@ func TestRunDeploymentPartitions(t *testing.T) {
 
 	var out bytes.Buffer
 	if err := run(context.Background(),
-		[]string{"-deployment", path, "-partitions", "-2"}, &out); err == nil ||
+		[]string{"-plan", path, "-partitions", "-2"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-partitions -2 invalid") {
 		t.Fatalf("err = %v, want invalid-partitions complaint", err)
 	}
 
 	// A shared knowledge plane puts both sites in one group; it runs at
 	// any partition count.
-	shared := filepath.Join(t.TempDir(), "shared.json")
-	splan := plan
-	splan.Knowledge = cityhunter.Shared
-	sf, err := os.Create(shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cityhunter.SaveDeployment(sf, splan)
-	if cerr := sf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("save shared plan: %v", err)
-	}
+	plan.Knowledge = cityhunter.Shared
+	shared := writeDeploymentPlan(t, plan)
 	out.Reset()
 	if err := run(context.Background(),
-		[]string{"-deployment", shared, "-partitions", "0", "-minutes", "2"}, &out); err != nil {
+		[]string{"-plan", shared, "-partitions", "0", "-minutes", "2"}, &out); err != nil {
 		t.Fatalf("shared plane at -partitions 0: %v", err)
 	}
 	if !strings.Contains(out.String(), "shared knowledge plane") {
@@ -325,12 +326,12 @@ func TestRunDeploymentPartitions(t *testing.T) {
 // named, before any simulation starts.
 func TestRunCampaignFileBadSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
-	spec := `{"runs": [{"name": "x", "venue": "casino", "attack": "karma", "slot": 0, "minutes": 5}]}`
+	spec := `{"version": 1, "kind": "campaign", "campaign": {"runs": [{"name": "x", "venue": "casino", "attack": "karma", "slot": 0, "minutes": 5}]}}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-campaign-file", path}, &out)
+	err := run(context.Background(), []string{"-plan", path}, &out)
 	if err == nil || !strings.Contains(err.Error(), `unknown venue "casino"`) {
 		t.Fatalf("err = %v, want unknown-venue complaint", err)
 	}

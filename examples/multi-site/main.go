@@ -66,7 +66,7 @@ func main() {
 		fmt.Println()
 	}
 
-	// Deployment plans round-trip as JSON, so a campaign can be planned
-	// once and replayed: see cityhunter.SaveDeployment / LoadDeployment
-	// and the -deployment flag of cmd/cityhunter-sim.
+	// Deployment plans round-trip as JSON plan envelopes, so a campaign
+	// can be planned once and replayed: see cityhunter.SavePlan /
+	// LoadPlan and the -plan flag of cmd/cityhunter-sim.
 }

@@ -84,14 +84,18 @@ func TestGoldenExperimentsGrid(t *testing.T) {
 	}
 }
 
-// goldenCampaignJSON is the campaign-mode capture: a hand-written spec file
-// exercising the by-name venue references and the declarative knobs.
+// goldenCampaignJSON is the campaign-mode capture: a hand-written campaign
+// plan exercising the by-name venue references and the declarative knobs.
 const goldenCampaignJSON = `{
-  "runs": [
-    {"name": "lunch canteen", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 3},
-    {"name": "rush passage", "venue": "passage", "attack": "cityhunter", "slot": 0, "minutes": 3},
-    {"name": "mana mall", "venue": "mall", "attack": "mana", "slot": 6, "minutes": 3, "arrivalScale": 0.5}
-  ]
+  "version": 1,
+  "kind": "campaign",
+  "campaign": {
+    "runs": [
+      {"name": "lunch canteen", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 3},
+      {"name": "rush passage", "venue": "passage", "attack": "cityhunter", "slot": 0, "minutes": 3},
+      {"name": "mana mall", "venue": "mall", "attack": "mana", "slot": 6, "minutes": 3, "arrivalScale": 0.5}
+    ]
+  }
 }`
 
 // TestGoldenCampaign pins campaign mode: per-spec result rows and the
@@ -102,10 +106,11 @@ func TestGoldenCampaign(t *testing.T) {
 		t.Skip("campaign golden is not -short friendly")
 	}
 	world := apiWorld(t)
-	specs, err := cityhunter.LoadCampaign(strings.NewReader(goldenCampaignJSON))
+	p, err := cityhunter.DecodePlan([]byte(goldenCampaignJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
+	specs := p.Specs
 	for _, workers := range []int{1, 8} {
 		res, err := world.RunCampaign(context.Background(), specs, cityhunter.CampaignPool{Workers: workers})
 		if err != nil {

@@ -45,7 +45,7 @@ type Spec struct {
 
 	// Declarative knobs. Pointer fields distinguish "unset" (inherit the
 	// base configuration) from an explicit zero. These fields — unlike
-	// Configure — survive SaveCampaign/LoadCampaign round trips.
+	// Configure — survive a campaign plan's round trip.
 	DirectProberFraction *float64
 	ScanInterval         *time.Duration
 	ArrivalScale         *float64
@@ -69,7 +69,7 @@ type Spec struct {
 	// Configure, when non-nil, mutates the fully assembled run
 	// configuration last — the programmatic escape hatch for knobs the
 	// declarative fields do not cover (core-engine ablations, WiGLE
-	// resampling, sampling periods). It is not serialised by SaveCampaign.
+	// resampling, sampling periods). Campaign plans do not serialise it.
 	Configure func(*scenario.Config)
 
 	// Deployment, when non-nil, turns this spec into a multi-site
@@ -78,7 +78,7 @@ type Spec struct {
 	// in Outcome.Deployments instead of Outcome.Results. The Deployment's
 	// Base is ignored — the campaign assembles it from the campaign base
 	// and this spec's declarative knobs. Like Configure, it is not
-	// serialised by SaveCampaign (persist the plan with SaveDeployment).
+	// serialised in a campaign plan (persist it as a deployment plan).
 	Deployment *scenario.DeploymentConfig
 }
 

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"cityhunter/internal/scenario"
 )
 
 // campaignFile is the JSON form of a campaign: a list of declarative run
-// specs. Venues are embedded in the SaveVenue format (or referenced by
-// built-in name in hand-written files); attacks are encoded by name.
+// specs. Venues are embedded in the EncodeVenueJSON format (or referenced
+// by built-in name in hand-written files); attacks are encoded by name.
 type campaignFile struct {
 	Runs []runFile `json:"runs"`
 }
@@ -20,8 +19,8 @@ type campaignFile struct {
 type runFile struct {
 	Name string `json:"name,omitempty"`
 	// Venue names a built-in venue (passage|canteen|mall|station);
-	// VenueSpec embeds a full venue in the SaveVenue JSON format. Exactly
-	// one must be set; SaveCampaign always writes VenueSpec.
+	// VenueSpec embeds a full venue in the EncodeVenueJSON format. Exactly
+	// one must be set; EncodeSpecsJSON always writes VenueSpec.
 	Venue     string          `json:"venue,omitempty"`
 	VenueSpec json.RawMessage `json:"venueSpec,omitempty"`
 	Attack    string          `json:"attack"`
@@ -44,7 +43,7 @@ type runFile struct {
 }
 
 // attackNames maps the file encoding to attack kinds; attackFileName is the
-// canonical reverse mapping used by Save.
+// canonical reverse mapping used by EncodeSpecsJSON.
 var attackNames = map[string]scenario.AttackKind{
 	"karma":         scenario.KARMA,
 	"mana":          scenario.MANA,
@@ -83,28 +82,10 @@ var builtinVenues = map[string]func() scenario.Venue{
 	"station": scenario.StationVenue,
 }
 
-// Save writes a campaign's specs as JSON. Only the declarative spec fields
-// are encodable: a spec carrying a Configure hook cannot round-trip and is
-// rejected by name.
-//
-// Deprecated: new code should persist campaigns inside a versioned plan
-// envelope via SavePlan (plan.Save); this standalone format is kept for
-// compatibility and emits byte-identical output.
-func Save(w io.Writer, specs []Spec) error {
-	cf, err := encodeSpecs(specs)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cf); err != nil {
-		return fmt.Errorf("campaign: encode: %w", err)
-	}
-	return nil
-}
-
 // EncodeSpecsJSON renders campaign specs in their canonical (compact) file
-// form — the payload the plan envelope embeds.
+// form — the payload the plan envelope embeds. Only the declarative spec
+// fields are encodable: a spec carrying a Configure hook or a Deployment
+// cannot round-trip and is rejected by name.
 func EncodeSpecsJSON(specs []Spec) (json.RawMessage, error) {
 	cf, err := encodeSpecs(specs)
 	if err != nil {
@@ -124,7 +105,7 @@ func encodeSpecs(specs []Spec) (campaignFile, error) {
 			return campaignFile{}, fmt.Errorf("campaign: spec %d (%s): Configure hooks are not serialisable", i, s.Name)
 		}
 		if s.Deployment != nil {
-			return campaignFile{}, fmt.Errorf("campaign: spec %d (%s): deployment specs are not serialisable (persist the plan with SaveDeployment)", i, s.Name)
+			return campaignFile{}, fmt.Errorf("campaign: spec %d (%s): deployment specs are not serialisable (persist the deployment as a KindDeployment plan)", i, s.Name)
 		}
 		venueSpec, err := scenario.EncodeVenueJSON(s.Venue)
 		if err != nil {
@@ -162,27 +143,11 @@ func encodeSpecs(specs []Spec) (campaignFile, error) {
 	return cf, nil
 }
 
-// Load reads a campaign written by Save (or hand-written in the same
-// format) and validates it, naming the offending run and field in every
-// error.
-//
-// Deprecated: new code should load plans through LoadPlan (plan.Load),
-// which wraps the same codec in a versioned envelope. Load already rejects
-// unknown top-level fields but keeps embedded venueSpecs permissive, as it
-// always has.
-func Load(r io.Reader) ([]Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: decode: %w", err)
-	}
-	return DecodeSpecsJSON(data, false)
-}
-
-// DecodeSpecsJSON parses and validates campaign specs in the Save format.
-// Unknown fields at the campaign level are always rejected; strict extends
-// the rejection into embedded venueSpec documents (the plan-envelope
-// contract).
-func DecodeSpecsJSON(data []byte, strict bool) ([]Spec, error) {
+// DecodeSpecsJSON parses and validates campaign specs in the
+// EncodeSpecsJSON format, naming the offending run and field in every
+// error. Unknown fields are rejected, inside embedded venueSpec documents
+// too.
+func DecodeSpecsJSON(data []byte) ([]Spec, error) {
 	var cf campaignFile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -209,7 +174,7 @@ func DecodeSpecsJSON(data []byte, strict bool) ([]Spec, error) {
 			}
 			s.Venue = mk()
 		case rf.VenueSpec != nil:
-			v, err := scenario.DecodeVenueJSON(rf.VenueSpec, strict)
+			v, err := scenario.DecodeVenueJSON(rf.VenueSpec)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: run %d (%s): venueSpec: %w", i, name, err)
 			}

@@ -41,27 +41,27 @@ func roundTripSpecs() []Spec {
 	}
 }
 
-// TestCampaignRoundTrip checks Save → Load → Save byte equality — the same
-// stability contract venue_io makes.
+// TestCampaignRoundTrip checks EncodeSpecsJSON → DecodeSpecsJSON →
+// EncodeSpecsJSON byte equality — the same stability contract the venue
+// codec makes.
 func TestCampaignRoundTrip(t *testing.T) {
-	var first bytes.Buffer
-	if err := Save(&first, roundTripSpecs()); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	loaded, err := Load(bytes.NewReader(first.Bytes()))
+	first, err := EncodeSpecsJSON(roundTripSpecs())
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("encode: %v", err)
+	}
+	loaded, err := DecodeSpecsJSON(first)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if len(loaded) != 2 {
-		t.Fatalf("loaded %d specs, want 2", len(loaded))
+		t.Fatalf("decoded %d specs, want 2", len(loaded))
 	}
-	var second bytes.Buffer
-	if err := Save(&second, loaded); err != nil {
-		t.Fatalf("re-save: %v", err)
+	second, err := EncodeSpecsJSON(loaded)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("round trip not byte-stable:\n--- first ---\n%s\n--- second ---\n%s",
-			first.String(), second.String())
+	if !bytes.Equal(first, second) {
+		t.Errorf("round trip not byte-stable:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 
 	got := loaded[1]
@@ -93,13 +93,13 @@ func TestLegacySpecsOmitRandomizationFields(t *testing.T) {
 	specs := roundTripSpecs()
 	specs[1].Randomization = ""
 	specs[1].Linker = ""
-	var buf bytes.Buffer
-	if err := Save(&buf, specs); err != nil {
-		t.Fatalf("save: %v", err)
+	data, err := EncodeSpecsJSON(specs)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
 	for _, key := range []string{`"randomization"`, `"linker"`} {
-		if strings.Contains(buf.String(), key) {
-			t.Errorf("legacy spec output contains %s:\n%s", key, buf.String())
+		if strings.Contains(string(data), key) {
+			t.Errorf("legacy spec output contains %s:\n%s", key, data)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestLegacySpecsOmitRandomizationFields(t *testing.T) {
 func TestSaveRejectsConfigureHook(t *testing.T) {
 	specs := roundTripSpecs()
 	specs[1].Configure = func(*scenario.Config) {}
-	err := Save(&bytes.Buffer{}, specs)
+	_, err := EncodeSpecsJSON(specs)
 	if err == nil {
 		t.Fatal("Configure hook serialised")
 	}
@@ -121,16 +121,16 @@ func TestSaveRejectsConfigureHook(t *testing.T) {
 }
 
 // TestSaveRejectsDeploymentSpec: deployment specs carry live venue slices
-// and a knowledge plane that SaveDeployment owns; SaveCampaign refuses them
-// by name and points at the right persistence path.
+// and a knowledge plane that a deployment plan owns; EncodeSpecsJSON
+// refuses them by name and points at the right persistence path.
 func TestSaveRejectsDeploymentSpec(t *testing.T) {
 	specs := roundTripSpecs()
 	specs[0].Deployment = &scenario.DeploymentConfig{Sites: []scenario.Venue{scenario.CanteenVenue()}}
-	err := Save(&bytes.Buffer{}, specs)
+	_, err := EncodeSpecsJSON(specs)
 	if err == nil {
 		t.Fatal("deployment spec serialised")
 	}
-	for _, want := range []string{"spec 0", "SaveDeployment"} {
+	for _, want := range []string{"spec 0", "KindDeployment plan"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
@@ -140,11 +140,11 @@ func TestSaveRejectsDeploymentSpec(t *testing.T) {
 // TestLoadBuiltinVenueNames: hand-written files may reference venues by
 // name instead of embedding a venueSpec.
 func TestLoadBuiltinVenueNames(t *testing.T) {
-	specs, err := Load(strings.NewReader(`{"runs": [
+	specs, err := DecodeSpecsJSON([]byte(`{"runs": [
 		{"name": "by-name", "venue": "mall", "attack": "karma", "slot": 2, "minutes": 5}
 	]}`))
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if specs[0].Venue.Name != scenario.MallVenue().Name {
 		t.Errorf("venue = %q, want the mall", specs[0].Venue.Name)
@@ -186,10 +186,12 @@ func TestLoadValidationNamesField(t *testing.T) {
 			[]string{"run 0 (j)", `unknown linker "ml"`}},
 		{"unknown field", `{"runs": [{"name": "h", "venue": "mall", "attack": "karma", "slot": 0, "minutes": 5, "turbo": true}]}`,
 			[]string{"turbo"}},
+		{"unknown venueSpec field", `{"runs": [{"name": "k", "venueSpec": {"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20},"overclock":2}, "attack": "karma", "slot": 0, "minutes": 5}]}`,
+			[]string{"run 0 (k)", "venueSpec", `"overclock"`}},
 		{"empty file", `{"runs": []}`, []string{"no runs"}},
 	}
 	for _, tc := range cases {
-		_, err := Load(strings.NewReader(tc.json))
+		_, err := DecodeSpecsJSON([]byte(tc.json))
 		if err == nil {
 			t.Errorf("%s: accepted", tc.label)
 			continue

@@ -1,11 +1,13 @@
-// Package plan defines the unified, versioned JSON envelope every plan in
-// the system travels in: a venue, a multi-site deployment, or a campaign
-// spec list, tagged with a format version and a kind. The envelope wraps
-// the exact payload codecs the standalone SaveVenue/SaveDeployment/
-// SaveCampaign formats use, so a payload lifted out of an envelope is
-// readable by the legacy loaders and vice versa — but unlike the legacy
-// loaders, envelope decoding is strict end to end: unknown fields anywhere
-// in the document are rejected, and the payload key must match the kind.
+// Package plan defines the versioned JSON envelope every plan in the
+// system travels in: a venue, a multi-site deployment, or a campaign spec
+// list, tagged with a format version and a kind. It is the only plan file
+// format. Decoding is strict end to end: unknown fields anywhere in the
+// document are rejected, the payload key must match the kind, and nothing
+// but whitespace may follow the envelope.
+//
+// The payloads are the documents the retired standalone venue, deployment
+// and campaign files held, so such a file migrates by wrapping it as
+// {"version":1,"kind":"<kind>","<kind>":<file>}.
 //
 // Encode's output is canonical (compact, fixed field order), which is what
 // the job server hashes to content-address results: two submissions of the
@@ -48,8 +50,8 @@ type Plan struct {
 	// Venue is the payload of a KindVenue plan.
 	Venue *scenario.Venue
 	// Deployment is the payload of a KindDeployment plan. Its Base is
-	// empty, as in LoadDeployment: a plan describes where and how to
-	// deploy, the experiment configuration comes from the caller.
+	// empty: a plan describes where and how to deploy, the experiment
+	// configuration comes from the caller.
 	Deployment *scenario.DeploymentConfig
 	// Specs is the payload of a KindCampaign plan.
 	Specs []campaign.Spec
@@ -67,7 +69,7 @@ type planFile struct {
 
 // Encode renders the plan in its canonical compact form — the bytes the
 // job server hashes for the result store. The plan is validated on the way
-// out (the payload codecs reject what their loaders would reject).
+// out (the payload encoders reject what cannot round-trip).
 func Encode(p Plan) ([]byte, error) {
 	if p.Version != 0 && p.Version != Version {
 		return nil, fmt.Errorf("plan: unsupported version %d (want %d)", p.Version, Version)
@@ -130,14 +132,18 @@ func Save(w io.Writer, p Plan) error {
 }
 
 // Decode parses and validates an envelope. Unknown fields anywhere in the
-// document — envelope, payload, embedded venues — are rejected, the
-// version must match, and the payload key must agree with the kind.
+// document — envelope, payload, embedded venues — are rejected, as is
+// anything but whitespace after it; the version must match, and the
+// payload key must agree with the kind.
 func Decode(data []byte) (Plan, error) {
 	var pf planFile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&pf); err != nil {
 		return Plan{}, fmt.Errorf("plan: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, fmt.Errorf("plan: decode: trailing data after the envelope")
 	}
 	if pf.Version != Version {
 		return Plan{}, fmt.Errorf("plan: unsupported version %d (want %d)", pf.Version, Version)
@@ -157,7 +163,7 @@ func Decode(data []byte) (Plan, error) {
 		if pf.Venue == nil {
 			return Plan{}, fmt.Errorf("plan: venue plan needs a venue payload")
 		}
-		v, err := scenario.DecodeVenueJSON(pf.Venue, true)
+		v, err := scenario.DecodeVenueJSON(pf.Venue)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: %w", err)
 		}
@@ -172,7 +178,7 @@ func Decode(data []byte) (Plan, error) {
 		if pf.Deployment == nil {
 			return Plan{}, fmt.Errorf("plan: deployment plan needs a deployment payload")
 		}
-		d, err := scenario.DecodeDeploymentJSON(pf.Deployment, true)
+		d, err := scenario.DecodeDeploymentJSON(pf.Deployment)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: %w", err)
 		}
@@ -187,7 +193,7 @@ func Decode(data []byte) (Plan, error) {
 		if pf.Campaign == nil {
 			return Plan{}, fmt.Errorf("plan: campaign plan needs a campaign payload")
 		}
-		specs, err := campaign.DecodeSpecsJSON(pf.Campaign, true)
+		specs, err := campaign.DecodeSpecsJSON(pf.Campaign)
 		if err != nil {
 			return Plan{}, fmt.Errorf("plan: %w", err)
 		}

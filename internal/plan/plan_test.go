@@ -18,8 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden plan files fro
 
 // checkGolden compares got against testdata/name byte for byte, rewriting
 // in -update mode. The golden files double as the compatibility contract:
-// the legacy savers and the plan envelope must keep emitting these exact
-// bytes.
+// the plan envelope must keep emitting these exact bytes.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -125,59 +124,6 @@ func TestPlanGolden(t *testing.T) {
 	}
 }
 
-// TestLegacySaversGolden pins the deprecated standalone writers: they must
-// keep emitting the exact bytes they emitted before the plan envelope
-// existed (captured in testdata/<kind>.legacy.json), and the matching
-// loaders must keep reading those files.
-func TestLegacySaversGolden(t *testing.T) {
-	var venueBuf bytes.Buffer
-	if err := scenario.SaveVenue(&venueBuf, fixtureVenue()); err != nil {
-		t.Fatalf("SaveVenue: %v", err)
-	}
-	checkGolden(t, "venue.legacy.json", venueBuf.Bytes())
-
-	var depBuf bytes.Buffer
-	if err := scenario.SaveDeployment(&depBuf, fixtureDeployment()); err != nil {
-		t.Fatalf("SaveDeployment: %v", err)
-	}
-	checkGolden(t, "deployment.legacy.json", depBuf.Bytes())
-
-	var campBuf bytes.Buffer
-	if err := campaign.Save(&campBuf, fixtureSpecs()); err != nil {
-		t.Fatalf("campaign.Save: %v", err)
-	}
-	checkGolden(t, "campaign.legacy.json", campBuf.Bytes())
-
-	if *updateGolden {
-		return
-	}
-	// The legacy loaders still read the legacy files.
-	if v, err := scenario.LoadVenue(bytes.NewReader(mustRead(t, "venue.legacy.json"))); err != nil {
-		t.Errorf("LoadVenue(legacy golden): %v", err)
-	} else if v.Name != fixtureVenue().Name {
-		t.Errorf("LoadVenue(legacy golden) = %q", v.Name)
-	}
-	if d, err := scenario.LoadDeployment(bytes.NewReader(mustRead(t, "deployment.legacy.json"))); err != nil {
-		t.Errorf("LoadDeployment(legacy golden): %v", err)
-	} else if len(d.Sites) != 2 || d.Knowledge != scenario.PeriodicSync {
-		t.Errorf("LoadDeployment(legacy golden) = %+v", d)
-	}
-	if specs, err := campaign.Load(bytes.NewReader(mustRead(t, "campaign.legacy.json"))); err != nil {
-		t.Errorf("campaign.Load(legacy golden): %v", err)
-	} else if len(specs) != 2 || specs[1].Name != "defended rush" {
-		t.Errorf("campaign.Load(legacy golden) = %d specs", len(specs))
-	}
-}
-
-func mustRead(t *testing.T, name string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // TestPlanRoundTrip checks Save → Load → Save byte equality for every
 // kind, plus payload survival.
 func TestPlanRoundTrip(t *testing.T) {
@@ -218,16 +164,24 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanStrictRejection: the envelope is strict end to end — unknown
-// fields anywhere, version drift, and kind/payload mismatches are all
-// named in the error.
-func TestPlanStrictRejection(t *testing.T) {
-	venuePayload := `{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}`
-	cases := []struct {
-		label string
-		json  string
-		want  string
-	}{
+// venuePayload is a minimal valid venue payload; venuePlan wraps it.
+const (
+	venuePayload = `{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}`
+	venuePlan    = `{"version":1,"kind":"venue","venue":` + venuePayload + `}`
+)
+
+// strictCase is one envelope the decoder must reject, with a substring
+// its error must contain.
+type strictCase struct {
+	label string
+	json  string
+	want  string
+}
+
+// strictRejectionCases is TestPlanStrictRejection's table, shared with
+// FuzzDecode as seed corpus.
+func strictRejectionCases() []strictCase {
+	return []strictCase{
 		{"unknown envelope field",
 			`{"version":1,"kind":"venue","venue":` + venuePayload + `,"turbo":true}`,
 			`"turbo"`},
@@ -267,8 +221,17 @@ func TestPlanStrictRejection(t *testing.T) {
 		{"invalid partition count",
 			`{"version":1,"kind":"deployment","deployment":{"knowledge":"isolated","roamFraction":0,"partitions":-2,"sites":[` + venuePayload + `]}}`,
 			"partition count -2 invalid"},
+		{"trailing document", venuePlan + `{}`, "trailing data"},
+		{"trailing garbage", venuePlan + ` x`, "trailing data"},
+		{"trailing brace", venuePlan + `}`, "trailing data"},
 	}
-	for _, tc := range cases {
+}
+
+// TestPlanStrictRejection: the envelope is strict end to end — unknown
+// fields anywhere, version drift, kind/payload mismatches and trailing
+// data are all named in the error; trailing whitespace stays legal.
+func TestPlanStrictRejection(t *testing.T) {
+	for _, tc := range strictRejectionCases() {
 		_, err := Decode([]byte(tc.json))
 		if err == nil {
 			t.Errorf("%s: accepted", tc.label)
@@ -277,6 +240,10 @@ func TestPlanStrictRejection(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.label, err, tc.want)
 		}
+	}
+
+	if _, err := Decode([]byte(venuePlan + "\n \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 
@@ -335,19 +302,6 @@ func TestPartitionsRoundTrip(t *testing.T) {
 		t.Errorf("partitioned shared knowledge refused: %v", err)
 	} else if p.Deployment.Knowledge != scenario.Shared || p.Deployment.Partitions != scenario.AutoPartitions {
 		t.Errorf("partitioned shared knowledge decoded to %v/%d", p.Deployment.Knowledge, p.Deployment.Partitions)
-	}
-}
-
-// TestLegacyPermissiveVsEnvelopeStrict: the same unknown venue field that
-// the envelope rejects stays accepted by the legacy venue loader — the
-// historical permissiveness is part of its compatibility contract.
-func TestLegacyPermissiveVsEnvelopeStrict(t *testing.T) {
-	payload := `{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20},"futureField":1}`
-	if _, err := scenario.LoadVenue(strings.NewReader(payload)); err != nil {
-		t.Errorf("legacy LoadVenue rejected an unknown field it historically ignored: %v", err)
-	}
-	if _, err := Decode([]byte(`{"version":1,"kind":"venue","venue":` + payload + `}`)); err == nil {
-		t.Error("envelope accepted an unknown venue field")
 	}
 }
 

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"cityhunter/internal/mobility"
 )
 
 // deploymentFile is the JSON form of a deployment plan: the sites (in the
-// venue format SaveVenue uses), the knowledge plane, and the roaming
+// venue format EncodeVenueJSON uses), the knowledge plane, and the roaming
 // model. The Base experiment configuration is NOT part of the format —
 // like campaign files, a deployment plan describes where and how to
 // deploy, while the city, attack kind and population knobs come from the
@@ -38,25 +37,6 @@ var knowledgeNames = map[string]KnowledgePlane{
 	"isolated":      Isolated,
 	"periodic-sync": PeriodicSync,
 	"shared":        Shared,
-}
-
-// SaveDeployment writes a deployment plan as JSON. Base is intentionally
-// not serialized (see deploymentFile); everything else round-trips.
-//
-// Deprecated: new code should persist deployments inside a versioned plan
-// envelope via SavePlan (plan.Save); this standalone format is kept for
-// compatibility and emits byte-identical output.
-func SaveDeployment(w io.Writer, dcfg DeploymentConfig) error {
-	df, err := encodeDeployment(dcfg)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(df); err != nil {
-		return fmt.Errorf("scenario: encode deployment: %w", err)
-	}
-	return nil
 }
 
 // EncodeDeploymentJSON renders a deployment plan in its canonical
@@ -108,32 +88,14 @@ func encodeDeployment(dcfg DeploymentConfig) (deploymentFile, error) {
 	return df, nil
 }
 
-// LoadDeployment reads a deployment plan previously written by
-// SaveDeployment (or hand-written in the same format) and validates it.
-// The returned config has an empty Base; fill it before running.
-//
-// Deprecated: new code should load plans through LoadPlan (plan.Load),
-// which wraps the same codec in a versioned envelope with strict
-// unknown-field validation. LoadDeployment remains permissive for
-// existing files.
-func LoadDeployment(r io.Reader) (DeploymentConfig, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return DeploymentConfig{}, fmt.Errorf("scenario: decode deployment: %w", err)
-	}
-	return DecodeDeploymentJSON(data, false)
-}
-
 // DecodeDeploymentJSON parses and validates a deployment plan in the
-// SaveDeployment format. With strict set, unknown JSON fields anywhere in
-// the document are rejected (the plan-envelope contract); without it the
-// decode is permissive, as LoadDeployment has always been.
-func DecodeDeploymentJSON(data []byte, strict bool) (DeploymentConfig, error) {
+// EncodeDeploymentJSON format, rejecting unknown fields anywhere in the
+// document. An omitted knowledge plane defaults to isolated. The returned
+// config has an empty Base; fill it before running.
+func DecodeDeploymentJSON(data []byte) (DeploymentConfig, error) {
 	var df deploymentFile
 	dec := json.NewDecoder(bytes.NewReader(data))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&df); err != nil {
 		return DeploymentConfig{}, fmt.Errorf("scenario: decode deployment: %w", err)
 	}

@@ -9,6 +9,9 @@ import (
 	"cityhunter/internal/mobility"
 )
 
+// TestDeploymentRoundTrip: a deployment survives EncodeDeploymentJSON →
+// DecodeDeploymentJSON, re-encodes to the same bytes, and runs once a Base
+// is filled in.
 func TestDeploymentRoundTrip(t *testing.T) {
 	in := DeploymentConfig{
 		Sites:        []Venue{CanteenVenue(), PassageVenue(), MallVenue()},
@@ -17,13 +20,20 @@ func TestDeploymentRoundTrip(t *testing.T) {
 		RoamFraction: 0.35,
 		Transit:      mobility.TransitModel{SpeedMin: 1.0, SpeedMax: 2.0},
 	}
-	var buf bytes.Buffer
-	if err := SaveDeployment(&buf, in); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	out, err := LoadDeployment(&buf)
+	data, err := EncodeDeploymentJSON(in)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("encode: %v", err)
+	}
+	out, err := DecodeDeploymentJSON(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	again, err := EncodeDeploymentJSON(out)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Errorf("round trip not byte-stable:\n--- first ---\n%s\n--- second ---\n%s", data, again)
 	}
 	if out.Knowledge != in.Knowledge || out.SyncEvery != in.SyncEvery ||
 		out.RoamFraction != in.RoamFraction || out.Transit != in.Transit {
@@ -37,32 +47,35 @@ func TestDeploymentRoundTrip(t *testing.T) {
 			t.Errorf("site %d diverged: %+v", i, out.Sites[i])
 		}
 	}
-	// A loaded plan plus a Base must actually run.
+	// A decoded plan plus a Base must actually run.
 	out.Base = baseConfig(t, Venue{}, CityHunter, 1)
 	out.Base.ArrivalScale = 0.25
 	if _, err := RunDeployment(out, 0, time.Minute); err != nil {
-		t.Fatalf("loaded deployment does not run: %v", err)
+		t.Fatalf("decoded deployment does not run: %v", err)
 	}
 }
 
+// TestSaveDeploymentErrors: EncodeDeploymentJSON refuses unencodable
+// planes, empty site lists and unencodable sites, naming the site.
 func TestSaveDeploymentErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveDeployment(&buf, DeploymentConfig{Knowledge: KnowledgePlane(7), Sites: []Venue{CanteenVenue()}}); err == nil ||
+	if _, err := EncodeDeploymentJSON(DeploymentConfig{Knowledge: KnowledgePlane(7), Sites: []Venue{CanteenVenue()}}); err == nil ||
 		!strings.Contains(err.Error(), "not encodable") {
 		t.Errorf("bad knowledge plane: %v", err)
 	}
-	if err := SaveDeployment(&buf, DeploymentConfig{}); err == nil ||
+	if _, err := EncodeDeploymentJSON(DeploymentConfig{}); err == nil ||
 		!strings.Contains(err.Error(), "at least one site") {
 		t.Errorf("empty site list: %v", err)
 	}
 	custom := CanteenVenue()
 	custom.Kind = VenueKind(42)
-	if err := SaveDeployment(&buf, DeploymentConfig{Sites: []Venue{custom}}); err == nil ||
+	if _, err := EncodeDeploymentJSON(DeploymentConfig{Sites: []Venue{custom}}); err == nil ||
 		!strings.Contains(err.Error(), "site 0") {
 		t.Errorf("unencodable site kind: %v", err)
 	}
 }
 
+// TestLoadDeploymentErrors: every DecodeDeploymentJSON rejection names its
+// cause, and an omitted knowledge plane defaults to isolated.
 func TestLoadDeploymentErrors(t *testing.T) {
 	cases := []struct {
 		name, in, want string
@@ -74,15 +87,17 @@ func TestLoadDeploymentErrors(t *testing.T) {
 		{"bad roam", `{"knowledge":"shared","roamFraction":2,"sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}]}`, "roam fraction 2 outside [0,1]"},
 		{"bad sync", `{"knowledge":"shared","syncEverySeconds":-4,"sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}]}`, "sync period"},
 		{"bad transit", `{"knowledge":"shared","transit":{"speedMinMps":2,"speedMaxMps":1},"sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}]}`, "transit speed max"},
+		{"unknown field", `{"knowledge":"shared","teleport":true,"sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}]}`, `"teleport"`},
+		{"unknown site field", `{"knowledge":"shared","sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20},"lasers":1}]}`, `"lasers"`},
 	}
 	for _, tc := range cases {
-		_, err := LoadDeployment(strings.NewReader(tc.in))
+		_, err := DecodeDeploymentJSON([]byte(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 	// Omitted knowledge defaults to isolated for hand-written plans.
-	dcfg, err := LoadDeployment(strings.NewReader(
+	dcfg, err := DecodeDeploymentJSON([]byte(
 		`{"sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":20}}]}`))
 	if err != nil {
 		t.Fatalf("minimal plan rejected: %v", err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -13,8 +12,8 @@ import (
 
 // venueFile is the JSON form of a Venue. Dwell models are encoded by kind
 // so the format stays declarative and forward-compatible. It is the single
-// codec behind SaveVenue/LoadVenue, the deployment and campaign formats
-// (which embed venues inline), and the versioned plan envelope.
+// venue codec behind the plan envelope's venue payload and the deployment
+// and campaign payloads (which embed venues inline).
 type venueFile struct {
 	Name           string           `json:"name"`
 	Kind           string           `json:"kind"`
@@ -47,25 +46,6 @@ var kindNames = map[string]VenueKind{
 	"station": Station,
 }
 
-// SaveVenue writes a venue as JSON. Only the built-in dwell-model types are
-// encodable; custom DwellModel implementations need their own persistence.
-//
-// Deprecated: new code should persist venues inside a versioned plan
-// envelope via SavePlan (plan.Save); this standalone format is kept for
-// compatibility and emits byte-identical output.
-func SaveVenue(w io.Writer, v Venue) error {
-	vf, err := encodeVenue(v)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(vf); err != nil {
-		return fmt.Errorf("scenario: encode venue: %w", err)
-	}
-	return nil
-}
-
 // EncodeVenueJSON renders a venue in its canonical (compact) file form —
 // the payload the plan envelope and the campaign format embed.
 func EncodeVenueJSON(v Venue) (json.RawMessage, error) {
@@ -80,16 +60,12 @@ func EncodeVenueJSON(v Venue) (json.RawMessage, error) {
 	return data, nil
 }
 
-// DecodeVenueJSON parses and validates a venue in the SaveVenue format.
-// With strict set, unknown JSON fields are rejected (the plan-envelope
-// contract); without it the decode is permissive, as LoadVenue has always
-// been.
-func DecodeVenueJSON(data []byte, strict bool) (Venue, error) {
+// DecodeVenueJSON parses and validates a venue in the EncodeVenueJSON
+// format, rejecting unknown fields.
+func DecodeVenueJSON(data []byte) (Venue, error) {
 	var vf venueFile
 	dec := json.NewDecoder(bytes.NewReader(data))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&vf); err != nil {
 		return Venue{}, fmt.Errorf("scenario: decode venue: %w", err)
 	}
@@ -139,21 +115,6 @@ func encodeVenue(v Venue) (venueFile, error) {
 		return venueFile{}, fmt.Errorf("scenario: moving dwell %T not encodable", v.MovingDwell)
 	}
 	return vf, nil
-}
-
-// LoadVenue reads a venue previously written by SaveVenue (or hand-written
-// in the same format) and validates it.
-//
-// Deprecated: new code should load plans through LoadPlan (plan.Load),
-// which wraps the same codec in a versioned envelope with strict
-// unknown-field validation. LoadVenue remains permissive for existing
-// files.
-func LoadVenue(r io.Reader) (Venue, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Venue{}, fmt.Errorf("scenario: decode venue: %w", err)
-	}
-	return DecodeVenueJSON(data, false)
 }
 
 // decodeVenue converts a venue's file form and validates it via

@@ -9,17 +9,27 @@ import (
 	"cityhunter/internal/mobility"
 )
 
+// TestVenueSaveLoadRoundTrip: every built-in venue survives
+// EncodeVenueJSON → DecodeVenueJSON field for field, and re-encodes to the
+// same bytes.
 func TestVenueSaveLoadRoundTrip(t *testing.T) {
 	for _, v := range AllVenues() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := SaveVenue(&buf, v); err != nil {
-				t.Fatalf("SaveVenue: %v", err)
-			}
-			back, err := LoadVenue(&buf)
+			data, err := EncodeVenueJSON(v)
 			if err != nil {
-				t.Fatalf("LoadVenue: %v", err)
+				t.Fatalf("EncodeVenueJSON: %v", err)
+			}
+			back, err := DecodeVenueJSON(data)
+			if err != nil {
+				t.Fatalf("DecodeVenueJSON: %v", err)
+			}
+			again, err := EncodeVenueJSON(back)
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			if !bytes.Equal(data, again) {
+				t.Errorf("round trip not byte-stable:\n--- first ---\n%s\n--- second ---\n%s", data, again)
 			}
 			if back.Name != v.Name || back.Kind != v.Kind {
 				t.Errorf("identity changed: %q/%v", back.Name, back.Kind)
@@ -51,6 +61,8 @@ func TestVenueSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadVenueValidation: DecodeVenueJSON rejects malformed documents,
+// unknown fields and every semantic violation Venue.Validate catches.
 func TestLoadVenueValidation(t *testing.T) {
 	tests := []struct {
 		name string
@@ -66,16 +78,19 @@ func TestLoadVenueValidation(t *testing.T) {
 		{"rush slot out of range", `{"name":"x","kind":"canteen","radioRange":50,"arrivalsPerMinute":[1],"rushSlots":[5],"staticDwell":{"medianMinutes":5,"sigma":0.1,"maxMinutes":30}}`},
 		{"moving without model", `{"name":"x","kind":"passage","radioRange":50,"arrivalsPerMinute":[1],"movingFraction":1}`},
 		{"static without model", `{"name":"x","kind":"canteen","radioRange":50,"arrivalsPerMinute":[1],"movingFraction":0}`},
+		{"unknown field", `{"name":"x","kind":"canteen","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.1,"maxMinutes":30},"futureField":1}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := LoadVenue(strings.NewReader(tt.json)); err == nil {
+			if _, err := DecodeVenueJSON([]byte(tt.json)); err == nil {
 				t.Error("want error")
 			}
 		})
 	}
 }
 
+// TestLoadVenueHandWritten: a hand-written venue document decodes through
+// DecodeVenueJSON and runs.
 func TestLoadVenueHandWritten(t *testing.T) {
 	const doc = `{
 		"name": "night market",
@@ -89,9 +104,9 @@ func TestLoadVenueHandWritten(t *testing.T) {
 		"movingDwell": {"pathLengthMetres": 70, "speedMinMps": 0.8, "speedMaxMps": 1.4},
 		"rushSlots": [1, 2]
 	}`
-	v, err := LoadVenue(strings.NewReader(doc))
+	v, err := DecodeVenueJSON([]byte(doc))
 	if err != nil {
-		t.Fatalf("LoadVenue: %v", err)
+		t.Fatalf("DecodeVenueJSON: %v", err)
 	}
 	if v.Kind != Mall || v.Profile.StartHour != 18 || !v.IsRush(2) || v.IsRush(0) {
 		t.Errorf("venue = %+v", v)
@@ -99,18 +114,20 @@ func TestLoadVenueHandWritten(t *testing.T) {
 	if v.Profile.SlotLabel(0) != "6pm-7pm" {
 		t.Errorf("label = %q", v.Profile.SlotLabel(0))
 	}
-	// A loaded venue must be runnable.
+	// A decoded venue must be runnable.
 	cfg := baseConfig(t, v, CityHunter, 71)
 	cfg.ArrivalScale = 0.5
 	res, err := Run(cfg, 1, 4*time.Minute)
 	if err != nil {
-		t.Fatalf("Run on loaded venue: %v", err)
+		t.Fatalf("Run on decoded venue: %v", err)
 	}
 	if res.Venue != "night market" {
 		t.Errorf("result venue = %q", res.Venue)
 	}
 }
 
+// TestSaveVenueRejectsCustomDwell: EncodeVenueJSON encodes only the
+// built-in dwell models.
 func TestSaveVenueRejectsCustomDwell(t *testing.T) {
 	v := CanteenVenue()
 	v.StaticDwell = mobility.HybridDwell{
@@ -118,8 +135,7 @@ func TestSaveVenueRejectsCustomDwell(t *testing.T) {
 		Static:         v.StaticDwell,
 		Moving:         v.MovingDwell,
 	}
-	var buf bytes.Buffer
-	if err := SaveVenue(&buf, v); err == nil {
-		t.Error("custom dwell model encoded without error")
+	if _, err := EncodeVenueJSON(v); err == nil || !strings.Contains(err.Error(), "not encodable") {
+		t.Errorf("custom dwell model: err = %v, want a not-encodable complaint", err)
 	}
 }

@@ -268,6 +268,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode submission: %w", err))
 		return
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode submission: trailing data after the submission"))
+		return
+	}
 	if len(sub.Plan) == 0 {
 		writeError(w, http.StatusBadRequest, &scenario.FieldError{Path: "plan", Reason: "serve: submission needs a plan envelope"})
 		return

@@ -438,6 +438,8 @@ func TestServerValidation(t *testing.T) {
 		{"unknown attack", `{"plan": {"version":1,"kind":"venue","venue":` + venuePayload + `}, "attack": "wep-crack"}`, 400, `unknown attack "wep-crack"`, "attack"},
 		{"campaign with attack param", `{"plan": {"version":1,"kind":"campaign","campaign":{"runs":[{"venue":"mall","attack":"karma","slot":0,"minutes":5}]}}, "attack": "karma"}`, 400, "per run", "attack"},
 		{"bad slot", `{"plan": {"version":1,"kind":"venue","venue":` + venuePayload + `}, "slot": 99}`, 400, "slot 99", "slot"},
+		{"trailing garbage", `{"plan": {"version":1,"kind":"venue","venue":` + venuePayload + `}} x`, 400, "trailing data", ""},
+		{"trailing document", `{"plan": {"version":1,"kind":"venue","venue":` + venuePayload + `}}{}`, 400, "trailing data", ""},
 	}
 	for _, tc := range cases {
 		code, body := post(tc.body)
