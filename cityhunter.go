@@ -77,7 +77,7 @@ type (
 
 	// Multi-site deployments: N attacker sites in one city, phones
 	// roaming between them, and a knowledge plane joining the hunters'
-	// databases (see World.DeploySites).
+	// databases (see World.DeploySitesContext).
 	DeploymentConfig = scenario.DeploymentConfig
 	DeploymentResult = scenario.DeploymentResult
 	KnowledgePlane   = scenario.KnowledgePlane
@@ -85,7 +85,7 @@ type (
 
 	// City-scale level-of-detail population: a statistical far-field tier
 	// promoted to full client fidelity only inside each site's promotion
-	// boundary (see WithPopulationScale, WithLODRadius, WithFarField).
+	// boundary (see WithPopulationScale, WithLODRadius, WithCityRoutes).
 	FarFieldConfig = scenario.FarFieldConfig
 	FarFieldResult = scenario.FarFieldResult
 	FarFieldSite   = scenario.FarFieldSite
@@ -173,7 +173,8 @@ const (
 	// RandomizePerBurst draws a fresh MAC for every per-channel probe
 	// burst within a scan.
 	RandomizePerBurst = client.RandomizePerBurst
-	// RandomizeTimed rotates on a timer (see WithRandomizeEvery).
+	// RandomizeTimed rotates on a timer (RunConfig.RandomizeEvery,
+	// default 15 min).
 	RandomizeTimed = client.RandomizeTimed
 )
 
@@ -497,12 +498,6 @@ func WithMACRandomization(fraction float64, policy RandomizationPolicy) RunOptio
 	})
 }
 
-// WithRandomizeEvery sets the rotation period for RandomizeTimed phones
-// (default 15 min).
-func WithRandomizeEvery(d time.Duration) RunOption {
-	return runOptionFunc(func(o *runOptions) { o.cfg.RandomizeEvery = d })
-}
-
 // WithLinker selects the attacker's MAC de-anonymisation strategy: how
 // the hunter database groups observed MACs into device tracks. The
 // default LinkerMAC treats every MAC as its own device (the historical
@@ -575,23 +570,11 @@ func WithPublisher(p TelemetryPublisher) RunOption {
 	return runOptionFunc(func(o *runOptions) { o.cfg.Publisher = p })
 }
 
-// WithPublishEvery sets the virtual-time cadence between published metric
-// snapshots (default scenario.DefaultPublishEvery, 5s of simulated time).
-func WithPublishEvery(d time.Duration) RunOption {
-	return runOptionFunc(func(o *runOptions) { o.cfg.PublishEvery = d })
-}
-
-// WithRunLabel names the run on the monitor; defaults to a
-// "<venue>/<attack>/slot<N>" summary when empty.
-func WithRunLabel(label string) RunOption {
-	return runOptionFunc(func(o *runOptions) { o.cfg.RunLabel = label })
-}
-
 // WithMonitorServer publishes the run into an existing monitor server.
 func WithMonitorServer(s *MonitorServer) RunOption { return WithPublisher(s) }
 
 // sharedMonitors holds one started monitor server per listen address so
-// repeated WithMonitor calls — and concurrent runs — share a single
+// repeated SharedMonitor calls — and concurrent runs — share a single
 // listener instead of fighting over the port.
 var (
 	sharedMonitorsMu sync.Mutex
@@ -614,19 +597,6 @@ func SharedMonitor(addr string) (*MonitorServer, string, error) {
 	}
 	sharedMonitors[addr] = s
 	return s, bound, nil
-}
-
-// WithMonitor starts (once per address, process-wide) an HTTP monitor
-// server on addr and publishes the run into it. The server stays up after
-// the run finishes so dashboards can keep scraping; it serves Prometheus
-// exposition on /metrics, run JSON on /runs, live events on /events (SSE)
-// and profiling under /debug/pprof.
-func WithMonitor(addr string) (RunOption, error) {
-	s, _, err := SharedMonitor(addr)
-	if err != nil {
-		return nil, err
-	}
-	return WithMonitorServer(s), nil
 }
 
 // baseRunConfig is the shared per-run configuration every entry point —
@@ -671,7 +641,7 @@ func (w *World) Run(venue Venue, kind AttackKind, slot int, duration time.Durati
 // attachments for the virtual time actually simulated, with
 // Result.Duration truncated to that time — together with a non-nil error
 // for which errors.Is(err, ctx.Err()) holds. Errors detected before the
-// simulation starts (bad slot, bad fractions) return a nil Result.
+// simulation starts (bad slot, venue or fractions) return a nil Result.
 func (w *World) RunContext(ctx context.Context, venue Venue, kind AttackKind, slot int, duration time.Duration, opts ...RunOption) (*Result, error) {
 	cfg := w.baseRunConfig()
 	cfg.Venue = venue
@@ -705,7 +675,7 @@ func (w *World) RunCampaign(ctx context.Context, specs []RunSpec, pool CampaignP
 	return c.Run(ctx)
 }
 
-// deployOptions collects the functional options of DeploySites.
+// deployOptions collects the functional options of DeploySitesContext.
 type deployOptions struct {
 	dcfg scenario.DeploymentConfig
 }
@@ -732,11 +702,6 @@ func WithSyncPeriod(d time.Duration) DeployOption {
 // given probability instead of leaving the city (default 0).
 func WithRoaming(fraction float64) DeployOption {
 	return deployOptionFunc(func(o *deployOptions) { o.dcfg.RoamFraction = fraction })
-}
-
-// WithTransit overrides the inter-site walking model roaming phones use.
-func WithTransit(m TransitModel) DeployOption {
-	return deployOptionFunc(func(o *deployOptions) { o.dcfg.Transit = m })
 }
 
 // WithRunOptions applies single-run options to the deployment's base
@@ -772,7 +737,7 @@ func (o *deployOptions) farField() *FarFieldConfig {
 // routes cross a site's promotion boundary, where they are promoted to full
 // client fidelity (and demoted again on exit) — 100k–1M pedestrians is the
 // design envelope. Without further options they route between districts
-// derived from the deployed sites; see WithCityRoutes and WithFarField.
+// derived from the deployed sites; see WithCityRoutes.
 func WithPopulationScale(n int) DeployOption {
 	return deployOptionFunc(func(o *deployOptions) { o.farField().Pedestrians = n })
 }
@@ -791,25 +756,13 @@ func WithCityRoutes(stops []RouteStop) DeployOption {
 	return deployOptionFunc(func(o *deployOptions) { o.farField().Stops = stops })
 }
 
-// WithFarField replaces the whole far-field configuration for callers that
-// need the long tail of knobs (entry area, itinerary model, spawn seed).
-func WithFarField(cfg FarFieldConfig) DeployOption {
-	return deployOptionFunc(func(o *deployOptions) { c := cfg; o.dcfg.FarField = &c })
-}
-
-// DeploySites runs one attacker of the chosen kind at each site for the
-// slot's test — the city-scale generalisation of Run. All sites share one
-// virtual clock, and sites within radio range of each other one radio
+// DeploySitesContext runs one attacker of the chosen kind at each site for
+// the slot's test — the city-scale generalisation of Run. All sites share
+// one virtual clock, and sites within radio range of each other one radio
 // medium; phones may roam between them (see WithRoaming) and the attackers
-// may share knowledge (see WithKnowledgePlane). It is DeploySitesContext
-// with a background context.
-func (w *World) DeploySites(sites []Venue, kind AttackKind, slot int, duration time.Duration, opts ...DeployOption) (*DeploymentResult, error) {
-	return w.DeploySitesContext(context.Background(), sites, kind, slot, duration, opts...)
-}
-
-// DeploySitesContext is DeploySites plus cancellation, with RunContext's
-// semantics: a mid-run cancel returns the partial DeploymentResult
-// together with a non-nil error wrapping ctx.Err().
+// may share knowledge (see WithKnowledgePlane). Cancellation has
+// RunContext's semantics: a mid-run cancel returns the partial
+// DeploymentResult together with a non-nil error wrapping ctx.Err().
 func (w *World) DeploySitesContext(ctx context.Context, sites []Venue, kind AttackKind, slot int, duration time.Duration, opts ...DeployOption) (*DeploymentResult, error) {
 	o := deployOptions{dcfg: scenario.DeploymentConfig{Sites: sites}}
 	o.dcfg.Base = w.baseRunConfig()

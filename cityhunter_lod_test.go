@@ -1,6 +1,7 @@
 package cityhunter_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func TestDeployWithPopulationScale(t *testing.T) {
 		cityhunter.CanteenVenue(),
 		cityhunter.MallVenue(),
 	}
-	res, err := w.DeploySites(sites, cityhunter.CityHunter,
+	res, err := w.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter,
 		cityhunter.LunchSlot, 45*time.Minute,
 		cityhunter.WithRunOptions(cityhunter.WithArrivalScale(0.2)),
 		cityhunter.WithPopulationScale(8000),
@@ -52,7 +53,7 @@ func TestDeployWithPopulationScale(t *testing.T) {
 
 	// Options compose in any order: scale after radius works too, and a
 	// deployment without scale has no far-field result at all.
-	res2, err := w.DeploySites(sites[:1], cityhunter.CityHunter,
+	res2, err := w.DeploySitesContext(context.Background(), sites[:1], cityhunter.CityHunter,
 		cityhunter.LunchSlot, 2*time.Minute,
 		cityhunter.WithRunOptions(cityhunter.WithArrivalScale(0.2)),
 		cityhunter.WithLODRadius(80),
@@ -64,7 +65,7 @@ func TestDeployWithPopulationScale(t *testing.T) {
 	if res2.FarField == nil || res2.FarField.Pedestrians != 100 {
 		t.Errorf("composed options lost the population: %+v", res2.FarField)
 	}
-	plain, err := w.DeploySites(sites[:1], cityhunter.CityHunter,
+	plain, err := w.DeploySitesContext(context.Background(), sites[:1], cityhunter.CityHunter,
 		cityhunter.LunchSlot, time.Minute,
 		cityhunter.WithRunOptions(cityhunter.WithArrivalScale(0.2)))
 	if err != nil {
@@ -113,7 +114,7 @@ func TestDeploymentPartitionsIdentical(t *testing.T) {
 	}
 	run := func(partitions int) *cityhunter.DeploymentResult {
 		sites := []cityhunter.Venue{cityhunter.StationVenue(), cityhunter.CanteenVenue(), cityhunter.MallVenue()}
-		res, err := w.DeploySites(sites, cityhunter.CityHunter, cityhunter.LunchSlot, 10*time.Minute,
+		res, err := w.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter, cityhunter.LunchSlot, 10*time.Minute,
 			cityhunter.WithRoaming(0.3),
 			cityhunter.WithPopulationScale(4000),
 			cityhunter.WithLODRadius(80),

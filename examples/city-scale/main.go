@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,7 +35,7 @@ func main() {
 	fmt.Printf("city: %d districts, 3 attacked; far field: 100000 pedestrians\n\n", len(stops))
 
 	start := time.Now()
-	res, err := world.DeploySites(sites, cityhunter.CityHunter,
+	res, err := world.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter,
 		cityhunter.LunchSlot, time.Hour,
 		cityhunter.WithPopulationScale(100_000),
 		cityhunter.WithLODRadius(80),

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 	fmt.Printf("%-14s %8s %8s %8s %7s\n", "knowledge", "phones", "captured", "h_b", "roams")
 	var isolated, shared cityhunter.Tally
 	for _, plane := range planes {
-		res, err := world.DeploySites(sites, cityhunter.CityHunter,
+		res, err := world.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter,
 			cityhunter.LunchSlot, 45*time.Minute,
 			cityhunter.WithKnowledgePlane(plane),
 			cityhunter.WithRoaming(0.5),

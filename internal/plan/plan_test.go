@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -221,6 +222,24 @@ func strictRejectionCases() []strictCase {
 		{"invalid partition count",
 			`{"version":1,"kind":"deployment","deployment":{"knowledge":"isolated","roamFraction":0,"partitions":-2,"sites":[` + venuePayload + `]}}`,
 			"partition count -2 invalid"},
+		{"zero dwell median",
+			`{"version":1,"kind":"venue","venue":{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":0,"sigma":0.5,"maxMinutes":20}}}`,
+			"staticDwell.medianMinutes"},
+		{"overflowing dwell max",
+			`{"version":1,"kind":"venue","venue":{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":0.5,"maxMinutes":1e12}}}`,
+			"staticDwell.maxMinutes"},
+		{"negative dwell sigma",
+			`{"version":1,"kind":"deployment","deployment":{"sites":[{"kind":"canteen","name":"x","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":5,"sigma":-1,"maxMinutes":20}}]}}`,
+			"staticDwell.sigma"},
+		{"zero corridor path",
+			`{"version":1,"kind":"venue","venue":{"kind":"passage","name":"x","radioRange":50,"arrivalsPerMinute":[1],"movingFraction":1,"movingDwell":{"pathLengthMetres":0,"speedMinMps":1,"speedMaxMps":2}}}`,
+			"movingDwell.pathLengthMetres"},
+		{"zero corridor speed",
+			`{"version":1,"kind":"venue","venue":{"kind":"passage","name":"x","radioRange":50,"arrivalsPerMinute":[1],"movingFraction":1,"movingDwell":{"pathLengthMetres":90,"speedMinMps":0,"speedMaxMps":2}}}`,
+			"movingDwell.speedMinMps"},
+		{"inverted corridor speeds",
+			`{"version":1,"kind":"campaign","campaign":{"runs":[{"name":"a","venueSpec":{"kind":"passage","name":"x","radioRange":50,"arrivalsPerMinute":[1],"movingFraction":1,"movingDwell":{"pathLengthMetres":90,"speedMinMps":2,"speedMaxMps":1}},"attack":"karma","slot":0,"minutes":5}]}}`,
+			"movingDwell.speedMaxMps"},
 		{"trailing document", venuePlan + `{}`, "trailing data"},
 		{"trailing garbage", venuePlan + ` x`, "trailing data"},
 		{"trailing brace", venuePlan + `}`, "trailing data"},
@@ -244,6 +263,22 @@ func TestPlanStrictRejection(t *testing.T) {
 
 	if _, err := Decode([]byte(venuePlan + "\n \t\r\n")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// TestPlanDwellFieldErrors: a malformed dwell model is a FieldError — a
+// 400 naming the field on the job server — in every payload that embeds a
+// venue.
+func TestPlanDwellFieldErrors(t *testing.T) {
+	for _, tc := range strictRejectionCases() {
+		if !strings.Contains(tc.want, "Dwell.") {
+			continue
+		}
+		_, err := Decode([]byte(tc.json))
+		var fe *scenario.FieldError
+		if !errors.As(err, &fe) || !strings.HasSuffix(fe.Path, tc.want) {
+			t.Errorf("%s: err = %v, want a FieldError at %s", tc.label, err, tc.want)
+		}
 	}
 }
 

@@ -146,18 +146,20 @@ func RunDeployment(dcfg DeploymentConfig, slot int, duration time.Duration) (*De
 	return RunDeploymentContext(context.Background(), dcfg, slot, duration)
 }
 
-// RunDeploymentContext composes the same layers as RunContext — world
-// build, knowledge, site deployment, collection — across N sites, then
-// adds the two things only a city has: phones roaming between venues, and
-// a knowledge plane joining the hunters' databases.
+// RunDeploymentContext composes the run layers — world build, knowledge,
+// site deployment, population, collection — across N sites, with the two
+// things only a city has: phones roaming between venues, and a knowledge
+// plane joining the hunters' databases. It is the only run path: RunContext
+// is a one-site deployment.
 //
 // Sites run in site groups (see siteGroups), each with its own engine
 // share, radio medium, RNG stream and MAC block, on a sim.Partitioned
-// coordinator. A one-site deployment is one group built exactly as
-// RunContext builds its run, so it replays Run draw for draw.
+// coordinator.
 //
 // Cancellation mirrors RunContext: a mid-run cancel returns the partial
-// DeploymentResult together with a non-nil error wrapping ctx.Err().
+// DeploymentResult together with a non-nil error wrapping ctx.Err(). Its
+// Duration is the earliest partition engine clock, which every group has
+// simulated at least as far.
 func RunDeploymentContext(ctx context.Context, dcfg DeploymentConfig, slot int, duration time.Duration) (*DeploymentResult, error) {
 	res, _, err := runDeployment(ctx, dcfg, slot, duration)
 	return res, err
@@ -242,10 +244,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 	}
 	for g := range d.envs {
 		d.envs[g] = newEnv(cfg, coord.Part(d.partOf(g)), groupRange[g], cfg.Seed+1000*int64(g), reg, model)
-		// Deployments label per-site instrumentation so a live monitor can
-		// tell co-resident attackers apart; single-venue runs never do,
-		// which keeps their metric dumps byte-stable.
-		d.envs[g].labelSites = true
+		d.envs[g].labelSites = len(dcfg.Sites) > 1
 	}
 	for p := 0; p < coord.Parts(); p++ {
 		coord.Part(p).Instrument(d.envs[0].rt)
@@ -294,10 +293,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 		}
 		groupSites[groupOf[i]] = append(groupSites[groupOf[i]], d.sites[i])
 	}
-	feed := startFeed(d.envs[0].rt, cfg, "deployment", slot, d.sites, map[string]string{
-		"knowledge": dcfg.Knowledge.String(),
-		"sites":     fmt.Sprintf("%d", len(d.sites)),
-	})
+	feed := startFeed(d.envs[0].rt, cfg, dcfg.Knowledge, slot, d.sites)
 	if feed != nil {
 		for _, env := range d.envs {
 			feed.buffer(env.rt)
@@ -359,7 +355,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 	// was joined before RunContext returned.
 	simulated := duration
 	if runErr != nil {
-		simulated = coord.Now()
+		simulated = d.reached()
 	}
 	engines := uniqueEngines(d.sites)
 	dres := &DeploymentResult{Knowledge: dcfg.Knowledge, Duration: simulated}
@@ -381,11 +377,8 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 		}
 	}
 	if d.envs[0].rt != nil {
-		// Lifecycle spans go on the trace holding each phone's current
-		// track, before the group traces merge.
-		traceOf := func(m *member) *obs.Trace { return d.env(m.site).rt.Trace }
 		for i, res := range dres.Sites {
-			emitRunTelemetry(reg, simulated, d.pops[i], res, traceOf)
+			d.emitRunTelemetry(reg, simulated, d.pops[i], res)
 		}
 		journals := make([]*obs.Journal, len(d.envs))
 		spans := d.envs[0].rt.Trace
@@ -395,20 +388,32 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 				spans.Append(env.rt.Trace)
 			}
 		}
-		rt := &obs.Runtime{Metrics: reg, Journal: mergeJournals(cfg.FlightRecorderCap, journals), Trace: spans}
-		for _, res := range dres.Sites {
-			attachObservability(rt, res)
-		}
 		dres.Metrics = reg.Snapshot()
-		dres.Journal = rt.Journal
-		dres.Spans = rt.Trace
+		dres.Journal = mergeJournals(cfg.FlightRecorderCap, journals)
+		dres.Spans = spans
+		// Every site result carries the deployment-wide attachments.
+		for _, res := range dres.Sites {
+			res.Metrics, res.Journal, res.Spans = dres.Metrics, dres.Journal, dres.Spans
+		}
 	}
 	feed.finish(simulated, runErr)
 	if runErr != nil {
-		return dres, coord, fmt.Errorf("scenario: deployment cancelled after %v of %v: %w",
+		return dres, coord, fmt.Errorf("scenario: run cancelled after %v of %v: %w",
 			simulated, duration, runErr)
 	}
 	return dres, coord, nil
+}
+
+// reached is how much virtual time a cancelled run covers: the earliest
+// partition engine clock. Every group has simulated at least that far —
+// the coordinator clock, the last completed barrier, can lag it by a
+// whole window, and a one-group run is a single window.
+func (d *deployment) reached() time.Duration {
+	reached := d.coord.Part(0).Now()
+	for p := 1; p < d.coord.Parts(); p++ {
+		reached = min(reached, d.coord.Part(p).Now())
+	}
+	return reached
 }
 
 // armKnowledgeSync arms the PeriodicSync exchange as a coordinator global
@@ -521,5 +526,5 @@ func (d *deployment) arrive(m *member, target int, entry geo.Point, snap client.
 	} else {
 		m.c.SetPos(mobility.StaticPos(pop.rng, venue.Position, venue.RadioRange*0.9))
 	}
-	pop.engine.At(m.departAt, func() { pop.finishDwell(m) })
+	pop.engine.At(m.departAt, func() { d.endDwell(m) })
 }

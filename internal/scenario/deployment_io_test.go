@@ -55,9 +55,9 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveDeploymentErrors: EncodeDeploymentJSON refuses unencodable
+// TestEncodeDeploymentJSONErrors: EncodeDeploymentJSON refuses unencodable
 // planes, empty site lists and unencodable sites, naming the site.
-func TestSaveDeploymentErrors(t *testing.T) {
+func TestEncodeDeploymentJSONErrors(t *testing.T) {
 	if _, err := EncodeDeploymentJSON(DeploymentConfig{Knowledge: KnowledgePlane(7), Sites: []Venue{CanteenVenue()}}); err == nil ||
 		!strings.Contains(err.Error(), "not encodable") {
 		t.Errorf("bad knowledge plane: %v", err)
@@ -74,9 +74,9 @@ func TestSaveDeploymentErrors(t *testing.T) {
 	}
 }
 
-// TestLoadDeploymentErrors: every DecodeDeploymentJSON rejection names its
+// TestDecodeDeploymentJSONErrors: every DecodeDeploymentJSON rejection names its
 // cause, and an omitted knowledge plane defaults to isolated.
-func TestLoadDeploymentErrors(t *testing.T) {
+func TestDecodeDeploymentJSONErrors(t *testing.T) {
 	cases := []struct {
 		name, in, want string
 	}{

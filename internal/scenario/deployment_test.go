@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,15 +84,17 @@ func TestDeploymentValidation(t *testing.T) {
 	}
 }
 
-// TestSingleSiteDeploymentMatchesRun is the refactor's equivalence proof:
-// a one-site deployment without roaming replays the classic single-venue
-// runner draw for draw, so their results must be identical.
+// TestSingleSiteDeploymentMatchesRun pins "a single-venue run is a
+// one-site deployment": Run and a one-site deployment without roaming must
+// agree on every result and on the metrics snapshot, which for one site
+// carries no "site" label.
 func TestSingleSiteDeploymentMatchesRun(t *testing.T) {
 	for _, kind := range []AttackKind{KARMA, MANA, CityHunter} {
 		cfg := baseConfig(t, CanteenVenue(), kind, 11)
 		cfg.ArrivalScale = 0.5
 		cfg.PreconnectedFraction = 0.2
 		cfg.EnableDeauth = true
+		cfg.Metrics = true
 		single, err := Run(cfg, 0, 10*time.Minute)
 		if err != nil {
 			t.Fatalf("%v: run: %v", kind, err)
@@ -117,6 +123,63 @@ func TestSingleSiteDeploymentMatchesRun(t *testing.T) {
 		if dep.Roams != 0 {
 			t.Errorf("%v: single-site deployment roamed %d times", kind, dep.Roams)
 		}
+		if !reflect.DeepEqual(single.Metrics, site.Metrics) || !reflect.DeepEqual(single.Metrics, dep.Metrics) {
+			t.Errorf("%v: metrics snapshots diverge between Run and 1-site deployment", kind)
+		}
+		for _, m := range dep.Metrics {
+			if strings.Contains(m.Labels, "site=") {
+				t.Errorf("%v: one-site deployment labels %s{%s}", kind, m.Name, m.Labels)
+			}
+		}
+	}
+}
+
+// countdownCtx is a context that reports cancellation from its n-th Err
+// call on. Engines poll Err every few hundred events, so it cancels a run
+// mid-window at the same event every time, with no wall-clock race.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSingleSiteDeploymentCancelDuration cancels a one-site deployment
+// inside its single window: the partial result covers the virtual time the
+// engine reached, not the last barrier (0), and a Run cancelled at the same
+// event reports the same time.
+func TestSingleSiteDeploymentCancelDuration(t *testing.T) {
+	const requested = time.Hour
+	cfg := baseConfig(t, CanteenVenue(), CityHunter, 3)
+	cfg.ArrivalScale = 0.5
+	dep, err := RunDeploymentContext(newCountdownCtx(40), DeploymentConfig{Base: cfg, Sites: []Venue{CanteenVenue()}}, 4, requested)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+	if dep == nil || dep.Duration <= 0 || dep.Duration >= requested {
+		t.Fatalf("cancelled deployment duration = %v, want inside (0, %v)", dep.Duration, requested)
+	}
+	if got := dep.Sites[0].Duration; got != dep.Duration {
+		t.Errorf("site duration %v != deployment duration %v", got, dep.Duration)
+	}
+	res, err := RunContext(newCountdownCtx(40), cfg, 4, requested)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run err = %v, want wrapped context.Canceled", err)
+	}
+	if res.Duration != dep.Duration || res.Tally != dep.Tally {
+		t.Errorf("cancelled run (%v, %+v) != cancelled deployment (%v, %+v)",
+			res.Duration, res.Tally, dep.Duration, dep.Tally)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"cityhunter/internal/sim"
 )
 
-// runEnv is the world-build layer shared by the single-venue runner and
-// multi-site deployments: the virtual-time engine, a radio medium, the run
-// RNG, the observability runtime, and the PNL model. A single-venue run has
-// one; a deployment has one per site group. Everything above this layer —
-// sites, attackers, populations — plugs into the same handles.
+// runEnv is the world-build layer of a deployment's site group: the
+// virtual-time engine, a radio medium, the run RNG, the observability
+// runtime, and the PNL model. A single-venue run is a one-site deployment
+// and so has exactly one. Everything above this layer — sites, attackers,
+// populations — plugs into the same handles.
 type runEnv struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -24,9 +24,10 @@ type runEnv struct {
 	model  *pnl.Model
 
 	// labelSites makes per-site instrumentation stamp a "site" label on
-	// its metric series. Deployments set it so a live monitor can tell N
-	// co-resident attackers apart; single-venue runs leave it off to keep
-	// their metric dumps byte-stable.
+	// its metric series. It is set exactly when the deployment has more
+	// than one site, so a live monitor can tell co-resident attackers (and
+	// gauges written from several groups) apart; one site needs no label,
+	// which keeps single-venue metric dumps byte-stable.
 	labelSites bool
 }
 
@@ -49,8 +50,8 @@ func siteMetricLabel(env *runEnv, venueName string) string {
 }
 
 // normalized validates the population and radio knobs and fills defaults.
-// Structural checks (city/heat map presence, slot bounds, duration) stay
-// with the callers because they differ between a run and a deployment.
+// The structural checks (city/heat map presence, venues, slot bounds,
+// duration) are runDeployment's.
 func (cfg Config) normalized() (Config, error) {
 	if cfg.DirectProberFraction < 0 || cfg.DirectProberFraction > 1 {
 		return cfg, fmt.Errorf("scenario: direct prober fraction %v outside [0,1]", cfg.DirectProberFraction)
@@ -90,25 +91,6 @@ func (cfg Config) pnlModel() (*pnl.Model, error) {
 		return nil, fmt.Errorf("scenario: build pnl model: %w", err)
 	}
 	return model, nil
-}
-
-// newRunEnv builds the environment layer of a single-venue run on a fresh
-// engine: the run RNG seeded cfg.Seed, a medium of the venue's radio range,
-// and a private registry.
-func newRunEnv(cfg Config, radioRange float64) (*runEnv, error) {
-	model, err := cfg.pnlModel()
-	if err != nil {
-		return nil, err
-	}
-	var reg *obs.Registry
-	if cfg.Metrics || cfg.Publisher != nil {
-		// A live publisher needs the registry even when the caller did not
-		// ask for a post-run snapshot.
-		reg = obs.NewRegistry()
-	}
-	env := newEnv(cfg, sim.NewEngine(), radioRange, cfg.Seed, reg, model)
-	env.engine.Instrument(env.rt)
-	return env, nil
 }
 
 // newEnv builds one environment on engine: a medium of the given delivery

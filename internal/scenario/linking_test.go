@@ -29,7 +29,8 @@ func TestMACSpacesDisjointFromRandomizedBlock(t *testing.T) {
 			identities = append(identities, perSite.mac())
 		}
 	}
-	identities = append(identities, attackerMAC, legitAPMAC)
+	site := deploymentSiteIdentity(0)
+	identities = append(identities, site.attackerMAC, site.legitMAC)
 
 	seen := make(map[ieee80211.MAC]bool, 4*len(identities))
 	for _, id := range identities {

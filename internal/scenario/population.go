@@ -84,8 +84,7 @@ type population struct {
 	cfg    Config
 	obs    *obs.Runtime
 
-	// venue is where this population spawns (Config.Venue for a
-	// single-venue run, one of the deployment's sites otherwise).
+	// venue is the deployment site this population spawns at.
 	venue Venue
 	// siteIndex is the venue's position in the deployment's site list.
 	siteIndex int
@@ -93,8 +92,8 @@ type population struct {
 	legitMAC ieee80211.MAC
 	// attackers is the membership test for "associated to a rogue AP".
 	attackers map[ieee80211.MAC]bool
-	// endDwell, when non-nil, is invoked instead of Depart when a
-	// member's dwell expires — the deployment roaming hook.
+	// endDwell decides what a member does when its dwell expires — the
+	// deployment's roam-or-leave hook.
 	endDwell func(*member)
 
 	members []*member
@@ -203,17 +202,7 @@ func (p *population) spawnMember(list pnl.List, moving bool, path mobility.Path,
 	if moving {
 		p.scheduleMove(m, path)
 	}
-	p.engine.At(m.departAt, func() { p.finishDwell(m) })
-}
-
-// finishDwell ends a member's stay at its current site: a deployment with
-// roaming may hand the phone a transit leg; everyone else leaves.
-func (p *population) finishDwell(m *member) {
-	if p.endDwell != nil {
-		p.endDwell(m)
-		return
-	}
-	m.c.Depart()
+	p.engine.At(m.departAt, func() { p.endDwell(m) })
 }
 
 // scheduleMove updates a walker's position every 2 s along its path. The

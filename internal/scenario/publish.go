@@ -13,9 +13,8 @@ import (
 // plots (hit counts, association counts) stay smooth.
 const DefaultPublishEvery = 5 * time.Second
 
-// runFeed is a registered run's publisher handle. The caller arms tick on
-// its clock every feed.every of virtual time: an engine event for a
-// single-venue run, a coordinator global event for a deployment. A tick
+// runFeed is a registered run's publisher handle. The caller arms tick as
+// a coordinator global event every feed.every of virtual time. A tick
 // only reads the registry — it consumes no randomness and mutates no
 // simulation state, so a published run is event-for-event identical to an
 // unpublished one.
@@ -38,8 +37,9 @@ func (b *eventBuffer) PublishEvent(ev obs.Event) { b.events = append(b.events, e
 
 // startFeed registers the run with the configured publisher (nil-safe: no
 // publisher, no feed), points rt's live events at it, and announces the
-// sites.
-func startFeed(rt *obs.Runtime, cfg Config, kind string, slot int, sites []*site, extra map[string]string) *runFeed {
+// sites. One site publishes as kind "run"; more publish as a "deployment"
+// labelled with its knowledge plane and site count.
+func startFeed(rt *obs.Runtime, cfg Config, knowledge KnowledgePlane, slot int, sites []*site) *runFeed {
 	if cfg.Publisher == nil {
 		return nil
 	}
@@ -49,16 +49,14 @@ func startFeed(rt *obs.Runtime, cfg Config, kind string, slot int, sites []*site
 	}
 	labels["attack"] = cfg.Attack.String()
 	labels["seed"] = fmt.Sprintf("%d", cfg.Seed)
-	for k, v := range extra {
-		labels[k] = v
+	kind, label := "run", fmt.Sprintf("%s/%s/slot%d", sites[0].venue.Name, cfg.Attack, slot)
+	if len(sites) > 1 {
+		kind, label = "deployment", fmt.Sprintf("%d sites/%s/slot%d", len(sites), cfg.Attack, slot)
+		labels["knowledge"] = knowledge.String()
+		labels["sites"] = fmt.Sprintf("%d", len(sites))
 	}
-	label := cfg.RunLabel
-	if label == "" {
-		if len(sites) == 1 {
-			label = fmt.Sprintf("%s/%s/slot%d", sites[0].venue.Name, cfg.Attack, slot)
-		} else {
-			label = fmt.Sprintf("%d sites/%s/slot%d", len(sites), cfg.Attack, slot)
-		}
+	if cfg.RunLabel != "" {
+		label = cfg.RunLabel
 	}
 	rp := cfg.Publisher.StartRun(obs.RunInfo{Kind: kind, Label: label, Labels: labels})
 	rt.Publish = rp

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"cityhunter/internal/attack"
@@ -10,11 +9,9 @@ import (
 	"cityhunter/internal/client"
 	"cityhunter/internal/core"
 	"cityhunter/internal/detect"
-	"cityhunter/internal/geo"
 	"cityhunter/internal/heatmap"
 	"cityhunter/internal/ieee80211"
 	"cityhunter/internal/linker"
-	"cityhunter/internal/mobility"
 	"cityhunter/internal/obs"
 	"cityhunter/internal/pnl"
 	"cityhunter/internal/stats"
@@ -226,13 +223,6 @@ func (r *Result) Breakdown() stats.Breakdown {
 	})
 }
 
-// attackerMAC is the attacker's fixed BSSID in every single-venue scenario
-// (deployment site 0 reuses it; see deploymentSiteIdentity).
-var attackerMAC = ieee80211.MAC{0x0a, 0xc1, 0x7f, 0x00, 0x00, 0x01}
-
-// legitAPMAC is the venue AP used for pre-connected phones.
-var legitAPMAC = ieee80211.MAC{0x0a, 0x1e, 0x61, 0x70, 0x00, 0x01}
-
 // Run executes one deployment: the venue's slot-th hour-long test (the
 // paper runs 8am–8pm, one test per hour slot, database re-initialised each
 // time). duration may be shorter than an hour for quick runs. It is
@@ -241,9 +231,12 @@ func Run(cfg Config, slot int, duration time.Duration) (*Result, error) {
 	return RunContext(context.Background(), cfg, slot, duration)
 }
 
-// RunContext is the primary run entry point: Run, plus cancellation. The
-// context is polled inside the simulation event loop, so a cancel stops a
-// mid-flight run promptly (within a few hundred events).
+// RunContext is the primary run entry point: Run, plus cancellation. A
+// single-venue run is a one-site deployment of cfg.Venue: it runs on
+// RunDeploymentContext's engine, validation and telemetry and returns that
+// site's Result. The context is polled inside the simulation event loop,
+// so a cancel stops a mid-flight run promptly (within a few hundred
+// events).
 //
 // Cancellation semantics: when ctx is cancelled mid-run, RunContext still
 // returns a non-nil *Result holding partial accounting — every outcome,
@@ -251,80 +244,11 @@ func Run(cfg Config, slot int, duration time.Duration) (*Result, error) {
 // time reached when the run stopped (Result.Duration is that partial
 // virtual time, not the requested one) — together with a non-nil error
 // wrapping ctx.Err(). Configuration errors detected before the simulation
-// starts return a nil Result as Run does.
-//
-// Internally the run composes the same four layers a multi-site
-// Deployment uses: world build (newRunEnv), knowledge (buildStrategy),
-// site deployment (deploySite), and collection (assembleResult) — with
-// exactly one site and no roaming.
+// starts, the venue's Validate among them, return a nil Result.
 func RunContext(ctx context.Context, cfg Config, slot int, duration time.Duration) (*Result, error) {
-	if cfg.City == nil || cfg.HeatMap == nil {
-		return nil, fmt.Errorf("scenario: city and heat map are required")
-	}
-	if slot < 0 || slot >= cfg.Venue.Profile.Slots() {
-		return nil, fmt.Errorf("scenario: slot %d outside profile (0..%d)", slot, cfg.Venue.Profile.Slots()-1)
-	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("scenario: non-positive duration %v", duration)
-	}
-	cfg, err := cfg.normalized()
-	if err != nil {
+	dres, _, err := runDeployment(ctx, DeploymentConfig{Base: cfg, Sites: []Venue{cfg.Venue}}, slot, duration)
+	if dres == nil {
 		return nil, err
 	}
-
-	env, err := newRunEnv(cfg, cfg.Venue.RadioRange)
-	if err != nil {
-		return nil, err
-	}
-
-	set, err := buildStrategy(cfg, []geo.Point{cfg.Venue.Position}, cfg.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	if set.chEngine != nil {
-		set.chEngine.Instrument(env.rt)
-	}
-	st, err := deploySite(env, cfg.Venue, singleSiteIdentity(), set)
-	if err != nil {
-		return nil, err
-	}
-	sites := []*site{st}
-
-	// Live telemetry feed (no-op without a publisher) and periodic engine
-	// sampling for the time-series figures.
-	feed := startFeed(env.rt, cfg, "run", slot, sites, nil)
-	if feed != nil {
-		env.engine.Every(0, feed.every, func() { feed.tick(env.engine.Now()) })
-	}
-	scheduleSampling(env, sites)
-
-	// Arrivals for this slot only; offsets are measured from slot start.
-	slotStart := time.Duration(slot) * time.Hour
-	arrivals, err := mobility.Arrivals(env.rng, scaledProfile(cfg.Venue.Profile, cfg.ArrivalScale), slotStart, duration)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-
-	pop := newPopulation(env, cfg.Venue, st.id.legitMAC, attackerSet(sites), &macAllocator{})
-	pop.spawnArrivals(arrivals, slotStart, cfg.Venue.Groups(slot), duration)
-
-	_, runErr := env.engine.RunContext(ctx, duration)
-
-	simulated := duration
-	if runErr != nil {
-		// Cancelled mid-run: the engine clock rests at the last executed
-		// event, which is how much virtual time the partial result covers.
-		simulated = env.engine.Now()
-	}
-	res := assembleResult(cfg, st, pop, slot, simulated, uniqueEngines(sites))
-	if env.rt != nil {
-		emitRunTelemetry(env.rt.Metrics, simulated, pop, res, func(*member) *obs.Trace { return env.rt.Trace })
-		attachObservability(env.rt, res)
-	}
-	feed.finish(simulated, runErr)
-	if runErr != nil {
-		return res, fmt.Errorf("scenario: run cancelled after %v of %v: %w",
-			simulated, duration, runErr)
-	}
-	return res, nil
+	return dres.Sites[0], err
 }

@@ -9,6 +9,7 @@ import (
 
 	"cityhunter/internal/citygen"
 	"cityhunter/internal/heatmap"
+	"cityhunter/internal/mobility"
 )
 
 var (
@@ -79,6 +80,13 @@ func TestRunValidation(t *testing.T) {
 	bad.PreconnectedFraction = -1
 	if _, err := Run(bad, 0, time.Minute); err == nil {
 		t.Error("bad preconnected fraction accepted")
+	}
+	// A direct run validates its venue like any deployment site.
+	bad = base
+	bad.Venue.StaticDwell = mobility.StaticDwell{Median: -time.Minute, Sigma: 0.5, Max: time.Hour}
+	var fe *FieldError
+	if _, err := Run(bad, 0, time.Minute); !errors.As(err, &fe) || fe.Path != "sites[0].staticDwell.medianMinutes" {
+		t.Errorf("negative dwell median: err = %v, want a FieldError at sites[0].staticDwell.medianMinutes", err)
 	}
 }
 

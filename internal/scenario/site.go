@@ -26,13 +26,6 @@ type siteIdentity struct {
 	monitorMAC  ieee80211.MAC
 }
 
-// singleSiteIdentity is the addressing every single-venue run has always
-// used; deploymentSiteIdentity(0) equals it so a one-site deployment puts
-// the same frames on air as the classic runner.
-func singleSiteIdentity() siteIdentity {
-	return deploymentSiteIdentity(0)
-}
-
 // deploymentSiteIdentity derives site i's station MACs (last byte i+1).
 func deploymentSiteIdentity(i int) siteIdentity {
 	n := byte(i + 1)
@@ -343,11 +336,12 @@ func assembleResult(cfg Config, st *site, pop *population, slot int, simulated t
 }
 
 // emitRunTelemetry records the end-of-run telemetry for one population: a
-// lifecycle span per phone, on the trace traceOf says holds its track, and
-// runner-level tallies in the registry.
-func emitRunTelemetry(reg *obs.Registry, now time.Duration, pop *population, res *Result, traceOf func(*member) *obs.Trace) {
+// lifecycle span per phone, on the trace of the group holding its current
+// track (before the group traces merge), and runner-level tallies in the
+// registry.
+func (d *deployment) emitRunTelemetry(reg *obs.Registry, now time.Duration, pop *population, res *Result) {
 	for _, m := range pop.members {
-		tr := traceOf(m)
+		tr := d.env(m.site).rt.Trace
 		if tr == nil {
 			continue
 		}
@@ -364,11 +358,4 @@ func emitRunTelemetry(reg *obs.Registry, now time.Duration, pop *population, res
 		reg.Counter("scenario_trace_dropped_frames").Add(int64(res.TraceDropped))
 		reg.Gauge("scenario_virtual_seconds").Set(now.Seconds())
 	}
-}
-
-// attachObservability attaches the shared snapshot/journal/trace handles.
-func attachObservability(rt *obs.Runtime, res *Result) {
-	res.Metrics = rt.Metrics.Snapshot()
-	res.Journal = rt.Journal
-	res.Spans = rt.Trace
 }

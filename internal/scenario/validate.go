@@ -2,9 +2,16 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"cityhunter/internal/mobility"
 )
+
+// maxDwell caps every dwell-model duration. Nobody stays within radio
+// range of one venue for more than a day, and the cap keeps plan minutes
+// far from time.Duration overflow.
+const maxDwell = 24 * time.Hour
 
 // FieldError is a validation failure bound to the configuration field that
 // caused it. Path names the field in the JSON plan format ("roamFraction",
@@ -67,6 +74,44 @@ func (v Venue) Validate() error {
 	}
 	if v.MovingFraction < 1 && v.StaticDwell == nil {
 		return fieldf("staticDwell", "static share needs a static dwell model")
+	}
+	if err := validateDwell("staticDwell", v.StaticDwell); err != nil {
+		return err
+	}
+	return validateDwell("movingDwell", v.MovingDwell)
+}
+
+// validateDwell bounds the parameters of the dwell models the venue JSON
+// format encodes, under their JSON field names; other DwellModel
+// implementations are their author's to vouch for.
+func validateDwell(path string, m mobility.DwellModel) error {
+	bad := func(field, format string, args ...any) error {
+		return fieldf(path+"."+field, path+"."+field+" "+format, args...)
+	}
+	switch d := m.(type) {
+	case mobility.StaticDwell:
+		if d.Median <= 0 || d.Median > maxDwell {
+			return bad("medianMinutes", "%v outside (0, %v]", d.Median, maxDwell)
+		}
+		if d.Max <= 0 || d.Max > maxDwell {
+			return bad("maxMinutes", "%v outside (0, %v]", d.Max, maxDwell)
+		}
+		if !(d.Sigma >= 0) || math.IsInf(d.Sigma, 1) {
+			return bad("sigma", "%v must be finite and non-negative", d.Sigma)
+		}
+	case mobility.CorridorDwell:
+		if !(d.PathLength > 0) || math.IsInf(d.PathLength, 1) {
+			return bad("pathLengthMetres", "%v must be positive and finite", d.PathLength)
+		}
+		if !(d.SpeedMin > 0) {
+			return bad("speedMinMps", "%v must be positive", d.SpeedMin)
+		}
+		if !(d.SpeedMax >= d.SpeedMin) || math.IsInf(d.SpeedMax, 1) {
+			return bad("speedMaxMps", "%v must be finite and at least speedMinMps %v", d.SpeedMax, d.SpeedMin)
+		}
+		if d.PathLength/d.SpeedMin > maxDwell.Seconds() {
+			return bad("pathLengthMetres", "%v at %v m/s takes longer than %v", d.PathLength, d.SpeedMin, maxDwell)
+		}
 	}
 	return nil
 }

@@ -117,6 +117,15 @@ func encodeVenue(v Venue) (venueFile, error) {
 	return vf, nil
 }
 
+// dwellMinutes converts a dwell field given in minutes, refusing anything
+// outside (0, maxDwell] before the conversion can wrap.
+func dwellMinutes(path string, minutes float64) (time.Duration, error) {
+	if !(minutes > 0 && minutes <= maxDwell.Minutes()) {
+		return 0, fmt.Errorf("scenario: %w", fieldf(path, "%s %v outside (0, %v]", path, minutes, maxDwell.Minutes()))
+	}
+	return time.Duration(minutes * float64(time.Minute)), nil
+}
+
 // decodeVenue converts a venue's file form and validates it via
 // Venue.Validate (shared with the deployment format).
 func decodeVenue(vf venueFile) (Venue, error) {
@@ -134,11 +143,15 @@ func decodeVenue(vf venueFile) (Venue, error) {
 		RushSlots:      vf.RushSlots,
 	}
 	if vf.Static != nil {
-		v.StaticDwell = mobility.StaticDwell{
-			Median: time.Duration(vf.Static.MedianMinutes * float64(time.Minute)),
-			Sigma:  vf.Static.Sigma,
-			Max:    time.Duration(vf.Static.MaxMinutes * float64(time.Minute)),
+		median, err := dwellMinutes("staticDwell.medianMinutes", vf.Static.MedianMinutes)
+		if err != nil {
+			return Venue{}, err
 		}
+		maxDur, err := dwellMinutes("staticDwell.maxMinutes", vf.Static.MaxMinutes)
+		if err != nil {
+			return Venue{}, err
+		}
+		v.StaticDwell = mobility.StaticDwell{Median: median, Sigma: vf.Static.Sigma, Max: maxDur}
 	}
 	if vf.Moving != nil {
 		v.MovingDwell = mobility.CorridorDwell{

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -89,9 +91,57 @@ func TestLoadVenueValidation(t *testing.T) {
 	}
 }
 
-// TestLoadVenueHandWritten: a hand-written venue document decodes through
+// TestDecodeVenueJSONDwellBounds: malformed dwell parameters are refused
+// as FieldErrors naming the JSON field, before minutes become a
+// time.Duration (1e12 minutes would wrap negative).
+func TestDecodeVenueJSONDwellBounds(t *testing.T) {
+	static := func(median, sigma, max string) string {
+		return `{"name":"x","kind":"canteen","radioRange":50,"arrivalsPerMinute":[1],"staticDwell":{"medianMinutes":` +
+			median + `,"sigma":` + sigma + `,"maxMinutes":` + max + `}}`
+	}
+	moving := func(length, lo, hi string) string {
+		return `{"name":"x","kind":"passage","radioRange":50,"arrivalsPerMinute":[1],"movingFraction":1,"movingDwell":{"pathLengthMetres":` +
+			length + `,"speedMinMps":` + lo + `,"speedMaxMps":` + hi + `}}`
+	}
+	tests := []struct {
+		name, json, path string
+	}{
+		{"zero median", static("0", "0.5", "20"), "staticDwell.medianMinutes"},
+		{"negative median", static("-5", "0.5", "20"), "staticDwell.medianMinutes"},
+		{"overflowing median", static("1e12", "0.5", "20"), "staticDwell.medianMinutes"},
+		{"sub-nanosecond median", static("1e-12", "0.5", "20"), "staticDwell.medianMinutes"},
+		{"zero max", static("5", "0.5", "0"), "staticDwell.maxMinutes"},
+		{"max past a day", static("5", "0.5", "1441"), "staticDwell.maxMinutes"},
+		{"negative sigma", static("5", "-0.1", "20"), "staticDwell.sigma"},
+		{"zero path", moving("0", "1", "2"), "movingDwell.pathLengthMetres"},
+		{"zero min speed", moving("90", "0", "2"), "movingDwell.speedMinMps"},
+		{"negative max speed", moving("90", "1", "-2"), "movingDwell.speedMaxMps"},
+		{"inverted speeds", moving("90", "2", "1"), "movingDwell.speedMaxMps"},
+		{"day-long corridor", moving("1e9", "1", "2"), "movingDwell.pathLengthMetres"},
+	}
+	for _, tt := range tests {
+		_, err := DecodeVenueJSON([]byte(tt.json))
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Path != tt.path {
+			t.Errorf("%s: err = %v, want a FieldError at %s", tt.name, err, tt.path)
+		}
+	}
+	if _, err := DecodeVenueJSON([]byte(static("1440", "0", "1440"))); err != nil {
+		t.Errorf("day-long dwell with sigma 0 refused: %v", err)
+	}
+
+	// Venues built in Go get the same bounds from Venue.Validate.
+	v := CanteenVenue()
+	v.StaticDwell = mobility.StaticDwell{Median: 5 * time.Minute, Sigma: math.NaN(), Max: time.Hour}
+	var fe *FieldError
+	if err := v.Validate(); !errors.As(err, &fe) || fe.Path != "staticDwell.sigma" {
+		t.Errorf("NaN sigma: err = %v, want a FieldError at staticDwell.sigma", err)
+	}
+}
+
+// TestDecodeVenueJSONHandWritten: a hand-written venue document decodes through
 // DecodeVenueJSON and runs.
-func TestLoadVenueHandWritten(t *testing.T) {
+func TestDecodeVenueJSONHandWritten(t *testing.T) {
 	const doc = `{
 		"name": "night market",
 		"kind": "mall",
@@ -126,9 +176,9 @@ func TestLoadVenueHandWritten(t *testing.T) {
 	}
 }
 
-// TestSaveVenueRejectsCustomDwell: EncodeVenueJSON encodes only the
+// TestEncodeVenueJSONRejectsCustomDwell: EncodeVenueJSON encodes only the
 // built-in dwell models.
-func TestSaveVenueRejectsCustomDwell(t *testing.T) {
+func TestEncodeVenueJSONRejectsCustomDwell(t *testing.T) {
 	v := CanteenVenue()
 	v.StaticDwell = mobility.HybridDwell{
 		StaticFraction: 0.5,

@@ -100,23 +100,6 @@ func (e *Engine) At(t time.Duration, fn func()) {
 	}
 }
 
-// Every arms a periodic callback: fn first runs after delay, then every
-// period thereafter, for as long as the engine keeps executing events. The
-// re-arm is scheduled after fn returns, so the callback sees the same
-// (time, sequence) ordering as a self-rescheduling closure — telemetry
-// ticks added this way do not perturb seeded runs.
-func (e *Engine) Every(delay, period time.Duration, fn func()) {
-	if period <= 0 {
-		return
-	}
-	var tick func()
-	tick = func() {
-		fn()
-		e.Schedule(period, tick)
-	}
-	e.Schedule(delay, tick)
-}
-
 // less orders two event slots by (time, sequence number).
 func (e *Engine) less(a, b int32) bool {
 	ea, eb := &e.events[a], &e.events[b]
