@@ -223,124 +223,6 @@ func BenchmarkWorldGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkCanteenRun measures one 10-minute City-Hunter canteen run end
-// to end (the workhorse of every experiment).
-func BenchmarkCanteenRun(b *testing.B) {
-	w := benchWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := w.Run(cityhunter.CanteenVenue(), cityhunter.CityHunter,
-			cityhunter.LunchSlot, 10*time.Minute,
-			cityhunter.WithRunSeed(int64(i+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCanteenRunRandomized is BenchmarkCanteenRun with every phone
-// rotating its MAC per scan and the composite de-anonymisation linker
-// re-keying the hunter database: the side-by-side pair quantifies what the
-// identity/observable split costs on the workhorse run (extra tracks,
-// matcher scoring on every fresh MAC).
-func BenchmarkCanteenRunRandomized(b *testing.B) {
-	w := benchWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := w.Run(cityhunter.CanteenVenue(), cityhunter.CityHunter,
-			cityhunter.LunchSlot, 10*time.Minute,
-			cityhunter.WithRunSeed(int64(i+1)),
-			cityhunter.WithMACRandomization(1.0, cityhunter.RandomizePerScan),
-			cityhunter.WithLinker(cityhunter.LinkerComposite))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCanteenRunMonitored is BenchmarkCanteenRun with a live telemetry
-// publisher attached (an in-process monitor server, no HTTP): the
-// side-by-side pair quantifies the publisher overhead. With no publisher
-// the feed is never constructed, so an unmonitored run pays nothing.
-func BenchmarkCanteenRunMonitored(b *testing.B) {
-	w := benchWorld(b)
-	mon := cityhunter.NewMonitorServer()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := w.Run(cityhunter.CanteenVenue(), cityhunter.CityHunter,
-			cityhunter.LunchSlot, 10*time.Minute,
-			cityhunter.WithRunSeed(int64(i+1)),
-			cityhunter.WithMonitorServer(mon))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCityScale measures the level-of-detail tier: a dozen-district
-// city with a 10k-pedestrian far-field crowd, three attacked districts, and
-// promotion to full fidelity only inside the radio-range boundaries. The
-// cost is dominated by window precomputation plus the promoted minority, so
-// this is the snapshot guard for the far-field hot path.
-func BenchmarkCityScale(b *testing.B) {
-	w := benchWorld(b)
-	opts := experiments.Options{
-		SlotDuration: 20 * time.Minute,
-		ArrivalScale: 0.1,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CityScale(context.Background(), w, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-		}
-	}
-}
-
-// benchMultiSite runs the multi-site snapshot workload: the city-scale
-// trio with roaming phones and a far-field crowd, its three site groups on
-// one goroutine (parts 0) or one goroutine each. The two benchmarks run
-// identical simulations, so the snapshot pair reads as a speedup table; on
-// multi-core runners the groups overlap, on a single core the pair
-// measures the coordination overhead.
-func benchMultiSite(b *testing.B, parts int) {
-	w := benchWorld(b)
-	sites := []cityhunter.Venue{
-		cityhunter.StationVenue(),
-		cityhunter.CanteenVenue(),
-		cityhunter.MallVenue(),
-	}
-	stops := w.City.RouteStops()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := w.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter,
-			cityhunter.LunchSlot, 30*time.Minute,
-			cityhunter.WithRoaming(0.3),
-			cityhunter.WithPopulationScale(4000),
-			cityhunter.WithLODRadius(80),
-			cityhunter.WithCityRoutes(stops),
-			cityhunter.WithPartitions(parts),
-			cityhunter.WithRunOptions(cityhunter.WithRunSeed(int64(i+1))))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("%d roams, %d promoted, pooled %v", res.Roams, res.FarField.Promoted, res.Tally)
-		}
-	}
-}
-
-// BenchmarkMultiSiteSerial runs the three-site roaming + far-field
-// workload on one goroutine — the baseline of the scaling pair.
-func BenchmarkMultiSiteSerial(b *testing.B) { benchMultiSite(b, 0) }
-
-// BenchmarkMultiSitePartitioned is the same workload with one goroutine
-// per site group (DESIGN.md §5.13).
-func BenchmarkMultiSitePartitioned(b *testing.B) { benchMultiSite(b, cityhunter.AutoPartitions) }
-
 // BenchmarkCountermeasures regenerates the §VI defence report.
 func BenchmarkCountermeasures(b *testing.B) {
 	w := benchWorld(b)

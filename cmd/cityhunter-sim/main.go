@@ -26,13 +26,18 @@
 //   - deployment: one attacker per site on one virtual clock, printing
 //     per-site rows and the pooled tally. -attack, -slot, -minutes, -seed
 //     and the population flags apply; the single-run output flags (-pcap,
-//     -trace-out, -breakdown) do not. -partitions 0 runs the deployment's
-//     site groups on one goroutine each (-partitions N on at most N); the
-//     default -1 keeps the plan's setting. The partition count changes
-//     wall time only, never the output.
+//     -trace-out, -breakdown, -metrics, -sentinel) do not. -partitions 0
+//     runs the deployment's site groups on one goroutine each
+//     (-partitions N on at most N); the default -1 keeps the plan's
+//     setting. The partition count changes wall time only, never the
+//     output.
 //
 // -population without a deployment plan hunts the default city-scale trio
-// (station, canteen, mall) with that many far-field pedestrians.
+// (station, canteen, mall) with that many far-field pedestrians, taking
+// the deployment flags.
+//
+// A flag set on the command line that the chosen kind of run does not
+// read is an error naming the flag and the kind, never silently ignored.
 //
 // Live monitoring: -monitor ADDR serves read-only telemetry over HTTP for
 // the lifetime of the process — Prometheus exposition on /metrics, run
@@ -48,6 +53,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -106,6 +112,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+	}
+	if err := rejectUnreadFlags(fs, p.Kind, *population); err != nil {
+		return err
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -436,6 +445,46 @@ func printDeployment(out io.Writer, res *cityhunter.DeploymentResult) {
 			fmt.Fprintf(out, "  site %-18s %d promotions, %d hits\n", res.Sites[i].Venue+":", s.Promotions, s.Hits)
 		}
 	}
+}
+
+// rejectUnreadFlags fails on the first flag set on the command line that
+// the run branch chosen by the plan kind and -population never reads, so
+// no explicit setting is silently dropped. -plan, -seed, -cpuprofile,
+// -memprofile and -monitor apply to every branch.
+func rejectUnreadFlags(fs *flag.FlagSet, kind cityhunter.PlanKind, population int) error {
+	runFlags := []string{"attack", "slot", "minutes", "deauth", "preconnected", "loss", "canary", "randomize-macs"}
+	var what string
+	var reads []string
+	switch {
+	case kind == cityhunter.KindCampaign:
+		what, reads = "campaign plan", []string{"parallel"}
+	case kind == cityhunter.KindDeployment || population > 0:
+		what, reads = "deployment plan", append(runFlags, "population", "partitions")
+		if kind != cityhunter.KindDeployment {
+			what = "-population run"
+		}
+		if population > 0 {
+			// -lod-radius sizes the far field -population adds.
+			reads = append(reads, "lod-radius")
+		}
+	default:
+		what, reads = "venue plan", append(runFlags, "breakdown", "pcap", "sentinel", "metrics", "trace-out")
+		if kind != cityhunter.KindVenue {
+			// Without a plan, -venue picks the venue.
+			what, reads = "venue run", append(reads, "venue")
+		}
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "plan", "seed", "cpuprofile", "memprofile", "monitor":
+			return
+		}
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s does not apply to a %s", f.Name, what)
+		}
+	})
+	return err
 }
 
 // partitionsFlagValue maps the -partitions flag onto the DeploymentConfig

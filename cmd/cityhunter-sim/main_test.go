@@ -143,6 +143,53 @@ func TestRunVenuePlan(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnreadFlags: a flag set on the command line that the
+// chosen kind of run never reads fails before anything runs, naming the
+// flag and the kind, instead of being silently dropped.
+func TestRunRejectsUnreadFlags(t *testing.T) {
+	venue := cityhunter.CanteenVenue()
+	venuePlan := writePlan(t, cityhunter.Plan{Kind: cityhunter.KindVenue, Venue: &venue})
+	deployment := writeDeploymentPlan(t, cityhunter.DeploymentConfig{
+		Sites: []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.StationVenue()},
+	})
+	campaign := filepath.Join(t.TempDir(), "campaign.json")
+	spec := `{"version": 1, "kind": "campaign", "campaign": {"runs": [{"venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 2}]}}`
+	if err := os.WriteFile(campaign, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-plan", campaign, "-attack", "mana", "-minutes", "5"}, "-attack does not apply to a campaign plan"},
+		{[]string{"-plan", campaign, "-minutes", "5"}, "-minutes does not apply to a campaign plan"},
+		{[]string{"-plan", campaign, "-population", "100"}, "-population does not apply to a campaign plan"},
+		{[]string{"-plan", deployment, "-pcap", "x.pcap"}, "-pcap does not apply to a deployment plan"},
+		{[]string{"-plan", deployment, "-trace-out", "run.json"}, "-trace-out does not apply to a deployment plan"},
+		{[]string{"-plan", deployment, "-breakdown"}, "-breakdown does not apply to a deployment plan"},
+		{[]string{"-plan", deployment, "-metrics"}, "-metrics does not apply to a deployment plan"},
+		{[]string{"-plan", deployment, "-sentinel"}, "-sentinel does not apply to a deployment plan"},
+		{[]string{"-plan", deployment, "-venue", "mall"}, "-venue does not apply to a deployment plan"},
+		{[]string{"-plan", deployment, "-lod-radius", "80"}, "-lod-radius does not apply to a deployment plan"},
+		{[]string{"-population", "100", "-metrics"}, "-metrics does not apply to a -population run"},
+		{[]string{"-population", "100", "-parallel", "2"}, "-parallel does not apply to a -population run"},
+		{[]string{"-plan", venuePlan, "-venue", "mall"}, "-venue does not apply to a venue plan"},
+		{[]string{"-plan", venuePlan, "-partitions", "0"}, "-partitions does not apply to a venue plan"},
+		{[]string{"-parallel", "2"}, "-parallel does not apply to a venue run"},
+		{[]string{"-lod-radius", "80"}, "-lod-radius does not apply to a venue run"},
+	}
+	for _, tc := range tests {
+		var out bytes.Buffer
+		err := run(context.Background(), tc.args, &out)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("run %v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %v printed output before failing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
 // TestRunCampaignFile drives -plan with a campaign plan: rows print in
 // spec order with the aggregate line, and output is identical at any
 // -parallel.

@@ -10,11 +10,11 @@ import (
 )
 
 // benchEngine builds a full-mode engine with a large harvested database.
-func benchEngine(b *testing.B, entries int) *Engine {
-	b.Helper()
+func benchEngine(tb testing.TB, entries int) *Engine {
+	tb.Helper()
 	e, err := NewEngine(DefaultConfig(ModeFull), nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	src := ieee80211.MAC{0x02, 9, 9, 9, 9, 9}
 	for i := 0; i < entries; i++ {
@@ -54,7 +54,8 @@ func BenchmarkBroadcastReplyInstrumented(b *testing.B) {
 
 func BenchmarkBroadcastReplyRotatingClient(b *testing.B) {
 	e := benchEngine(b, 2000)
-	mac := ieee80211.MAC{0x02, 1, 1, 1, 1, 1}
+	client := 0
+	mac := rotatingClientMAC(client)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,7 +63,8 @@ func BenchmarkBroadcastReplyRotatingClient(b *testing.B) {
 		if e.SentCount(mac) >= 2000 {
 			// Exhausted: start a new client to keep the work uniform.
 			b.StopTimer()
-			mac[5]++
+			client++
+			mac = rotatingClientMAC(client)
 			b.StartTimer()
 		}
 	}

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-func benchIndex(b *testing.B, n int) (*GridIndex, []Point) {
-	b.Helper()
+func benchIndex(tb testing.TB, n int) (*GridIndex, []Point) {
+	tb.Helper()
 	g, err := NewGridIndex(NewRect(Pt(0, 0), Pt(8000, 8000)), 125)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]Point, n)
