@@ -777,23 +777,6 @@ func (w *World) DeploySitesContext(ctx context.Context, sites []Venue, kind Atta
 	return res, nil
 }
 
-// RunDeployment executes a deployment plan — typically the payload of a
-// KindDeployment plan loaded with LoadPlan — against this world: the
-// plan's Base is replaced by the world's base configuration carrying the
-// given attack kind and run options, then the deployment runs with
-// DeploySitesContext's semantics.
-func (w *World) RunDeployment(ctx context.Context, dcfg DeploymentConfig, kind AttackKind, slot int, duration time.Duration, opts ...RunOption) (*DeploymentResult, error) {
-	base := w.baseRunConfig()
-	base.Attack = kind
-	ApplyOptions(&base, opts...)
-	dcfg.Base = base
-	res, err := scenario.RunDeploymentContext(ctx, dcfg, slot, duration)
-	if err != nil {
-		return res, fmt.Errorf("cityhunter: %w", err)
-	}
-	return res, nil
-}
-
 // Campaign server, re-exported: a long-running HTTP/JSON job API that
 // accepts plan envelopes, runs them on a shared bounded campaign pool,
 // streams progress over SSE, and persists results in a content-addressed

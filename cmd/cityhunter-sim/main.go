@@ -1,12 +1,13 @@
-// Command cityhunter-sim runs one attacker deployment and prints the
-// result table, the way the paper reports a single field test.
+// Command cityhunter-sim runs a plan and prints the result — by default
+// one attacker at one venue for one hour slot, the way the paper reports a
+// single field test.
 //
 // Usage:
 //
 //	cityhunter-sim [flags]
 //
 //	-venue    passage|canteen|mall|station   (default canteen)
-//	-attack   karma|mana|prelim|cityhunter   (default cityhunter)
+//	-attack   karma|mana|prelim|cityhunter|known-beacons (default cityhunter)
 //	-slot     hour slot 0..11, 0 = 8am-9am   (default 4 = 12pm-1pm)
 //	-minutes  run length                     (default 30)
 //	-seed     world seed                     (default 1)
@@ -16,25 +17,29 @@
 //	-metrics       print the deterministic metrics dump and journal tail
 //	-trace-out F   write a Chrome/Perfetto trace-event JSON file to F
 //
-// Plan mode: -plan F loads a plan envelope (see cityhunter.SavePlan) and
-// runs it according to its kind:
+// Every run takes one path. The command builds a plan: the -plan envelope
+// file (see cityhunter.SavePlan) if given; otherwise a venue plan for
+// -venue, or with -population a deployment plan of the default city-scale
+// trio (station, canteen, mall) in the dozen-district city. plan.RunSpecs
+// turns the plan into campaign specs, the same call the job server
+// (cmd/cityhunter-server) makes, so a plan run here and submitted there
+// with the same seed, attack, slot and minutes gives the same tallies. The
+// run flags are set on those specs, which run over the campaign pool;
+// Ctrl-C cancels any run. What prints follows the plan kind:
 //
-//   - venue: the single run above, at the plan's venue instead of -venue.
-//   - campaign: every declared run over the campaign worker pool; -seed
-//     and -parallel (the pool size) apply. Ctrl-C cancels mid-campaign and
-//     the completed runs are still reported.
-//   - deployment: one attacker per site on one virtual clock, printing
-//     per-site rows and the pooled tally. -attack, -slot, -minutes, -seed
-//     and the population flags apply; the single-run output flags (-pcap,
-//     -trace-out, -breakdown, -metrics, -sentinel) do not. -partitions 0
-//     runs the deployment's site groups on one goroutine each
-//     (-partitions N on at most N); the default -1 keeps the plan's
-//     setting. The partition count changes wall time only, never the
+//   - venue: the tally line plus whatever -pcap, -trace-out, -breakdown,
+//     -metrics and -sentinel ask for. A venue or deployment run uses the
+//     world seed as its run seed.
+//   - deployment: one attacker per site on one virtual clock, the per-site
+//     rows and the pooled tally. -population adds that many far-field
+//     pedestrians (-lod-radius sizes the promotion boundary). -partitions
+//     sets DeploymentConfig.Partitions: 0 runs the site groups on one
+//     goroutine, -1 on one goroutine per group, N on at most N; left unset
+//     it keeps the plan's setting. It changes wall time only, never the
 //     output.
-//
-// -population without a deployment plan hunts the default city-scale trio
-// (station, canteen, mall) with that many far-field pedestrians, taking
-// the deployment flags.
+//   - campaign: every declared run in spec order, then the aggregate.
+//     -seed is the base of the per-run seeds and -parallel the pool size;
+//     after Ctrl-C the completed runs are still reported.
 //
 // A flag set on the command line that the chosen kind of run does not
 // read is an error naming the flag and the kind, never silently ignored.
@@ -58,6 +63,8 @@ import (
 	"time"
 
 	"cityhunter"
+	"cityhunter/internal/campaign"
+	"cityhunter/internal/plan"
 	"cityhunter/internal/prof"
 	"cityhunter/internal/trace"
 )
@@ -92,7 +99,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		planFile     = fs.String("plan", "", "run the venue, deployment or campaign in this plan envelope file")
 		parallel     = fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		population   = fs.Int("population", 0, "far-field pedestrians roaming the city in a deployment run (level-of-detail tier)")
-		partitions   = fs.Int("partitions", -1, "goroutines running a deployment's site groups: 0 = one per group, N = at most N, -1 = the plan's setting; changes wall time only")
+		partitions   = fs.Int("partitions", 0, "goroutines running a deployment's site groups: 0 = one, -1 = one per group, N = at most N; unset keeps the plan's setting; changes wall time only")
 		lodRadius    = fs.Float64("lod-radius", 0, "promotion boundary radius in metres around each site (0 = 1.25x the largest radio range)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -137,99 +144,122 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "monitor listening on http://%s — try /metrics, /runs, /events (SSE), /debug/pprof\n", bound)
 	}
 
-	if p.Kind == cityhunter.KindCampaign {
-		return runCampaign(ctx, out, *planFile, p.Specs, *seed, *parallel, mon)
+	// Without -plan, build one: the city-scale trio for -population, else
+	// the -venue.
+	worldOpts := []cityhunter.WorldOption{cityhunter.WithSeed(*seed)}
+	switch {
+	case *planFile != "":
+	case *population > 0:
+		p = cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &cityhunter.DeploymentConfig{
+			Sites: []cityhunter.Venue{cityhunter.StationVenue(), cityhunter.CanteenVenue(), cityhunter.MallVenue()},
+		}}
+		worldOpts = append(worldOpts, cityhunter.WithCityConfig(cityhunter.CityScaleCityConfig(*seed)))
+		if *lodRadius == 0 {
+			*lodRadius = 80
+		}
+	default:
+		venue, ok := campaign.VenueByName(*venueName)
+		if !ok {
+			return fmt.Errorf("unknown venue %q (want passage|canteen|mall|station)", *venueName)
+		}
+		p = cityhunter.Plan{Kind: cityhunter.KindVenue, Venue: &venue}
 	}
-
-	if p.Kind == cityhunter.KindDeployment || *population > 0 {
-		kind, err := attackByName(*attackName)
-		if err != nil {
-			return err
+	// rejectUnreadFlags lets -partitions through for deployments only.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "partitions" {
+			p.Deployment.Partitions = *partitions
 		}
-		var opts []cityhunter.RunOption
-		if *loss > 0 {
-			opts = append(opts, cityhunter.WithFrameLoss(*loss))
-		}
-		if *canary > 0 {
-			opts = append(opts, cityhunter.WithCanaryClients(*canary))
-		}
-		if *randomizeMAC > 0 {
-			opts = append(opts, cityhunter.WithRandomizedMACs(*randomizeMAC))
-		}
-		if *deauth {
-			opts = append(opts, cityhunter.WithDeauth(*preconnected))
-		} else if *preconnected > 0 {
-			opts = append(opts, cityhunter.WithPreconnected(*preconnected))
-		}
-		if mon != nil {
-			opts = append(opts, cityhunter.WithMonitorServer(mon))
-		}
-		parts, err := partitionsFlagValue(*partitions)
-		if err != nil {
-			return err
-		}
-		if p.Deployment != nil {
-			return runDeployment(ctx, out, *planFile, *p.Deployment, kind, *slot, *minutes, *seed,
-				*population, *lodRadius, parts, opts...)
-		}
-		// -population without a deployment plan: hunt the default
-		// city-scale trio (station, canteen, mall) in a synthetic city.
-		return runCityScale(ctx, out, kind, *slot, *minutes, *seed,
-			*population, *lodRadius, parts, opts...)
+	})
+	prm := plan.Params{Seed: *seed}
+	if p.Kind != cityhunter.KindCampaign {
+		prm.Attack, prm.Slot, prm.Minutes = *attackName, *slot, float64(*minutes)
 	}
-
-	var venue cityhunter.Venue
-	if p.Venue != nil {
-		venue = *p.Venue
-	} else if venue, err = venueByName(*venueName); err != nil {
+	specs, err := plan.RunSpecs(p, prm)
+	if err != nil {
 		return err
 	}
-	kind, err := attackByName(*attackName)
+	world, err := cityhunter.NewWorld(worldOpts...)
 	if err != nil {
 		return err
 	}
 
-	world, err := cityhunter.NewWorld(cityhunter.WithSeed(*seed))
-	if err != nil {
-		return err
-	}
-
-	var opts []cityhunter.RunOption
+	var observe []cityhunter.RunOption
 	if *pcapPath != "" {
-		opts = append(opts, cityhunter.WithTrace())
-	}
-	if *loss > 0 {
-		opts = append(opts, cityhunter.WithFrameLoss(*loss))
-	}
-	if *canary > 0 {
-		opts = append(opts, cityhunter.WithCanaryClients(*canary))
-	}
-	if *randomizeMAC > 0 {
-		opts = append(opts, cityhunter.WithRandomizedMACs(*randomizeMAC))
-	}
-	if *sentinel {
-		opts = append(opts, cityhunter.WithSentinel())
-	}
-	if *deauth {
-		opts = append(opts, cityhunter.WithDeauth(*preconnected))
-	} else if *preconnected > 0 {
-		opts = append(opts, cityhunter.WithPreconnected(*preconnected))
+		observe = append(observe, cityhunter.WithTrace())
 	}
 	if *metrics {
-		opts = append(opts, cityhunter.WithMetrics(), cityhunter.WithFlightRecorder(0))
+		observe = append(observe, cityhunter.WithMetrics(), cityhunter.WithFlightRecorder(0))
 	}
 	if *traceOut != "" {
-		opts = append(opts, cityhunter.WithPerfettoTrace())
+		observe = append(observe, cityhunter.WithPerfettoTrace())
+	}
+	// The run flags become spec fields. A campaign plan refused them all
+	// (rejectUnreadFlags), so its specs run as decoded.
+	for i := range specs {
+		s := &specs[i]
+		s.Deauth = s.Deauth || *deauth
+		s.Sentinel = s.Sentinel || *sentinel
+		if *preconnected != 0 {
+			s.PreconnectedFraction = preconnected
+		}
+		if *loss != 0 {
+			s.FrameLoss = loss
+		}
+		if *canary != 0 {
+			s.CanaryFraction = canary
+		}
+		if *randomizeMAC != 0 {
+			s.RandomizeMACFraction = randomizeMAC
+		}
+		if len(observe) > 0 {
+			s.Configure = func(cfg *cityhunter.RunConfig) { cityhunter.ApplyOptions(cfg, observe...) }
+		}
+		if *population > 0 {
+			d := *s.Deployment
+			d.FarField = &cityhunter.FarFieldConfig{
+				Pedestrians: *population,
+				Radius:      *lodRadius,
+				Stops:       world.City.RouteStops(),
+			}
+			s.Deployment = &d
+		}
+	}
+
+	pool := cityhunter.CampaignPool{Workers: *parallel}
+	if p.Kind == cityhunter.KindCampaign {
+		pool.OnProgress = func(p cityhunter.CampaignProgress) {
+			status := "done"
+			if p.Err != nil {
+				status = p.Err.Error()
+			}
+			fmt.Fprintf(os.Stderr, "  [%d/%d] %s: %s\n", p.Done, p.Total, p.Name, status)
+		}
 	}
 	if mon != nil {
-		opts = append(opts, cityhunter.WithMonitorServer(mon))
+		pool.Publisher = mon
+		pool.Label = strings.TrimSpace(string(p.Kind) + " " + *planFile)
+	}
+	outcome, runErr := world.RunCampaign(ctx, specs, pool)
+	if p.Kind == cityhunter.KindCampaign && outcome != nil {
+		printCampaign(out, *planFile, specs, outcome)
+	}
+	if runErr != nil || p.Kind == cityhunter.KindCampaign {
+		return runErr
+	}
+	if p.Kind == cityhunter.KindDeployment {
+		dep := outcome.Deployments[0]
+		if *planFile == "" {
+			fmt.Fprintf(out, "city-scale deployment: %d sites, %d districts, %d far-field pedestrians\n",
+				len(dep.Sites), len(world.City.RouteStops()), *population)
+		} else {
+			fmt.Fprintf(out, "deployment %s: %d sites, %s knowledge plane, %d roams\n",
+				*planFile, len(dep.Sites), dep.Knowledge, dep.Roams)
+		}
+		printDeployment(out, dep)
+		return nil
 	}
 
-	res, err := world.Run(venue, kind, *slot, time.Duration(*minutes)*time.Minute, opts...)
-	if err != nil {
-		return err
-	}
-
+	res := outcome.Results[0]
 	fmt.Fprintf(out, "%s at the %s, %s, %d minutes\n", res.Attack, res.Venue, res.SlotLabel, *minutes)
 	fmt.Fprintln(out, res.Tally)
 	if res.Report.DeauthsSent > 0 {
@@ -311,32 +341,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// runCampaign fans a campaign plan's runs over the worker pool. Per-run
-// rows print in spec order once everything (that was allowed to) finished,
-// so output is identical at any -parallel value; progress goes to stderr.
-// On cancellation the completed runs still print before the error is
-// returned.
-func runCampaign(ctx context.Context, out io.Writer, path string, specs []cityhunter.RunSpec, seed int64, parallel int, mon *cityhunter.MonitorServer) error {
-	world, err := cityhunter.NewWorld(cityhunter.WithSeed(seed))
-	if err != nil {
-		return err
-	}
-	pool := cityhunter.CampaignPool{
-		Workers: parallel,
-		OnProgress: func(p cityhunter.CampaignProgress) {
-			status := "done"
-			if p.Err != nil {
-				status = p.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s: %s\n", p.Done, p.Total, p.Name, status)
-		},
-	}
-	if mon != nil {
-		pool.Publisher = mon
-		pool.Label = "campaign " + path
-	}
-
-	res, runErr := world.RunCampaign(ctx, specs, pool)
+// printCampaign writes a campaign's per-run rows in spec order, so output
+// is identical at any -parallel value, then the aggregate line. After a
+// cancellation only the completed runs have a tally.
+func printCampaign(out io.Writer, path string, specs []cityhunter.RunSpec, res *cityhunter.CampaignResult) {
 	fmt.Fprintf(out, "campaign %s: %d runs, %d completed\n", path, len(specs), res.Completed)
 	for i, spec := range specs {
 		name := spec.Name
@@ -348,87 +356,14 @@ func runCampaign(ctx context.Context, out io.Writer, path string, specs []cityhu
 			continue
 		}
 		r := res.Results[i]
+		if r == nil {
+			fmt.Fprintf(out, "%-24s not run\n", name)
+			continue
+		}
 		fmt.Fprintf(out, "%-24s %s at the %s, %s: %v\n",
 			name, r.Attack, r.Venue, r.SlotLabel, r.Tally)
 	}
 	fmt.Fprintln(out, res.Aggregate.String())
-	return runErr
-}
-
-// runDeployment runs a deployment plan end to end, printing the per-site
-// rows followed by the pooled tally that the plan's knowledge plane
-// produced.
-func runDeployment(ctx context.Context, out io.Writer, path string, dcfg cityhunter.DeploymentConfig,
-	kind cityhunter.AttackKind, slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
-	opts ...cityhunter.RunOption) error {
-	if partitions != 0 {
-		// The flag overrides whatever the plan carries; 0 (the
-		// mapped form of -partitions -1) keeps the plan's setting.
-		dcfg.Partitions = partitions
-	}
-
-	world, err := cityhunter.NewWorld(cityhunter.WithSeed(seed))
-	if err != nil {
-		return err
-	}
-	if population > 0 {
-		dcfg.FarField = &cityhunter.FarFieldConfig{
-			Pedestrians: population,
-			Radius:      lodRadius,
-			Stops:       world.City.RouteStops(),
-		}
-	}
-	res, err := world.RunDeployment(ctx, dcfg, kind, slot, time.Duration(minutes)*time.Minute, opts...)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "deployment %s: %d sites, %s knowledge plane, %d roams\n",
-		path, len(res.Sites), res.Knowledge, res.Roams)
-	printDeployment(out, res)
-	return nil
-}
-
-// runCityScale is the no-plan deployment path: -population with no
-// deployment plan hunts the default city-scale trio (station, canteen, mall)
-// embedded in the synthetic dozen-district city, mirroring the
-// examples/city-scale walkthrough so a one-liner exercises the
-// level-of-detail tier (and, with -monitor, lights up the telemetry plane).
-func runCityScale(ctx context.Context, out io.Writer, kind cityhunter.AttackKind,
-	slot, minutes int, seed int64, population int, lodRadius float64, partitions int,
-	opts ...cityhunter.RunOption) error {
-	world, err := cityhunter.NewWorld(
-		cityhunter.WithSeed(seed),
-		cityhunter.WithCityConfig(cityhunter.CityScaleCityConfig(seed)),
-	)
-	if err != nil {
-		return err
-	}
-	sites := []cityhunter.Venue{
-		cityhunter.StationVenue(),
-		cityhunter.CanteenVenue(),
-		cityhunter.MallVenue(),
-	}
-	if lodRadius == 0 {
-		lodRadius = 80
-	}
-	stops := world.City.RouteStops()
-	fmt.Fprintf(out, "city-scale deployment: %d sites, %d districts, %d far-field pedestrians\n",
-		len(sites), len(stops), population)
-
-	res, err := world.DeploySitesContext(ctx, sites, kind, slot,
-		time.Duration(minutes)*time.Minute,
-		cityhunter.WithPopulationScale(population),
-		cityhunter.WithLODRadius(lodRadius),
-		cityhunter.WithCityRoutes(stops),
-		cityhunter.WithPartitions(partitions),
-		cityhunter.WithRunOptions(opts...))
-	if err != nil {
-		return err
-	}
-
-	printDeployment(out, res)
-	return nil
 }
 
 // printDeployment writes a deployment's per-site rows, the pooled tally
@@ -485,53 +420,4 @@ func rejectUnreadFlags(fs *flag.FlagSet, kind cityhunter.PlanKind, population in
 		}
 	})
 	return err
-}
-
-// partitionsFlagValue maps the -partitions flag onto the DeploymentConfig
-// field. The flag default -1 means "don't override" (whatever the plan
-// says) and maps to 0; flag 0 asks for one goroutine per site group
-// and maps to AutoPartitions; a positive flag is an explicit count.
-func partitionsFlagValue(flag int) (int, error) {
-	switch {
-	case flag < -1:
-		return 0, fmt.Errorf("-partitions %d invalid: use -1 (the plan's setting), 0 (one per site group), or a positive count", flag)
-	case flag == -1:
-		return 0, nil
-	case flag == 0:
-		return cityhunter.AutoPartitions, nil
-	default:
-		return flag, nil
-	}
-}
-
-func venueByName(name string) (cityhunter.Venue, error) {
-	switch strings.ToLower(name) {
-	case "passage", "subway":
-		return cityhunter.PassageVenue(), nil
-	case "canteen":
-		return cityhunter.CanteenVenue(), nil
-	case "mall", "shopping":
-		return cityhunter.MallVenue(), nil
-	case "station", "railway":
-		return cityhunter.StationVenue(), nil
-	default:
-		return cityhunter.Venue{}, fmt.Errorf("unknown venue %q", name)
-	}
-}
-
-func attackByName(name string) (cityhunter.AttackKind, error) {
-	switch strings.ToLower(name) {
-	case "karma":
-		return cityhunter.KARMA, nil
-	case "mana":
-		return cityhunter.MANA, nil
-	case "prelim", "preliminary":
-		return cityhunter.CityHunterPreliminary, nil
-	case "cityhunter", "city-hunter", "full":
-		return cityhunter.CityHunter, nil
-	case "beacons", "known-beacons":
-		return cityhunter.KnownBeacons, nil
-	default:
-		return 0, fmt.Errorf("unknown attack %q", name)
-	}
 }

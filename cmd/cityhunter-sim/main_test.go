@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cityhunter"
 )
@@ -310,11 +317,12 @@ func TestRunDeploymentPopulation(t *testing.T) {
 	}
 }
 
-// TestRunDeploymentPartitions drives the -partitions flag: 0 runs one
-// goroutine per site group, an explicit count and the plan's own setting
-// produce identical output (partition-count invariance through the CLI),
-// an invalid count fails before any simulation starts, and a shared
-// knowledge plane runs partitioned.
+// TestRunDeploymentPartitions drives the -partitions flag, which takes
+// DeploymentConfig.Partitions' meaning: -1 runs one goroutine per site
+// group, 0 one goroutine, 2 at most two, and leaving it unset keeps the
+// plan's setting. All four produce identical output (partition-count
+// invariance through the CLI), an invalid count fails before any
+// simulation starts, and a shared knowledge plane runs partitioned.
 func TestRunDeploymentPartitions(t *testing.T) {
 	plan := cityhunter.DeploymentConfig{
 		Sites:        []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.StationVenue()},
@@ -322,36 +330,34 @@ func TestRunDeploymentPartitions(t *testing.T) {
 	}
 	path := writeDeploymentPlan(t, plan)
 
-	invoke := func(parts string) string {
+	invoke := func(extra ...string) string {
 		var out bytes.Buffer
 		err := run(context.Background(),
-			[]string{"-plan", path, "-attack", "cityhunter", "-minutes", "10",
-				"-seed", "3", "-partitions", parts}, &out)
+			append([]string{"-plan", path, "-attack", "cityhunter", "-minutes", "10", "-seed", "3"}, extra...), &out)
 		if err != nil {
-			t.Fatalf("run -partitions %s: %v", parts, err)
+			t.Fatalf("run %v: %v", extra, err)
 		}
 		return out.String()
 	}
-	auto := invoke("0")
+	auto := invoke("-partitions", "-1")
 	for _, want := range []string{"2 sites", "canteen", "railway station", "pooled:"} {
 		if !strings.Contains(auto, want) {
 			t.Errorf("output missing %q\n--- output ---\n%s", want, auto)
 		}
 	}
-	if again := invoke("0"); again != auto {
+	if again := invoke("-partitions", "-1"); again != auto {
 		t.Errorf("same-seed partitioned runs diverged:\n--- first ---\n%s\n--- second ---\n%s", auto, again)
 	}
-	if explicit := invoke("2"); explicit != auto {
-		t.Errorf("-partitions 2 diverged from -partitions 0:\n--- auto ---\n%s\n--- explicit ---\n%s", auto, explicit)
-	}
-	if serial := invoke("-1"); serial != auto {
-		t.Errorf("-partitions -1 diverged from -partitions 0:\n--- auto ---\n%s\n--- plan's setting ---\n%s", auto, serial)
+	for _, extra := range [][]string{{"-partitions", "0"}, {"-partitions", "2"}, nil} {
+		if got := invoke(extra...); got != auto {
+			t.Errorf("%v diverged from -partitions -1:\n--- -1 ---\n%s\n--- %v ---\n%s", extra, auto, extra, got)
+		}
 	}
 
 	var out bytes.Buffer
 	if err := run(context.Background(),
 		[]string{"-plan", path, "-partitions", "-2"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "-partitions -2 invalid") {
+		!strings.Contains(err.Error(), "partition count -2 invalid") {
 		t.Fatalf("err = %v, want invalid-partitions complaint", err)
 	}
 
@@ -381,6 +387,30 @@ func TestRunCampaignFileBadSpec(t *testing.T) {
 	err := run(context.Background(), []string{"-plan", path}, &out)
 	if err == nil || !strings.Contains(err.Error(), `unknown venue "casino"`) {
 		t.Fatalf("err = %v, want unknown-venue complaint", err)
+	}
+}
+
+// TestRunCancelled: every kind of run honours cancellation. A venue run
+// stops with the context's error, and a campaign cancelled before any run
+// started still prints its rows, each marked as not run.
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out bytes.Buffer
+	if err := run(ctx, []string{"-minutes", "2"}, &out); !errors.Is(err, context.Canceled) {
+		t.Errorf("venue run: err = %v, want context.Canceled", err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	spec := `{"version": 1, "kind": "campaign", "campaign": {"runs": [{"name": "lunch", "venue": "canteen", "attack": "cityhunter", "slot": 4, "minutes": 2}]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(ctx, []string{"-plan", path}, &out); !errors.Is(err, context.Canceled) {
+		t.Errorf("campaign run: err = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(out.String(), "1 runs, 0 completed") || !strings.Contains(out.String(), "not run") {
+		t.Errorf("cancelled campaign output:\n%s", out.String())
 	}
 }
 
@@ -416,4 +446,113 @@ func TestRunProfileFlags(t *testing.T) {
 	if err == nil {
 		t.Error("unwritable -cpuprofile path accepted")
 	}
+}
+
+// TestCLIAndServerAgree runs the same venue, deployment and campaign plans
+// through the CLI and through the job server with the same seed, attack,
+// slot and minutes: both take their specs from plan.RunSpecs, so every
+// tally the CLI prints — per spec, and per site then pooled for a
+// deployment — must equal the server result's.
+func TestCLIAndServerAgree(t *testing.T) {
+	srv, err := cityhunter.NewCampaignServer(cityhunter.CampaignServerConfig{StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Shutdown()
+	}()
+
+	venue := cityhunter.PassageVenue()
+	campaignPlan := cityhunter.Plan{Kind: cityhunter.KindCampaign, Specs: []cityhunter.RunSpec{
+		{Name: "lunch", Venue: cityhunter.CanteenVenue(), Attack: cityhunter.CityHunter, Slot: 4, Duration: 2 * time.Minute},
+		{Name: "rush", Venue: cityhunter.PassageVenue(), Attack: cityhunter.MANA, Slot: 0, Duration: 2 * time.Minute},
+	}}
+	tests := []struct {
+		name string
+		plan cityhunter.Plan
+		run  bool // the plan takes -attack/-slot/-minutes
+	}{
+		{"venue", cityhunter.Plan{Kind: cityhunter.KindVenue, Venue: &venue}, true},
+		{"deployment", cityhunter.Plan{Kind: cityhunter.KindDeployment, Deployment: &cityhunter.DeploymentConfig{
+			Sites:        []cityhunter.Venue{cityhunter.CanteenVenue(), cityhunter.PassageVenue()},
+			Knowledge:    cityhunter.Shared,
+			RoamFraction: 0.5,
+		}}, true},
+		{"campaign", campaignPlan, false},
+	}
+	tallyLine := regexp.MustCompile(`clients=.*`)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []string{"-plan", writePlan(t, tc.plan), "-seed", "3"}
+			body := `"seed": 3`
+			if tc.run {
+				args = append(args, "-attack", "prelim", "-slot", "4", "-minutes", "5")
+				body += `, "attack": "prelim", "slot": 4, "minutes": 5`
+			}
+			var out bytes.Buffer
+			if err := run(context.Background(), args, &out); err != nil {
+				t.Fatalf("run %v: %v", args, err)
+			}
+			cli := tallyLine.FindAllString(out.String(), -1)
+
+			envelope, err := cityhunter.EncodePlan(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := serverResult(t, hs.URL, fmt.Sprintf(`{"plan": %s, %s}`, envelope, body))
+			var server []string
+			for _, s := range res.Specs {
+				for _, site := range s.Sites {
+					server = append(server, site.Tally.String())
+				}
+				server = append(server, s.Tally.String())
+			}
+			if !slices.Equal(cli, server) {
+				t.Errorf("tallies differ\n--- CLI ---\n%s\n--- server ---\n%s",
+					strings.Join(cli, "\n"), strings.Join(server, "\n"))
+			}
+		})
+	}
+}
+
+// serverResult submits body to the job server at base, waits for the job
+// to finish and returns its result document.
+func serverResult(t *testing.T, base, body string) cityhunter.JobResult {
+	t.Helper()
+	resp, err := http.Post(base+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st cityhunter.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
+	}
+	for deadline := time.Now().Add(time.Minute); st.State != "finished"; time.Sleep(20 * time.Millisecond) {
+		if st.State == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job %s: state %s %s", st.ID, st.State, st.Error)
+		}
+		resp, err := http.Get(base + "/api/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err = http.Get(base + "/api/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var res cityhunter.JobResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -82,6 +82,16 @@ var builtinVenues = map[string]func() scenario.Venue{
 	"station": scenario.StationVenue,
 }
 
+// VenueByName resolves a built-in venue name
+// (passage|canteen|mall|station) — the same names campaign files use.
+func VenueByName(name string) (scenario.Venue, bool) {
+	mk, ok := builtinVenues[name]
+	if !ok {
+		return scenario.Venue{}, false
+	}
+	return mk(), true
+}
+
 // EncodeSpecsJSON renders campaign specs in their canonical (compact) file
 // form — the payload the plan envelope embeds. Only the declarative spec
 // fields are encodable: a spec carrying a Configure hook or a Deployment
@@ -168,11 +178,11 @@ func DecodeSpecsJSON(data []byte) ([]Spec, error) {
 		case rf.Venue != "" && rf.VenueSpec != nil:
 			return nil, fmt.Errorf("campaign: run %d (%s): venue and venueSpec are mutually exclusive", i, name)
 		case rf.Venue != "":
-			mk, ok := builtinVenues[rf.Venue]
+			v, ok := VenueByName(rf.Venue)
 			if !ok {
 				return nil, fmt.Errorf("campaign: run %d (%s): unknown venue %q (want passage|canteen|mall|station or a venueSpec)", i, name, rf.Venue)
 			}
-			s.Venue = mk()
+			s.Venue = v
 		case rf.VenueSpec != nil:
 			v, err := scenario.DecodeVenueJSON(rf.VenueSpec)
 			if err != nil {

@@ -94,19 +94,16 @@ func CityScale(ctx context.Context, w *cityhunter.World, o Options) (*CityScaleR
 		return nil, fmt.Errorf("city-scale world: %w", err)
 	}
 
-	dcfg := cityhunter.DeploymentConfig{
-		Sites: []cityhunter.Venue{
-			cityhunter.StationVenue(),
-			cityhunter.CanteenVenue(),
-			cityhunter.MallVenue(),
-		},
-		FarField: &cityhunter.FarFieldConfig{
-			Pedestrians: pedestrians,
-			Stops:       city.City.RouteStops(),
-		},
+	sites := []cityhunter.Venue{
+		cityhunter.StationVenue(),
+		cityhunter.CanteenVenue(),
+		cityhunter.MallVenue(),
 	}
-	dep, err := city.RunDeployment(ctx, dcfg, cityhunter.CityHunter,
-		cityhunter.LunchSlot, o.slotDuration(), o.runOpts(city, 95)...)
+	dep, err := city.DeploySitesContext(ctx, sites, cityhunter.CityHunter,
+		cityhunter.LunchSlot, o.slotDuration(),
+		cityhunter.WithPopulationScale(pedestrians),
+		cityhunter.WithCityRoutes(city.City.RouteStops()),
+		cityhunter.WithRunOptions(o.runOpts(city, 95)...))
 	if err != nil {
 		return nil, fmt.Errorf("city-scale deployment: %w", err)
 	}
@@ -121,7 +118,7 @@ func CityScale(ctx context.Context, w *cityhunter.World, o Options) (*CityScaleR
 		VenueTally:  dep.Tally,
 		Duration:    o.slotDuration(),
 	}
-	for _, v := range dcfg.Sites {
+	for _, v := range sites {
 		res.SiteNames = append(res.SiteNames, v.Name)
 	}
 	return res, nil

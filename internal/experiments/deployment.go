@@ -88,15 +88,13 @@ func MultiSite(ctx context.Context, w *cityhunter.World, o Options) (*MultiSiteR
 		cityhunter.Isolated, cityhunter.PeriodicSync, cityhunter.Shared,
 	}
 	for _, plane := range planes {
-		dcfg := cityhunter.DeploymentConfig{
-			Sites:        city,
-			Knowledge:    plane,
-			SyncEvery:    5 * time.Minute,
-			RoamFraction: multiSiteRoam,
-		}
 		// Offset 90 for every plane: each plane hunts the same city crowd.
-		dep, err := w.RunDeployment(ctx, dcfg, cityhunter.CityHunter,
-			cityhunter.LunchSlot, o.slotDuration(), o.runOpts(w, 90)...)
+		dep, err := w.DeploySitesContext(ctx, city, cityhunter.CityHunter,
+			cityhunter.LunchSlot, o.slotDuration(),
+			cityhunter.WithKnowledgePlane(plane),
+			cityhunter.WithSyncPeriod(5*time.Minute),
+			cityhunter.WithRoaming(multiSiteRoam),
+			cityhunter.WithRunOptions(o.runOpts(w, 90)...))
 		if err != nil {
 			return nil, fmt.Errorf("multi-site %s: %w", plane, err)
 		}
@@ -112,13 +110,11 @@ func MultiSite(ctx context.Context, w *cityhunter.World, o Options) (*MultiSiteR
 	for i := 0; i < res.PairSeeds; i++ {
 		opts := o.runOpts(w, 91+int64(i))
 		for _, plane := range []cityhunter.KnowledgePlane{cityhunter.Isolated, cityhunter.Shared} {
-			dcfg := cityhunter.DeploymentConfig{
-				Sites:        pair,
-				Knowledge:    plane,
-				RoamFraction: multiSiteRoam,
-			}
-			dep, err := w.RunDeployment(ctx, dcfg, cityhunter.CityHunter,
-				cityhunter.LunchSlot, o.slotDuration(), opts...)
+			dep, err := w.DeploySitesContext(ctx, pair, cityhunter.CityHunter,
+				cityhunter.LunchSlot, o.slotDuration(),
+				cityhunter.WithKnowledgePlane(plane),
+				cityhunter.WithRoaming(multiSiteRoam),
+				cityhunter.WithRunOptions(opts...))
 			if err != nil {
 				return nil, fmt.Errorf("multi-site pair %s seed %d: %w", plane, i, err)
 			}

@@ -63,9 +63,9 @@ func TestVenueSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadVenueValidation: DecodeVenueJSON rejects malformed documents,
+// TestDecodeVenueJSONValidation: DecodeVenueJSON rejects malformed documents,
 // unknown fields and every semantic violation Venue.Validate catches.
-func TestLoadVenueValidation(t *testing.T) {
+func TestDecodeVenueJSONValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		json string

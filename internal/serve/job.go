@@ -33,8 +33,8 @@ type jobEvent struct {
 // are tiny (a handful per spec), so overflow means a truly stuck client.
 const jobEventBuffer = 256
 
-// job is one submitted plan: its normalized specs, its identity in the
-// result store, its lifecycle state and event log.
+// job is one submitted plan: its specs (from plan.RunSpecs), its identity
+// in the result store, its lifecycle state and event log.
 type job struct {
 	id        string
 	hash      string

@@ -150,8 +150,9 @@ func (s *Server) Store() *Store { return s.store }
 // submission is the POST /api/v1/jobs body. Plan is the versioned
 // envelope and is the only accepted plan input. attack/slot/minutes apply
 // to venue and deployment plans (campaign plans carry them per run) and
-// workers overrides the server's per-job pool width — none of them enter
-// the content hash except through the normalized plan parameters.
+// workers overrides the server's per-job pool width. plan.RunSpecs turns
+// the plan and these parameters into the job's specs; the parameters enter
+// the content hash as a parameter string, workers and label never do.
 type submission struct {
 	Plan    json.RawMessage `json:"plan"`
 	Seed    int64           `json:"seed,omitempty"`
@@ -293,64 +294,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, j.status())
 }
 
-// normalize turns a decoded plan plus submission parameters into the
-// campaign spec list the job runs, along with the parameter string that
-// joins the plan bytes under the content hash.
-func normalize(p plan.Plan, sub submission) ([]campaign.Spec, string, error) {
-	seed := sub.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	if p.Kind == plan.KindCampaign {
-		if sub.Attack != "" || sub.Slot != 0 || sub.Minutes != 0 {
-			return nil, "", &scenario.FieldError{Path: "attack",
-				Reason: "serve: campaign plans carry attack/slot/minutes per run; drop them from the submission"}
-		}
-		return p.Specs, fmt.Sprintf("seed=%d", seed), nil
-	}
-	attackName := sub.Attack
-	if attackName == "" {
-		attackName = "cityhunter"
-	}
-	kind, ok := campaign.AttackByName(attackName)
-	if !ok {
-		return nil, "", &scenario.FieldError{Path: "attack",
-			Reason: fmt.Sprintf("serve: unknown attack %q (want karma|mana|prelim|cityhunter|known-beacons)", attackName)}
-	}
-	minutes := sub.Minutes
-	if minutes == 0 {
-		minutes = 60
-	}
-	if minutes < 0 {
-		return nil, "", &scenario.FieldError{Path: "minutes",
-			Reason: fmt.Sprintf("serve: minutes %v must be positive", minutes)}
-	}
-	spec := campaign.Spec{
-		Attack:   kind,
-		Slot:     sub.Slot,
-		Duration: time.Duration(minutes * float64(time.Minute)),
-	}
-	switch p.Kind {
-	case plan.KindVenue:
-		spec.Name = p.Venue.Name
-		spec.Venue = *p.Venue
-	case plan.KindDeployment:
-		spec.Name = fmt.Sprintf("deployment (%d sites)", len(p.Deployment.Sites))
-		spec.Deployment = p.Deployment
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, "", err
-	}
-	params := fmt.Sprintf("seed=%d attack=%s slot=%d minutes=%g", seed, attackName, sub.Slot, minutes)
-	return []campaign.Spec{spec}, params, nil
-}
-
 // admit hashes, registers and dispatches a submission. An identical plan
 // already queued or running is returned as-is (idempotent submit); an
 // identical plan with a stored final result finishes instantly from the
 // store. created reports whether a run was actually dispatched.
 func (s *Server) admit(p plan.Plan, sub submission) (*job, bool, error) {
-	specs, params, err := normalize(p, sub)
+	seed := sub.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	prm := plan.Params{Seed: seed, Attack: sub.Attack, Slot: sub.Slot, Minutes: sub.Minutes}
+	params := fmt.Sprintf("seed=%d", seed)
+	if p.Kind != plan.KindCampaign {
+		if prm.Attack == "" {
+			prm.Attack = "cityhunter"
+		}
+		if prm.Minutes == 0 {
+			prm.Minutes = 60
+		}
+		// The run seed re-keys venue and deployment results: they once ran
+		// at a derived campaign seed, and the store must not serve those.
+		params = fmt.Sprintf("seed=%d runSeed=%d attack=%s slot=%d minutes=%g",
+			seed, seed, prm.Attack, prm.Slot, prm.Minutes)
+	}
+	specs, err := plan.RunSpecs(p, prm)
 	if err != nil {
 		return nil, false, err
 	}
@@ -373,10 +340,6 @@ func (s *Server) admit(p plan.Plan, sub submission) (*job, bool, error) {
 	sum := sha256.Sum256(doc)
 	hash := hex.EncodeToString(sum[:])
 
-	seed := sub.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	workers := sub.Workers
 	if workers == 0 {
 		workers = s.cfg.Workers

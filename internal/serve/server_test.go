@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -599,5 +601,38 @@ func TestServerGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestServerStoreKeys pins the result-store keys of the testdata plans.
+// Campaign-plan keys must never move: stored results are filed under them.
+// Venue and deployment keys carry the run seed, so no store serves results
+// from when those kinds ran at a derived campaign seed instead of the
+// world seed.
+func TestServerStoreKeys(t *testing.T) {
+	_, base := newServer(t, t.TempDir())
+	for _, tc := range []struct{ kind, params, hash string }{
+		{"campaign", "", "91eb21569fa09993b79ac39584d6e730e77b88a39c1c9ad1e3f20e66fcb896a8"},
+		{"venue", `, "minutes": 1`, "5039af90a051f0d939f6730d037517b70403250103f41d3b84f849455e33f189"},
+		{"deployment", `, "minutes": 1`, "a19f4a6ded7f9d9803db189bf5ffc654425cad78c3106c2fb4e7a1c50a89c3d3"},
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "plan", "testdata", tc.kind+".plan.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := submit(t, base, fmt.Sprintf(`{"plan": %s, "seed": 2%s}`, raw, tc.params), http.StatusAccepted)
+		if st.Hash != tc.hash {
+			t.Errorf("%s plan hashed to %s, want %s", tc.kind, st.Hash, tc.hash)
+		}
+		req, err := http.NewRequest(http.MethodDelete, base+"/api/v1/jobs/"+st.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		pollUntil(t, base, st.ID, tc.kind+" job to stop", terminal)
 	}
 }
