@@ -393,7 +393,9 @@ func rejectUnreadFlags(fs *flag.FlagSet, kind cityhunter.PlanKind, population in
 	switch {
 	case kind == cityhunter.KindCampaign:
 		what, reads = "campaign plan", []string{"parallel"}
-	case kind == cityhunter.KindDeployment || population > 0:
+	case kind == cityhunter.KindDeployment || kind == "" && population > 0:
+		// Without a plan, -population builds the city-scale deployment; a
+		// venue plan never reads it.
 		what, reads = "deployment plan", append(runFlags, "population", "partitions")
 		if kind != cityhunter.KindDeployment {
 			what = "-population run"

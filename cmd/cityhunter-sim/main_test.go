@@ -182,6 +182,9 @@ func TestRunRejectsUnreadFlags(t *testing.T) {
 		{[]string{"-population", "100", "-parallel", "2"}, "-parallel does not apply to a -population run"},
 		{[]string{"-plan", venuePlan, "-venue", "mall"}, "-venue does not apply to a venue plan"},
 		{[]string{"-plan", venuePlan, "-partitions", "0"}, "-partitions does not apply to a venue plan"},
+		{[]string{"-plan", venuePlan, "-population", "100"}, "-population does not apply to a venue plan"},
+		{[]string{"-plan", venuePlan, "-population", "100", "-partitions", "0"}, "-partitions does not apply to a venue plan"},
+		{[]string{"-plan", venuePlan, "-population", "100", "-lod-radius", "80"}, "-lod-radius does not apply to a venue plan"},
 		{[]string{"-parallel", "2"}, "-parallel does not apply to a venue run"},
 		{[]string{"-lod-radius", "80"}, "-lod-radius does not apply to a venue run"},
 	}

@@ -48,7 +48,8 @@ func RunSpecs(p Plan, prm Params) ([]campaign.Spec, error) {
 	if prm.Seed == 0 {
 		// Spec.Seed 0 would derive a campaign seed instead of running at
 		// the world seed.
-		return nil, &scenario.FieldError{Path: "seed", Reason: "seed must not be 0"}
+		return nil, &scenario.FieldError{Path: "seed",
+			Reason: "seed 0 cannot seed a venue or deployment run (a spec seed of 0 derives a per-run seed); use any nonzero seed"}
 	}
 	spec := campaign.Spec{
 		Attack:   kind,
