@@ -174,7 +174,7 @@ func TestTableIVShape(t *testing.T) {
 		t.Errorf("7-Eleven missing from top-5 by AP count %v", countTop)
 	}
 
-	byHeat := hm.RankByHeat(c.DB.OpenPositionsBySSID())
+	byHeat := c.DB.RankByHeat(hm)
 	heatTop := make([]string, 0, 5)
 	for _, sh := range byHeat[:5] {
 		heatTop = append(heatTop, sh.SSID)

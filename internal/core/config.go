@@ -191,13 +191,15 @@ func NewEngine(cfg Config, seed *SeedData) (*Engine, error) {
 		linker:  lk,
 		clients: make(map[linker.TrackID]*clientTrack),
 		fbSize:  cfg.InitialFreshness,
+
+		scratchChosen: make(map[string]BufferKind, cfg.ReplyBudget),
 	}
 	if cfg.Mode == ModePreliminary {
 		e.fbSize = 0
 	}
 
 	if seed != nil {
-		ranked := seed.HeatMap.RankByHeat(seed.DB.OpenPositionsBySSID())
+		ranked := seed.DB.RankByHeat(seed.HeatMap)
 		n := min(cfg.TopCityWide, len(ranked))
 		weights := heatmap.RankWeights(n)
 		for i := 0; i < n; i++ {

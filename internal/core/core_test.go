@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -603,6 +605,46 @@ func TestMultiPositionSeeding(t *testing.T) {
 	}
 	if a.DBSize() != b.DBSize() {
 		t.Errorf("single Positions db size %d != Position db size %d", b.DBSize(), a.DBSize())
+	}
+}
+
+// TestNewEngineConcurrentSeeding seeds engines on one world from several
+// goroutines, as campaign workers do: the DB's seeding memos must hand
+// every engine the database a fresh, unshared world seeds.
+func TestNewEngineConcurrentSeeding(t *testing.T) {
+	cfg := DefaultConfig(ModeFull)
+	cfg.TopCityWide = 100
+	cfg.NearbyCount = 20
+	seedAt := func(sd *SeedData) *SeedData {
+		sd.Positions = []geo.Point{geo.Pt(0, 0), geo.Pt(-900, 600), geo.Pt(800, 800)}
+		return sd
+	}
+	ref, err := NewEngine(cfg, seedAt(seedData(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.TopEntries(ref.DBSize())
+
+	shared := seedAt(seedData(t))
+	got := make([][]EntryInfo, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := NewEngine(cfg, shared)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = e.TopEntries(e.DBSize())
+		}()
+	}
+	wg.Wait()
+	for g, entries := range got {
+		if !reflect.DeepEqual(entries, want) {
+			t.Errorf("goroutine %d seeded %d entries, want the %d of a fresh world", g, len(entries), len(want))
+		}
 	}
 }
 

@@ -116,8 +116,10 @@ type Engine struct {
 	pbGhostHits int
 	fbGhostHits int
 
-	// scratchBatch is reused across selections to avoid allocation.
-	scratchBatch []string
+	// scratchBatch and scratchChosen are reused across selections to
+	// avoid allocation.
+	scratchBatch  []string
+	scratchChosen map[string]BufferKind
 
 	// om holds the observability handles; nil when uninstrumented, which
 	// keeps the BroadcastReply hot path at a single branch.
@@ -373,7 +375,8 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 	}
 
 	batch := e.scratchBatch[:0]
-	chosen := make(map[string]BufferKind, budget)
+	chosen := e.scratchChosen
+	clear(chosen)
 	take := func(en *entry, kind BufferKind) bool {
 		if _, dup := chosen[en.ssid]; dup || tried(en.ssid) {
 			return false

@@ -39,6 +39,25 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestRegistrySnapshotAfterRegistration checks the snapshot order kept
+// between snapshots: a metric registered after one snapshot, and a value
+// changed on an existing one, both show in the next.
+func TestRegistrySnapshotAfterRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("m_mid").Inc()
+	r.Counter("z_last").Inc()
+	if got, want := strings.TrimSpace(r.Snapshot().String()), "m_mid 1\nz_last 1"; got != want {
+		t.Fatalf("first dump:\n%s\nwant:\n%s", got, want)
+	}
+	r.Counter("a_first").Add(2)
+	r.Counter("m_mid", "k", "v").Inc()
+	r.Counter("z_last").Inc()
+	want := "a_first 2\nm_mid 1\nm_mid{k=v} 1\nz_last 2"
+	if got := strings.TrimSpace(r.Snapshot().String()); got != want {
+		t.Fatalf("dump after registering more:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestRegistryLabelCanonicalization(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("m", "b", "2", "a", "1")

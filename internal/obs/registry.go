@@ -182,6 +182,10 @@ type metricEntry struct {
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*metricEntry
+	// sorted is entries in snapshot order; lookup drops it when it adds
+	// an entry, and Snapshot rebuilds it. A built slice is never written
+	// again, so a snapshot may read it after unlocking.
+	sorted []*metricEntry
 }
 
 // NewRegistry returns an empty registry.
@@ -240,6 +244,7 @@ func (r *Registry) lookup(name string, kind metricKind, labels []string, bounds 
 		e.hist = &Histogram{bounds: bs, counts: make([]int64, len(bs)+1)}
 	}
 	r.entries[key] = e
+	r.sorted = nil
 	return e
 }
 
@@ -341,17 +346,20 @@ func (r *Registry) Snapshot() Snapshot {
 		return nil
 	}
 	r.mu.Lock()
-	entries := make([]*metricEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].name != entries[j].name {
-			return entries[i].name < entries[j].name
+	if r.sorted == nil {
+		r.sorted = make([]*metricEntry, 0, len(r.entries))
+		for _, e := range r.entries {
+			r.sorted = append(r.sorted, e)
 		}
-		return entries[i].labels < entries[j].labels
-	})
+		sort.Slice(r.sorted, func(i, j int) bool {
+			if r.sorted[i].name != r.sorted[j].name {
+				return r.sorted[i].name < r.sorted[j].name
+			}
+			return r.sorted[i].labels < r.sorted[j].labels
+		})
+	}
+	entries := r.sorted
+	r.mu.Unlock()
 	out := make(Snapshot, 0, len(entries))
 	for _, e := range entries {
 		p := MetricPoint{Name: e.name, Labels: e.labels, Kind: e.kind.String()}

@@ -221,7 +221,7 @@ func NewModel(db *wigle.DB, hm *heatmap.Map, cfg Config) (*Model, error) {
 		m.carriers = DefaultCarriers()
 	}
 
-	ranked := hm.RankByHeat(db.OpenPositionsBySSID())
+	ranked := db.RankByHeat(hm)
 	m.publicSSIDs = make([]string, 0, len(ranked))
 	m.publicCum = make([]float64, 0, len(ranked))
 	sum := 0.0

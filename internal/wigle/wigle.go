@@ -18,8 +18,10 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"sync"
 
 	"cityhunter/internal/geo"
+	"cityhunter/internal/heatmap"
 )
 
 // Record is one observed access point.
@@ -38,12 +40,40 @@ type Record struct {
 	Venue string `json:"venue,omitempty"`
 }
 
-// DB is an in-memory, spatially indexed collection of Records.
+// DB is an in-memory, spatially indexed collection of Records. Its records
+// never change after New, so the attacker-seeding queries (RankByHeat and
+// NearestSSIDs) are memoised on it: every engine seeded from one DB shares
+// their answers. A DB is safe for concurrent use.
 type DB struct {
 	records []Record
 	index   *geo.GridIndex
 	bounds  geo.Rect
+
+	mu sync.Mutex
+	// ranked memoises RankByHeat per heat map.
+	ranked map[*heatmap.Map]heatRanking
+	// nearest memoises NearestSSIDs per query, up to nearestMemoCap
+	// entries.
+	nearest map[nearestQuery][]string
 }
+
+// heatRanking is a memoised RankByHeat answer with the photo count of the
+// heat map it was ranked at.
+type heatRanking struct {
+	photos int
+	ranked []heatmap.SSIDHeat
+}
+
+// nearestQuery keys the NearestSSIDs memo.
+type nearestQuery struct {
+	p geo.Point
+	n int
+}
+
+// nearestMemoCap bounds the NearestSSIDs memo. Worlds query a handful of
+// venue positions, but a long-lived job server takes arbitrary positions
+// from submitted plans; past the cap answers are computed and not stored.
+const nearestMemoCap = 256
 
 // SSIDCount is an SSID with its number of APs; the city-wide ranking unit.
 type SSIDCount struct {
@@ -69,6 +99,8 @@ func New(bounds geo.Rect, records []Record) (*DB, error) {
 		records: make([]Record, len(records)),
 		index:   idx,
 		bounds:  bounds,
+		ranked:  make(map[*heatmap.Map]heatRanking),
+		nearest: make(map[nearestQuery][]string),
 	}
 	copy(db.records, records)
 	for i, r := range db.records {
@@ -112,8 +144,25 @@ func (db *DB) Nearby(p geo.Point, radius float64, openOnly bool) []Record {
 // their closest AP to p. Only open networks are considered: the paper's
 // nearby-SSID selection keeps free APs so that association succeeds without
 // user interaction.
+//
+// Answers are memoised per (p, n) and shared between callers: the returned
+// slice is read-only.
 func (db *DB) NearestSSIDs(p geo.Point, n int) []string {
-	return db.NearestSSIDsWithin(p, n, math.Inf(1))
+	if n <= 0 {
+		return nil
+	}
+	q := nearestQuery{p: p, n: n}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if out, ok := db.nearest[q]; ok {
+		return out
+	}
+	out := db.NearestSSIDsWithin(p, n, math.Inf(1))
+	out = out[:len(out):len(out)]
+	if len(db.nearest) < nearestMemoCap {
+		db.nearest[q] = out
+	}
+	return out
 }
 
 // NearestSSIDsWithin is NearestSSIDs restricted to SSIDs with an open AP
@@ -178,6 +227,23 @@ func (db *DB) TopByAPCount(n int) []SSIDCount {
 	if n < len(ranked) {
 		ranked = ranked[:n]
 	}
+	return ranked
+}
+
+// RankByHeat returns the open SSIDs of the DB ranked by their heat value on
+// hm, as hm.RankByHeat(db.OpenPositionsBySSID()) does. The ranking is
+// memoised per heat map and recomputed once hm has gained photos since it
+// was ranked. It is shared between callers: the returned slice is
+// read-only.
+func (db *DB) RankByHeat(hm *heatmap.Map) []heatmap.SSIDHeat {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if r, ok := db.ranked[hm]; ok && r.photos == hm.TotalPhotos() {
+		return r.ranked
+	}
+	ranked := hm.RankByHeat(db.OpenPositionsBySSID())
+	ranked = ranked[:len(ranked):len(ranked)]
+	db.ranked[hm] = heatRanking{photos: hm.TotalPhotos(), ranked: ranked}
 	return ranked
 }
 

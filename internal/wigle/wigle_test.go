@@ -2,6 +2,7 @@ package wigle
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -249,5 +250,21 @@ func TestDensityPerKm2(t *testing.T) {
 	}
 	if db.DensityPerKm2(geo.Rect{}, false) != 0 {
 		t.Error("degenerate rect density != 0")
+	}
+}
+
+func TestNearestSSIDsMemoCap(t *testing.T) {
+	db := mustDB(t)
+	query := func(i int) geo.Point { return geo.Pt(float64(i%100)*10, float64(i/100)*10) }
+	for i := range nearestMemoCap + 50 {
+		for range 2 {
+			got := db.NearestSSIDs(query(i), 2)
+			if want := db.NearestSSIDsWithin(query(i), 2, math.Inf(1)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d at %v: got %q, want %q", i, query(i), got, want)
+			}
+		}
+		if want := min(i+1, nearestMemoCap); len(db.nearest) != want {
+			t.Fatalf("after %d queries the memo holds %d answers, want %d", i+1, len(db.nearest), want)
+		}
 	}
 }
