@@ -127,9 +127,15 @@ type (
 	// Live monitoring: the streaming telemetry sink runs publish into, and
 	// the HTTP monitor server that implements it.
 	TelemetryPublisher = obs.Publisher
-	TelemetryRun       = obs.RunPublisher
-	TelemetryRunInfo   = obs.RunInfo
-	MonitorServer      = monitor.Server
+	// TelemetryRun is one run's sink: it receives the run's events and its
+	// finish. Metrics are pulled, not pushed through it.
+	TelemetryRun = obs.RunPublisher
+	// TelemetryRunInfo names a run to the publisher and hands it the run's
+	// live metrics registry (Metrics), which the publisher snapshots
+	// whenever it is scraped and once more at FinishRun for the final
+	// values.
+	TelemetryRunInfo = obs.RunInfo
+	MonitorServer    = monitor.Server
 )
 
 // Attack strategies.
@@ -563,9 +569,10 @@ func WithPerfettoTrace() RunOption {
 // /debug/pprof over HTTP.
 func NewMonitorServer() *MonitorServer { return monitor.New() }
 
-// WithPublisher streams run telemetry — periodic metric snapshots plus
-// lifecycle events — into an external sink. Publishing is read-only: the
-// snapshot tick consumes no randomness and leaves results byte-identical.
+// WithPublisher streams run telemetry into an external sink: the run's
+// live metrics registry, which the sink reads when it wants to, plus
+// lifecycle events. Publishing is read-only: forwarding events consumes no
+// randomness and leaves results byte-identical.
 func WithPublisher(p TelemetryPublisher) RunOption {
 	return runOptionFunc(func(o *runOptions) { o.cfg.Publisher = p })
 }

@@ -97,8 +97,8 @@ type Pool struct {
 	// telemetry unless the base configuration already set a publisher.
 	// Results stay byte-identical — publishing is read-only.
 	Publisher obs.Publisher
-	// PublishEvery overrides the per-run snapshot cadence (virtual time);
-	// 0 keeps the scenario default.
+	// PublishEvery overrides the virtual-time cadence at which each run
+	// forwards its buffered events; 0 keeps the scenario default.
 	PublishEvery time.Duration
 	// Label names the campaign on the monitor; empty derives "campaign
 	// (N specs)".

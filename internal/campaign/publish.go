@@ -9,21 +9,22 @@ import (
 )
 
 // campaignFeed is the pool's own presence on a live monitor: one
-// "campaign" run whose registry carries the progress gauges, refreshed
-// after every spec. Campaign progress is wall-clock territory — worker
-// scheduling is nondeterministic by design — so unlike the per-run feeds
-// its timestamps come from time.Since, never the virtual clock. None of it
-// feeds back into any simulation.
+// "campaign" run whose registry carries the progress gauges, updated as
+// specs start and finish and read by the monitor when it is scraped.
+// Campaign progress is wall-clock territory — worker scheduling is
+// nondeterministic by design — so unlike the per-run feeds its timestamps
+// come from time.Since, never the virtual clock. None of it feeds back
+// into any simulation.
 type campaignFeed struct {
 	rp      obs.RunPublisher
-	reg     *obs.Registry
 	start   time.Time
 	total   int
 	workers int
 
-	mu        sync.Mutex
-	running   int
-	completed []time.Duration // wall durations of finished specs
+	mu       sync.Mutex
+	running  int
+	wallSum  time.Duration // total wall time of finished specs
+	finished int           // specs counted in wallSum
 
 	gTotal   *obs.Gauge
 	gDone    *obs.Gauge
@@ -45,7 +46,6 @@ func startCampaignFeed(p Pool, total, workers int) *campaignFeed {
 	}
 	reg := obs.NewRegistry()
 	f := &campaignFeed{
-		reg:      reg,
 		start:    time.Now(),
 		total:    total,
 		gTotal:   reg.Gauge("campaign_specs_total"),
@@ -63,11 +63,11 @@ func startCampaignFeed(p Pool, total, workers int) *campaignFeed {
 	}
 	labels["workers"] = fmt.Sprintf("%d", workers)
 	f.rp = p.Publisher.StartRun(obs.RunInfo{
-		Kind:   "campaign",
-		Label:  label,
-		Labels: labels,
+		Kind:    "campaign",
+		Label:   label,
+		Labels:  labels,
+		Metrics: reg,
 	})
-	f.rp.PublishSnapshot(0, reg.Snapshot())
 	return f
 }
 
@@ -81,12 +81,11 @@ func (f *campaignFeed) specStarted() {
 	running := f.running
 	f.mu.Unlock()
 	f.gRunning.Set(float64(running))
-	f.publish()
 }
 
 // specFinished folds one finished spec into the gauges, re-estimates the
-// ETA from the mean completed-spec wall time, emits a spec-done event and
-// publishes a fresh snapshot. Nil-safe.
+// ETA from the mean completed-spec wall time and emits a spec-done event.
+// Nil-safe.
 func (f *campaignFeed) specFinished(index int, name string, wall time.Duration, err error, done, failed int) {
 	if f == nil {
 		return
@@ -94,12 +93,9 @@ func (f *campaignFeed) specFinished(index int, name string, wall time.Duration, 
 	f.mu.Lock()
 	f.running--
 	running := f.running
-	f.completed = append(f.completed, wall)
-	var mean time.Duration
-	for _, d := range f.completed {
-		mean += d
-	}
-	mean /= time.Duration(len(f.completed))
+	f.wallSum += wall
+	f.finished++
+	mean := f.wallSum / time.Duration(f.finished)
 	f.mu.Unlock()
 
 	f.gRunning.Set(float64(running))
@@ -125,7 +121,6 @@ func (f *campaignFeed) specFinished(index int, name string, wall time.Duration, 
 	}
 	f.rp.PublishEvent(obs.Event{At: time.Since(f.start), Type: obs.EventSpecDone,
 		Actor: name, Detail: detail})
-	f.publish()
 }
 
 // specSkipped counts a spec served from a durable result store: it bumps
@@ -142,12 +137,6 @@ func (f *campaignFeed) specSkipped(index int, name string, done int) {
 	}
 	f.rp.PublishEvent(obs.Event{At: time.Since(f.start), Type: obs.EventSpecDone,
 		Actor: name, Detail: fmt.Sprintf("%d/%d done (cached)", done, f.total)})
-	f.publish()
-}
-
-// publish pushes the current gauges, timestamped with campaign wall time.
-func (f *campaignFeed) publish() {
-	f.rp.PublishSnapshot(time.Since(f.start), f.reg.Snapshot())
 }
 
 // finish closes the campaign on the monitor. Nil-safe.
@@ -155,6 +144,5 @@ func (f *campaignFeed) finish(err error) {
 	if f == nil {
 		return
 	}
-	f.publish()
 	f.rp.FinishRun(time.Since(f.start), err)
 }

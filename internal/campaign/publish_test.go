@@ -10,7 +10,8 @@ import (
 )
 
 // recPublisher implements cityhunter.TelemetryPublisher, recording what the
-// campaign pool streams.
+// campaign pool streams and, at each run's finish, the final values of the
+// registry the run registered.
 type recPublisher struct {
 	mu   sync.Mutex
 	runs []*recRun
@@ -19,7 +20,7 @@ type recPublisher struct {
 type recRun struct {
 	mu       sync.Mutex
 	info     cityhunter.TelemetryRunInfo
-	last     cityhunter.MetricsSnapshot
+	final    cityhunter.MetricsSnapshot
 	events   []cityhunter.JournalEvent
 	finished bool
 	err      error
@@ -33,12 +34,6 @@ func (p *recPublisher) StartRun(info cityhunter.TelemetryRunInfo) cityhunter.Tel
 	return r
 }
 
-func (r *recRun) PublishSnapshot(at time.Duration, snap cityhunter.MetricsSnapshot) {
-	r.mu.Lock()
-	r.last = snap
-	r.mu.Unlock()
-}
-
 func (r *recRun) PublishEvent(ev cityhunter.JournalEvent) {
 	r.mu.Lock()
 	r.events = append(r.events, ev)
@@ -47,6 +42,7 @@ func (r *recRun) PublishEvent(ev cityhunter.JournalEvent) {
 
 func (r *recRun) FinishRun(at time.Duration, err error) {
 	r.mu.Lock()
+	r.final = r.info.Metrics.Snapshot()
 	r.finished = true
 	r.err = err
 	r.mu.Unlock()
@@ -91,11 +87,11 @@ func TestCampaignPublisher(t *testing.T) {
 		"campaign_specs_failed":  0,
 		"campaign_eta_seconds":   0,
 	} {
-		if got := camp.last.Value(name); got != want {
+		if got := camp.final.Value(name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	if p, ok := camp.last.Get("campaign_spec_wall_seconds"); !ok || p.Count != 3 {
+	if p, ok := camp.final.Get("campaign_spec_wall_seconds"); !ok || p.Count != 3 {
 		t.Errorf("spec wall histogram = %+v, want 3 observations", p)
 	}
 	specDone := 0
@@ -118,6 +114,9 @@ func TestCampaignPublisher(t *testing.T) {
 		}
 		if !r.finished {
 			t.Error("propagated run never finished")
+		}
+		if r.final.Value("sim_events_executed") <= 0 {
+			t.Error("propagated run's final metrics lack sim_events_executed")
 		}
 		r.mu.Unlock()
 	}

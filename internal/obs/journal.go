@@ -60,13 +60,15 @@ const DefaultJournalCap = 8192
 
 // Journal is the run flight recorder: a ring buffer of Events that keeps
 // the most recent capacity records and counts what it had to overwrite, so
-// a truncated journal is always distinguishable from a complete one.
+// a truncated journal is always distinguishable from a complete one. The
+// ring grows as events arrive and wraps only once it holds capacity of
+// them, so a run that logs a few dozen events never pays for the bound.
 // Methods on a nil *Journal are no-ops.
 type Journal struct {
-	buf     []Event
-	start   int // index of the oldest stored event
-	n       int // stored events
-	dropped int // events overwritten by newer ones
+	buf      []Event // stored events; the ring once len(buf) == capacity
+	capacity int
+	start    int // index of the oldest stored event
+	dropped  int // events overwritten by newer ones
 
 	// Overflow, when set, is incremented once per overwritten event so the
 	// flight recorder's truncation is visible on a live /metrics scrape
@@ -80,7 +82,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCap
 	}
-	return &Journal{buf: make([]Event, capacity)}
+	return &Journal{capacity: capacity}
 }
 
 // Record appends one event, overwriting the oldest when full.
@@ -89,9 +91,8 @@ func (j *Journal) Record(at time.Duration, typ, actor, detail string) {
 		return
 	}
 	e := Event{At: at, Type: typ, Actor: actor, Detail: detail}
-	if j.n < len(j.buf) {
-		j.buf[(j.start+j.n)%len(j.buf)] = e
-		j.n++
+	if len(j.buf) < j.capacity {
+		j.buf = append(j.buf, e)
 		return
 	}
 	j.buf[j.start] = e
@@ -105,7 +106,7 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	return j.n
+	return len(j.buf)
 }
 
 // Cap returns the ring capacity.
@@ -113,7 +114,7 @@ func (j *Journal) Cap() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.buf)
+	return j.capacity
 }
 
 // Dropped returns how many events were overwritten by newer ones.
@@ -129,8 +130,8 @@ func (j *Journal) Events() []Event {
 	if j == nil {
 		return nil
 	}
-	out := make([]Event, j.n)
-	for i := 0; i < j.n; i++ {
+	out := make([]Event, len(j.buf))
+	for i := range out {
 		out[i] = j.buf[(j.start+i)%len(j.buf)]
 	}
 	return out

@@ -143,8 +143,8 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// runDetail is /runs/{id}: the summary plus the latest metric snapshot and
-// the run's journal tail.
+// runDetail is /runs/{id}: the summary plus the run's metrics (a snapshot
+// taken now while it runs, its final values after) and its journal tail.
 type runDetail struct {
 	runStatus
 	Metrics      obs.Snapshot `json:"metrics,omitempty"`
@@ -162,10 +162,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	d := runDetail{runStatus: rs.statusJSON()}
-	rs.mu.Lock()
-	d.Metrics = rs.snap
-	rs.mu.Unlock()
+	d := runDetail{runStatus: rs.statusJSON(), Metrics: rs.metrics()}
 	evs := rs.events.Events()
 	if len(evs) > recentEventTail {
 		evs = evs[len(evs)-recentEventTail:]

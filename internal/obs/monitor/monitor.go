@@ -1,9 +1,10 @@
 // Package monitor is the live telemetry plane: a read-only HTTP server any
-// run, deployment or campaign publishes into. It implements obs.Publisher;
-// runs push virtual-time metric snapshots and structured events, and the
-// server serves them as a Prometheus /metrics exposition, JSON /runs
-// status, and an /events SSE stream, with net/http/pprof mounted under
-// /debug/ for the process itself.
+// run, deployment or campaign publishes into. It implements obs.Publisher:
+// runs push structured events, the server pulls their metrics by
+// snapshotting each running run's live registry when /metrics or /runs/{id}
+// is read, and it serves them as a Prometheus /metrics exposition, JSON
+// /runs status, and an /events SSE stream, with net/http/pprof mounted
+// under /debug/ for the process itself.
 //
 // The design follows the Rayhunter monitoring API split: the server only
 // observes — it cannot start, stop or reconfigure a run. All simulation
@@ -38,6 +39,7 @@ type Server struct {
 	runs     map[string]*runState
 	order    []string // run IDs in registration order
 	seq      int
+	active   int // runs started and not yet finished
 	attached []attachedRegistry
 
 	subMu  sync.Mutex
@@ -53,7 +55,6 @@ type Server struct {
 	mSSEDropped   *obs.Counter
 	gRunsActive   *obs.Gauge
 	gSubscribers  *obs.Gauge
-	mSnapshotsIn  *obs.Counter
 	mScrapesTotal *obs.Counter
 }
 
@@ -70,7 +71,6 @@ func New() *Server {
 		mSSEDropped:   self.Counter("monitor_sse_dropped_events"),
 		gRunsActive:   self.Gauge("monitor_runs_active"),
 		gSubscribers:  self.Gauge("monitor_subscribers"),
-		mSnapshotsIn:  self.Counter("monitor_snapshots_received"),
 		mScrapesTotal: self.Counter("monitor_scrapes"),
 	}
 }
@@ -107,9 +107,9 @@ type runState struct {
 	mu           sync.Mutex
 	status       string // "running", "finished", "failed"
 	errMsg       string
-	at           time.Duration // virtual time of the latest snapshot/event
-	snap         obs.Snapshot
-	snapshots    int
+	at           time.Duration // virtual time of the latest event
+	reg          *obs.Registry // the run's live registry; nil once finished
+	final        obs.Snapshot  // reg as of FinishRun
 	firstAssoc   bool
 	finishedWall time.Time
 
@@ -130,41 +130,19 @@ func (s *Server) StartRun(info obs.RunInfo) obs.RunPublisher {
 		info:        info,
 		startedWall: time.Now(),
 		status:      "running",
+		reg:         info.Metrics,
 		events:      s.journal.NewShard(DefaultEventCap),
 	}
 	s.runs[id] = rs
 	s.order = append(s.order, id)
-	active := s.countActiveLocked()
+	s.active++
+	s.gRunsActive.Set(float64(s.active))
 	s.mu.Unlock()
 
 	s.mRunsStarted.Inc()
-	s.gRunsActive.Set(float64(active))
 	rs.record(obs.Event{Type: obs.EventRunStart, Actor: info.Label,
 		Detail: fmt.Sprintf("kind=%s", info.Kind)})
 	return rs
-}
-
-// countActiveLocked counts running runs; callers hold s.mu.
-func (s *Server) countActiveLocked() int {
-	active := 0
-	for _, rs := range s.runs {
-		rs.mu.Lock()
-		if rs.status == "running" {
-			active++
-		}
-		rs.mu.Unlock()
-	}
-	return active
-}
-
-// PublishSnapshot implements obs.RunPublisher.
-func (rs *runState) PublishSnapshot(at time.Duration, snap obs.Snapshot) {
-	rs.mu.Lock()
-	rs.at = at
-	rs.snap = snap
-	rs.snapshots++
-	rs.mu.Unlock()
-	rs.srv.mSnapshotsIn.Inc()
 }
 
 // PublishEvent implements obs.RunPublisher. The monitor synthesises a
@@ -184,9 +162,17 @@ func (rs *runState) PublishEvent(ev obs.Event) {
 	}
 }
 
-// FinishRun implements obs.RunPublisher.
+// FinishRun implements obs.RunPublisher. It freezes the run's metrics at
+// their final values and drops the registry, so later writes to it never
+// show. Only the first call counts; a repeated FinishRun is ignored.
 func (rs *runState) FinishRun(at time.Duration, err error) {
 	rs.mu.Lock()
+	if rs.status != "running" {
+		rs.mu.Unlock()
+		return
+	}
+	rs.final = rs.reg.Snapshot()
+	rs.reg = nil
 	rs.at = at
 	rs.finishedWall = time.Now()
 	detail := "ok"
@@ -200,10 +186,23 @@ func (rs *runState) FinishRun(at time.Duration, err error) {
 	rs.mu.Unlock()
 
 	rs.record(obs.Event{At: at, Type: obs.EventRunFinish, Actor: rs.info.Label, Detail: detail})
-	rs.srv.mu.Lock()
-	active := rs.srv.countActiveLocked()
-	rs.srv.mu.Unlock()
-	rs.srv.gRunsActive.Set(float64(active))
+	s := rs.srv
+	s.mu.Lock()
+	s.active--
+	s.gRunsActive.Set(float64(s.active))
+	s.mu.Unlock()
+}
+
+// metrics returns the run's metrics: a snapshot of its live registry while
+// it runs, the values frozen at FinishRun after.
+func (rs *runState) metrics() obs.Snapshot {
+	rs.mu.Lock()
+	reg, final := rs.reg, rs.final
+	rs.mu.Unlock()
+	if reg != nil {
+		return reg.Snapshot()
+	}
+	return final
 }
 
 // record journals the event under the run's shard, tracks the latest
@@ -235,9 +234,12 @@ func (rs *runState) identityLabels() []string {
 	return pairs
 }
 
-// gather merges the latest snapshot of every run (stamped with run
-// identity labels) plus the monitor's self-metrics into one exposition-
-// ready snapshot.
+// gather merges every run's metrics (stamped with run identity labels),
+// the attached registries and the monitor's self-metrics into one
+// exposition-ready snapshot. A running run's registry is snapshotted here,
+// at scrape time, while the run keeps writing to it: each value is one
+// atomic read, but together they are not a barrier-consistent cut — a
+// deployment's site groups may stand at different virtual times.
 func (s *Server) gather() obs.Snapshot {
 	s.mu.Lock()
 	states := make([]*runState, 0, len(s.order))
@@ -250,9 +252,7 @@ func (s *Server) gather() obs.Snapshot {
 
 	var merged obs.Snapshot
 	for _, rs := range states {
-		rs.mu.Lock()
-		snap := rs.snap
-		rs.mu.Unlock()
+		snap := rs.metrics()
 		if len(snap) == 0 {
 			continue
 		}
@@ -281,7 +281,6 @@ type runStatus struct {
 	StartedWall    time.Time         `json:"started_wall"`
 	FinishedWall   *time.Time        `json:"finished_wall,omitempty"`
 	VirtualSeconds float64           `json:"virtual_seconds"`
-	Snapshots      int               `json:"snapshots"`
 	Events         int               `json:"events"`
 	EventsDropped  int               `json:"events_dropped,omitempty"`
 }
@@ -298,7 +297,6 @@ func (rs *runState) statusJSON() runStatus {
 		Error:          rs.errMsg,
 		StartedWall:    rs.startedWall,
 		VirtualSeconds: rs.at.Seconds(),
-		Snapshots:      rs.snapshots,
 	}
 	if !rs.finishedWall.IsZero() {
 		t := rs.finishedWall

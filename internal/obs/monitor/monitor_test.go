@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +15,12 @@ import (
 	"cityhunter/internal/promlint"
 )
 
-// publishDemoRun registers one run and pushes a snapshot plus an
+// publishDemoRun registers one run with its registry and pushes an
 // association event through the publisher interface.
 func publishDemoRun(s *Server) obs.RunPublisher {
+	reg := obs.NewRegistry()
+	reg.Counter("attack_hits").Add(7)
+	reg.Counter("attack_victims").Add(2)
 	rp := s.StartRun(obs.RunInfo{
 		Kind:  "run",
 		Label: "canteen/cityhunter/slot4",
@@ -24,11 +28,8 @@ func publishDemoRun(s *Server) obs.RunPublisher {
 			"attack": "cityhunter",
 			"seed":   "1",
 		},
+		Metrics: reg,
 	})
-	reg := obs.NewRegistry()
-	reg.Counter("attack_hits").Add(7)
-	reg.Counter("attack_victims").Add(2)
-	rp.PublishSnapshot(5*time.Second, reg.Snapshot())
 	rp.PublishEvent(obs.Event{At: 3 * time.Second, Type: obs.EventAssociation,
 		Actor: "02:00:00:aa:bb:cc", Detail: `associated via "TP-Link_Home"`})
 	return rp
@@ -128,6 +129,85 @@ func TestMonitorEndpoints(t *testing.T) {
 	}
 	if len(types) != 4 || types[2] != obs.EventFirstAssociation {
 		t.Errorf("run events = %v, want first-association synthesised third", types)
+	}
+}
+
+// TestMetricsPulledAndFrozen: a running run's metrics are read from its
+// registry at scrape time, and FinishRun freezes them, so later writes to
+// the registry never show.
+func TestMetricsPulledAndFrozen(t *testing.T) {
+	s := New()
+	reg := obs.NewRegistry()
+	hits := reg.Counter("attack_hits")
+	hits.Add(3)
+	rp := s.StartRun(obs.RunInfo{Kind: "run", Metrics: reg})
+	scrape := func() float64 { return s.gather().Value("attack_hits", "run", "run-1") }
+
+	if got := scrape(); got != 3 {
+		t.Errorf("live scrape = %v, want 3", got)
+	}
+	hits.Add(4)
+	if got := scrape(); got != 7 {
+		t.Errorf("live scrape after a write = %v, want 7", got)
+	}
+	rp.FinishRun(time.Minute, nil)
+	hits.Add(100)
+	reg.Counter("attack_late").Inc()
+	if got := scrape(); got != 7 {
+		t.Errorf("finished run scrape = %v, want its final 7", got)
+	}
+	if _, ok := s.gather().Get("attack_late", "run", "run-1"); ok {
+		t.Error("a metric registered after FinishRun shows on /metrics")
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/runs/run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var detail struct {
+		Metrics obs.Snapshot `json:"metrics"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&detail)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := detail.Metrics.Value("attack_hits"); v != 7 {
+		t.Errorf("finished run detail attack_hits = %v, want 7", v)
+	}
+}
+
+// TestRunsActive follows monitor_runs_active through starts, a clean
+// finish, a failure and repeated finishes, which must not count twice.
+func TestRunsActive(t *testing.T) {
+	s := New()
+	active := func(want float64) {
+		t.Helper()
+		if got := s.gRunsActive.Value(); got != want {
+			t.Errorf("monitor_runs_active = %v, want %v", got, want)
+		}
+	}
+	a := s.StartRun(obs.RunInfo{Kind: "run"})
+	b := s.StartRun(obs.RunInfo{Kind: "run"})
+	active(2)
+	a.FinishRun(time.Second, nil)
+	active(1)
+	b.FinishRun(time.Second, errors.New("cancelled"))
+	active(0)
+	a.FinishRun(2*time.Second, nil)
+	b.FinishRun(2*time.Second, nil)
+	active(0)
+	s.StartRun(obs.RunInfo{Kind: "run"})
+	active(1)
+
+	st := s.runs["run-2"].statusJSON()
+	if st.Status != "failed" || st.Error != "cancelled" || st.VirtualSeconds != 1 {
+		t.Errorf("run-2 after a repeated finish = %+v, want the first finish's failure at 1s", st)
+	}
+	if st.Events != 2 { // start, finish
+		t.Errorf("run-2 events = %d, want 2: a repeated finish is not journalled", st.Events)
 	}
 }
 

@@ -298,7 +298,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 		for _, env := range d.envs {
 			feed.buffer(env.rt)
 		}
-		coord.GlobalEvery(0, feed.every, func() { feed.tick(coord.Now()) })
+		coord.GlobalEvery(0, feed.every, feed.tick)
 	}
 	for g, env := range d.envs {
 		scheduleSampling(env, groupSites[g])

@@ -7,20 +7,19 @@ import (
 	"cityhunter/internal/obs"
 )
 
-// DefaultPublishEvery is the virtual-time cadence between published metric
-// snapshots when Config.PublishEvery is zero. Five virtual seconds keeps a
-// one-hour run under a thousand snapshots while the time-series the paper
-// plots (hit counts, association counts) stay smooth.
+// DefaultPublishEvery is the virtual-time cadence at which a run forwards
+// its buffered live events to the publisher when Config.PublishEvery is
+// zero. Metrics are not on this cadence: the publisher reads the run's
+// registry whenever it is scraped.
 const DefaultPublishEvery = 5 * time.Second
 
 // runFeed is a registered run's publisher handle. The caller arms tick as
 // a coordinator global event every feed.every of virtual time. A tick
-// only reads the registry — it consumes no randomness and mutates no
+// only forwards events — it consumes no randomness and mutates no
 // simulation state, so a published run is event-for-event identical to an
 // unpublished one.
 type runFeed struct {
 	rp      obs.RunPublisher
-	reg     *obs.Registry
 	every   time.Duration
 	buffers []*eventBuffer
 }
@@ -35,10 +34,11 @@ type eventBuffer struct {
 
 func (b *eventBuffer) PublishEvent(ev obs.Event) { b.events = append(b.events, ev) }
 
-// startFeed registers the run with the configured publisher (nil-safe: no
-// publisher, no feed), points rt's live events at it, and announces the
-// sites. One site publishes as kind "run"; more publish as a "deployment"
-// labelled with its knowledge plane and site count.
+// startFeed registers the run and its registry with the configured
+// publisher (nil-safe: no publisher, no feed), points rt's live events at
+// it, and announces the sites. One site publishes as kind "run"; more
+// publish as a "deployment" labelled with its knowledge plane and site
+// count.
 func startFeed(rt *obs.Runtime, cfg Config, knowledge KnowledgePlane, slot int, sites []*site) *runFeed {
 	if cfg.Publisher == nil {
 		return nil
@@ -58,7 +58,7 @@ func startFeed(rt *obs.Runtime, cfg Config, knowledge KnowledgePlane, slot int, 
 	if cfg.RunLabel != "" {
 		label = cfg.RunLabel
 	}
-	rp := cfg.Publisher.StartRun(obs.RunInfo{Kind: kind, Label: label, Labels: labels})
+	rp := cfg.Publisher.StartRun(obs.RunInfo{Kind: kind, Label: label, Labels: labels, Metrics: rt.Metrics})
 	rt.Publish = rp
 	for _, st := range sites {
 		rt.Event(0, obs.EventSiteDeploy, st.venue.Name,
@@ -68,7 +68,7 @@ func startFeed(rt *obs.Runtime, cfg Config, knowledge KnowledgePlane, slot int, 
 	if every <= 0 {
 		every = DefaultPublishEvery
 	}
-	return &runFeed{rp: rp, reg: rt.Metrics, every: every}
+	return &runFeed{rp: rp, every: every}
 }
 
 // buffer routes rt's live events through an eventBuffer the ticks drain.
@@ -78,24 +78,23 @@ func (f *runFeed) buffer(rt *obs.Runtime) {
 	f.buffers = append(f.buffers, b)
 }
 
-// tick forwards the buffered events and publishes a snapshot as of now.
-func (f *runFeed) tick(now time.Duration) {
+// tick forwards the buffered events, group by group.
+func (f *runFeed) tick() {
 	for _, b := range f.buffers {
 		for _, ev := range b.events {
 			f.rp.PublishEvent(ev)
 		}
 		b.events = b.events[:0]
 	}
-	f.rp.PublishSnapshot(now, f.reg.Snapshot())
 }
 
-// finish publishes the end-of-run snapshot — which now includes the
-// runner-level tallies emitRunTelemetry just recorded — and closes the run
-// on the monitor. Nil-safe.
+// finish forwards the last events and closes the run on the monitor, whose
+// final read of the registry then includes the runner-level tallies
+// emitRunTelemetry just recorded. Nil-safe.
 func (f *runFeed) finish(simulated time.Duration, runErr error) {
 	if f == nil {
 		return
 	}
-	f.tick(simulated)
+	f.tick()
 	f.rp.FinishRun(simulated, runErr)
 }

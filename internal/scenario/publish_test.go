@@ -10,7 +10,9 @@ import (
 )
 
 // fakePublisher records everything published into it, standing in for the
-// monitor server without any HTTP.
+// monitor server without any HTTP. Like the monitor, it pulls metrics from
+// the run's registry: live while the run publishes events, and once more
+// at FinishRun for the final values.
 type fakePublisher struct {
 	mu   sync.Mutex
 	runs []*fakeRun
@@ -19,9 +21,9 @@ type fakePublisher struct {
 type fakeRun struct {
 	mu        sync.Mutex
 	info      obs.RunInfo
-	snapAts   []time.Duration
-	lastSnap  obs.Snapshot
 	events    []obs.Event
+	live      []float64 // sim_events_executed read at each event
+	final     obs.Snapshot
 	finished  bool
 	finishErr error
 }
@@ -44,21 +46,16 @@ func (p *fakePublisher) run(t *testing.T, i int) *fakeRun {
 	return p.runs[i]
 }
 
-func (r *fakeRun) PublishSnapshot(at time.Duration, snap obs.Snapshot) {
-	r.mu.Lock()
-	r.snapAts = append(r.snapAts, at)
-	r.lastSnap = snap
-	r.mu.Unlock()
-}
-
 func (r *fakeRun) PublishEvent(ev obs.Event) {
 	r.mu.Lock()
 	r.events = append(r.events, ev)
+	r.live = append(r.live, r.info.Metrics.Snapshot().Value("sim_events_executed"))
 	r.mu.Unlock()
 }
 
 func (r *fakeRun) FinishRun(at time.Duration, err error) {
 	r.mu.Lock()
+	r.final = r.info.Metrics.Snapshot()
 	r.finished = true
 	r.finishErr = err
 	r.mu.Unlock()
@@ -66,8 +63,8 @@ func (r *fakeRun) FinishRun(at time.Duration, err error) {
 
 // TestPublisherDoesNotPerturbRun is the determinism guarantee behind
 // -monitor: attaching a publisher must leave the simulation byte-identical.
-// The snapshot tick consumes no randomness, so tallies and victims match a
-// bare run exactly.
+// The event-forwarding tick consumes no randomness, so tallies and victims
+// match a bare run exactly.
 func TestPublisherDoesNotPerturbRun(t *testing.T) {
 	cfg := baseConfig(t, PassageVenue(), CityHunter, 17)
 	cfg.ArrivalScale = 0.3
@@ -95,7 +92,8 @@ func TestPublisherDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestPublisherFeed checks what the run actually streams: identity labels,
-// virtual-time snapshot cadence, the site-deploy event, and a clean finish.
+// a registry the publisher reads live and finds final at FinishRun, events
+// in virtual-time order, the site-deploy event, and a clean finish.
 func TestPublisherFeed(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), CityHunter, 19)
 	cfg.ArrivalScale = 0.3
@@ -116,18 +114,20 @@ func TestPublisherFeed(t *testing.T) {
 	if r.info.Labels["seed"] != "19" {
 		t.Errorf("run labels = %v, want seed=19", r.info.Labels)
 	}
-	// Tick at 0,1m..5m plus the final flush = at least 6 snapshots, in
-	// non-decreasing virtual time.
-	if len(r.snapAts) < 6 {
-		t.Fatalf("got %d snapshots, want >= 6 at 1m cadence over 5m", len(r.snapAts))
+	if r.info.Metrics == nil {
+		t.Fatal("run registered no metrics registry")
 	}
-	for i := 1; i < len(r.snapAts); i++ {
-		if r.snapAts[i] < r.snapAts[i-1] {
-			t.Errorf("snapshot times regress: %v", r.snapAts)
+	final := r.final.Value("sim_events_executed")
+	if final <= 0 {
+		t.Errorf("final sim_events_executed = %v, want > 0", final)
+	}
+	// Live reads, one per forwarded event, never pass the final value; the
+	// events themselves arrive in non-decreasing virtual time.
+	for i := range r.events {
+		if r.live[i] > final || i > 0 && r.events[i].At < r.events[i-1].At {
+			t.Fatalf("event %d at %v (previous %v) read sim_events_executed %v, final %v",
+				i, r.events[i].At, r.events[max(i-1, 0)].At, r.live[i], final)
 		}
-	}
-	if v := r.lastSnap.Value("sim_events_executed"); v <= 0 {
-		t.Errorf("final snapshot sim_events_executed = %v, want > 0", v)
 	}
 	deploys := 0
 	for _, ev := range r.events {
@@ -140,6 +140,18 @@ func TestPublisherFeed(t *testing.T) {
 	}
 	if !r.finished || r.finishErr != nil {
 		t.Errorf("finish = (%v, %v), want clean finish", r.finished, r.finishErr)
+	}
+}
+
+// TestFeedTickIdleAllocs pins the feed's per-tick cost when no group has
+// buffered an event: forwarding nothing allocates nothing.
+func TestFeedTickIdleAllocs(t *testing.T) {
+	f := &runFeed{rp: &fakeRun{}}
+	for i := 0; i < 3; i++ {
+		f.buffers = append(f.buffers, &eventBuffer{RunPublisher: f.rp})
+	}
+	if avg := testing.AllocsPerRun(100, f.tick); avg != 0 {
+		t.Errorf("idle tick allocates %.0f/op, want 0", avg)
 	}
 }
 

@@ -143,13 +143,15 @@ type Config struct {
 	ArrivalScale float64
 	// SampleEvery sets the engine state-sampling period (0 disables).
 	SampleEvery time.Duration
-	// Publisher, when set, streams live telemetry into a monitor: periodic
-	// metric snapshots on the virtual clock plus structured run events. It
-	// forces the metrics registry on. Publishing is read-only and consumes
-	// no run randomness, so seeded results are unchanged.
+	// Publisher, when set, streams live telemetry into a monitor: the run
+	// registers its metrics registry, which the monitor reads when it is
+	// scraped, and forwards structured run events. It forces the metrics
+	// registry on. Publishing is read-only and consumes no run randomness,
+	// so seeded results are unchanged.
 	Publisher obs.Publisher
-	// PublishEvery is the virtual-time cadence between published
-	// snapshots; 0 selects DefaultPublishEvery.
+	// PublishEvery is the virtual-time cadence at which buffered run
+	// events are forwarded to the Publisher; 0 selects
+	// DefaultPublishEvery.
 	PublishEvery time.Duration
 	// RunLabel names the run on the monitor; empty derives
 	// "venue/attack/slotN".
