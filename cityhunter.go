@@ -564,7 +564,7 @@ func WithPerfettoTrace() RunOption {
 }
 
 // NewMonitorServer builds an unstarted monitor server. Use it directly as
-// a TelemetryPublisher (via WithMonitorServer) for in-process inspection,
+// a TelemetryPublisher (via WithPublisher) for in-process inspection,
 // or call its Start method to expose /metrics, /runs, /events and
 // /debug/pprof over HTTP.
 func NewMonitorServer() *MonitorServer { return monitor.New() }
@@ -576,9 +576,6 @@ func NewMonitorServer() *MonitorServer { return monitor.New() }
 func WithPublisher(p TelemetryPublisher) RunOption {
 	return runOptionFunc(func(o *runOptions) { o.cfg.Publisher = p })
 }
-
-// WithMonitorServer publishes the run into an existing monitor server.
-func WithMonitorServer(s *MonitorServer) RunOption { return WithPublisher(s) }
 
 // sharedMonitors holds one started monitor server per listen address so
 // repeated SharedMonitor calls — and concurrent runs — share a single

@@ -170,11 +170,14 @@ func Unmarshal(b []byte) (*Frame, error) {
 	}
 }
 
-// parseElements walks the information elements, filling SSID and Channel.
-// ssidRequired marks frames whose body must carry an SSID element (probe
-// responses, beacons, association requests); probe requests carry one too
-// but it may be zero length (wildcard) so presence is still required there —
-// however we accept its absence as a wildcard for robustness.
+// parseElements walks the information elements, filling SSID, and the
+// fields only some subtypes carry: Channel for beacons and probe
+// responses, Fingerprint for probe requests. Elsewhere those elements are
+// skipped, as Marshal would never write them. ssidRequired marks frames
+// whose body must carry an SSID element (probe responses, beacons,
+// association requests); probe requests carry one too but it may be zero
+// length (wildcard) so presence is still required there — however we
+// accept its absence as a wildcard for robustness.
 func (f *Frame) parseElements(body []byte, ssidRequired bool) error {
 	r := elementReader{buf: body}
 	sawSSID := false
@@ -194,11 +197,11 @@ func (f *Frame) parseElements(body []byte, ssidRequired bool) error {
 			f.SSID = string(payload)
 			sawSSID = true
 		case elemDSParameterSet:
-			if len(payload) == 1 {
+			if len(payload) == 1 && (f.Subtype == SubtypeBeacon || f.Subtype == SubtypeProbeResponse) {
 				f.Channel = payload[0]
 			}
 		case elemVendorSpecific:
-			if len(payload) == fingerprintElemLen &&
+			if f.Subtype == SubtypeProbeRequest && len(payload) == fingerprintElemLen &&
 				payload[0] == fingerprintOUI[0] && payload[1] == fingerprintOUI[1] && payload[2] == fingerprintOUI[2] {
 				f.Fingerprint = binary.LittleEndian.Uint32(payload[3:7])
 			}

@@ -152,6 +152,43 @@ func TestUnmarshalMissingSSIDElement(t *testing.T) {
 	}
 }
 
+// TestUnmarshalSkipsForeignElements: a DS-parameter element is read only
+// on beacons and probe responses and a fingerprint element only on probe
+// requests, so a frame carrying either elsewhere decodes to what Marshal
+// can write back.
+func TestUnmarshalSkipsForeignElements(t *testing.T) {
+	fp := append(fingerprintOUI[:], 1, 2, 3, 4)
+	for _, f := range []*Frame{
+		{Subtype: SubtypeAssocRequest, SSID: "x"},
+		{Subtype: SubtypeProbeResponse, SSID: "x"},
+		{Subtype: SubtypeProbeRequest, SSID: "x"},
+	} {
+		b, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = appendElement(b, elemDSParameterSet, []byte{6})
+		b = appendElement(b, elemVendorSpecific, fp)
+		got, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%v: %v", f.Subtype, err)
+		}
+		wantChannel := uint8(0)
+		if f.Subtype == SubtypeProbeResponse {
+			// Marshal wrote its own DS element; the appended one is read last.
+			wantChannel = 6
+		}
+		wantFP := uint32(0)
+		if f.Subtype == SubtypeProbeRequest {
+			wantFP = 0x04030201
+		}
+		if got.Channel != wantChannel || got.Fingerprint != wantFP {
+			t.Errorf("%v: Channel, Fingerprint = %d, %#x, want %d, %#x",
+				f.Subtype, got.Channel, got.Fingerprint, wantChannel, wantFP)
+		}
+	}
+}
+
 func TestBroadcastAndDirectedProbePredicates(t *testing.T) {
 	bcast := &Frame{Subtype: SubtypeProbeRequest}
 	direct := &Frame{Subtype: SubtypeProbeRequest, SSID: "Net"}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -137,125 +136,27 @@ func (j *Journal) Events() []Event {
 	return out
 }
 
-// JournalShard is one independently locked ring journal inside a
-// ShardedJournal. Each concurrent producer (a campaign worker's run, say)
-// writes only to its own shard, so producers never contend on a shared
-// lock; readers merge shards on demand. Methods on a nil *JournalShard are
-// no-ops.
-type JournalShard struct {
-	mu sync.Mutex
-	j  *Journal
-}
-
-// Record appends one event to the shard.
-func (s *JournalShard) Record(at time.Duration, typ, actor, detail string) {
-	if s == nil {
-		return
+// MergeJournals folds several journals into one, ordered by virtual time
+// with argument order breaking ties. The result keeps the newest capacity
+// events (capacity <= 0 selects DefaultJournalCap) and counts as dropped
+// both what the inputs overwrote and what the merge leaves out, so its
+// Dropped is always events recorded minus events kept. A single journal is
+// returned as is, and so is a nil first one (the flight recorder is off).
+func MergeJournals(capacity int, journals ...*Journal) *Journal {
+	if len(journals) == 1 || journals[0] == nil {
+		return journals[0]
 	}
-	s.mu.Lock()
-	s.j.Record(at, typ, actor, detail)
-	s.mu.Unlock()
-}
-
-// Events returns the shard's stored events in insertion order.
-func (s *JournalShard) Events() []Event {
-	if s == nil {
-		return nil
+	var all []Event
+	merged := NewJournal(capacity)
+	for _, j := range journals {
+		all = append(all, j.Events()...)
+		merged.dropped += j.Dropped()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.j.Events()
-}
-
-// Len returns the number of stored events.
-func (s *JournalShard) Len() int {
-	if s == nil {
-		return 0
+	sort.SliceStable(all, func(a, b int) bool { return all[a].At < all[b].At })
+	if over := len(all) - merged.capacity; over > 0 {
+		merged.dropped += over
+		all = all[over:]
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.j.Len()
-}
-
-// Dropped returns how many events the shard overwrote.
-func (s *JournalShard) Dropped() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.j.Dropped()
-}
-
-// ShardedJournal is a journal split into per-producer shards. NewShard is
-// the only cross-shard synchronisation point; recording stays on the
-// producer's private lock.
-type ShardedJournal struct {
-	mu     sync.Mutex
-	shards []*JournalShard
-}
-
-// NewShardedJournal returns an empty sharded journal.
-func NewShardedJournal() *ShardedJournal {
-	return &ShardedJournal{}
-}
-
-// NewShard adds a shard bounded to capacity events (<= 0 selects
-// DefaultJournalCap) and returns it for exclusive use by one producer.
-func (sj *ShardedJournal) NewShard(capacity int) *JournalShard {
-	s := &JournalShard{j: NewJournal(capacity)}
-	sj.mu.Lock()
-	sj.shards = append(sj.shards, s)
-	sj.mu.Unlock()
-	return s
-}
-
-// Events merges every shard's events, ordered by virtual timestamp with a
-// stable tie-break on shard creation order.
-func (sj *ShardedJournal) Events() []Event {
-	if sj == nil {
-		return nil
-	}
-	sj.mu.Lock()
-	shards := make([]*JournalShard, len(sj.shards))
-	copy(shards, sj.shards)
-	sj.mu.Unlock()
-	var out []Event
-	for _, s := range shards {
-		out = append(out, s.Events()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Dropped sums the overwrite counts across shards.
-func (sj *ShardedJournal) Dropped() int {
-	if sj == nil {
-		return 0
-	}
-	sj.mu.Lock()
-	shards := make([]*JournalShard, len(sj.shards))
-	copy(shards, sj.shards)
-	sj.mu.Unlock()
-	total := 0
-	for _, s := range shards {
-		total += s.Dropped()
-	}
-	return total
-}
-
-// Len sums the stored-event counts across shards.
-func (sj *ShardedJournal) Len() int {
-	if sj == nil {
-		return 0
-	}
-	sj.mu.Lock()
-	shards := make([]*JournalShard, len(sj.shards))
-	copy(shards, sj.shards)
-	sj.mu.Unlock()
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
-	}
-	return total
+	merged.buf = append(merged.buf, all...)
+	return merged
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"time"
 
 	"cityhunter/internal/obs"
 )
@@ -19,11 +18,8 @@ const sseBuffer = 256
 // sseEvent is one wire event: the run's journal event plus the run ID so a
 // stream across many runs stays attributable.
 type sseEvent struct {
-	Run    string        `json:"run"`
-	At     time.Duration `json:"at"`
-	Type   string        `json:"type"`
-	Actor  string        `json:"actor,omitempty"`
-	Detail string        `json:"detail,omitempty"`
+	Run string `json:"run"`
+	obs.Event
 }
 
 // subscriber is one connected /events client.
@@ -35,7 +31,7 @@ type subscriber struct {
 // broadcast fans an event out to every subscriber without ever blocking
 // the publisher: full channels drop.
 func (s *Server) broadcast(runID string, ev obs.Event) {
-	wire := sseEvent{Run: runID, At: ev.At, Type: ev.Type, Actor: ev.Actor, Detail: ev.Detail}
+	wire := sseEvent{Run: runID, Event: ev}
 	s.subMu.Lock()
 	for _, sub := range s.subs {
 		if sub.run != "" && sub.run != runID {
@@ -163,7 +159,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := runDetail{runStatus: rs.statusJSON(), Metrics: rs.metrics()}
+	rs.mu.Lock()
 	evs := rs.events.Events()
+	rs.mu.Unlock()
 	if len(evs) > recentEventTail {
 		evs = evs[len(evs)-recentEventTail:]
 	}

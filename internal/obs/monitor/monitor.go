@@ -25,15 +25,14 @@ import (
 	"cityhunter/internal/obs"
 )
 
-// DefaultEventCap bounds each run's event shard in the monitor.
+// DefaultEventCap bounds each run's event ring in the monitor.
 const DefaultEventCap = 2048
 
 // Server is the telemetry plane. Create with New, attach to runs as an
 // obs.Publisher, and expose over HTTP with Start (or mount Handler
 // yourself). The zero value is not usable.
 type Server struct {
-	self    *obs.Registry       // monitor self-metrics, exported unlabelled
-	journal *obs.ShardedJournal // all runs' events, one shard per run
+	self *obs.Registry // monitor self-metrics, exported unlabelled
 
 	mu       sync.Mutex
 	runs     map[string]*runState
@@ -63,7 +62,6 @@ func New() *Server {
 	self := obs.NewRegistry()
 	return &Server{
 		self:          self,
-		journal:       obs.NewShardedJournal(),
 		runs:          make(map[string]*runState),
 		subs:          make(map[int]*subscriber),
 		mRunsStarted:  self.Counter("monitor_runs_started"),
@@ -94,8 +92,8 @@ func (s *Server) Attach(reg *obs.Registry, labels ...string) {
 	s.mu.Unlock()
 }
 
-// runState is one registered run. Each run gets its own mutex and journal
-// shard, so concurrent campaign workers publishing different runs never
+// runState is one registered run. Each run gets its own mutex and event
+// ring, so concurrent campaign workers publishing different runs never
 // contend on a shared lock — only the scrape path walks all runs.
 type runState struct {
 	srv  *Server
@@ -112,8 +110,7 @@ type runState struct {
 	final        obs.Snapshot  // reg as of FinishRun
 	firstAssoc   bool
 	finishedWall time.Time
-
-	events *obs.JournalShard // own lock; written by run, read by HTTP
+	events       *obs.Journal // the run's event ring, read by HTTP under mu
 }
 
 var _ obs.Publisher = (*Server)(nil)
@@ -131,7 +128,7 @@ func (s *Server) StartRun(info obs.RunInfo) obs.RunPublisher {
 		startedWall: time.Now(),
 		status:      "running",
 		reg:         info.Metrics,
-		events:      s.journal.NewShard(DefaultEventCap),
+		events:      obs.NewJournal(DefaultEventCap),
 	}
 	s.runs[id] = rs
 	s.order = append(s.order, id)
@@ -205,11 +202,11 @@ func (rs *runState) metrics() obs.Snapshot {
 	return final
 }
 
-// record journals the event under the run's shard, tracks the latest
-// virtual time, and fans it out to SSE subscribers.
+// record journals the event in the run's ring, tracks the latest virtual
+// time, and fans it out to SSE subscribers.
 func (rs *runState) record(ev obs.Event) {
-	rs.events.Record(ev.At, ev.Type, ev.Actor, ev.Detail)
 	rs.mu.Lock()
+	rs.events.Record(ev.At, ev.Type, ev.Actor, ev.Detail)
 	if ev.At > rs.at {
 		rs.at = ev.At
 	}
@@ -302,9 +299,9 @@ func (rs *runState) statusJSON() runStatus {
 		t := rs.finishedWall
 		st.FinishedWall = &t
 	}
-	rs.mu.Unlock()
 	st.Events = rs.events.Len()
 	st.EventsDropped = rs.events.Dropped()
+	rs.mu.Unlock()
 	return st
 }
 

@@ -211,6 +211,49 @@ func TestRunsActive(t *testing.T) {
 	}
 }
 
+// TestRunEventRing overflows one run's event ring: /runs/{id} reports the
+// ring full at DefaultEventCap, every event beyond it (the run-start event
+// included) as dropped, and the newest events in publication order.
+func TestRunEventRing(t *testing.T) {
+	s := New()
+	rp := s.StartRun(obs.RunInfo{Kind: "run"})
+	const published = DefaultEventCap + 500
+	for i := 1; i <= published; i++ {
+		rp.PublishEvent(obs.Event{At: time.Duration(i) * time.Millisecond, Type: obs.EventFrameLoss})
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/runs/run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var detail struct {
+		Events        int         `json:"events"`
+		EventsDropped int         `json:"events_dropped"`
+		RecentEvents  []obs.Event `json:"recent_events"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&detail)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if detail.Events != DefaultEventCap {
+		t.Errorf("events = %d, want the cap %d", detail.Events, DefaultEventCap)
+	}
+	if want := published + 1 - DefaultEventCap; detail.EventsDropped != want {
+		t.Errorf("events_dropped = %d, want %d", detail.EventsDropped, want)
+	}
+	if len(detail.RecentEvents) != recentEventTail {
+		t.Fatalf("recent_events holds %d, want %d", len(detail.RecentEvents), recentEventTail)
+	}
+	for i, e := range detail.RecentEvents {
+		if want := time.Duration(published-recentEventTail+1+i) * time.Millisecond; e.At != want {
+			t.Fatalf("recent event %d at %v, want %v: not the newest in order", i, e.At, want)
+		}
+	}
+}
+
 // TestSSEStream subscribes over a real connection and checks a published
 // event arrives framed as SSE.
 func TestSSEStream(t *testing.T) {
@@ -246,12 +289,9 @@ func TestSSEStream(t *testing.T) {
 			break
 		}
 	}
-	var ev sseEvent
-	if err := json.Unmarshal([]byte(data), &ev); err != nil {
-		t.Fatalf("SSE data %q: %v", data, err)
-	}
-	if ev.Run != "run-1" || ev.Type != obs.EventRunStart {
-		t.Errorf("first SSE event = %+v, want run-1 run-start", ev)
+	const want = `{"run":"run-1","at":0,"type":"run-start","actor":"canteen/cityhunter/slot4","detail":"kind=run"}`
+	if data != want {
+		t.Errorf("first SSE event = %s, want %s", data, want)
 	}
 }
 

@@ -32,11 +32,6 @@ type Runtime struct {
 	Publish RunPublisher
 }
 
-// Enabled reports whether any sink is active.
-func (rt *Runtime) Enabled() bool {
-	return rt != nil && (rt.Metrics != nil || rt.Journal != nil || rt.Trace != nil || rt.Publish != nil)
-}
-
 // Event records one structured event in the journal and forwards it to the
 // live publisher, if any. Components use this for the low-rate lifecycle
 // events a monitor subscriber cares about (associations, deploys,

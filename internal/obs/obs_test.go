@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +134,43 @@ func TestJournalRingOverflow(t *testing.T) {
 		if want := time.Duration(6 + i); e.At != want {
 			t.Fatalf("event %d at %v, want %v (most recent kept, chronological)", i, e.At, want)
 		}
+	}
+}
+
+// TestMergeJournals: the merged ring is ordered by virtual time with
+// argument order breaking ties, keeps the newest events, and counts both
+// the inputs' overwrites and what the merge leaves out, so Dropped is
+// events recorded minus events kept.
+func TestMergeJournals(t *testing.T) {
+	a, b := NewJournal(3), NewJournal(3)
+	recorded := 0
+	for i := 0; i < 5; i++ { // a keeps 2..4, overwrites 2
+		a.Record(time.Duration(i)*time.Second, EventFrameLoss, "a", "")
+		recorded++
+	}
+	for _, at := range []int{3, 4, 6} { // b keeps all three
+		b.Record(time.Duration(at)*time.Second, EventFrameLoss, "b", "")
+		recorded++
+	}
+	m := MergeJournals(4, a, b)
+	if m.Len() != 4 || m.Cap() != 4 {
+		t.Fatalf("Len, Cap = %d, %d, want 4, 4", m.Len(), m.Cap())
+	}
+	if m.Dropped() != recorded-m.Len() {
+		t.Errorf("Dropped = %d, want recorded %d - kept %d", m.Dropped(), recorded, m.Len())
+	}
+	var got []string
+	for _, e := range m.Events() {
+		got = append(got, e.At.String()+e.Actor)
+	}
+	if want := "[3sb 4sa 4sb 6sb]"; fmt.Sprint(got) != want {
+		t.Errorf("merged = %v, want %s", got, want)
+	}
+	if MergeJournals(4, a) != a {
+		t.Error("a single journal is not returned as is")
+	}
+	if MergeJournals(4, nil, nil) != nil {
+		t.Error("nil journals merged into a recorder")
 	}
 }
 

@@ -33,8 +33,7 @@ type Publisher interface {
 // RunPublisher is one run's telemetry sink. Metrics are not pushed through
 // it: the publisher reads them from RunInfo.Metrics when it wants them. A
 // run publishes from a single goroutine, but distinct runs publish
-// concurrently, so implementations shard their state per run (see
-// ShardedJournal).
+// concurrently, so implementations keep their state per run.
 type RunPublisher interface {
 	// PublishEvent delivers one structured run event.
 	PublishEvent(ev Event)

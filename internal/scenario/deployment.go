@@ -389,7 +389,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 			}
 		}
 		dres.Metrics = reg.Snapshot()
-		dres.Journal = mergeJournals(cfg.FlightRecorderCap, journals)
+		dres.Journal = obs.MergeJournals(cfg.FlightRecorderCap, journals...)
 		dres.Spans = spans
 		// Every site result carries the deployment-wide attachments.
 		for _, res := range dres.Sites {

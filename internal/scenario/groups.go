@@ -1,11 +1,9 @@
 package scenario
 
 import (
-	"sort"
 	"time"
 
 	"cityhunter/internal/mobility"
-	"cityhunter/internal/obs"
 )
 
 // Site groups are the unit of deployment execution. Two sites share a group
@@ -112,24 +110,4 @@ func partitionCount(requested, ngroups int) int {
 		return ngroups
 	}
 	return max(requested, 1)
-}
-
-// mergeJournals folds the groups' journals into one, ordered by virtual
-// time with group order breaking ties — both independent of how groups
-// map onto goroutines. A single journal is returned as is, and so is a nil
-// one (the flight recorder is off).
-func mergeJournals(capacity int, journals []*obs.Journal) *obs.Journal {
-	if len(journals) == 1 || journals[0] == nil {
-		return journals[0]
-	}
-	var all []obs.Event
-	for _, j := range journals {
-		all = append(all, j.Events()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	merged := obs.NewJournal(capacity)
-	for _, e := range all {
-		merged.Record(e.At, e.Type, e.Actor, e.Detail)
-	}
-	return merged
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"cityhunter/internal/obs"
 )
 
 // TestObservabilityDeterminism runs the same seed twice with every
@@ -70,31 +72,32 @@ func TestObservabilityOffByDefault(t *testing.T) {
 }
 
 // TestTraceDroppedSurfaced arms the pcap monitor with a tiny cap so the
-// run overflows it, and checks the drop count lands in the Result and the
-// first drop is journalled.
+// run overflows it, and checks the capture's three drop reports agree:
+// Monitor.Dropped, the live trace_monitor_dropped_frames counter, and one
+// journalled first-drop event.
 func TestTraceDroppedSurfaced(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), CityHunter, 5)
 	cfg.Trace = true
 	cfg.TraceMaxEntries = 10
 	cfg.FlightRecorderCap = 64
+	cfg.Metrics = true
 	res, err := Run(cfg, 4, 3*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.TraceDropped == 0 {
+	if res.Trace.Dropped == 0 {
 		t.Fatal("expected the 10-entry capture to overflow")
 	}
-	if res.Trace.Dropped != res.TraceDropped {
-		t.Errorf("Result.TraceDropped = %d, monitor counted %d", res.TraceDropped, res.Trace.Dropped)
+	if got := res.Metrics.Value("trace_monitor_dropped_frames"); got != float64(res.Trace.Dropped) {
+		t.Errorf("trace_monitor_dropped_frames = %v, monitor counted %d", got, res.Trace.Dropped)
 	}
-	found := false
+	drops := 0
 	for _, e := range res.Journal.Events() {
-		if e.Type == "trace-drop" {
-			found = true
-			break
+		if e.Type == obs.EventTraceDrop {
+			drops++
 		}
 	}
-	if !found {
-		t.Error("first capture drop was not journalled")
+	if drops != 1 {
+		t.Errorf("journalled %d capture-drop events, want exactly the first", drops)
 	}
 }

@@ -165,6 +165,45 @@ func itoa(n int) string {
 	return string(rune('0' + n))
 }
 
+// TestDeploymentJournalDropped: a deployment's merged flight recorder
+// counts every event it does not keep — the ones its site groups' rings
+// overwrote during the run and the ones the merge leaves out — so Dropped
+// is events recorded minus events kept, and the kept events are the
+// newest of an unbounded recording.
+func TestDeploymentJournalDropped(t *testing.T) {
+	run := func(capacity int) *DeploymentResult {
+		d := partitionedTrio(t, 31)
+		d.Base.FlightRecorderCap = capacity
+		d.Base.Metrics = true
+		res, err := RunDeployment(d, 0, 12*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	all := run(1 << 20).Journal
+	if all.Dropped() != 0 {
+		t.Fatalf("unbounded recorder dropped %d events", all.Dropped())
+	}
+	recorded := all.Len()
+	const capacity = 16
+	res := run(capacity)
+	j := res.Journal
+	if recorded <= 2*capacity {
+		t.Fatalf("only %d events recorded; the groups' rings never overflow", recorded)
+	}
+	if res.Metrics.Value("obs_journal_overwritten_events") == 0 {
+		t.Fatal("no site group's ring overflowed; the test exercises only the merge")
+	}
+	if j.Len() != capacity || j.Dropped() != recorded-j.Len() {
+		t.Errorf("Len, Dropped = %d, %d, want %d, %d (recorded %d)",
+			j.Len(), j.Dropped(), capacity, recorded-capacity, recorded)
+	}
+	if want := all.Events()[recorded-capacity:]; !reflect.DeepEqual(j.Events(), want) {
+		t.Errorf("kept events are not the newest %d of the recording", capacity)
+	}
+}
+
 // TestPartitionedMatchesClassicShape: the structural invariants of a
 // deployment hold on several goroutines — per-site accounting sums to the
 // pooled accounting, roamers are counted once.

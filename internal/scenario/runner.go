@@ -192,11 +192,9 @@ type Result struct {
 	HitsByVictimDirect map[ieee80211.MAC]bool
 	// Sentinel is the passive detector, when Config.Sentinel was set.
 	Sentinel *detect.Sentinel
-	// Trace is the frame capture, when Config.Trace was set.
+	// Trace is the frame capture, when Config.Trace was set; a nonzero
+	// Trace.Dropped means it is truncated, not complete.
 	Trace *trace.Monitor
-	// TraceDropped is the number of frames the capture dropped past its
-	// cap — nonzero means Trace is truncated, not complete.
-	TraceDropped int
 	// CanaryDetections sums the clients' canary unmaskings.
 	CanaryDetections int
 	// Metrics is the deterministic metrics snapshot, when Config.Metrics

@@ -329,9 +329,6 @@ func assembleResult(cfg Config, st *site, pop *population, slot int, simulated t
 	for _, v := range res.Victims {
 		res.HitsByVictimDirect[v.MAC] = v.DirectProber
 	}
-	if st.monitor != nil {
-		res.TraceDropped = st.monitor.Dropped
-	}
 	return res
 }
 
@@ -355,7 +352,6 @@ func (d *deployment) emitRunTelemetry(reg *obs.Registry, now time.Duration, pop 
 		reg.Counter("scenario_clients").Add(int64(len(pop.members)))
 		reg.Counter("scenario_victims").Add(int64(len(res.Victims)))
 		reg.Counter("scenario_canary_detections").Add(int64(res.CanaryDetections))
-		reg.Counter("scenario_trace_dropped_frames").Add(int64(res.TraceDropped))
 		reg.Gauge("scenario_virtual_seconds").Set(now.Seconds())
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"cityhunter/internal/geo"
 	"cityhunter/internal/ieee80211"
+	"cityhunter/internal/sim"
 )
 
 // TestPcapWriterSteadyStateZeroAlloc pins the capture encode path: after
@@ -39,5 +41,21 @@ func TestPcapWriterSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if pw.Count() < 201 {
 		t.Errorf("Count = %d", pw.Count())
+	}
+}
+
+// TestMonitorReceiveAllocs pins the capture path: an entry holds the
+// frame's typed subtype and addresses, so recording a frame formats
+// nothing, and only the capture slice's amortised growth allocates.
+func TestMonitorReceiveAllocs(t *testing.T) {
+	mon := NewMonitor(sim.NewEngine(), ieee80211.MAC{0x0a, 0, 0, 0, 0, 0xfe}, geo.Pt(0, 0))
+	f := probeEntryFrame(ieee80211.MAC{0x02, 1, 2, 3, 4, 5}, "CafeNet")
+	const frames = 2000
+	avg := testing.AllocsPerRun(frames, func() { mon.Receive(f) })
+	if avg >= 0.1 {
+		t.Errorf("Monitor.Receive allocates %.3f/frame, want < 0.1", avg)
+	}
+	if mon.Len() != frames+1 { // AllocsPerRun adds one warm-up call
+		t.Errorf("captured %d frames, want %d", mon.Len(), frames+1)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"cityhunter/internal/ieee80211"
 )
 
 // Analysis distils a capture into the measurements the paper's §III builds
@@ -13,8 +15,8 @@ import (
 type Analysis struct {
 	// Frames is the total frame count analysed.
 	Frames int
-	// BySubtype counts frames per subtype name.
-	BySubtype map[string]int
+	// BySubtype counts frames per subtype.
+	BySubtype map[ieee80211.FrameSubtype]int
 	// UniqueSources is the number of distinct transmitter MACs.
 	UniqueSources int
 	// Probers is the number of distinct MACs that sent probe requests;
@@ -29,28 +31,28 @@ type Analysis struct {
 	// SSIDsPerResponder maps each responding/beaconing BSSID to the
 	// number of distinct SSIDs it advertised — the sentinel's signal; an
 	// evil twin dwarfs every honest AP here.
-	SSIDsPerResponder map[string]int
+	SSIDsPerResponder map[ieee80211.MAC]int
 }
 
 // Analyze runs over a capture in one pass.
 func Analyze(entries []Entry) Analysis {
 	a := Analysis{
 		Frames:            len(entries),
-		BySubtype:         make(map[string]int),
-		SSIDsPerResponder: make(map[string]int),
+		BySubtype:         make(map[ieee80211.FrameSubtype]int),
+		SSIDsPerResponder: make(map[ieee80211.MAC]int),
 	}
-	sources := make(map[string]bool)
-	probers := make(map[string]bool)
-	direct := make(map[string]bool)
-	lastProbe := make(map[string]time.Duration)
-	respSSIDs := make(map[string]map[string]bool)
+	sources := make(map[ieee80211.MAC]bool)
+	probers := make(map[ieee80211.MAC]bool)
+	direct := make(map[ieee80211.MAC]bool)
+	lastProbe := make(map[ieee80211.MAC]time.Duration)
+	respSSIDs := make(map[ieee80211.MAC]map[string]bool)
 	var intervals []time.Duration
 
 	for _, e := range entries {
 		a.BySubtype[e.Subtype]++
 		sources[e.SA] = true
 		switch e.Subtype {
-		case "probe-request":
+		case ieee80211.SubtypeProbeRequest:
 			probers[e.SA] = true
 			if e.SSID != "" {
 				direct[e.SA] = true
@@ -59,7 +61,7 @@ func Analyze(entries []Entry) Analysis {
 				intervals = append(intervals, e.At-prev)
 			}
 			lastProbe[e.SA] = e.At
-		case "probe-response", "beacon":
+		case ieee80211.SubtypeProbeResponse, ieee80211.SubtypeBeacon:
 			if e.SSID == "" {
 				break
 			}

@@ -3,10 +3,12 @@ package trace
 import (
 	"testing"
 	"time"
+
+	"cityhunter/internal/ieee80211"
 )
 
-func entryAt(at time.Duration, subtype, sa, bssid, ssid string) Entry {
-	return Entry{At: at, Subtype: subtype, SA: sa, DA: "ff:ff:ff:ff:ff:ff", BSSID: bssid, SSID: ssid}
+func entryAt(at time.Duration, subtype ieee80211.FrameSubtype, sa, bssid ieee80211.MAC, ssid string) Entry {
+	return Entry{At: at, Subtype: subtype, SA: sa, DA: ieee80211.BroadcastMAC, BSSID: bssid, SSID: ssid}
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
@@ -17,26 +19,33 @@ func TestAnalyzeEmpty(t *testing.T) {
 }
 
 func TestAnalyzeCounts(t *testing.T) {
-	phone1 := "02:00:00:00:00:01"
-	phone2 := "02:00:00:00:00:02"
-	twin := "0a:00:00:00:00:01"
-	honest := "0a:00:00:00:00:02"
+	phone1 := mustMAC(t, "02:00:00:00:00:01")
+	phone2 := mustMAC(t, "02:00:00:00:00:02")
+	twin := mustMAC(t, "0a:00:00:00:00:01")
+	honest := mustMAC(t, "0a:00:00:00:00:02")
+	const (
+		probe  = ieee80211.SubtypeProbeRequest
+		resp   = ieee80211.SubtypeProbeResponse
+		beacon = ieee80211.SubtypeBeacon
+		deauth = ieee80211.SubtypeDeauth
+	)
+	var none ieee80211.MAC
 	entries := []Entry{
-		entryAt(1*time.Second, "probe-request", phone1, "", ""),
-		entryAt(2*time.Second, "probe-request", phone1, "", "HomeNet"),
-		entryAt(4*time.Second, "probe-request", phone1, "", ""),
-		entryAt(5*time.Second, "probe-request", phone2, "", ""),
-		entryAt(5*time.Second, "probe-response", twin, twin, "Lure-1"),
-		entryAt(5*time.Second, "probe-response", twin, twin, "Lure-2"),
-		entryAt(5*time.Second, "probe-response", twin, twin, "Lure-2"),
-		entryAt(6*time.Second, "beacon", honest, honest, "Cafe WiFi"),
-		entryAt(7*time.Second, "deauth", twin, twin, ""),
+		entryAt(1*time.Second, probe, phone1, none, ""),
+		entryAt(2*time.Second, probe, phone1, none, "HomeNet"),
+		entryAt(4*time.Second, probe, phone1, none, ""),
+		entryAt(5*time.Second, probe, phone2, none, ""),
+		entryAt(5*time.Second, resp, twin, twin, "Lure-1"),
+		entryAt(5*time.Second, resp, twin, twin, "Lure-2"),
+		entryAt(5*time.Second, resp, twin, twin, "Lure-2"),
+		entryAt(6*time.Second, beacon, honest, honest, "Cafe WiFi"),
+		entryAt(7*time.Second, deauth, twin, twin, ""),
 	}
 	a := Analyze(entries)
 	if a.Frames != 9 {
 		t.Errorf("Frames = %d", a.Frames)
 	}
-	if a.BySubtype["probe-request"] != 4 || a.BySubtype["deauth"] != 1 {
+	if a.BySubtype[probe] != 4 || a.BySubtype[deauth] != 1 {
 		t.Errorf("BySubtype = %v", a.BySubtype)
 	}
 	if a.UniqueSources != 4 {

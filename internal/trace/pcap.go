@@ -75,9 +75,9 @@ func (p *PcapWriter) WriteFrame(at time.Duration, f *ieee80211.Frame) error {
 // Count returns the number of packets written.
 func (p *PcapWriter) Count() int { return p.count }
 
-// WritePcap re-marshals a monitor's capture into pcap form. Entries are
-// decoded back into frames from their recorded fields; the SSID and
-// addressing survive the round trip, which is what Wireshark displays.
+// WritePcap writes a monitor's capture in pcap form. Each record is the
+// frame rebuilt from its entry — subtype, addressing and SSID, which is
+// what Wireshark displays.
 func (m *Monitor) WritePcap(w io.Writer) error {
 	pw, err := NewPcapWriter(w)
 	if err != nil {
@@ -85,67 +85,11 @@ func (m *Monitor) WritePcap(w io.Writer) error {
 	}
 	var f ieee80211.Frame // reused across entries; WriteFrame does not retain it
 	for i := range m.entries {
-		if err := m.entries[i].toFrameInto(&f); err != nil {
-			return fmt.Errorf("trace: entry %d: %w", i, err)
-		}
-		if err := pw.WriteFrame(m.entries[i].At, &f); err != nil {
+		e := &m.entries[i]
+		f = ieee80211.Frame{Subtype: e.Subtype, SA: e.SA, DA: e.DA, BSSID: e.BSSID, SSID: e.SSID}
+		if err := pw.WriteFrame(e.At, &f); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// toFrame reconstructs a transmittable frame from a recorded entry.
-func (e *Entry) toFrame() (*ieee80211.Frame, error) {
-	f := new(ieee80211.Frame)
-	if err := e.toFrameInto(f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// toFrameInto is toFrame into caller-owned storage, so replay loops can
-// decode every entry through one reused frame.
-func (e *Entry) toFrameInto(f *ieee80211.Frame) error {
-	sub, err := subtypeByName(e.Subtype)
-	if err != nil {
-		return err
-	}
-	sa, err := ieee80211.ParseMAC(e.SA)
-	if err != nil {
-		return err
-	}
-	da, err := ieee80211.ParseMAC(e.DA)
-	if err != nil {
-		return err
-	}
-	bssid, err := ieee80211.ParseMAC(e.BSSID)
-	if err != nil {
-		return err
-	}
-	*f = ieee80211.Frame{
-		Subtype: sub,
-		SA:      sa,
-		DA:      da,
-		BSSID:   bssid,
-		SSID:    e.SSID,
-	}
-	return nil
-}
-
-func subtypeByName(name string) (ieee80211.FrameSubtype, error) {
-	for _, s := range []ieee80211.FrameSubtype{
-		ieee80211.SubtypeAssocRequest,
-		ieee80211.SubtypeAssocResponse,
-		ieee80211.SubtypeProbeRequest,
-		ieee80211.SubtypeProbeResponse,
-		ieee80211.SubtypeBeacon,
-		ieee80211.SubtypeAuth,
-		ieee80211.SubtypeDeauth,
-	} {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown subtype %q", name)
 }

@@ -105,17 +105,3 @@ func TestMonitorWritePcap(t *testing.T) {
 		t.Errorf("%d trailing bytes", len(data)-off)
 	}
 }
-
-func TestSubtypeByNameUnknown(t *testing.T) {
-	if _, err := subtypeByName("no-such"); err == nil {
-		t.Error("unknown subtype accepted")
-	}
-	e := Entry{Subtype: "beacon", SA: "02:00:00:00:00:01", DA: "ff:ff:ff:ff:ff:ff", BSSID: "02:00:00:00:00:01"}
-	if _, err := e.toFrame(); err != nil {
-		t.Errorf("valid entry failed: %v", err)
-	}
-	bad := Entry{Subtype: "beacon", SA: "zz", DA: "ff:ff:ff:ff:ff:ff", BSSID: "zz"}
-	if _, err := bad.toFrame(); err == nil {
-		t.Error("bad MAC accepted")
-	}
-}

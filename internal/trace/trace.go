@@ -1,17 +1,14 @@
-// Package trace records 802.11 frames crossing the simulated medium into a
-// replayable, JSON-exportable log — the equivalent of the packet captures
-// the paper's field deployment kept for analysis.
+// Package trace records 802.11 frames crossing the simulated medium — the
+// equivalent of the packet captures the paper's field deployment kept for
+// analysis.
 //
-// A Recorder wraps any station's Receive path (or is attached standalone as
-// a monitor station) and stores compact per-frame records with virtual
-// timestamps. Filters select subsets; Summary aggregates per-subtype
-// counts.
+// A Monitor is attached to the medium as a promiscuous station and stores
+// one typed record per frame with its virtual timestamp; WritePcap exports
+// the capture for Wireshark and Analyze distils it into §III's
+// measurements.
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -20,20 +17,17 @@ import (
 	"cityhunter/internal/sim"
 )
 
-// Entry is one recorded frame.
+// Entry is one recorded frame: its virtual capture time and the five
+// fields a pcap record is rebuilt from.
 type Entry struct {
-	// At is the virtual capture time in nanoseconds.
-	At time.Duration `json:"at"`
-	// Subtype is the human-readable frame subtype.
-	Subtype string `json:"subtype"`
-	// SA, DA and BSSID are the addresses in canonical form.
-	SA    string `json:"sa"`
-	DA    string `json:"da"`
-	BSSID string `json:"bssid"`
+	// At is the virtual capture time.
+	At      time.Duration
+	Subtype ieee80211.FrameSubtype
+	SA      ieee80211.MAC
+	DA      ieee80211.MAC
+	BSSID   ieee80211.MAC
 	// SSID is the carried network name, if any.
-	SSID string `json:"ssid,omitempty"`
-	// Len is the marshalled frame length in bytes.
-	Len int `json:"len"`
+	SSID string
 }
 
 // Monitor is a promiscuous station that records every frame it hears. It
@@ -53,7 +47,7 @@ type Monitor struct {
 	OnFirstDrop func()
 	// DropCounter, when set, counts every dropped frame into the metrics
 	// registry, so a live /metrics scrape sees the capture truncating as
-	// it happens instead of only in the post-run Result.
+	// it happens.
 	DropCounter *obs.Counter
 }
 
@@ -83,12 +77,11 @@ func (m *Monitor) Receive(f *ieee80211.Frame) {
 	}
 	m.entries = append(m.entries, Entry{
 		At:      m.clock.Now(),
-		Subtype: f.Subtype.String(),
-		SA:      f.SA.String(),
-		DA:      f.DA.String(),
-		BSSID:   f.BSSID.String(),
+		Subtype: f.Subtype,
+		SA:      f.SA,
+		DA:      f.DA,
+		BSSID:   f.BSSID,
 		SSID:    f.SSID,
-		Len:     f.WireLen(),
 	})
 }
 
@@ -100,51 +93,4 @@ func (m *Monitor) Entries() []Entry {
 	out := make([]Entry, len(m.entries))
 	copy(out, m.entries)
 	return out
-}
-
-// Filter returns the entries matching pred, preserving order.
-func (m *Monitor) Filter(pred func(Entry) bool) []Entry {
-	var out []Entry
-	for _, e := range m.entries {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Summary counts captured frames per subtype.
-func (m *Monitor) Summary() map[string]int {
-	out := make(map[string]int)
-	for _, e := range m.entries {
-		out[e.Subtype]++
-	}
-	return out
-}
-
-// WriteJSON streams the capture as JSON lines (one entry per line), the
-// standard interchange form for offline analysis.
-func (m *Monitor) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for i := range m.entries {
-		if err := enc.Encode(&m.entries[i]); err != nil {
-			return fmt.Errorf("trace: encode entry %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadJSON loads a capture previously written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Entry, error) {
-	dec := json.NewDecoder(r)
-	var out []Entry
-	for {
-		var e Entry
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode entry %d: %w", len(out), err)
-		}
-		out = append(out, e)
-	}
 }
