@@ -12,8 +12,8 @@ type CellKey struct{ X, Y int32 }
 // covering a radius at delivery time.
 //
 // Items are referenced by caller-supplied int32 ids; the grid stores no
-// payloads. Neighborhood visits enumerate cells in deterministic row-major
-// order, so two identical grids always yield the same id sequence.
+// payloads. Neighborhood queries return ids in unspecified order; callers
+// sort them.
 type HashGrid struct {
 	cellSize float64
 	cells    map[CellKey][]int32
@@ -93,25 +93,43 @@ func (g *HashGrid) Len() int {
 	return n
 }
 
+// oneRing is the number of cells in a query box of radius at most the cell
+// size: p's cell and the ring around it.
+const oneRing = 9
+
 // AppendNeighborhood appends to dst the ids of every item whose cell
 // intersects the axis-aligned square of half-width radius around p, and
 // returns the extended slice. The result is a superset of the items within
 // radius of p — callers re-check exact geometry — and is produced without
-// allocating when dst has capacity. Cells are visited in row-major order;
-// ids within a cell come back in bucket order, so callers that need a
-// global order must impose their own (ids are ints — sort them).
+// allocating when dst has capacity. The ids come back in unspecified
+// order, so callers that need a global order must impose their own (ids
+// are ints — sort them).
 //
 // The scan spans ceil(radius/cellSize) rings of cells on each side of p's
-// cell, so radii larger than the cell size are handled exactly: the medium
-// queries at its radio range (one ring, by construction of its cell size),
-// while the level-of-detail promotion scheduler queries at promotion radii
-// many times the cell size and still sees every candidate.
+// cell, so radii larger than the cell size are handled exactly. A box
+// wider than one ring costs min(box cells, occupied cells): when it covers
+// more cells than the grid holds, the occupied cells are scanned instead
+// and kept when inside the box. That is the level-of-detail promotion
+// scheduler's query, at radii many times the cell size around a handful
+// of sites. A box of one ring or less — the medium's query at its radio
+// range, one ring by construction of its cell size — is always scanned
+// cell by cell: at most nine lookups, in row-major order, which the
+// medium's sort orders faster than the map's order.
 func (g *HashGrid) AppendNeighborhood(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst
 	}
 	lo := g.Key(Point{X: p.X - radius, Y: p.Y - radius})
 	hi := g.Key(Point{X: p.X + radius, Y: p.Y + radius})
+	box := (int64(hi.X) - int64(lo.X) + 1) * (int64(hi.Y) - int64(lo.Y) + 1)
+	if box > oneRing && box > int64(len(g.cells)) {
+		for k, ids := range g.cells {
+			if k.X >= lo.X && k.X <= hi.X && k.Y >= lo.Y && k.Y <= hi.Y {
+				dst = append(dst, ids...)
+			}
+		}
+		return dst
+	}
 	for cy := lo.Y; cy <= hi.Y; cy++ {
 		for cx := lo.X; cx <= hi.X; cx++ {
 			dst = append(dst, g.cells[CellKey{X: cx, Y: cy}]...)

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -104,10 +105,13 @@ func TestHashGridNeighborhoodDeterministicAndZeroAlloc(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g.Insert(int32(i), Pt(float64(i%20)*7, float64(i/20)*7))
 	}
+	// Order is unspecified; the id set is not.
 	a := g.AppendNeighborhood(nil, Pt(50, 30), 25)
 	b := g.AppendNeighborhood(nil, Pt(50, 30), 25)
+	slices.Sort(a)
+	slices.Sort(b)
 	if !slices.Equal(a, b) {
-		t.Fatalf("neighborhood order not deterministic: %v vs %v", a, b)
+		t.Fatalf("neighborhood not deterministic: %v vs %v", a, b)
 	}
 
 	buf := make([]int32, 0, 256)
@@ -154,5 +158,116 @@ func TestHashGridNeighborhoodRadiusLargerThanCell(t *testing.T) {
 					radius, i, p, len(got))
 			}
 		}
+	}
+}
+
+// bruteNeighborhood is AppendNeighborhood's definition: every id whose
+// cell lies in the box of cells covering [p-radius, p+radius], sorted.
+func bruteNeighborhood(g *HashGrid, ids []int32, pts []Point, p Point, radius float64) []int32 {
+	if radius < 0 {
+		return nil
+	}
+	lo := g.Key(Point{X: p.X - radius, Y: p.Y - radius})
+	hi := g.Key(Point{X: p.X + radius, Y: p.Y + radius})
+	var out []int32
+	for i, id := range ids {
+		k := g.Key(pts[i])
+		if k.X >= lo.X && k.X <= hi.X && k.Y >= lo.Y && k.Y <= hi.Y {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestHashGridNeighborhoodMatchesBruteForce checks AppendNeighborhood,
+// once sorted, against the cell-box filter over random grids, at radii
+// that take the box scan (radius 0, below the cell size, one cell, and a
+// few cells over a crowded grid) and the occupied-cell scan (many cells
+// wide, wider than the whole grid), with points and queries on both sides
+// of the origin, and after removals and moves.
+func TestHashGridNeighborhoodMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	coord := func(span float64) float64 { return (rng.Float64()*2 - 1) * span }
+	for trial := 0; trial < 200; trial++ {
+		cell := 1 + rng.Float64()*50
+		g, err := NewHashGrid(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := cell * float64(1+rng.Intn(40))
+		n := rng.Intn(60) // includes the empty grid
+		ids := make([]int32, n)
+		pts := make([]Point, n)
+		keys := make([]CellKey, n)
+		for i := range ids {
+			ids[i] = int32(i)
+			pts[i] = Pt(coord(span), coord(span))
+			keys[i] = g.Insert(ids[i], pts[i])
+		}
+		// Churn a few items so emptied cells are deleted and others move.
+		for i := 0; i < n/4; i++ {
+			j := rng.Intn(n)
+			pts[j] = Pt(coord(span), coord(span))
+			keys[j] = g.Move(ids[j], keys[j], pts[j])
+		}
+		if n > 0 {
+			last := n - 1
+			g.Remove(ids[last], keys[last])
+			ids, pts = ids[:last], pts[:last]
+		}
+		for _, radius := range []float64{0, cell / 3, cell, cell * 1.6, cell * 7.5, span * 3} {
+			for q := 0; q < 5; q++ {
+				p := Pt(coord(span*1.5), coord(span*1.5))
+				got := g.AppendNeighborhood(nil, p, radius)
+				slices.Sort(got)
+				want := bruteNeighborhood(g, ids, pts, p, radius)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d cell %.2f radius %.2f at %v: got %v, want %v",
+						trial, cell, radius, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHashGridWideQueryAllocs pins the occupied-cell scan a promotion
+// window runs — a box of about a million cells over a few occupied ones —
+// at zero allocations into a warmed dst.
+func TestHashGridWideQueryAllocs(t *testing.T) {
+	g := wideQueryGrid(t)
+	buf := g.AppendNeighborhood(nil, Pt(0, 0), 50000)
+	if len(buf) != 3 {
+		t.Fatalf("wide query found %d sites, want 3", len(buf))
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		buf = g.AppendNeighborhood(buf[:0], Pt(0, 0), 50000)
+	})
+	if avg != 0 {
+		t.Errorf("wide AppendNeighborhood allocates %.2f/op, want 0", avg)
+	}
+}
+
+// wideQueryGrid is three sites in a grid of 100 m cells, the shape of the
+// far-field promotion grid.
+func wideQueryGrid(tb testing.TB) *HashGrid {
+	tb.Helper()
+	g, err := NewHashGrid(100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.Insert(0, Pt(-250, 40))
+	g.Insert(1, Pt(300, 900))
+	g.Insert(2, Pt(1200, -700))
+	return g
+}
+
+func BenchmarkHashGridWideQuery(b *testing.B) {
+	g := wideQueryGrid(b)
+	buf := g.AppendNeighborhood(nil, Pt(0, 0), 50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = g.AppendNeighborhood(buf[:0], Pt(float64(i%100), 0), 50000)
 	}
 }

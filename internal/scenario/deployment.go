@@ -335,7 +335,8 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 
 	// Level-of-detail layer: the far-field tier spawns after the venue
 	// populations and draws only from its own spawn-derived streams, so
-	// every venue draw keeps its order.
+	// every venue draw keeps its order. It builds routes and windows on as
+	// many workers as the coordinator has partitions.
 	var tiers *tierManager
 	if ff != nil {
 		siteEnvs := make([]*runEnv, len(dcfg.Sites))
@@ -346,7 +347,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 		if err != nil {
 			return nil, nil, err
 		}
-		tiers.spawn(duration)
+		tiers.spawn(duration, coord.Parts())
 	}
 
 	_, runErr := coord.RunContext(ctx, duration)

@@ -3,7 +3,9 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"cityhunter/internal/client"
@@ -36,7 +38,9 @@ type FarFieldConfig struct {
 	// by attractiveness (citygen venues map onto these 1:1). Empty derives
 	// one district per site: centre at the site, extent 4× its radio
 	// range — the district being much larger than Radius is what keeps
-	// most of its visitors in the cheap tier.
+	// most of its visitors in the cheap tier. Spawn samples routes on
+	// several goroutines at once, so a stop's Dwell model must be safe for
+	// concurrent use (mobility's dwell models are plain values).
 	Stops []mobility.RouteStop
 	// Route is the itinerary model; the zero value selects
 	// mobility.DefaultRoute.
@@ -294,44 +298,82 @@ func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierMan
 
 // spawn creates the far-field population for one run of the given horizon
 // (engine time runs 0..horizon regardless of slot; the slot only selects
-// profiles). All scheduling happens here, before the engine runs, in
-// pedestrian-ID order: arrivals, itineraries and promotion windows are
-// fully determined by the spawn seed alone, and each window lands on the
-// engine of its owning site's group. The run RNG is never touched.
-func (tm *tierManager) spawn(horizon time.Duration) {
-	cfg := tm.envs[0].cfg
-	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
-	// One generator, re-seeded per pedestrian, takes every spawn draw.
-	src := &countingSource{Source64: rand.NewSource(0).(rand.Source64)}
-	rng := rand.New(src)
-	for id := 0; id < tm.cfg.Pedestrians; id++ {
-		seed := spawn.Int63()
-		src.Seed(seed)
-		src.n = 0
-		p := &pedestrian{id: id, mac: farFieldMAC(id), seed: seed}
-		p.direct = rng.Float64() < cfg.DirectProberFraction
-		arrival := time.Duration(rng.Int63n(int64(horizon)))
-		entry := geo.Pt(
-			tm.cfg.Entry.Min.X+rng.Float64()*tm.cfg.Entry.Width(),
-			tm.cfg.Entry.Min.Y+rng.Float64()*tm.cfg.Entry.Height(),
-		)
-		p.route = tm.cfg.Route.Sample(rng, arrival, entry, tm.cfg.Stops)
-		p.spawnDraws = src.n
-		tm.peds = append(tm.peds, p)
-		for _, w := range promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, p.route) {
-			w := w
+// profiles) and schedules its promotion windows, each on the engine of its
+// owning site's group, before the engine runs. sample builds the
+// population on up to workers goroutines; scheduling then happens here, on
+// the calling goroutine, in pedestrian-ID order, so every event gets the
+// sequence number a serial spawn would give it. The run RNG is never
+// touched.
+func (tm *tierManager) spawn(horizon time.Duration, workers int) {
+	for id, windows := range tm.sample(horizon, workers) {
+		p := tm.peds[id]
+		for _, w := range windows {
 			tm.envs[w.site].engine.At(w.start, func() { tm.promote(p, w) })
 			tm.envs[w.site].engine.At(w.end, func() { tm.demote(p, w.site) })
 		}
 	}
 }
 
+// sample fills tm.peds and returns each pedestrian's promotion windows,
+// indexed by pedestrian ID. Seeds are dealt serially from the one spawn
+// stream; everything else a pedestrian's spawn draws — its direct-prober
+// flag, arrival, entry point and route — comes from its own seed, so the
+// windows are built on up to workers goroutines, each over a contiguous
+// block of IDs with its own generator, sharing the grid and site positions
+// read-only. The result is the same for every worker count.
+func (tm *tierManager) sample(horizon time.Duration, workers int) [][]promoWindow {
+	direct := tm.envs[0].cfg.DirectProberFraction
+	spawn := rand.New(rand.NewSource(tm.cfg.Seed))
+	n := tm.cfg.Pedestrians
+	tm.peds = make([]*pedestrian, n)
+	for id := range tm.peds {
+		tm.peds[id] = &pedestrian{id: id, mac: farFieldMAC(id), seed: spawn.Int63()}
+	}
+	windows := make([][]promoWindow, n)
+	build := func(lo, hi int) {
+		// One generator, re-seeded per pedestrian, takes every spawn draw.
+		src := &countingSource{Source64: rand.NewSource(0).(rand.Source64)}
+		rng := rand.New(src)
+		for id := lo; id < hi; id++ {
+			p := tm.peds[id]
+			src.Seed(p.seed)
+			src.n = 0
+			p.direct = rng.Float64() < direct
+			arrival := time.Duration(rng.Int63n(int64(horizon)))
+			entry := geo.Pt(
+				tm.cfg.Entry.Min.X+rng.Float64()*tm.cfg.Entry.Width(),
+				tm.cfg.Entry.Min.Y+rng.Float64()*tm.cfg.Entry.Height(),
+			)
+			p.route = tm.cfg.Route.Sample(rng, arrival, entry, tm.cfg.Stops)
+			p.spawnDraws = src.n
+			windows[id] = promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, p.route)
+		}
+	}
+	workers = max(1, min(workers, n))
+	if workers == 1 {
+		build(0, n)
+		return windows
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			build(lo, hi)
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	wg.Wait()
+	return windows
+}
+
 // promoWindows computes a route's stays inside promotion boundaries,
 // merged and in time order: per transit leg an analytic segment–disk
 // intersection against every candidate site from the grid, per dwell leg a
 // point-in-disk test. The grid query radius — half the leg length plus the
-// promotion radius — routinely exceeds the grid's cell size, which is why
-// AppendNeighborhood scans as many rings as the radius needs.
+// promotion radius — routinely spans thousands of cells, but the grid holds
+// only the sites, so AppendNeighborhood scans those few occupied cells
+// instead of the box. promoWindows only reads the grid and sitePos, so the
+// spawn workers call it concurrently.
 func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
 	var raw []promoWindow
 	var cand []int32
@@ -340,7 +382,7 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 		case mobility.LegTransit:
 			mid := leg.From.Add(leg.To.Sub(leg.From).Scale(0.5))
 			cand = grid.AppendNeighborhood(cand[:0], mid, leg.From.Dist(leg.To)/2+r)
-			sortSiteIDs(cand)
+			slices.Sort(cand) // the grid returns ids in no set order
 			for _, si := range cand {
 				t0, t1, ok := geo.SegmentDiskCrossings(leg.From, leg.To, sitePos[si], r)
 				if !ok {
@@ -355,7 +397,7 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 			}
 		case mobility.LegDwell:
 			cand = grid.AppendNeighborhood(cand[:0], leg.To, r)
-			sortSiteIDs(cand)
+			slices.Sort(cand) // the grid returns ids in no set order
 			for _, si := range cand {
 				if leg.To.Dist(sitePos[si]) <= r {
 					raw = append(raw, promoWindow{start: leg.Start, end: leg.End, site: int(si)})
@@ -388,12 +430,6 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 		}
 	}
 	return out
-}
-
-// sortSiteIDs orders grid candidates so window construction is independent
-// of grid bucket order.
-func sortSiteIDs(ids []int32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // promote raises a pedestrian to full client fidelity in the group of the

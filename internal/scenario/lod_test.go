@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -275,6 +276,95 @@ func TestCountingSourceReplay(t *testing.T) {
 			if a, b := orig.Int63(), rebuilt.Int63(); a != b {
 				t.Fatalf("seed %d: draw %d after %d skipped: %d != %d", seed, i, src.n, a, b)
 			}
+		}
+	}
+}
+
+// TestFarFieldSpawnWorkers pins the parallel far-field spawn to the serial
+// one: on the city-scale trio, sampling the population on 1, 2, 3 and 8
+// workers deals every pedestrian the same seed, spawn draws, direct-prober
+// flag, route and promotion windows, and whole runs at those partition
+// counts (8 is clamped to the group count) report the same far field.
+func TestFarFieldSpawnWorkers(t *testing.T) {
+	const pedestrians = 2400
+	const horizon = 12 * time.Minute
+	d := partitionedTrio(t, 31)
+	d.FarField = trioFarField(d, pedestrians)
+
+	sample := func(workers int) (*tierManager, [][]promoWindow) {
+		cfg, err := d.Base.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		radioRange := 0.0
+		envs := make([]*runEnv, len(d.Sites))
+		sites := make([]*site, len(d.Sites))
+		for i, v := range d.Sites {
+			radioRange = max(radioRange, v.RadioRange)
+			envs[i] = &runEnv{cfg: cfg}
+			sites[i] = &site{venue: v}
+		}
+		ff, err := d.FarField.normalized(d.Sites, radioRange, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := newTierManager(envs, ff, sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm, tm.sample(horizon, workers)
+	}
+	ref, refWindows := sample(1)
+	if len(ref.peds) != pedestrians {
+		t.Fatalf("sampled %d pedestrians, want %d", len(ref.peds), pedestrians)
+	}
+	crossers := 0
+	for _, ws := range refWindows {
+		if len(ws) > 1 {
+			crossers++
+		}
+	}
+	if crossers == 0 {
+		t.Fatal("no pedestrian crosses two boundaries; the test exercises nothing")
+	}
+	for _, workers := range []int{2, 3, 8} {
+		tm, windows := sample(workers)
+		for id, want := range ref.peds {
+			got := tm.peds[id]
+			if got.id != want.id || got.mac != want.mac || got.seed != want.seed ||
+				got.spawnDraws != want.spawnDraws || got.direct != want.direct {
+				t.Fatalf("workers=%d pedestrian %d: got %+v, want %+v", workers, id, *got, *want)
+			}
+			if !reflect.DeepEqual(got.route, want.route) {
+				t.Fatalf("workers=%d pedestrian %d: routes diverge", workers, id)
+			}
+			if !reflect.DeepEqual(windows[id], refWindows[id]) {
+				t.Fatalf("workers=%d pedestrian %d: windows %+v, want %+v",
+					workers, id, windows[id], refWindows[id])
+			}
+		}
+	}
+
+	var refRes *FarFieldResult
+	for _, partitions := range []int{1, 2, 3, 8} {
+		d.Partitions = partitions
+		res, coord, err := runDeployment(context.Background(), d, 0, horizon)
+		if err != nil {
+			t.Fatalf("partitions=%d: %v", partitions, err)
+		}
+		if want := min(partitions, 3); coord.Parts() != want {
+			t.Errorf("partitions=%d ran %d partitions, want %d", partitions, coord.Parts(), want)
+		}
+		if refRes == nil {
+			refRes = res.FarField
+			if refRes.Promotions == 0 {
+				t.Fatal("reference run never promoted anyone")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res.FarField, refRes) {
+			t.Errorf("partitions=%d: far-field result diverges: %+v vs %+v",
+				partitions, *res.FarField, *refRes)
 		}
 	}
 }
