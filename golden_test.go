@@ -1,11 +1,13 @@
 // Golden-equivalence tests: the seed-1 outputs captured before the
 // scenario.Runner decomposition (testdata/golden/*) must stay byte-identical
-// through any refactor of the run path. Three surfaces are pinned, each at
+// through any refactor of the run path. Four surfaces are pinned, each at
 // worker counts 1 and 8 where a pool is involved:
 //
 //   - the reduced-scale experiments grid (Figures 5+6 rendering),
 //   - campaign mode (per-spec rows plus the aggregate line, as the CLI
 //     prints them),
+//   - a city-scale trio with a far field, at one partition and at one per
+//     site group,
 //   - the sha256 of a single-run pcap capture.
 //
 // Regenerate with `go test -run TestGolden -update` ONLY when an
@@ -124,6 +126,53 @@ func TestGoldenCampaign(t *testing.T) {
 		}
 		b.WriteString(res.Aggregate.String() + "\n")
 		checkGolden(t, "campaign_seed1.txt", b.String())
+	}
+}
+
+// TestGoldenFarField pins the level-of-detail tier on a small city-scale
+// trio: the far-field accounting, every promoted pedestrian's outcome and
+// each site's tally and link report, at one partition and at one per site
+// group — both must match the same golden file. Every promoted phone's PNL,
+// behaviour flags and scan jitter come from its private RNG stream, so any
+// change to how those streams are seeded or replayed shows up here.
+func TestGoldenFarField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("far-field golden is not -short friendly")
+	}
+	world := apiWorld(t)
+	stops := world.City.RouteStops()
+	sites := []cityhunter.Venue{cityhunter.StationVenue(), cityhunter.CanteenVenue(), cityhunter.MallVenue()}
+	for _, partitions := range []int{1, cityhunter.AutoPartitions} {
+		res, err := world.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter,
+			cityhunter.LunchSlot, 20*time.Minute,
+			cityhunter.WithRoaming(0.3),
+			cityhunter.WithPopulationScale(6000),
+			cityhunter.WithLODRadius(100),
+			cityhunter.WithCityRoutes(stops),
+			cityhunter.WithPartitions(partitions),
+			cityhunter.WithRunOptions(cityhunter.WithRunSeed(1), cityhunter.WithArrivalScale(0.3)))
+		if err != nil {
+			t.Fatalf("deployment (partitions=%d): %v", partitions, err)
+		}
+		ff := res.FarField
+		if ff == nil {
+			t.Fatalf("partitions=%d: no far-field result", partitions)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "far field: %d pedestrians, %d promoted, %d promotions, %d demotions, peak %d\n",
+			ff.Pedestrians, ff.Promoted, ff.Promotions, ff.Demotions, ff.PeakPromoted)
+		fmt.Fprintf(&b, "far-field tally: %v\n", ff.Tally)
+		for _, s := range ff.Sites {
+			fmt.Fprintf(&b, "far-field site %s: %d promotions, %d hits\n", s.Name, s.Promotions, s.Hits)
+		}
+		for _, o := range ff.Outcomes {
+			fmt.Fprintf(&b, "pedestrian %+v\n", o)
+		}
+		for _, s := range res.Sites {
+			fmt.Fprintf(&b, "site %s: %v\n", s.Venue, s.Tally)
+			fmt.Fprintf(&b, "site %s links: %+v\n", s.Venue, s.Links)
+		}
+		checkGolden(t, "farfield.txt", b.String())
 	}
 }
 
