@@ -178,7 +178,11 @@ type pedestrian struct {
 	// rng is the private stream, built at the first promotion from seed
 	// by skipping the spawnDraws values spawn took, so that pedestrians
 	// that never promote (most of a city) hold no generator state, about
-	// 5 KB each, for the whole run.
+	// 5 KB each, for the whole run. Spawn and promotion both draw through a
+	// lazySource: the same stream as rand.NewSource(seed), bit for bit, but
+	// computing only the state words the draws read, so seeding costs
+	// about as much as the twenty-odd draws spawn takes instead of a full
+	// 607-word math/rand seed.
 	rng        *rand.Rand
 	seed       int64
 	spawnDraws int
@@ -190,24 +194,6 @@ type pedestrian struct {
 	firstPromo time.Duration
 	lastDemote time.Duration
 	promotions int
-}
-
-// countingSource counts the values drawn from its generator, so a stream
-// can be rebuilt later from its seed by skipping that many. Every draw
-// advances the generator one step, whether it is an Int63 or a Uint64.
-type countingSource struct {
-	rand.Source64
-	n int
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.Source64.Int63()
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.n++
-	return s.Source64.Uint64()
 }
 
 // farFieldMAC derives pedestrian ID MACs from a locally administered space
@@ -331,13 +317,12 @@ func (tm *tierManager) sample(horizon time.Duration, workers int) [][]promoWindo
 	}
 	windows := make([][]promoWindow, n)
 	build := func(lo, hi int) {
-		// One generator, re-seeded per pedestrian, takes every spawn draw.
-		src := &countingSource{Source64: rand.NewSource(0).(rand.Source64)}
+		// One source, re-seeded per pedestrian, takes every spawn draw.
+		src := new(lazySource)
 		rng := rand.New(src)
 		for id := lo; id < hi; id++ {
 			p := tm.peds[id]
 			src.Seed(p.seed)
-			src.n = 0
 			p.direct = rng.Float64() < direct
 			arrival := time.Duration(rng.Int63n(int64(horizon)))
 			entry := geo.Pt(
@@ -448,11 +433,7 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 	var c *client.Client
 	var err error
 	if p.rng == nil {
-		src := rand.NewSource(p.seed).(rand.Source64)
-		for i := 0; i < p.spawnDraws; i++ {
-			src.Uint64()
-		}
-		p.rng = rand.New(src)
+		p.rng = rand.New(replaySource(p.seed, p.spawnDraws))
 	}
 	if p.snap == nil {
 		cfg := env.cfg

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -249,34 +248,6 @@ func TestFarFieldChurn(t *testing.T) {
 	if ff.Promotions-ff.Demotions > ff.Promoted {
 		t.Errorf("%d pedestrians stuck promoted, only %d exist",
 			ff.Promotions-ff.Demotions, ff.Promoted)
-	}
-}
-
-// TestCountingSourceReplay pins the far-field stream rebuild: skipping the
-// counted draws on a fresh generator from the same seed continues exactly
-// where the counted stream stopped, whichever Rand methods took the draws.
-func TestCountingSourceReplay(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		src := &countingSource{Source64: rand.NewSource(0).(rand.Source64)}
-		src.Seed(seed)
-		orig := rand.New(src)
-		orig.Float64()
-		orig.Int63n(int64(seed) * 1e9)
-		orig.Intn(7)
-		orig.Uint64()
-		orig.Perm(int(seed))
-		orig.NormFloat64()
-
-		fresh := rand.NewSource(seed).(rand.Source64)
-		for i := 0; i < src.n; i++ {
-			fresh.Uint64()
-		}
-		rebuilt := rand.New(fresh)
-		for i := 0; i < 50; i++ {
-			if a, b := orig.Int63(), rebuilt.Int63(); a != b {
-				t.Fatalf("seed %d: draw %d after %d skipped: %d != %d", seed, i, src.n, a, b)
-			}
-		}
 	}
 }
 

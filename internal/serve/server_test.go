@@ -558,10 +558,14 @@ func TestServerPartitionsCacheHit(t *testing.T) {
 	}
 }
 
-// TestServerStartClose: Close racing the serving goroutine Start spawned
-// must neither panic nor race (run under -race).
-func TestServerStartClose(t *testing.T) {
-	for i := 0; i < 50; i++ {
+// TestCloseJustStarted closes a server right after Start, before any
+// request and possibly before the serving goroutine Start spawned has
+// entered Serve, 100 times (CI runs it under -race): Close must neither
+// panic nor race, must leave no address behind, must be idempotent, and
+// every serving goroutine must exit.
+func TestCloseJustStarted(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
 		srv, err := serve.New(serve.Config{
 			StoreDir:   t.TempDir(),
 			BaseConfig: func(int64) (cityhunter.RunConfig, error) { return cityhunter.RunConfig{}, nil },
@@ -573,8 +577,21 @@ func TestServerStartClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := srv.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+			t.Fatalf("Close %d: %v", i, err)
 		}
+		if addr := srv.Addr(); addr != "" {
+			t.Fatalf("Close %d left address %q", i, addr)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("second Close %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: before %d, after 100 Start/Close %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
