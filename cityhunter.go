@@ -108,7 +108,6 @@ type (
 	Tally     = stats.Tally
 	Breakdown = stats.Breakdown
 	Outcome   = stats.ClientOutcome
-	Histogram = stats.Histogram
 
 	// Countermeasures and capture.
 	Sentinel     = detect.Sentinel

@@ -35,11 +35,10 @@ type Config struct {
 
 // AP is a beaconing legitimate access point.
 type AP struct {
-	cfg     Config
-	engine  *sim.Engine
-	medium  *sim.Medium
-	seq     uint16
-	stopped bool
+	cfg    Config
+	engine *sim.Engine
+	medium *sim.Medium
+	seq    uint16
 
 	// BeaconsSent counts transmitted beacons.
 	BeaconsSent int
@@ -78,14 +77,8 @@ func (a *AP) Start() error {
 	return nil
 }
 
-// Stop ends the beacon loop.
-func (a *AP) Stop() { a.stopped = true }
-
 func (a *AP) scheduleBeacon() {
 	a.engine.Schedule(a.cfg.BeaconInterval, func() {
-		if a.stopped {
-			return
-		}
 		a.seq = (a.seq + 1) & 0x0fff
 		a.medium.Transmit(&ieee80211.Frame{
 			Subtype:          ieee80211.SubtypeBeacon,

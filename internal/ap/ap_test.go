@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func TestBeaconing(t *testing.T) {
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 	// Standard interval ≈102.4 ms ⇒ ~9-10 beacons per second.
 	if sn.beacons < 8 || sn.beacons > 11 {
 		t.Errorf("beacons = %d, want ≈9-10/s", sn.beacons)
@@ -85,29 +86,9 @@ func TestCustomInterval(t *testing.T) {
 	}
 	// Beacons go out at 250/500/750/1000 ms; run a hair past the last
 	// one so its airtime completes and it is delivered.
-	engine.Run(1100 * time.Millisecond)
+	engine.RunContext(context.Background(), 1100*time.Millisecond)
 	if sn.beacons != 4 {
 		t.Errorf("beacons = %d, want 4 at 250ms", sn.beacons)
-	}
-}
-
-func TestStopEndsBeaconing(t *testing.T) {
-	engine, medium, sn := fixture(t)
-	a, err := New(engine, medium, Config{
-		MAC: ieee80211.MAC{0x0a, 1, 1, 1, 1, 1}, SSID: "X",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	engine.Run(500 * time.Millisecond)
-	a.Stop()
-	got := sn.beacons
-	engine.Run(engine.Now() + time.Second)
-	if sn.beacons != got {
-		t.Errorf("beacons kept flowing after Stop: %d -> %d", got, sn.beacons)
 	}
 }
 
@@ -129,7 +110,7 @@ func TestAPIgnoresTraffic(t *testing.T) {
 		SA:      ieee80211.MAC{0x02, 0, 0, 0, 0, 9},
 	})
 	sent := medium.FramesSent
-	engine.Run(50 * time.Millisecond)
+	engine.RunContext(context.Background(), 50*time.Millisecond)
 	// Only beacons may have been added after the probe.
 	extra := medium.FramesSent - sent
 	if extra > 1 { // at most the next beacon

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -55,7 +56,7 @@ func TestBroadcastReplyPathAllocBudget(t *testing.T) {
 	}
 	drain := func() {
 		m.Transmit(probe)
-		e.Run(e.Now() + time.Minute)
+		e.RunContext(context.Background(), e.Now()+time.Minute)
 	}
 	drain() // warm pools, arena, and the attacker's client table
 

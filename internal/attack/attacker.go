@@ -143,7 +143,6 @@ type Attacker struct {
 	// the deauth extension.
 	knownAPs   []ieee80211.MAC
 	knownAPSet map[ieee80211.MAC]bool
-	stopped    bool
 
 	// Counters.
 	directProbesHeard    int
@@ -220,9 +219,6 @@ func (a *Attacker) Pos() geo.Point { return a.cfg.Pos }
 // configured channel (0 = channel-agnostic, useful in unit tests).
 func (a *Attacker) CurrentChannel() uint8 { return a.cfg.Channel }
 
-// Strategy returns the plugged-in strategy.
-func (a *Attacker) Strategy() Strategy { return a.strategy }
-
 // Start attaches the attacker to the medium and arms the deauth loop when
 // enabled.
 func (a *Attacker) Start() error {
@@ -242,9 +238,6 @@ func (a *Attacker) Start() error {
 // next one, cycling the list.
 func (a *Attacker) scheduleBeacon(idx int) {
 	a.engine.Schedule(a.cfg.BeaconEvery, func() {
-		if a.stopped {
-			return
-		}
 		a.beaconsSent++
 		a.mBeaconsSent.Inc()
 		a.medium.Transmit(a.frame(ieee80211.Frame{
@@ -258,13 +251,6 @@ func (a *Attacker) scheduleBeacon(idx int) {
 		a.scheduleBeacon(idx + 1)
 	})
 }
-
-// Stop halts all periodic activity — the deauth sweep and the known-beacons
-// loop both check it before transmitting, so no beacon or deauthentication
-// frame goes on air after Stop returns. The station stays attached so late
-// handshakes still complete; deployment teardown relies on exactly this
-// split.
-func (a *Attacker) Stop() { a.stopped = true }
 
 // Receive implements sim.Station.
 func (a *Attacker) Receive(f *ieee80211.Frame) {
@@ -409,9 +395,6 @@ func (a *Attacker) onBeacon(f *ieee80211.Frame) {
 // then re-arms.
 func (a *Attacker) scheduleDeauthSweep() {
 	a.engine.Schedule(a.cfg.Deauth.Interval, func() {
-		if a.stopped {
-			return
-		}
 		for _, ap := range a.knownAPs {
 			a.deauthsSent++
 			a.mDeauths.Inc()
@@ -462,23 +445,6 @@ type Report struct {
 	DeauthsSent int
 	// BeaconsSent counts forged known beacons.
 	BeaconsSent int
-}
-
-// HitRate returns h: victims over clients heard.
-func (r Report) HitRate() float64 {
-	if r.TotalClients == 0 {
-		return 0
-	}
-	return float64(r.ConnectedDirect+r.ConnectedBroadcast) / float64(r.TotalClients)
-}
-
-// BroadcastHitRate returns h_b: broadcast-only victims over broadcast-only
-// clients.
-func (r Report) BroadcastHitRate() float64 {
-	if r.BroadcastClients == 0 {
-		return 0
-	}
-	return float64(r.ConnectedBroadcast) / float64(r.BroadcastClients)
 }
 
 // Report summarises the attacker's observations so far.

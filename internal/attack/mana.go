@@ -88,9 +88,6 @@ func (*Mana) RecordHit(time.Duration, linker.Observation, string) {}
 // Knows implements Knower.
 func (m *Mana) Knows(ssid string) bool { return m.seen[ssid] }
 
-// DBSize returns the number of stored SSIDs.
-func (m *Mana) DBSize() int { return len(m.order) }
-
 // SampleSize records the current database size at the given time; the
 // Figure 1a experiment calls this every sampling tick.
 func (m *Mana) SampleSize(now time.Duration) {

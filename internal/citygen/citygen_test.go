@@ -85,13 +85,14 @@ func TestGenerateChainCounts(t *testing.T) {
 
 func TestGenerateRecordsInsideBounds(t *testing.T) {
 	c := generateDefault(t, 3)
-	for i := 0; i < c.DB.Len(); i++ {
-		if !c.Bounds.Contains(c.DB.At(i).Pos) {
-			t.Fatalf("record %d at %v outside bounds", i, c.DB.At(i).Pos)
+	// A point lies inside the bounds exactly when clamping leaves it be.
+	for i, r := range c.DB.Records() {
+		if c.Bounds.Clamp(r.Pos) != r.Pos {
+			t.Fatalf("record %d at %v outside bounds", i, r.Pos)
 		}
 	}
 	for i, p := range c.Photos {
-		if !c.Bounds.Contains(p) {
+		if c.Bounds.Clamp(p) != p {
 			t.Fatalf("photo %d at %v outside bounds", i, p)
 		}
 	}

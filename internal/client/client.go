@@ -241,9 +241,6 @@ func (c *Client) TrueAddr() ieee80211.MAC { return c.cfg.MAC }
 // rotation. The scenario runner builds the linker ground truth from it.
 func (c *Client) UsedMACs() []ieee80211.MAC { return c.usedMACs }
 
-// Rotations returns how many MAC rotations the phone has performed.
-func (c *Client) Rotations() uint32 { return c.rotations }
-
 // Pos implements sim.Station.
 func (c *Client) Pos() geo.Point { return c.pos }
 
@@ -269,16 +266,10 @@ func (c *Client) channels() []uint8 {
 // State returns the current connection state.
 func (c *Client) State() State { return c.state }
 
-// DirectProber reports whether this phone discloses PNL entries.
-func (c *Client) DirectProber() bool { return c.cfg.DirectProber }
-
 // TraceTID returns the client's span-trace track id, 0 when untraced. The
 // scenario runner uses it to put lifecycle spans on the same track as the
 // client's own scan spans.
 func (c *Client) TraceTID() int { return c.tid }
-
-// PNL returns the phone's preferred network list.
-func (c *Client) PNL() pnl.List { return c.cfg.PNL }
 
 // Start attaches the phone to the medium and schedules its first scan.
 func (c *Client) Start() error {

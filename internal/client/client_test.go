@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -119,6 +120,16 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{engine: e, medium: m, resp: r, rng: rand.New(rand.NewSource(1))}
 }
 
+// attached reports whether m holds c's current MAC: the medium refuses to
+// attach a MAC it holds, and a free one is detached again at once.
+func attached(m *sim.Medium, c *Client) bool {
+	if err := m.Attach(c); err != nil {
+		return true
+	}
+	m.Detach(c.Addr())
+	return false
+}
+
 func (fx *fixture) newClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
 	if cfg.MAC == (ieee80211.MAC{}) {
@@ -156,7 +167,7 @@ func TestStartTwiceFails(t *testing.T) {
 func TestBroadcastOnlyClientProbes(t *testing.T) {
 	fx := newFixture(t)
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Home"}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if c.Stats.BroadcastProbes == 0 {
 		t.Error("no broadcast probes sent")
 	}
@@ -176,7 +187,7 @@ func TestDirectProberDisclosesVisibleEntries(t *testing.T) {
 		{SSID: "PCCW1x", Open: true, Hidden: true},
 	}
 	c := fx.newClient(t, Config{PNL: list, DirectProber: true})
-	fx.engine.Run(6 * time.Second)
+	fx.engine.RunContext(context.Background(), 6*time.Second)
 	if c.Stats.DirectProbes == 0 {
 		t.Fatal("no direct probes sent")
 	}
@@ -195,7 +206,7 @@ func TestClientConnectsViaBroadcastResponse(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"NotInPNL", "Cafe Free WiFi"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Cafe Free WiFi", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if !c.Stats.Connected {
 		t.Fatal("client did not connect")
 	}
@@ -217,12 +228,12 @@ func TestConnectedClientStopsProbing(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Net"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Net", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if !c.Stats.Connected {
 		t.Fatal("did not connect")
 	}
 	before := c.Stats.BroadcastProbes
-	fx.engine.Run(fx.engine.Now() + 2*time.Minute)
+	fx.engine.RunContext(context.Background(), fx.engine.Now()+2*time.Minute)
 	if c.Stats.BroadcastProbes != before {
 		t.Errorf("connected client kept probing: %d -> %d", before, c.Stats.BroadcastProbes)
 	}
@@ -232,7 +243,7 @@ func TestSecuredPNLEntryNotHijackable(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Home"} // twin advertises the SSID as open
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Home", Open: false}}})
-	fx.engine.Run(time.Minute)
+	fx.engine.RunContext(context.Background(), time.Minute)
 	if c.Stats.Connected {
 		t.Error("client auto-joined an open twin of its secured network")
 	}
@@ -243,7 +254,7 @@ func TestPrivacyResponseIgnored(t *testing.T) {
 	fx.resp.replySSIDs = []string{"Cafe"}
 	fx.resp.privacy = true
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Cafe", Open: true}}})
-	fx.engine.Run(time.Minute)
+	fx.engine.RunContext(context.Background(), time.Minute)
 	if c.Stats.Connected {
 		t.Error("client joined a privacy-capable twin without credentials")
 	}
@@ -256,7 +267,7 @@ func TestDirectedProbeMirrorHit(t *testing.T) {
 		PNL:          pnl.List{{SSID: "My Open Cafe", Open: true}, {SSID: "Home"}},
 		DirectProber: true,
 	})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if !c.Stats.Connected {
 		t.Fatal("KARMA-style mirror did not capture direct prober")
 	}
@@ -272,7 +283,7 @@ func TestResponseBudgetPerScan(t *testing.T) {
 		fx.resp.replySSIDs = append(fx.resp.replySSIDs, "junk-"+string(rune('a'+i%26))+string(rune('0'+i/26)))
 	}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "none"}}, ScanInterval: time.Hour})
-	fx.engine.Run(30 * time.Minute)
+	fx.engine.RunContext(context.Background(), 30*time.Minute)
 	if c.Stats.Scans != 1 {
 		t.Fatalf("scans = %d, want 1", c.Stats.Scans)
 	}
@@ -290,7 +301,7 @@ func TestHandshakeTimeoutRecovers(t *testing.T) {
 	fx.resp.replySSIDs = []string{"Net"}
 	fx.resp.refuseAuth = true
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Net", Open: true}}})
-	fx.engine.Run(2 * time.Minute)
+	fx.engine.RunContext(context.Background(), 2*time.Minute)
 	if c.Stats.Connected {
 		t.Fatal("connected despite refused auth")
 	}
@@ -307,7 +318,7 @@ func TestAssocRefusedRecovers(t *testing.T) {
 	fx.resp.replySSIDs = []string{"Net"}
 	fx.resp.refuseAssoc = true
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Net", Open: true}}})
-	fx.engine.Run(2 * time.Minute)
+	fx.engine.RunContext(context.Background(), 2*time.Minute)
 	if c.Stats.Connected {
 		t.Fatal("connected despite refused assoc")
 	}
@@ -320,7 +331,7 @@ func TestDeauthTriggersRescan(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Net"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Net", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if !c.Stats.Connected {
 		t.Fatal("did not connect")
 	}
@@ -330,7 +341,7 @@ func TestDeauthTriggersRescan(t *testing.T) {
 		DA:      c.Addr(), SA: fx.resp.addr, BSSID: fx.resp.addr,
 		Reason: ieee80211.ReasonDeauthLeaving,
 	})
-	fx.engine.Run(fx.engine.Now() + 30*time.Second)
+	fx.engine.RunContext(context.Background(), fx.engine.Now()+30*time.Second)
 	if c.Stats.Deauths != 1 {
 		t.Errorf("Deauths = %d, want 1", c.Stats.Deauths)
 	}
@@ -343,7 +354,7 @@ func TestDeauthFromStrangerIgnored(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Net"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Net", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if !c.Stats.Connected {
 		t.Fatal("did not connect")
 	}
@@ -352,7 +363,7 @@ func TestDeauthFromStrangerIgnored(t *testing.T) {
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      c.Addr(), SA: stranger, BSSID: stranger,
 	})
-	fx.engine.Run(fx.engine.Now() + 5*time.Second)
+	fx.engine.RunContext(context.Background(), fx.engine.Now()+5*time.Second)
 	if c.Stats.Deauths != 0 {
 		t.Error("deauth from stranger accepted")
 	}
@@ -369,7 +380,7 @@ func TestPreconnectedClientSilentUntilDeauth(t *testing.T) {
 		PNL:               pnl.List{{SSID: "Net", Open: true}},
 		PreconnectedBSSID: legit,
 	})
-	fx.engine.Run(2 * time.Minute)
+	fx.engine.RunContext(context.Background(), 2*time.Minute)
 	if c.Stats.BroadcastProbes != 0 {
 		t.Fatalf("preconnected client sent %d probes", c.Stats.BroadcastProbes)
 	}
@@ -380,7 +391,7 @@ func TestPreconnectedClientSilentUntilDeauth(t *testing.T) {
 		DA:      ieee80211.BroadcastMAC, SA: legit, BSSID: legit,
 		Reason: ieee80211.ReasonDeauthLeaving,
 	})
-	fx.engine.Run(fx.engine.Now() + 2*time.Minute)
+	fx.engine.RunContext(context.Background(), fx.engine.Now()+2*time.Minute)
 	if c.Stats.BroadcastProbes == 0 {
 		t.Error("no probing after spoofed deauth")
 	}
@@ -392,10 +403,10 @@ func TestPreconnectedClientSilentUntilDeauth(t *testing.T) {
 func TestDepartStopsActivity(t *testing.T) {
 	fx := newFixture(t)
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "x"}}})
-	fx.engine.Run(12 * time.Second)
+	fx.engine.RunContext(context.Background(), 12*time.Second)
 	c.Depart()
 	probes := c.Stats.BroadcastProbes
-	fx.engine.Run(fx.engine.Now() + 2*time.Minute)
+	fx.engine.RunContext(context.Background(), fx.engine.Now()+2*time.Minute)
 	if c.Stats.BroadcastProbes != probes {
 		t.Error("departed client kept probing")
 	}
@@ -403,7 +414,7 @@ func TestDepartStopsActivity(t *testing.T) {
 		t.Errorf("state = %v", c.State())
 	}
 	c.Depart() // idempotent
-	if fx.medium.Attached(c.Addr()) {
+	if attached(fx.medium, c) {
 		t.Error("departed client still attached")
 	}
 }
@@ -429,7 +440,7 @@ func TestDepartMidHandshakeNoConnection(t *testing.T) {
 		}
 	}
 	fx.engine.Schedule(0, tick)
-	fx.engine.Run(time.Minute)
+	fx.engine.RunContext(context.Background(), time.Minute)
 	if !departed {
 		t.Skip("handshake window never observed at this resolution")
 	}
@@ -454,7 +465,7 @@ func TestWindowNoResponsesNoAssociation(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.silent = true
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Net", Open: true}}})
-	fx.engine.Run(time.Minute)
+	fx.engine.RunContext(context.Background(), time.Minute)
 	if c.Stats.Connected {
 		t.Error("connected with a silent responder")
 	}
@@ -478,13 +489,13 @@ func TestRandomizeMACRotatesPerScan(t *testing.T) {
 		fx.engine.Schedule(500*time.Millisecond, tick)
 	}
 	fx.engine.Schedule(0, tick)
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	delete(seen, initial)
 	if len(seen) < 5 {
 		t.Errorf("observed %d distinct MACs over ~15 scans, want several", len(seen))
 	}
 	// The phone stays attached under its latest identity.
-	if !fx.medium.Attached(c.Addr()) {
+	if !attached(fx.medium, c) {
 		t.Error("client detached after rotations")
 	}
 }
@@ -503,7 +514,7 @@ func TestRandomizeMACDefeatsRotationTracking(t *testing.T) {
 		ScanInterval: 2 * time.Second,
 		RandomizeMAC: true,
 	})
-	fx.engine.Run(20 * time.Second)
+	fx.engine.RunContext(context.Background(), 20*time.Second)
 	_ = c
 	if len(seen) < 4 {
 		t.Errorf("responder saw %d distinct MACs, want several", len(seen))
@@ -543,7 +554,7 @@ func TestClientFindsAttackerOnAnyScanChannel(t *testing.T) {
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
-		e.Run(30 * time.Second)
+		e.RunContext(context.Background(), 30*time.Second)
 		if !c.Stats.Connected {
 			t.Errorf("client missed attacker on channel %d", ch)
 		}
@@ -583,7 +594,7 @@ func TestClientSkipsChannelsNotConfigured(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e.Run(time.Minute)
+	e.RunContext(context.Background(), time.Minute)
 	if c.Stats.Connected {
 		t.Error("client connected to an AP on a channel it never scans")
 	}
@@ -615,7 +626,7 @@ func TestLateResponsesIgnored(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e.Run(30 * time.Second)
+	e.RunContext(context.Background(), 30*time.Second)
 	if c.Stats.Connected {
 		t.Error("client associated on a response that arrived after the window closed")
 	}
@@ -701,7 +712,7 @@ func TestWindowExtensionAllowsSecondResponse(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e.Run(time.Hour)
+	e.RunContext(context.Background(), time.Hour)
 	if !c.Stats.Connected {
 		t.Fatal("second response inside the extended window was not honoured")
 	}
@@ -715,7 +726,7 @@ func TestSequenceNumbersWrap(t *testing.T) {
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "x"}}, ScanInterval: time.Second, ScanChannels: []uint8{6}})
 	// Force thousands of transmissions; Marshal rejects seq > 0x0fff, so
 	// surviving this run proves the counter wraps.
-	fx.engine.Run(90 * time.Minute)
+	fx.engine.RunContext(context.Background(), 90*time.Minute)
 	if c.Stats.BroadcastProbes < 4097 {
 		t.Skipf("only %d probes, not enough to wrap", c.Stats.BroadcastProbes)
 	}
@@ -733,7 +744,7 @@ func TestCanaryDirectProberStillWorks(t *testing.T) {
 		DirectProber:  true,
 		CanaryProbing: true,
 	})
-	fx.engine.Run(time.Minute)
+	fx.engine.RunContext(context.Background(), time.Minute)
 	if c.Stats.CanaryDetections == 0 {
 		t.Fatal("mirroring attacker was not unmasked")
 	}
@@ -755,7 +766,7 @@ func TestPreconnectedWithRandomizedMAC(t *testing.T) {
 		ScanInterval:      2 * time.Second,
 	})
 	initial := c.Addr()
-	fx.engine.Run(10 * time.Second)
+	fx.engine.RunContext(context.Background(), 10*time.Second)
 	if c.Addr() != initial {
 		t.Error("MAC rotated while still associated")
 	}
@@ -763,7 +774,7 @@ func TestPreconnectedWithRandomizedMAC(t *testing.T) {
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      ieee80211.BroadcastMAC, SA: legit, BSSID: legit,
 	})
-	fx.engine.Run(fx.engine.Now() + 30*time.Second)
+	fx.engine.RunContext(context.Background(), fx.engine.Now()+30*time.Second)
 	if !c.Stats.Connected || c.Stats.ConnectedTo != fx.resp.addr {
 		t.Skip("capture did not complete in this window")
 	}

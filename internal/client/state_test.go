@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,7 +16,7 @@ func TestSuspendResumeRoundTripLossless(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Cafe Free WiFi"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Cafe Free WiFi", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if !c.Stats.Connected {
 		t.Fatal("client never connected; snapshot would be trivial")
 	}
@@ -34,7 +35,7 @@ func TestSuspendResumeRoundTripLossless(t *testing.T) {
 	if _, err := c.Suspend(); err == nil {
 		t.Error("second Suspend succeeded")
 	}
-	if fx.medium.Attached(c.Addr()) {
+	if attached(fx.medium, c) {
 		t.Error("suspended client still attached to the medium")
 	}
 
@@ -67,7 +68,7 @@ func TestSuspendResumeCarriesRotationState(t *testing.T) {
 		PNL:           pnl.List{{SSID: "Home"}},
 		Randomization: RandomizePerScan,
 	})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 
 	snap, err := c.Suspend()
 	if err != nil {
@@ -116,7 +117,7 @@ func TestSuspendResumeCarriesRotationState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Resume: %v", err)
 	}
-	fx.engine.Run(60 * time.Second)
+	fx.engine.RunContext(context.Background(), 60*time.Second)
 	want := ieee80211.DerivedRandomMAC(snap.Config.MAC, snap.Rotations)
 	found := false
 	for _, m := range c3.UsedMACs() {
@@ -141,7 +142,7 @@ func TestResumedClientContinuesAtNewSite(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Cafe Free WiFi"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Cafe Free WiFi", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	snap, err := c.Suspend()
 	if err != nil {
 		t.Fatalf("Suspend: %v", err)
@@ -151,13 +152,13 @@ func TestResumedClientContinuesAtNewSite(t *testing.T) {
 	// Resume at a second site after a gap: scanning restarts, the sequence
 	// counter continues rather than restarting, and the phone can connect
 	// again.
-	fx.engine.Run(10 * time.Minute)
+	fx.engine.RunContext(context.Background(), 10*time.Minute)
 	c2, err := Resume(fx.engine, fx.medium, fx.rng, snap)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	c2.SetPos(geo.Pt(10, 0))
-	fx.engine.Run(11 * time.Minute)
+	fx.engine.RunContext(context.Background(), 11*time.Minute)
 	if c2.Stats.Scans <= scans {
 		t.Errorf("resumed client never scanned: %d then %d", scans, c2.Stats.Scans)
 	}
@@ -173,7 +174,7 @@ func TestResumeIgnoresStaleAssociation(t *testing.T) {
 	fx := newFixture(t)
 	fx.resp.replySSIDs = []string{"Cafe Free WiFi"}
 	c := fx.newClient(t, Config{PNL: pnl.List{{SSID: "Cafe Free WiFi", Open: true}}})
-	fx.engine.Run(30 * time.Second)
+	fx.engine.RunContext(context.Background(), 30*time.Second)
 	if c.State() != StateConnected {
 		t.Fatalf("client in state %v, want connected", c.State())
 	}

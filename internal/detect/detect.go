@@ -18,7 +18,6 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -110,9 +109,6 @@ func (s *Sentinel) Receive(f *ieee80211.Frame) {
 	}
 }
 
-// Flagged reports whether a BSSID has been identified as an evil twin.
-func (s *Sentinel) Flagged(bssid ieee80211.MAC) bool { return s.flagged[bssid] }
-
 // Findings returns all flagged BSSIDs in detection order.
 func (s *Sentinel) Findings() []Finding {
 	out := make([]Finding, len(s.findings))
@@ -122,22 +118,6 @@ func (s *Sentinel) Findings() []Finding {
 
 // SSIDCount returns the distinct SSIDs observed from a BSSID so far.
 func (s *Sentinel) SSIDCount(bssid ieee80211.MAC) int { return len(s.ssids[bssid]) }
-
-// Observed returns every BSSID seen advertising at least one SSID, sorted
-// by descending SSID diversity (the attacker floats to the top).
-func (s *Sentinel) Observed() []Finding {
-	out := make([]Finding, 0, len(s.ssids))
-	for bssid, set := range s.ssids {
-		out = append(out, Finding{BSSID: bssid, SSIDCount: len(set)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SSIDCount != out[j].SSIDCount {
-			return out[i].SSIDCount > out[j].SSIDCount
-		}
-		return out[i].BSSID.String() < out[j].BSSID.String()
-	})
-	return out
-}
 
 // String summarises the sentinel state.
 func (s *Sentinel) String() string {

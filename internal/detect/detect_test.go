@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -54,8 +55,8 @@ func TestSentinelFlagsSSIDDiversity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		respond(medium, twinMAC, fmt.Sprintf("Lure-%d", i))
 	}
-	engine.Run(time.Second)
-	if !s.Flagged(twinMAC) {
+	engine.RunContext(context.Background(), time.Second)
+	if !s.flagged[twinMAC] {
 		t.Fatal("evil twin not flagged after 10 distinct SSIDs")
 	}
 	findings := s.Findings()
@@ -70,6 +71,9 @@ func TestSentinelFlagsSSIDDiversity(t *testing.T) {
 	}
 	if s.SSIDCount(twinMAC) != 10 {
 		t.Errorf("SSIDCount = %d", s.SSIDCount(twinMAC))
+	}
+	if got, want := s.String(), "sentinel: 1 BSSIDs observed, 1 flagged (threshold 5)"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
@@ -88,8 +92,8 @@ func TestSentinelToleratesHonestAP(t *testing.T) {
 			SSID: "Cafe WiFi Guest",
 		})
 	}
-	engine.Run(time.Second)
-	if s.Flagged(honestMAC) {
+	engine.RunContext(context.Background(), time.Second)
+	if s.flagged[honestMAC] {
 		t.Error("honest dual-SSID AP flagged")
 	}
 	if s.SSIDCount(honestMAC) != 2 {
@@ -107,32 +111,9 @@ func TestSentinelIgnoresIrrelevantFrames(t *testing.T) {
 		Subtype: ieee80211.SubtypeProbeResponse,
 		DA:      clientMAC, SA: twinMAC, BSSID: twinMAC, SSID: "",
 	})
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 	if s.SSIDCount(twinMAC) != 0 {
 		t.Errorf("counted SSIDs from probe requests / empty responses: %d", s.SSIDCount(twinMAC))
-	}
-}
-
-func TestSentinelObservedOrdering(t *testing.T) {
-	engine, medium, s, _ := fixture(t, 100)
-	honest := &emitter{addr: honestMAC, pos: geo.Pt(-5, 0)}
-	if err := medium.Attach(honest); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		respond(medium, twinMAC, fmt.Sprintf("L%d", i))
-	}
-	respond(medium, honestMAC, "OnlyOne")
-	engine.Run(time.Second)
-	obs := s.Observed()
-	if len(obs) != 2 {
-		t.Fatalf("observed = %d", len(obs))
-	}
-	if obs[0].BSSID != twinMAC || obs[0].SSIDCount != 7 {
-		t.Errorf("top observed = %+v", obs[0])
-	}
-	if s.String() == "" {
-		t.Error("empty String")
 	}
 }
 
@@ -141,13 +122,13 @@ func TestSentinelDefaultThreshold(t *testing.T) {
 	for i := 0; i < DefaultSSIDThreshold-1; i++ {
 		respond(medium, twinMAC, fmt.Sprintf("L%d", i))
 	}
-	engine.Run(time.Second)
-	if s.Flagged(twinMAC) {
+	engine.RunContext(context.Background(), time.Second)
+	if s.flagged[twinMAC] {
 		t.Error("flagged below default threshold")
 	}
 	respond(medium, twinMAC, "one-more")
-	engine.Run(engine.Now() + time.Second)
-	if !s.Flagged(twinMAC) {
+	engine.RunContext(context.Background(), engine.Now()+time.Second)
+	if !s.flagged[twinMAC] {
 		t.Error("not flagged at default threshold")
 	}
 }

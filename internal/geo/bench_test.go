@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -20,20 +21,14 @@ func benchIndex(tb testing.TB, n int) (*GridIndex, []Point) {
 	return g, pts
 }
 
-func BenchmarkWithinRadius(b *testing.B) {
+func BenchmarkVisitByDistance100(b *testing.B) {
 	g, pts := benchIndex(b, 12000)
+	n := 0
+	next := func(int) bool { n++; return n < 100 }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.WithinRadius(pts[i%len(pts)], 500)
-	}
-}
-
-func BenchmarkNearest100(b *testing.B) {
-	g, pts := benchIndex(b, 12000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Nearest(pts[i%len(pts)], 100)
+		n = 0
+		g.VisitByDistance(pts[i%len(pts)], 125, 8000*math.Sqrt2+125, next)
 	}
 }

@@ -41,19 +41,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
-// Unit returns the unit vector in the direction of p, or the zero point when
-// p is the origin.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return Point{}
-	}
-	return p.Scale(1 / n)
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
@@ -77,33 +64,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the area of r in square metres.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Contains reports whether p lies inside r (inclusive of the boundary).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Intersects reports whether r and s share any point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
-// Expand returns r grown by d metres on every side.
-func (r Rect) Expand(d float64) Rect {
-	return Rect{
-		Min: Point{X: r.Min.X - d, Y: r.Min.Y - d},
-		Max: Point{X: r.Max.X + d, Y: r.Max.Y + d},
-	}
-}
 
 // Clamp returns p moved to the nearest point inside r.
 func (r Rect) Clamp(p Point) Point {

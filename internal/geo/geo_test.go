@@ -55,16 +55,6 @@ func TestDist2MatchesDist(t *testing.T) {
 	}
 }
 
-func TestUnit(t *testing.T) {
-	u := Pt(3, 4).Unit()
-	if math.Abs(u.Norm()-1) > 1e-12 {
-		t.Errorf("Unit norm = %v, want 1", u.Norm())
-	}
-	if z := (Point{}).Unit(); z != (Point{}) {
-		t.Errorf("Unit of zero = %v, want zero", z)
-	}
-}
-
 func TestNewRectNormalizes(t *testing.T) {
 	r := NewRect(Pt(10, 0), Pt(0, 10))
 	if r.Min != Pt(0, 0) || r.Max != Pt(10, 10) {
@@ -72,60 +62,10 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 }
 
-func TestRectContains(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(10, 10))
-	tests := []struct {
-		p    Point
-		want bool
-	}{
-		{Pt(5, 5), true},
-		{Pt(0, 0), true},
-		{Pt(10, 10), true},
-		{Pt(-0.1, 5), false},
-		{Pt(5, 10.1), false},
-	}
-	for _, tt := range tests {
-		if got := r.Contains(tt.p); got != tt.want {
-			t.Errorf("Contains(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Pt(0, 0), Pt(10, 10))
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlapping", NewRect(Pt(5, 5), Pt(15, 15)), true},
-		{"touching edge", NewRect(Pt(10, 0), Pt(20, 10)), true},
-		{"disjoint", NewRect(Pt(11, 11), Pt(20, 20)), false},
-		{"contained", NewRect(Pt(2, 2), Pt(3, 3)), true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-			if got := tt.b.Intersects(a); got != tt.want {
-				t.Errorf("Intersects (reversed) = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestRectGeometry(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(4, 2))
-	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 {
-		t.Errorf("W/H/Area = %v/%v/%v", r.Width(), r.Height(), r.Area())
-	}
-	if c := r.Center(); c != Pt(2, 1) {
-		t.Errorf("Center = %v", c)
-	}
-	e := r.Expand(1)
-	if e.Min != Pt(-1, -1) || e.Max != Pt(5, 3) {
-		t.Errorf("Expand = %+v", e)
+	if r.Width() != 4 || r.Height() != 2 {
+		t.Errorf("W/H = %v/%v", r.Width(), r.Height())
 	}
 }
 
@@ -163,72 +103,8 @@ func mustGrid(t *testing.T, b Rect, cell float64) *GridIndex {
 	return g
 }
 
-func TestGridWithinRadius(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
-	pts := []Point{Pt(10, 10), Pt(12, 10), Pt(50, 50), Pt(90, 90)}
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	got := g.WithinRadius(Pt(11, 10), 5)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("WithinRadius = %v, want [0 1]", got)
-	}
-	if got := g.WithinRadius(Pt(11, 10), -1); got != nil {
-		t.Errorf("negative radius = %v, want nil", got)
-	}
-	if got := g.WithinRadius(Pt(200, 200), 5); len(got) != 0 {
-		t.Errorf("far query = %v, want empty", got)
-	}
-}
-
-func TestGridWithinRadiusOrdering(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 7)
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]Point, 200)
-	for i := range pts {
-		pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		g.Insert(i, pts[i])
-	}
-	q := Pt(40, 40)
-	ids := g.WithinRadius(q, 30)
-	for i := 1; i < len(ids); i++ {
-		if pts[ids[i-1]].Dist(q) > pts[ids[i]].Dist(q) {
-			t.Fatalf("results not sorted by distance at %d", i)
-		}
-	}
-	// Cross-check membership against brute force.
-	want := 0
-	for _, p := range pts {
-		if p.Dist(q) <= 30 {
-			want++
-		}
-	}
-	if len(ids) != want {
-		t.Errorf("got %d results, brute force %d", len(ids), want)
-	}
-}
-
-func TestGridNearest(t *testing.T) {
-	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
-	for i := 0; i < 10; i++ {
-		g.Insert(i, Pt(float64(i*10), 0))
-	}
-	got := g.Nearest(Pt(0, 0), 3)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("Nearest = %v, want [0 1 2]", got)
-	}
-	if got := g.Nearest(Pt(0, 0), 0); got != nil {
-		t.Errorf("Nearest k=0 = %v, want nil", got)
-	}
-	// Asking for more than exists returns everything.
-	if got := g.Nearest(Pt(0, 0), 50); len(got) != 10 {
-		t.Errorf("Nearest k=50 returned %d, want 10", len(got))
-	}
-}
-
 // bruteForceOrder returns every index of pts in ascending (squared
-// distance, index) order from q: the order Nearest and VisitByDistance
-// promise.
+// distance, index) order from q: the order VisitByDistance promises.
 func bruteForceOrder(pts []Point, q Point) []int {
 	ids := make([]int, len(pts))
 	for i := range ids {
@@ -263,37 +139,6 @@ func gridWithStrays(t *testing.T, rng *rand.Rand) (*GridIndex, []Point) {
 		g.Insert(i, pts[i])
 	}
 	return g, pts
-}
-
-func TestGridNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g, pts := gridWithStrays(t, rng)
-	lastRing := 25.0
-	for lastRing <= math.Hypot(1000, 1000)+25 {
-		lastRing *= 2
-	}
-	for trial := 0; trial < 40; trial++ {
-		// Half the queries fall outside the bounds.
-		q := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		if trial%2 == 1 {
-			q = Pt(rng.Float64()*2000-500, rng.Float64()*2000-500)
-		}
-		// Nearest's last ring is the first past the diagonal plus a
-		// cell; strays farther out than that are never reached.
-		want := bruteForceOrder(pts, q)
-		for i, id := range want {
-			if pts[id].Dist2(q) > lastRing*lastRing {
-				want = want[:i]
-				break
-			}
-		}
-		for _, k := range []int{1, 5, 37, len(pts)} {
-			wantK := want[:min(k, len(want))]
-			if got := g.Nearest(q, k); !reflect.DeepEqual(got, wantK) {
-				t.Fatalf("trial %d k=%d at %v:\ngot  %v\nwant %v", trial, k, q, got, wantK)
-			}
-		}
-	}
 }
 
 func TestVisitByDistanceOrderAndEarlyStop(t *testing.T) {
@@ -346,23 +191,32 @@ func TestVisitByDistanceStopsPastMaxR(t *testing.T) {
 func TestGridClampsOutOfBounds(t *testing.T) {
 	g := mustGrid(t, NewRect(Pt(0, 0), Pt(100, 100)), 10)
 	g.Insert(1, Pt(-50, -50)) // clamped into border cell, still findable
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	if got := g.WithinRadius(Pt(-50, -50), 1); len(got) != 1 {
+	var got []int
+	g.VisitByDistance(Pt(-50, -50), 1, 1, func(id int) bool {
+		got = append(got, id)
+		return true
+	})
+	if !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("out-of-bounds item not found: %v", got)
 	}
 }
 
 func TestGridLen(t *testing.T) {
 	g := mustGrid(t, NewRect(Pt(0, 0), Pt(10, 10)), 1)
-	if g.Len() != 0 {
-		t.Fatalf("empty Len = %d", g.Len())
+	count := func() int {
+		n := 0
+		for _, c := range g.cells {
+			n += len(c)
+		}
+		return n
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("empty grid holds %d", n)
 	}
 	for i := 0; i < 42; i++ {
 		g.Insert(i, Pt(5, 5))
 	}
-	if g.Len() != 42 {
-		t.Errorf("Len = %d, want 42", g.Len())
+	if n := count(); n != 42 {
+		t.Errorf("grid holds %d, want 42", n)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"sync"
 )
 
-// GridIndex is a uniform spatial hash over a bounded region. It supports the
-// two queries the rest of the system needs: all items within a radius of a
-// point, and the k nearest items to a point. Items are referenced by the
-// integer IDs the caller inserts, so the index stores no payloads.
+// GridIndex is a uniform spatial hash over a bounded region. It answers one
+// query: items in ascending distance from a point, walked until the caller
+// stops. Items are referenced by the integer IDs the caller inserts, so the
+// index stores no payloads.
 type GridIndex struct {
 	bounds   Rect
 	cellSize float64
@@ -45,15 +45,6 @@ func NewGridIndex(bounds Rect, cellSize float64) (*GridIndex, error) {
 	}, nil
 }
 
-// Len returns the number of items in the index.
-func (g *GridIndex) Len() int {
-	n := 0
-	for _, c := range g.cells {
-		n += len(c)
-	}
-	return n
-}
-
 // Insert adds an item at p. Points outside the bounds are clamped to the
 // border cell so that nothing is silently dropped.
 func (g *GridIndex) Insert(id int, p Point) {
@@ -69,44 +60,8 @@ func (g *GridIndex) cellIndex(p Point) int {
 	return cy*g.cols + cx
 }
 
-// WithinRadius returns the IDs of all items within radius metres of p, in
-// ascending distance order.
-func (g *GridIndex) WithinRadius(p Point, radius float64) []int {
-	if radius < 0 {
-		return nil
-	}
-	r2 := radius * radius
-	var found []distItem
-	g.visitCells(p, radius, func(it gridItem) {
-		if d2 := it.p.Dist2(p); d2 <= r2 {
-			found = append(found, distItem{id: it.id, d2: d2})
-		}
-	})
-	sortByDist(found)
-	ids := make([]int, len(found))
-	for i, f := range found {
-		ids[i] = f.id
-	}
-	return ids
-}
-
-// Nearest returns the IDs of the k items closest to p, nearest first. It
-// returns fewer than k when the index holds fewer items.
-func (g *GridIndex) Nearest(p Point, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	maxR := math.Hypot(g.bounds.Width(), g.bounds.Height()) + g.cellSize
-	var ids []int
-	g.VisitByDistance(p, g.cellSize, maxR, func(id int) bool {
-		ids = append(ids, id)
-		return len(ids) < k
-	})
-	return ids
-}
-
 // VisitByDistance calls fn with item IDs in ascending (squared distance,
-// ID) order from p, the order WithinRadius returns, until fn returns false.
+// ID) order from p until fn returns false.
 // The search radius starts at start and doubles each pass; every pass
 // collects and sorts only the annulus the previous pass left out, so a
 // caller that stops early never pays for ordering the items beyond it. The

@@ -84,15 +84,6 @@ func (g *HashGrid) Move(id int32, from CellKey, p Point) CellKey {
 	return k
 }
 
-// Len returns the number of items in the grid.
-func (g *HashGrid) Len() int {
-	n := 0
-	for _, ids := range g.cells {
-		n += len(ids)
-	}
-	return n
-}
-
 // oneRing is the number of cells in a query box of radius at most the cell
 // size: p's cell and the ring around it.
 const oneRing = 9

@@ -77,14 +77,8 @@ func (m *Map) TotalPhotos() int { return m.total }
 // HeatAt returns the photo count of the cell containing p.
 func (m *Map) HeatAt(p geo.Point) int { return m.counts[m.cell(p)] }
 
-// Bounds returns the mapped area.
-func (m *Map) Bounds() geo.Rect { return m.bounds }
-
 // CellSize returns the grid cell edge in metres.
 func (m *Map) CellSize() float64 { return m.cellSize }
-
-// Dims returns the grid dimensions (columns, rows).
-func (m *Map) Dims() (cols, rows int) { return m.cols, m.rows }
 
 // CellCenter returns the centre point of cell (cx, cy).
 func (m *Map) CellCenter(cx, cy int) geo.Point {

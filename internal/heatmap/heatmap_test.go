@@ -92,7 +92,7 @@ func TestHottestCells(t *testing.T) {
 	if cells[0].Photos != 10 || cells[1].Photos != 5 {
 		t.Errorf("photo counts = %d,%d want 10,5", cells[0].Photos, cells[1].Photos)
 	}
-	if !testBounds.Contains(cells[0].Center) {
+	if testBounds.Clamp(cells[0].Center) != cells[0].Center {
 		t.Errorf("cell center %v outside bounds", cells[0].Center)
 	}
 	// Zero-count cells are never reported.
@@ -180,14 +180,13 @@ func TestQuickRankWeightsMonotone(t *testing.T) {
 
 func TestDimsAndCellCenter(t *testing.T) {
 	m := mustMap(t)
-	cols, rows := m.Dims()
-	if cols != 11 || rows != 11 {
-		t.Errorf("Dims = %d,%d want 11,11", cols, rows)
+	if m.cols != 11 || m.rows != 11 {
+		t.Errorf("dims = %d,%d want 11,11", m.cols, m.rows)
 	}
 	if c := m.CellCenter(0, 0); c != geo.Pt(50, 50) {
 		t.Errorf("CellCenter(0,0) = %v", c)
 	}
-	if m.CellSize() != 100 || m.Bounds() != testBounds {
+	if m.CellSize() != 100 || m.bounds != testBounds {
 		t.Error("accessors disagree with construction")
 	}
 }

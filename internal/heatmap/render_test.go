@@ -24,7 +24,7 @@ func TestRenderPNG(t *testing.T) {
 	if err != nil {
 		t.Fatalf("output is not PNG: %v", err)
 	}
-	cols, rows := m.Dims()
+	cols, rows := m.cols, m.rows
 	b := img.Bounds()
 	if b.Dx() != cols*3 || b.Dy() != rows*3 {
 		t.Errorf("image %dx%d, want %dx%d", b.Dx(), b.Dy(), cols*3, rows*3)

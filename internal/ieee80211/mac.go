@@ -11,10 +11,8 @@
 package ieee80211
 
 import (
-	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // MAC is a 48-bit IEEE 802 MAC address.
@@ -22,24 +20,6 @@ type MAC [6]byte
 
 // BroadcastMAC is the all-ones broadcast address.
 var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
-// ParseMAC parses a colon-separated MAC address such as
-// "02:00:5e:10:00:01".
-func ParseMAC(s string) (MAC, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return MAC{}, fmt.Errorf("ieee80211: parse MAC %q: want 6 octets, got %d", s, len(parts))
-	}
-	var m MAC
-	for i, p := range parts {
-		b, err := hex.DecodeString(p)
-		if err != nil || len(b) != 1 {
-			return MAC{}, fmt.Errorf("ieee80211: parse MAC %q: bad octet %q", s, p)
-		}
-		m[i] = b[0]
-	}
-	return m, nil
-}
 
 // RandomMAC returns a locally administered unicast MAC drawn from rng.
 // Modern phones randomise their probe MACs in exactly this form (the
@@ -81,10 +61,6 @@ func DerivedRandomMAC(identity MAC, n uint32) MAC {
 
 // IsBroadcast reports whether m is the broadcast address.
 func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
-
-// IsLocallyAdministered reports whether the locally-administered bit is set,
-// which is how randomised client MACs announce themselves.
-func (m MAC) IsLocallyAdministered() bool { return m[0]&0x02 != 0 }
 
 // String implements fmt.Stringer with the canonical colon form.
 func (m MAC) String() string {

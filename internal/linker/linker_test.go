@@ -64,7 +64,7 @@ func TestSeqOnlyMislinksFingerprintCorrects(t *testing.T) {
 		t.Fatalf("seq-only precision = %v, want < 1", rep.Precision)
 	}
 
-	composed := NewComposite(0.5, NewSeqContinuity(), NewFingerprintMatch())
+	composed := NewComposite(0.5, NewSeqContinuity(), &FingerprintMatch{})
 	for _, o := range obs {
 		composed.Observe(o)
 	}
@@ -100,7 +100,7 @@ func TestSeqContinuityWindow(t *testing.T) {
 }
 
 func TestPNLOrderScoring(t *testing.T) {
-	m := NewPNLOrder()
+	m := &PNLOrder{}
 	track := &Track{}
 	track.observe(Observation{Directed: true, SSID: "HomeNet"})
 	track.observe(Observation{Directed: true, SSID: "Office"})
@@ -123,7 +123,7 @@ func TestPNLOrderScoring(t *testing.T) {
 // rotation: the fresh MAC's first directed probe names the same
 // head-of-PNL SSID and is re-linked.
 func TestPNLOrderRelinksRotation(t *testing.T) {
-	l := NewComposite(0.35, NewPNLOrder())
+	l := NewComposite(0.35, &PNLOrder{})
 	first := l.Observe(Observation{At: 0, MAC: mac(1), Seq: 1, Directed: true, SSID: "HomeNet"})
 	second := l.Observe(Observation{At: time.Minute, MAC: mac(2), Seq: 2, Directed: true, SSID: "HomeNet"})
 	if first != second {
@@ -136,7 +136,7 @@ func TestPNLOrderRelinksRotation(t *testing.T) {
 
 func TestCompositeDeterminism(t *testing.T) {
 	run := func() map[ieee80211.MAC]TrackID {
-		l := NewComposite(0.5, NewSeqContinuity(), NewFingerprintMatch(), NewPNLOrder())
+		l := NewComposite(0.5, NewSeqContinuity(), &FingerprintMatch{}, &PNLOrder{})
 		for i := 0; i < 40; i++ {
 			l.Observe(Observation{
 				At:          time.Duration(i) * time.Second,

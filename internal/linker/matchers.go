@@ -61,9 +61,6 @@ func (s *SeqContinuity) Score(o Observation, t *Track) float64 {
 // two chipset personalities cannot be one device.
 type FingerprintMatch struct{}
 
-// NewFingerprintMatch returns the fingerprint matcher.
-func NewFingerprintMatch() *FingerprintMatch { return &FingerprintMatch{} }
-
 // Name implements Matcher.
 func (FingerprintMatch) Name() string { return "fp" }
 
@@ -86,9 +83,6 @@ func (FingerprintMatch) Score(o Observation, t *Track) float64 {
 // link on its own there (a dedicated PNL-only linker uses a lower
 // threshold).
 type PNLOrder struct{}
-
-// NewPNLOrder returns the PNL-order matcher.
-func NewPNLOrder() *PNLOrder { return &PNLOrder{} }
 
 // Name implements Matcher.
 func (PNLOrder) Name() string { return "pnl" }

@@ -68,22 +68,6 @@ type Route struct {
 	Legs []RouteLeg
 }
 
-// Start returns the itinerary's first instant (0 for an empty route).
-func (r Route) Start() time.Duration {
-	if len(r.Legs) == 0 {
-		return 0
-	}
-	return r.Legs[0].Start
-}
-
-// End returns the itinerary's last instant (0 for an empty route).
-func (r Route) End() time.Duration {
-	if len(r.Legs) == 0 {
-		return 0
-	}
-	return r.Legs[len(r.Legs)-1].End
-}
-
 // At returns the position at an absolute time, clamped to the route's ends.
 func (r Route) At(t time.Duration) geo.Point {
 	legs := r.Legs

@@ -43,8 +43,8 @@ func TestRouteSampleShape(t *testing.T) {
 		if len(r.Legs)/2 > m.MaxVisits {
 			t.Fatalf("route visits %d stops, max %d", len(r.Legs)/2, m.MaxVisits)
 		}
-		if r.Start() != start {
-			t.Fatalf("route starts at %v, want %v", r.Start(), start)
+		if r.Legs[0].Start != start {
+			t.Fatalf("route starts at %v, want %v", r.Legs[0].Start, start)
 		}
 		if r.Legs[0].From != entry {
 			t.Fatalf("route enters at %v, want %v", r.Legs[0].From, entry)
@@ -121,16 +121,13 @@ func TestRouteAtInterpolatesAndClamps(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
-	if r.Start() != time.Minute || r.End() != 11*time.Minute {
-		t.Errorf("span [%v, %v], want [1m, 11m]", r.Start(), r.End())
+	if start, end := r.Legs[0].Start, r.Legs[len(r.Legs)-1].End; start != time.Minute || end != 11*time.Minute {
+		t.Errorf("span [%v, %v], want [1m, 11m]", start, end)
 	}
 }
 
 func TestRouteEmpty(t *testing.T) {
 	var r Route
-	if r.Start() != 0 || r.End() != 0 {
-		t.Errorf("empty route span [%v, %v], want zeros", r.Start(), r.End())
-	}
 	if got := r.At(time.Hour); got != (geo.Point{}) {
 		t.Errorf("empty route At = %v, want origin", got)
 	}

@@ -258,10 +258,6 @@ func NewModel(db *wigle.DB, hm *heatmap.Map, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// PublicUniverseSize returns the number of open public SSIDs in the
-// adoption distribution.
-func (m *Model) PublicUniverseSize() int { return len(m.publicSSIDs) }
-
 // AdoptionProbability returns the probability that one public-entry draw
 // selects ssid, or 0 when the SSID is not in the universe.
 func (m *Model) AdoptionProbability(ssid string) float64 {
@@ -394,10 +390,6 @@ func (m *Model) sampleCarrier(rng *rand.Rand) string {
 	}
 	return m.carriers[len(m.carriers)-1].SSID
 }
-
-// EffectiveUserFraction returns the availability-scaled share of phones
-// that remember any open public network.
-func (m *Model) EffectiveUserFraction() float64 { return m.effectiveUserFraction }
 
 // CarrierSSIDs returns the carrier SSID set the model provisions.
 func (m *Model) CarrierSSIDs() []string {

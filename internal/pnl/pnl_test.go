@@ -68,11 +68,12 @@ func TestProbeableExcludesHidden(t *testing.T) {
 }
 
 func TestNewModelValidation(t *testing.T) {
-	db, err := wigle.New(geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100)), nil)
+	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))
+	db, err := wigle.New(bounds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm, err := heatmap.New(db.Bounds(), 10)
+	hm, err := heatmap.New(bounds, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,18 +274,16 @@ func TestLocalPoolRespectsRadius(t *testing.T) {
 	m, city := testModel(t, cfg)
 	rng := rand.New(rand.NewSource(29))
 	at := geo.Pt(2600, 2400)
+	// Every local entry has an open AP within the pool radius.
+	nearby := map[string]bool{}
+	for _, r := range city.DB.Records() {
+		if r.Open && r.Pos.Dist2(at) <= cfg.LocalPoolRadius*cfg.LocalPoolRadius {
+			nearby[r.SSID] = true
+		}
+	}
 	for i := 0; i < 50; i++ {
 		for _, n := range m.NewList(rng, at) {
-			// Every local entry's nearest AP is within the pool radius.
-			nearby := city.DB.Nearby(at, cfg.LocalPoolRadius, true)
-			ok := false
-			for _, r := range nearby {
-				if r.SSID == n.SSID {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !nearby[n.SSID] {
 				t.Fatalf("local entry %q has no AP within %v m", n.SSID, cfg.LocalPoolRadius)
 			}
 		}
@@ -310,25 +309,26 @@ func TestPoisson(t *testing.T) {
 func TestPublicUniverseSize(t *testing.T) {
 	m, city := testModel(t, DefaultConfig())
 	open := city.DB.CountBySSID(true)
-	if m.PublicUniverseSize() != len(open) {
-		t.Errorf("universe = %d, open SSIDs = %d", m.PublicUniverseSize(), len(open))
+	if len(m.publicSSIDs) != len(open) {
+		t.Errorf("universe = %d, open SSIDs = %d", len(m.publicSSIDs), len(open))
 	}
 }
 
 func TestAvailabilityScalesUserFraction(t *testing.T) {
 	cfg := DefaultConfig()
 	dense, _ := testModel(t, cfg)
-	if got, want := dense.EffectiveUserFraction(), cfg.PublicUserFraction; got > want+1e-9 {
+	if got, want := dense.effectiveUserFraction, cfg.PublicUserFraction; got > want+1e-9 {
 		t.Errorf("dense effective fraction %v above configured %v", got, want)
 	}
 	// A near-empty ecosystem drives adoption towards zero.
-	db, err := wigle.New(geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000)), []wigle.Record{
+	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
+	db, err := wigle.New(bounds, []wigle.Record{
 		{SSID: "Lonely Cafe", Pos: geo.Pt(10, 10), Open: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm, err := heatmap.New(db.Bounds(), 100)
+	hm, err := heatmap.New(bounds, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestAvailabilityScalesUserFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := thin.EffectiveUserFraction(); got > cfg.PublicUserFraction/100 {
+	if got := thin.effectiveUserFraction; got > cfg.PublicUserFraction/100 {
 		t.Errorf("thin ecosystem fraction = %v, want ≈0", got)
 	}
 }

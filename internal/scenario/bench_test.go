@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func benchRun(b *testing.B, venue Venue, kind AttackKind, slot int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, err := Run(cfg, slot, 10*time.Minute); err != nil {
+		if _, err := RunContext(context.Background(), cfg, slot, 10*time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}

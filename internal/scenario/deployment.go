@@ -140,12 +140,6 @@ func (d *deployment) env(i int) *runEnv { return d.envs[d.groupOf[i]] }
 // partOf maps a group onto the goroutine that runs it.
 func (d *deployment) partOf(group int) int { return group % d.coord.Parts() }
 
-// RunDeployment executes a multi-site deployment for one slot. It is
-// RunDeploymentContext with a background context.
-func RunDeployment(dcfg DeploymentConfig, slot int, duration time.Duration) (*DeploymentResult, error) {
-	return RunDeploymentContext(context.Background(), dcfg, slot, duration)
-}
-
 // RunDeploymentContext composes the run layers — world build, knowledge,
 // site deployment, population, collection — across N sites, with the two
 // things only a city has: phones roaming between venues, and a knowledge

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestDeploymentRoundTrip(t *testing.T) {
 	// A decoded plan plus a Base must actually run.
 	out.Base = baseConfig(t, Venue{}, CityHunter, 1)
 	out.Base.ArrivalScale = 0.25
-	if _, err := RunDeployment(out, 0, time.Minute); err != nil {
+	if _, err := RunDeploymentContext(context.Background(), out, 0, time.Minute); err != nil {
 		t.Fatalf("decoded deployment does not run: %v", err)
 	}
 }

@@ -33,53 +33,53 @@ func deployConfig(t *testing.T, kind AttackKind, seed int64) DeploymentConfig {
 
 func TestDeploymentValidation(t *testing.T) {
 	good := deployConfig(t, CityHunter, 1)
-	if _, err := RunDeployment(good, 0, time.Minute); err != nil {
+	if _, err := RunDeploymentContext(context.Background(), good, 0, time.Minute); err != nil {
 		t.Fatalf("valid deployment rejected: %v", err)
 	}
 
 	bad := good
 	bad.Base.City = nil
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("nil city accepted")
 	}
 	bad = good
 	bad.Sites = nil
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("empty site list accepted")
 	}
 	bad = good
 	unnamed := CanteenVenue()
 	unnamed.Name = ""
 	bad.Sites = []Venue{unnamed}
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("unnamed site accepted")
 	}
 	bad = good
 	ranged := CanteenVenue()
 	ranged.RadioRange = 0
 	bad.Sites = []Venue{ranged}
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("zero radio range accepted")
 	}
-	if _, err := RunDeployment(good, 99, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), good, 99, time.Minute); err == nil {
 		t.Error("slot beyond profile accepted")
 	}
 	bad = good
 	bad.RoamFraction = 1.5
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("roam fraction above 1 accepted")
 	}
 	bad = good
 	bad.Knowledge = KnowledgePlane(9)
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("unknown knowledge plane accepted")
 	}
 	bad = good
 	bad.Transit = mobility.TransitModel{SpeedMin: 2, SpeedMax: 1}
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("invalid transit model accepted")
 	}
-	if _, err := RunDeployment(good, 0, 0); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), good, 0, 0); err == nil {
 		t.Error("zero duration accepted")
 	}
 }
@@ -95,11 +95,11 @@ func TestSingleSiteDeploymentMatchesRun(t *testing.T) {
 		cfg.PreconnectedFraction = 0.2
 		cfg.EnableDeauth = true
 		cfg.Metrics = true
-		single, err := Run(cfg, 0, 10*time.Minute)
+		single, err := RunContext(context.Background(), cfg, 0, 10*time.Minute)
 		if err != nil {
 			t.Fatalf("%v: run: %v", kind, err)
 		}
-		dep, err := RunDeployment(DeploymentConfig{Base: cfg, Sites: []Venue{CanteenVenue()}}, 0, 10*time.Minute)
+		dep, err := RunDeploymentContext(context.Background(), DeploymentConfig{Base: cfg, Sites: []Venue{CanteenVenue()}}, 0, 10*time.Minute)
 		if err != nil {
 			t.Fatalf("%v: deployment: %v", kind, err)
 		}
@@ -190,7 +190,7 @@ func TestDeploymentDeterminism(t *testing.T) {
 		cfg := deployConfig(t, CityHunter, 7)
 		cfg.RoamFraction = 0.5
 		cfg.Knowledge = Shared
-		res, err := RunDeployment(cfg, 0, 15*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), cfg, 0, 15*time.Minute)
 		if err != nil {
 			t.Errorf("deployment: %v", err)
 			return nil
@@ -236,7 +236,7 @@ func TestDeploymentDeterminism(t *testing.T) {
 func TestDeploymentRoaming(t *testing.T) {
 	cfg := deployConfig(t, CityHunter, 3)
 	cfg.RoamFraction = 1
-	res, err := RunDeployment(cfg, 0, 20*time.Minute)
+	res, err := RunDeploymentContext(context.Background(), cfg, 0, 20*time.Minute)
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestKnowledgePlanesDegradeForDatabaselessAttacks(t *testing.T) {
 		cfg := deployConfig(t, KARMA, 5)
 		cfg.RoamFraction = 0.5
 		cfg.Knowledge = plane
-		res, err := RunDeployment(cfg, 0, 10*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), cfg, 0, 10*time.Minute)
 		if err != nil {
 			t.Fatalf("%v: %v", plane, err)
 		}
@@ -296,7 +296,7 @@ func TestSharedKnowledgeBeatsIsolated(t *testing.T) {
 		cfg := deployConfig(t, CityHunter, seed)
 		cfg.RoamFraction = 0.5
 		cfg.Knowledge = plane
-		res, err := RunDeployment(cfg, 0, 30*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), cfg, 0, 30*time.Minute)
 		if err != nil {
 			t.Fatalf("%v seed %d: %v", plane, seed, err)
 		}

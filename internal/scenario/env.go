@@ -100,11 +100,10 @@ func (cfg Config) pnlModel() (*pnl.Model, error) {
 // Construction consumes no randomness beyond creating the seeded
 // generator, so the layers above it draw in a stable order.
 func newEnv(cfg Config, engine *sim.Engine, radioRange float64, seed int64, reg *obs.Registry, model *pnl.Model) *runEnv {
-	var mediumOpts []sim.MediumOption
+	medium := sim.NewMedium(engine, radioRange)
 	if cfg.FrameLoss > 0 {
-		mediumOpts = append(mediumOpts, sim.WithFrameLoss(cfg.FrameLoss, seed+5))
+		medium.SetFrameLoss(cfg.FrameLoss, seed+5)
 	}
-	medium := sim.NewMedium(engine, radioRange, mediumOpts...)
 
 	// Observability: one runtime feeds every instrumented layer. It never
 	// consumes run randomness, so enabling it cannot perturb a seed.

@@ -10,8 +10,10 @@ import (
 // when anything couples them faster than a walk between them:
 //
 //   - their radio ranges overlap (RF gap ≤ 0), so a frame can reach both;
-//   - their promotion boundaries overlap, so one far-field pedestrian can
-//     be promoted near both at once (only with a far field to promote);
+//   - their promotion boundaries lie less than minLookahead's walk apart
+//     (handoffLatency), so one far-field pedestrian can be promoted near
+//     both at once or within a sliver of a window (only with a far field
+//     to promote);
 //   - the knowledge plane is Shared, so one database sits behind them all.
 //
 // Inside a group, sites share one engine, radio medium, RNG stream and MAC
@@ -36,12 +38,12 @@ func siteGroups(sites []Venue, knowledge KnowledgePlane, ff *FarFieldConfig) ([]
 		}
 		return i
 	}
-	promo := ff.boundary()
 	for i := range sites {
 		for j := i + 1; j < len(sites); j++ {
 			dist := sites[i].Position.Dist(sites[j].Position)
+			handoff, farField := handoffLatency(ff, dist)
 			if knowledge == Shared || dist <= sites[i].RadioRange+sites[j].RadioRange ||
-				(promo > 0 && dist <= 2*promo) {
+				farField && handoff < minLookahead {
 				// The lower root wins, so every root is its group's lowest site.
 				a, b := find(i), find(j)
 				root[max(a, b)] = min(a, b)
@@ -70,21 +72,16 @@ func siteGroups(sites []Venue, knowledge KnowledgePlane, ff *FarFieldConfig) ([]
 //     every arrival is posted at least max(1s, gap/maxSpeed) ahead.
 //   - Level-of-detail handoffs: a pedestrian demoted at one group's
 //     promotion boundary walks at least the boundary gap before promoting
-//     in another group, so the window must not exceed
-//     boundaryGap/maxSpeed for the demote and the re-promote to fall in
-//     different windows (the barrier between them hands the snapshot
-//     across safely).
+//     in another group, so the window must not exceed handoffLatency for
+//     the demote and the re-promote to fall in different windows (the
+//     barrier between them hands the snapshot across safely).
 //
-// Both gaps are positive by construction: siteGroups joins any pair whose
-// gap is not. With a single group there is no cross-group traffic at all,
-// and the whole run is one window.
+// Both terms are at least minLookahead: the transit term by its floor, the
+// handoff term because siteGroups joins any pair whose handoff is shorter.
+// With a single group there is no cross-group traffic at all, and the
+// whole run is one window.
 func groupLookahead(sites []Venue, groupOf []int, transit mobility.TransitModel, ff *FarFieldConfig, duration time.Duration) time.Duration {
 	look := duration
-	promo := ff.boundary()
-	route := mobility.DefaultTransit()
-	if promo > 0 && ff.Route.Transit != (mobility.TransitModel{}) {
-		route = ff.Route.Transit
-	}
 	for i := range sites {
 		for j := i + 1; j < len(sites); j++ {
 			if groupOf[i] == groupOf[j] {
@@ -92,13 +89,34 @@ func groupLookahead(sites []Venue, groupOf []int, transit mobility.TransitModel,
 			}
 			dist := sites[i].Position.Dist(sites[j].Position)
 			gap := dist - sites[i].RadioRange - sites[j].RadioRange
-			look = min(look, max(time.Second, time.Duration(gap/transit.SpeedMax*float64(time.Second))))
-			if promo > 0 {
-				look = min(look, time.Duration((dist-2*promo)/route.SpeedMax*float64(time.Second)))
+			look = min(look, max(minLookahead, time.Duration(gap/transit.SpeedMax*float64(time.Second))))
+			if handoff, farField := handoffLatency(ff, dist); farField {
+				look = min(look, handoff)
 			}
 		}
 	}
 	return look
+}
+
+// minLookahead is the shortest window two site groups may force: the
+// one-second floor mobility.TransitModel puts under every leg. A pair of
+// sites whose far-field handoff is quicker shares a group instead.
+const minLookahead = time.Second
+
+// handoffLatency returns the least time a far-field pedestrian takes to
+// walk from the promotion boundary of one site to that of another dist
+// metres away — the boundary gap at the route's top speed, not positive
+// when the boundaries overlap — and false when there is no far field.
+func handoffLatency(ff *FarFieldConfig, dist float64) (time.Duration, bool) {
+	promo := ff.boundary()
+	if promo <= 0 {
+		return 0, false
+	}
+	route := mobility.DefaultTransit()
+	if ff.Route.Transit != (mobility.TransitModel{}) {
+		route = ff.Route.Transit
+	}
+	return time.Duration((dist - 2*promo) / route.SpeedMax * float64(time.Second)), true
 }
 
 // partitionCount resolves the configured partition count against the group

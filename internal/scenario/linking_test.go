@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -127,22 +128,22 @@ func TestValidateLinking(t *testing.T) {
 
 	bad := base
 	bad.Randomization = client.RandomizationPolicy(99)
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("unknown randomization policy accepted")
 	}
 	bad = base
 	bad.RandomizeEvery = -time.Second
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("negative randomize-every accepted")
 	}
 	bad = base
 	bad.FingerprintModels = -1
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("negative fingerprint models accepted")
 	}
 	bad = base
 	bad.Linker = LinkerKind(99)
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("unknown linker kind accepted")
 	}
 }
@@ -158,7 +159,7 @@ func TestRandomizationDeterminism(t *testing.T) {
 				cfg := baseConfig(t, CanteenVenue(), CityHunter, 5)
 				cfg.Randomization = policy
 				cfg.Linker = LinkerComposite
-				res, err := Run(cfg, 4, 2*time.Minute)
+				res, err := RunContext(context.Background(), cfg, 4, 2*time.Minute)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}

@@ -28,18 +28,18 @@ func farFieldConfig(d DeploymentConfig, pedestrians int) *FarFieldConfig {
 func TestFarFieldValidation(t *testing.T) {
 	good := deployConfig(t, CityHunter, 21)
 	good.FarField = farFieldConfig(good, 10)
-	if _, err := RunDeployment(good, 0, time.Minute); err != nil {
+	if _, err := RunDeploymentContext(context.Background(), good, 0, time.Minute); err != nil {
 		t.Fatalf("valid far-field config rejected: %v", err)
 	}
 
 	bad := good
 	bad.FarField = &FarFieldConfig{Pedestrians: -1}
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("negative population accepted")
 	}
 	bad = good
 	bad.FarField = &FarFieldConfig{Pedestrians: 1, Radius: -5}
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("negative promotion radius accepted")
 	}
 	bad = good
@@ -47,7 +47,7 @@ func TestFarFieldValidation(t *testing.T) {
 		Pedestrians: 1,
 		Route:       mobility.RouteModel{Transit: mobility.TransitModel{SpeedMin: 2, SpeedMax: 1}},
 	}
-	if _, err := RunDeployment(bad, 0, time.Minute); err == nil {
+	if _, err := RunDeploymentContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("invalid route model accepted")
 	}
 }
@@ -55,7 +55,7 @@ func TestFarFieldValidation(t *testing.T) {
 func TestFarFieldPromotionLifecycle(t *testing.T) {
 	d := deployConfig(t, CityHunter, 22)
 	d.FarField = farFieldConfig(d, 40)
-	res, err := RunDeployment(d, 0, 30*time.Minute)
+	res, err := RunDeploymentContext(context.Background(), d, 0, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFarFieldDeterminism(t *testing.T) {
 	run := func() *FarFieldResult {
 		d := deployConfig(t, CityHunter, 23)
 		d.FarField = farFieldConfig(d, 60)
-		res, err := RunDeployment(d, 0, 20*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), d, 0, 20*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestFarFieldAwayFromSitesLeavesVenuesUntouched(t *testing.T) {
 	run := func(ff *FarFieldConfig) *DeploymentResult {
 		d := deployConfig(t, CityHunter, 24)
 		d.FarField = ff
-		res, err := RunDeployment(d, 0, 10*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), d, 0, 10*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestFarFieldChurn(t *testing.T) {
 		Route: mobility.RouteModel{MeanVisits: 4, MaxVisits: 6},
 		Entry: geo.NewRect(site.Position.Add(geo.Pt(-400, -400)), site.Position.Add(geo.Pt(-300, -300))),
 	}
-	res, err := RunDeployment(d, 0, time.Hour)
+	res, err := RunDeploymentContext(context.Background(), d, 0, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

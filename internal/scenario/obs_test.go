@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 		cfg.Metrics = true
 		cfg.FlightRecorderCap = 256
 		cfg.SpanTrace = true
-		res, err := Run(cfg, 4, 3*time.Minute)
+		res, err := RunContext(context.Background(), cfg, 4, 3*time.Minute)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -61,7 +62,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 // TestObservabilityOffByDefault checks the zero-config path carries no
 // observability state, so the default run pays only nil-check branches.
 func TestObservabilityOffByDefault(t *testing.T) {
-	res, err := Run(baseConfig(t, CanteenVenue(), KARMA, 2), 4, time.Minute)
+	res, err := RunContext(context.Background(), baseConfig(t, CanteenVenue(), KARMA, 2), 4, time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestTraceDroppedSurfaced(t *testing.T) {
 	cfg.TraceMaxEntries = 10
 	cfg.FlightRecorderCap = 64
 	cfg.Metrics = true
-	res, err := Run(cfg, 4, 3*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 4, 3*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -175,7 +175,7 @@ func TestDeploymentJournalDropped(t *testing.T) {
 		d := partitionedTrio(t, 31)
 		d.Base.FlightRecorderCap = capacity
 		d.Base.Metrics = true
-		res, err := RunDeployment(d, 0, 12*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), d, 0, 12*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestDeploymentJournalDropped(t *testing.T) {
 func TestPartitionedMatchesClassicShape(t *testing.T) {
 	d := partitionedTrio(t, 17)
 	d.Partitions = AutoPartitions
-	res, err := RunDeployment(d, 0, 12*time.Minute)
+	res, err := RunDeploymentContext(context.Background(), d, 0, 12*time.Minute)
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
 	}
@@ -238,7 +238,7 @@ func TestPartitionedTransitWindowEdge(t *testing.T) {
 		d.RoamFraction = 1
 		d.Transit = mobility.TransitModel{SpeedMin: 1.5, SpeedMax: 1.5}
 		d.Partitions = partitions
-		res, err := RunDeployment(d, 0, 15*time.Minute)
+		res, err := RunDeploymentContext(context.Background(), d, 0, 15*time.Minute)
 		if err != nil {
 			t.Fatalf("partitions=%d: %v", partitions, err)
 		}
@@ -330,6 +330,12 @@ func TestSiteGroups(t *testing.T) {
 		{"boundaries without a far field", at(0, 250, 1000), Isolated, nil, []int{0, 1, 2}},
 		{"overlapping boundaries join", at(0, 250, 1000), Isolated, ff, []int{0, 0, 1}},
 		{"empty far field joins nothing", at(0, 250), Isolated, &FarFieldConfig{Radius: 150}, []int{0, 1}},
+		// Boundaries 150 m out, walked at 1.7 m/s: a gap of a nanometre or
+		// a tenth of a micrometre would force a window of 0 s or 58 ns, so
+		// both join; a 2 m gap is over a second's walk and stays apart.
+		{"boundary gap a nanometre wide joins", at(0, 300+1e-9), Isolated, ff, []int{0, 0}},
+		{"boundary gap under a second's walk joins", at(0, 300+1e-7), Isolated, ff, []int{0, 0}},
+		{"boundary gap over a second's walk stays apart", at(0, 302), Isolated, ff, []int{0, 1}},
 		{"numbered by lowest site", at(1000, 0, 1090, 5000, 40), Isolated, nil, []int{0, 1, 0, 2, 1}},
 	}
 	for _, tc := range cases {
@@ -339,6 +345,9 @@ func TestSiteGroups(t *testing.T) {
 		}
 		if want := slices.Max(tc.want) + 1; n != want {
 			t.Errorf("%s: %d groups, want %d", tc.name, n, want)
+		}
+		if look := groupLookahead(tc.sites, got, mobility.DefaultTransit(), tc.ff, 10*time.Minute); n >= 2 && look < minLookahead {
+			t.Errorf("%s: lookahead %v between %d groups, want at least %v", tc.name, look, n, minLookahead)
 		}
 	}
 }
@@ -358,7 +367,7 @@ func TestPartitionedAcceptsFormerRejections(t *testing.T) {
 			d := partitionedTrio(t, 3)
 			setup(&d)
 			d.Partitions = partitions
-			res, err := RunDeployment(d, 0, 3*time.Minute)
+			res, err := RunDeploymentContext(context.Background(), d, 0, 3*time.Minute)
 			if err != nil {
 				t.Fatalf("%s at partitions=%d refused: %v", name, partitions, err)
 			}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func (r *fakeRun) FinishRun(at time.Duration, err error) {
 func TestPublisherDoesNotPerturbRun(t *testing.T) {
 	cfg := baseConfig(t, PassageVenue(), CityHunter, 17)
 	cfg.ArrivalScale = 0.3
-	plain, err := Run(cfg, 1, 5*time.Minute)
+	plain, err := RunContext(context.Background(), cfg, 1, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestPublisherDoesNotPerturbRun(t *testing.T) {
 	pub := &fakePublisher{}
 	cfg.Publisher = pub
 	cfg.PublishEvery = 30 * time.Second
-	monitored, err := Run(cfg, 1, 5*time.Minute)
+	monitored, err := RunContext(context.Background(), cfg, 1, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestPublisherFeed(t *testing.T) {
 	cfg.Publisher = pub
 	cfg.PublishEvery = time.Minute
 	cfg.RunLabel = "feed-test"
-	if _, err := Run(cfg, 0, 5*time.Minute); err != nil {
+	if _, err := RunContext(context.Background(), cfg, 0, 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +167,7 @@ func TestDeploymentPublisherFeed(t *testing.T) {
 		d.Base.Publisher = pub
 		d.Base.PublishEvery = time.Minute
 		d.Partitions = partitions
-		if _, err := RunDeployment(d, 0, 5*time.Minute); err != nil {
+		if _, err := RunDeploymentContext(context.Background(), d, 0, 5*time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		r := pub.run(t, 0)

@@ -223,15 +223,9 @@ func (r *Result) Breakdown() stats.Breakdown {
 	})
 }
 
-// Run executes one deployment: the venue's slot-th hour-long test (the
-// paper runs 8am–8pm, one test per hour slot, database re-initialised each
-// time). duration may be shorter than an hour for quick runs. It is
-// RunContext with a background context.
-func Run(cfg Config, slot int, duration time.Duration) (*Result, error) {
-	return RunContext(context.Background(), cfg, slot, duration)
-}
-
-// RunContext is the primary run entry point: Run, plus cancellation. A
+// RunContext executes one deployment: the venue's slot-th hour-long test
+// (the paper runs 8am–8pm, one test per hour slot, database re-initialised
+// each time). duration may be shorter than an hour for quick runs. A
 // single-venue run is a one-site deployment of cfg.Venue: it runs on
 // RunDeploymentContext's engine, validation and telemetry and returns that
 // site's Result. The context is polled inside the simulation event loop,

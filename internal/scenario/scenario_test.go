@@ -54,38 +54,38 @@ func baseConfig(t *testing.T, venue Venue, kind AttackKind, seed int64) Config {
 func TestRunValidation(t *testing.T) {
 	city, hm := testCity(t)
 	base := Config{City: city, HeatMap: hm, Venue: CanteenVenue(), Attack: KARMA, Seed: 1}
-	if _, err := Run(Config{Venue: CanteenVenue(), Attack: KARMA}, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), Config{Venue: CanteenVenue(), Attack: KARMA}, 0, time.Minute); err == nil {
 		t.Error("nil city accepted")
 	}
-	if _, err := Run(base, -1, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), base, -1, time.Minute); err == nil {
 		t.Error("negative slot accepted")
 	}
-	if _, err := Run(base, 99, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), base, 99, time.Minute); err == nil {
 		t.Error("slot beyond profile accepted")
 	}
-	if _, err := Run(base, 0, 0); err == nil {
+	if _, err := RunContext(context.Background(), base, 0, 0); err == nil {
 		t.Error("zero duration accepted")
 	}
 	bad := base
 	bad.DirectProberFraction = 2
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("bad direct fraction accepted")
 	}
 	bad = base
 	bad.Attack = AttackKind(99)
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("unknown attack accepted")
 	}
 	bad = base
 	bad.PreconnectedFraction = -1
-	if _, err := Run(bad, 0, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("bad preconnected fraction accepted")
 	}
 	// A direct run validates its venue like any deployment site.
 	bad = base
 	bad.Venue.StaticDwell = mobility.StaticDwell{Median: -time.Minute, Sigma: 0.5, Max: time.Hour}
 	var fe *FieldError
-	if _, err := Run(bad, 0, time.Minute); !errors.As(err, &fe) || fe.Path != "sites[0].staticDwell.medianMinutes" {
+	if _, err := RunContext(context.Background(), bad, 0, time.Minute); !errors.As(err, &fe) || fe.Path != "sites[0].staticDwell.medianMinutes" {
 		t.Errorf("negative dwell median: err = %v, want a FieldError at sites[0].staticDwell.medianMinutes", err)
 	}
 }
@@ -99,7 +99,7 @@ func TestCanteenComparison(t *testing.T) {
 	}
 	run := func(kind AttackKind) *Result {
 		cfg := baseConfig(t, CanteenVenue(), kind, 11)
-		res, err := Run(cfg, 4, 30*time.Minute) // lunch slot
+		res, err := RunContext(context.Background(), cfg, 4, 30*time.Minute) // lunch slot
 		if err != nil {
 			t.Fatalf("Run(%v): %v", kind, err)
 		}
@@ -141,11 +141,11 @@ func TestPassageVsCanteen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario runs")
 	}
-	canteen, err := Run(baseConfig(t, CanteenVenue(), CityHunter, 13), 4, 30*time.Minute)
+	canteen, err := RunContext(context.Background(), baseConfig(t, CanteenVenue(), CityHunter, 13), 4, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passage, err := Run(baseConfig(t, PassageVenue(), CityHunter, 13), 2, 30*time.Minute)
+	passage, err := RunContext(context.Background(), baseConfig(t, PassageVenue(), CityHunter, 13), 2, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestPassageVsCanteen(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	cfg := baseConfig(t, PassageVenue(), CityHunter, 17)
 	cfg.ArrivalScale = 0.3
-	a, err := Run(cfg, 1, 5*time.Minute)
+	a, err := RunContext(context.Background(), cfg, 1, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, 1, 5*time.Minute)
+	b, err := RunContext(context.Background(), cfg, 1, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRunSampling(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), CityHunter, 19)
 	cfg.ArrivalScale = 0.3
 	cfg.SampleEvery = time.Minute
-	res, err := Run(cfg, 0, 5*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 0, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestManaRunExposesDB(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), MANA, 23)
 	cfg.ArrivalScale = 0.3
 	cfg.SampleEvery = time.Minute
-	res, err := Run(cfg, 4, 5*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 4, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestRandomizedMACsInflateAttackerView(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), CityHunter, 31)
 	cfg.ArrivalScale = 0.4
 	cfg.RandomizeMACFraction = 1.0
-	res, err := Run(cfg, 4, 8*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 4, 8*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCanaryFractionNeutralizes(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), CityHunter, 33)
 	cfg.ArrivalScale = 0.4
 	cfg.CanaryFraction = 1.0
-	res, err := Run(cfg, 4, 8*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 4, 8*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSentinelWiredIntoScenario(t *testing.T) {
 	cfg.ArrivalScale = 0.4
 	cfg.Sentinel = true
 	cfg.Trace = true
-	res, err := Run(cfg, 4, 5*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 4, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +331,11 @@ func TestFrameLossDegradesGracefully(t *testing.T) {
 	lossy := clean
 	lossy.FrameLoss = 0.4
 
-	a, err := Run(clean, 4, 10*time.Minute)
+	a, err := RunContext(context.Background(), clean, 4, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(lossy, 4, 10*time.Minute)
+	b, err := RunContext(context.Background(), lossy, 4, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestFrameLossDegradesGracefully(t *testing.T) {
 	// Validation rejects nonsense.
 	bad := clean
 	bad.FrameLoss = 1.0
-	if _, err := Run(bad, 4, time.Minute); err == nil {
+	if _, err := RunContext(context.Background(), bad, 4, time.Minute); err == nil {
 		t.Error("loss = 1.0 accepted")
 	}
 }
@@ -363,13 +363,13 @@ func TestFrameLossDegradesGracefully(t *testing.T) {
 func TestKnownBeaconsBaseline(t *testing.T) {
 	cfg := baseConfig(t, CanteenVenue(), KnownBeacons, 51)
 	cfg.ArrivalScale = 0.6
-	kb, err := Run(cfg, 4, 15*time.Minute)
+	kb, err := RunContext(context.Background(), cfg, 4, 15*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chCfg := cfg
 	chCfg.Attack = CityHunter
-	ch, err := Run(chCfg, 4, 15*time.Minute)
+	ch, err := RunContext(context.Background(), chCfg, 4, 15*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +399,13 @@ func TestCautiousMirrorBeatsCanaries(t *testing.T) {
 	base.ArrivalScale = 0.6
 	base.CanaryFraction = 1.0
 
-	eager, err := Run(base, 4, 12*time.Minute)
+	eager, err := RunContext(context.Background(), base, 4, 12*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cautious := base
 	cautious.CautiousMirror = true
-	careful, err := Run(cautious, 4, 12*time.Minute)
+	careful, err := RunContext(context.Background(), cautious, 4, 12*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +432,11 @@ func TestGridParallelismDeterministic(t *testing.T) {
 	// experiments package fans out with its own workers.)
 	cfg := baseConfig(t, StationVenue(), CityHunter, 63)
 	cfg.ArrivalScale = 0.4
-	a, err := Run(cfg, 2, 4*time.Minute)
+	a, err := RunContext(context.Background(), cfg, 2, 4*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, 2, 4*time.Minute)
+	b, err := RunContext(context.Background(), cfg, 2, 4*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,21 +461,5 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if res.Duration >= 10*time.Minute {
 		t.Errorf("partial result claims full duration %v", res.Duration)
-	}
-}
-
-func TestRunContextBackgroundMatchesRun(t *testing.T) {
-	cfg := baseConfig(t, CanteenVenue(), CityHunter, 5)
-	a, err := Run(cfg, 4, 3*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunContext(context.Background(), cfg, 4, 3*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Tally != b.Tally || a.Duration != b.Duration {
-		t.Errorf("Run tally %+v (%v) != RunContext tally %+v (%v)",
-			a.Tally, a.Duration, b.Tally, b.Duration)
 	}
 }

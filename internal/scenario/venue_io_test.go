@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -167,7 +168,7 @@ func TestDecodeVenueJSONHandWritten(t *testing.T) {
 	// A decoded venue must be runnable.
 	cfg := baseConfig(t, v, CityHunter, 71)
 	cfg.ArrivalScale = 0.5
-	res, err := Run(cfg, 1, 4*time.Minute)
+	res, err := RunContext(context.Background(), cfg, 1, 4*time.Minute)
 	if err != nil {
 		t.Fatalf("Run on decoded venue: %v", err)
 	}

@@ -137,13 +137,6 @@ func (j *job) eventLocked(typ, detail string) {
 	}
 }
 
-// event appends one event under the lock.
-func (j *job) event(typ, detail string) {
-	j.mu.Lock()
-	j.eventLocked(typ, detail)
-	j.mu.Unlock()
-}
-
 // terminate moves the job to a terminal state, logs the closing event and
 // closes every subscriber channel (ending their SSE streams after the
 // final event drains).

@@ -141,12 +141,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Monitor returns the mounted telemetry plane.
-func (s *Server) Monitor() *monitor.Server { return s.monitor }
-
-// Store returns the result store.
-func (s *Server) Store() *Store { return s.store }
-
 // submission is the POST /api/v1/jobs body. Plan is the versioned
 // envelope and is the only accepted plan input. attack/slot/minutes apply
 // to venue and deployment plans (campaign plans carry them per run) and
@@ -705,25 +699,20 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Start.
-func (s *Server) Addr() string {
-	s.httpMu.Lock()
-	defer s.httpMu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Close stops the HTTP listener without draining jobs (Shutdown is the
 // graceful path).
 func (s *Server) Close() error {
 	s.httpMu.Lock()
-	hs := s.hs
+	ln, hs := s.ln, s.hs
 	s.ln, s.hs = nil, nil
 	s.httpMu.Unlock()
 	if hs == nil {
 		return nil
 	}
-	return hs.Close()
+	err := hs.Close()
+	// hs.Close closes only the listeners Serve has begun to track; one
+	// whose serving goroutine has not run yet would stay bound until it
+	// does. Closing ln here frees the address before Close returns.
+	_ = ln.Close()
+	return err
 }

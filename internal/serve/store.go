@@ -35,9 +35,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store root.
-func (st *Store) Dir() string { return st.dir }
-
 // jobDir is the directory of one content hash, sharded by the first byte
 // so a long-lived store never piles every job into one directory.
 func (st *Store) jobDir(hash string) string {

@@ -114,7 +114,7 @@ func TestStoreShardsByHashPrefix(t *testing.T) {
 	if err := st.PutResult(hash, []byte("{}\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(st.Dir(), "f0", hash, "result.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(st.dir, "f0", hash, "result.json")); err != nil {
 		t.Errorf("expected sharded layout dir/f0/<hash>/result.json: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(time.Duration(i%1000)*time.Microsecond, func() {})
 		if i%1024 == 1023 {
-			e.Run(e.Now() + time.Millisecond)
+			e.RunContext(context.Background(), e.Now()+time.Millisecond)
 		}
 	}
-	e.Run(e.Now() + time.Second)
+	e.RunContext(context.Background(), e.Now()+time.Second)
 }
 
 func BenchmarkMediumBroadcast100Stations(b *testing.B) {
@@ -42,7 +43,7 @@ func BenchmarkMediumBroadcast100Stations(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Transmit(f)
-		e.Run(e.Now() + time.Millisecond)
+		e.RunContext(context.Background(), e.Now()+time.Millisecond)
 	}
 }
 
@@ -63,9 +64,9 @@ func BenchmarkMediumUnicast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Transmit(f)
 		if i%256 == 255 {
-			e.Run(e.Now() + time.Second)
+			e.RunContext(context.Background(), e.Now()+time.Second)
 			rx.received = rx.received[:0]
 		}
 	}
-	e.Run(e.Now() + time.Hour)
+	e.RunContext(context.Background(), e.Now()+time.Hour)
 }

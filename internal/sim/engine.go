@@ -33,7 +33,6 @@ type Engine struct {
 	events []event // slot storage; recycled through free
 	free   []int32 // free slot indices
 	heap   []int32 // min-heap of slot indices ordered by (at, seq)
-	halted bool
 
 	// Observability handles; nil when uninstrumented (the methods on nil
 	// handles are no-ops, so the hot path pays one branch).
@@ -158,25 +157,18 @@ func (e *Engine) pop() (time.Duration, func()) {
 	return at, fn
 }
 
-// Run executes events in order until the queue is empty or the next event
-// lies past until, then returns the number of events executed. Afterwards
-// the clock rests at until (events cannot move the clock beyond until,
-// because any later event stays queued for the next Run).
-func (e *Engine) Run(until time.Duration) int {
-	n, _ := e.RunContext(context.Background(), until)
-	return n
-}
-
-// RunContext executes events like Run but also honors ctx: the loop polls
-// the context every few hundred events and stops early, returning ctx's
+// RunContext executes events in order until the queue is empty or the
+// next event lies past until, then returns the number of events executed.
+// Afterwards the clock rests at until (events cannot move the clock beyond
+// until, because any later event stays queued for the next call). The loop
+// polls ctx every few hundred events and stops early, returning ctx's
 // error, once it is cancelled. On cancellation the clock rests at the last
 // executed event (it is NOT advanced to until), so callers see exactly how
 // much virtual time was simulated; pending events stay queued.
 func (e *Engine) RunContext(ctx context.Context, until time.Duration) (int, error) {
 	executed := 0
-	e.halted = false
 	err := ctx.Err()
-	for err == nil && len(e.heap) > 0 && !e.halted {
+	for err == nil && len(e.heap) > 0 {
 		if e.events[e.heap[0]].at > until {
 			break
 		}
@@ -194,25 +186,3 @@ func (e *Engine) RunContext(ctx context.Context, until time.Duration) (int, erro
 	}
 	return executed, err
 }
-
-// Step executes exactly one event if any is pending and reports whether it
-// did. Like RunContext, it clears a stale Halt first, so a Halt issued
-// while the engine was idle does not swallow the next stepped event.
-func (e *Engine) Step() bool {
-	e.halted = false
-	if len(e.heap) == 0 {
-		return false
-	}
-	at, fn := e.pop()
-	e.now = at
-	fn()
-	e.mEvents.Inc()
-	return true
-}
-
-// Halt stops the current Run after the executing event completes. Pending
-// events stay queued.
-func (e *Engine) Halt() { e.halted = true }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }

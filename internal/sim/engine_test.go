@@ -15,7 +15,7 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 	e.Schedule(3*time.Second, func() { got = append(got, 3) })
 	e.Schedule(1*time.Second, func() { got = append(got, 1) })
 	e.Schedule(2*time.Second, func() { got = append(got, 2) })
-	if n := e.Run(10 * time.Second); n != 3 {
+	if n, _ := e.RunContext(context.Background(), 10*time.Second); n != 3 {
 		t.Fatalf("executed %d events, want 3", n)
 	}
 	want := []int{1, 2, 3}
@@ -33,7 +33,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 		i := i
 		e.Schedule(time.Second, func() { got = append(got, i) })
 	}
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events out of insertion order: %v", got)
@@ -45,12 +45,12 @@ func TestEngineClockDuringEvent(t *testing.T) {
 	e := NewEngine()
 	var at time.Duration
 	e.Schedule(5*time.Second, func() { at = e.Now() })
-	e.Run(time.Minute)
+	e.RunContext(context.Background(), time.Minute)
 	if at != 5*time.Second {
 		t.Errorf("Now during event = %v, want 5s", at)
 	}
 	if e.Now() != time.Minute {
-		t.Errorf("Now after Run = %v, want 1m", e.Now())
+		t.Errorf("Now after RunContext = %v, want 1m", e.Now())
 	}
 }
 
@@ -58,19 +58,19 @@ func TestEngineRunStopsAtHorizon(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	e.Schedule(2*time.Second, func() { ran = true })
-	if n := e.Run(time.Second); n != 0 {
+	if n, _ := e.RunContext(context.Background(), time.Second); n != 0 {
 		t.Fatalf("executed %d, want 0", n)
 	}
 	if ran {
 		t.Error("event beyond horizon executed")
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
+	if len(e.heap) != 1 {
+		t.Errorf("queued = %d, want 1", len(e.heap))
 	}
-	// The event survives for a later Run.
-	e.Run(3 * time.Second)
+	// The event survives for a later RunContext.
+	e.RunContext(context.Background(), 3*time.Second)
 	if !ran {
-		t.Error("event did not execute on second Run")
+		t.Error("event did not execute on the second RunContext")
 	}
 }
 
@@ -85,7 +85,7 @@ func TestEngineEventSchedulesEvent(t *testing.T) {
 		}
 	}
 	e.Schedule(0, tick)
-	e.Run(time.Minute)
+	e.RunContext(context.Background(), time.Minute)
 	if len(times) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(times))
 	}
@@ -105,48 +105,17 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 			}
 		})
 	})
-	e.Run(time.Minute)
+	e.RunContext(context.Background(), time.Minute)
 }
 
 func TestEngineAtPastClamped(t *testing.T) {
 	e := NewEngine()
-	e.Run(10 * time.Second)
+	e.RunContext(context.Background(), 10*time.Second)
 	fired := false
 	e.At(time.Second, func() { fired = true })
-	e.Run(10 * time.Second) // horizon equals now: event clamped to now runs
+	e.RunContext(context.Background(), 10*time.Second) // horizon equals now: event clamped to now runs
 	if !fired {
 		t.Error("past event did not run at current time")
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(time.Second, func() { count++; e.Halt() })
-	e.Schedule(2*time.Second, func() { count++ })
-	e.Run(time.Minute)
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 after Halt", count)
-	}
-	// A fresh Run resumes.
-	e.Run(time.Minute)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 after resumed Run", count)
-	}
-}
-
-func TestEngineStep(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Error("Step on empty queue = true")
-	}
-	ran := false
-	e.Schedule(time.Hour, func() { ran = true })
-	if !e.Step() {
-		t.Error("Step = false with pending event")
-	}
-	if !ran || e.Now() != time.Hour {
-		t.Errorf("ran=%v now=%v", ran, e.Now())
 	}
 }
 
@@ -160,7 +129,7 @@ func TestQuickEngineOrdering(t *testing.T) {
 			d := time.Duration(d%1e6) * time.Microsecond
 			e.Schedule(d, func() { got = append(got, e.Now()) })
 		}
-		e.Run(time.Hour)
+		e.RunContext(context.Background(), time.Hour)
 		if len(got) != len(delays) {
 			return false
 		}
@@ -179,7 +148,7 @@ func TestEngineManyEventsStress(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Schedule(time.Duration(rng.Intn(1000))*time.Millisecond, func() { count++ })
 	}
-	if got := e.Run(time.Second); got != n {
+	if got, _ := e.RunContext(context.Background(), time.Second); got != n {
 		t.Fatalf("executed %d, want %d", got, n)
 	}
 	if count != n {
@@ -200,8 +169,8 @@ func TestEngineRunContextPreCancelled(t *testing.T) {
 	if fired {
 		t.Error("event fired despite cancelled context")
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (queue untouched)", e.Pending())
+	if len(e.heap) != 1 {
+		t.Errorf("pending = %d, want 1 (queue untouched)", len(e.heap))
 	}
 	if e.Now() != 0 {
 		t.Errorf("clock advanced to %v on cancelled run", e.Now())
@@ -232,25 +201,5 @@ func TestEngineRunContextCancelMidRun(t *testing.T) {
 	}
 	if want := 256 * time.Millisecond; e.Now() != want {
 		t.Errorf("clock = %v, want %v (last executed event, not the horizon)", e.Now(), want)
-	}
-}
-
-func TestEngineRunContextBackgroundMatchesRun(t *testing.T) {
-	mk := func() *Engine {
-		e := NewEngine()
-		for i := 0; i < 50; i++ {
-			e.Schedule(time.Duration(i)*time.Second, func() {})
-		}
-		return e
-	}
-	a := mk()
-	na := a.Run(time.Hour)
-	b := mk()
-	nb, err := b.RunContext(context.Background(), time.Hour)
-	if err != nil {
-		t.Fatalf("RunContext: %v", err)
-	}
-	if na != nb || a.Now() != b.Now() {
-		t.Errorf("Run=(%d,%v) RunContext=(%d,%v); want identical", na, a.Now(), nb, b.Now())
 	}
 }

@@ -50,12 +50,11 @@ type Station interface {
 // so fan-out cost scales with local density instead of the total population.
 type Medium struct {
 	engine *Engine
-	rng    rangeModel
 
-	// maxRange is the largest distance at which any receiver can hear a
-	// transmitter (the disk radius, or the soft edge's outer radius). It
-	// sizes the spatial grid cells and the broadcast candidate query.
-	maxRange float64
+	// radius is the distance in metres within which a receiver hears a
+	// transmitter. It also sizes the spatial grid cells and the broadcast
+	// candidate query.
+	radius float64
 
 	// order holds attached stations in attach order; index maps a MAC to
 	// its slot in order. Detached slots are nil and recycled lazily, so an
@@ -91,11 +90,9 @@ type Medium struct {
 	deliverPool []*deliverEvent
 
 	// loss is the independent per-delivery drop probability; lossRNG
-	// draws for it and for soft-edge reception. needRNG marks models
-	// that need draws even without loss.
+	// draws for it.
 	loss    float64
 	lossRNG *rand.Rand
-	needRNG bool
 
 	// FramesSent counts every transmission accepted by the medium.
 	FramesSent int
@@ -148,85 +145,16 @@ func (m *Medium) Instrument(rt *obs.Runtime) {
 	m.mCompactions = rt.Metrics.Counter("medium_compactions")
 }
 
-// rangeModel decides whether a receiver hears a transmitter. prob returns
-// the reception probability at the given geometry (0, 1, or in between for
-// soft-edge models).
-type rangeModel interface {
-	prob(tx, rx geo.Point) float64
-}
-
-// diskRange is the unit-disk model: reception succeeds within radius metres.
-type diskRange struct{ radius float64 }
-
-func (d diskRange) prob(tx, rx geo.Point) float64 {
-	if tx.Dist2(rx) <= d.radius*d.radius {
-		return 1
-	}
-	return 0
-}
-
-// softEdgeRange receives perfectly inside inner, fades linearly to zero at
-// outer — a crude but useful stand-in for the fuzzy cell edge of a real
-// radio.
-type softEdgeRange struct{ inner, outer float64 }
-
-func (s softEdgeRange) prob(tx, rx geo.Point) float64 {
-	d2 := tx.Dist2(rx)
-	if d2 <= s.inner*s.inner {
-		return 1
-	}
-	if d2 >= s.outer*s.outer {
-		return 0
-	}
-	d := tx.Dist(rx)
-	return 1 - (d-s.inner)/(s.outer-s.inner)
-}
-
-// MediumOption customises NewMedium.
-type MediumOption interface{ applyMedium(*Medium) }
-
-type mediumOptionFunc func(*Medium)
-
-func (f mediumOptionFunc) applyMedium(m *Medium) { f(m) }
-
-// WithFrameLoss drops each frame delivery independently with probability p
-// (collisions, fading, interference). Draws come from the given seed, so
-// lossy runs stay reproducible.
-func WithFrameLoss(p float64, seed int64) MediumOption {
-	return mediumOptionFunc(func(m *Medium) {
-		m.loss = p
-		m.lossRNG = rand.New(rand.NewSource(seed))
-	})
-}
-
-// WithSoftEdge replaces the unit disk with a fading edge: perfect
-// reception inside inner metres, fading to zero at the medium's radius.
-func WithSoftEdge(inner float64) MediumOption {
-	return mediumOptionFunc(func(m *Medium) {
-		if d, ok := m.rng.(diskRange); ok && inner < d.radius {
-			m.rng = softEdgeRange{inner: inner, outer: d.radius}
-			m.needRNG = true
-		}
-	})
-}
-
 // NewMedium returns a medium on engine where stations hear each other
-// within radius metres (unit-disk propagation by default). The paper's
-// Raspberry Pi at 100 mW covers roughly a 50 m disk in open indoor space.
-func NewMedium(engine *Engine, radius float64, opts ...MediumOption) *Medium {
+// within radius metres (unit-disk propagation). The paper's Raspberry Pi
+// at 100 mW covers roughly a 50 m disk in open indoor space.
+func NewMedium(engine *Engine, radius float64) *Medium {
 	m := &Medium{
 		engine:       engine,
-		rng:          diskRange{radius: radius},
-		maxRange:     radius,
+		radius:       radius,
 		index:        make(map[ieee80211.MAC]int),
 		promiscIndex: make(map[ieee80211.MAC]int),
 		busyUntil:    make(map[ieee80211.MAC]time.Duration),
-	}
-	for _, o := range opts {
-		o.applyMedium(m)
-	}
-	if (m.loss > 0 || m.needRNG) && m.lossRNG == nil {
-		m.lossRNG = rand.New(rand.NewSource(1))
 	}
 	if radius > 0 {
 		// One cell per range disk: a 3×3 neighborhood always covers the
@@ -237,22 +165,34 @@ func NewMedium(engine *Engine, radius float64, opts ...MediumOption) *Medium {
 	return m
 }
 
-// receives draws whether one delivery succeeds given geometry and loss.
-// A frame that was in range (reception probability > 0) but failed the draw
-// counts as lost under the given subtype.
-func (m *Medium) receives(tx, rx geo.Point, sub ieee80211.FrameSubtype) bool {
-	p := m.rng.prob(tx, rx)
-	if p <= 0 {
-		return false
-	}
-	if m.loss > 0 {
-		p *= 1 - m.loss
-	}
-	if p < 1 && (m.lossRNG == nil || m.lossRNG.Float64() >= p) {
+// SetFrameLoss drops each frame delivery independently with probability p
+// (collisions, fading, interference). Draws come from the given seed, so
+// lossy runs stay reproducible. Call it before the first transmission.
+func (m *Medium) SetFrameLoss(p float64, seed int64) {
+	m.loss = p
+	m.lossRNG = rand.New(rand.NewSource(seed))
+}
+
+// inRange reports whether a receiver at rx hears a transmitter at tx.
+func (m *Medium) inRange(tx, rx geo.Point) bool {
+	return tx.Dist2(rx) <= m.radius*m.radius
+}
+
+// dropped draws whether frame loss takes one in-range delivery, counting
+// it as lost under the given subtype. Without loss it draws nothing.
+func (m *Medium) dropped(sub ieee80211.FrameSubtype) bool {
+	keep := 1 - m.loss
+	if keep < 1 && m.lossRNG.Float64() >= keep {
 		m.mLost[sub&0xf].Inc()
-		return false
+		return true
 	}
-	return true
+	return false
+}
+
+// receives reports whether one delivery from tx to rx succeeds: the
+// receiver is in range and frame loss spares it.
+func (m *Medium) receives(tx, rx geo.Point, sub ieee80211.FrameSubtype) bool {
+	return m.inRange(tx, rx) && !m.dropped(sub)
 }
 
 // Attach registers s on the medium. Attaching a MAC twice is a programming
@@ -351,7 +291,7 @@ func (m *Medium) maybeCompact() {
 	}
 	m.order = compact
 	if m.grid != nil {
-		m.grid, _ = geo.NewHashGrid(m.maxRange)
+		m.grid, _ = geo.NewHashGrid(m.radius)
 		m.cellKeys = m.cellKeys[:0]
 	}
 	for i, s := range m.order {
@@ -361,19 +301,6 @@ func (m *Medium) maybeCompact() {
 		}
 	}
 }
-
-// Attached reports whether addr is currently on the medium (in either
-// normal or monitor mode).
-func (m *Medium) Attached(addr ieee80211.MAC) bool {
-	if _, ok := m.index[addr]; ok {
-		return true
-	}
-	_, ok := m.promiscIndex[addr]
-	return ok
-}
-
-// StationCount returns the number of attached stations.
-func (m *Medium) StationCount() int { return len(m.index) }
 
 // Transmit queues f for transmission by the station with MAC f.SA. The
 // frame goes on air once the transmitter's previous frame has finished
@@ -521,19 +448,22 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 		}
 		return
 	}
-	if m.receives(txPos, rxPos, f.Subtype) {
+	if !m.inRange(txPos, rxPos) {
+		return
+	}
+	if !m.dropped(f.Subtype) {
 		m.FramesDelivered++
 		m.mDelivered[f.Subtype&0xf].Inc()
 		rx.Receive(f)
 		return
 	}
-	if m.journal != nil && m.rng.prob(txPos, rxPos) > 0 {
+	if m.journal != nil {
 		m.journal.Record(m.engine.Now(), obs.EventFrameLoss, tx.String(),
 			fmt.Sprintf("%s to %s lost, %d retries left", f.Subtype, f.DA, retriesLeft))
 	}
 	// A unicast frame in range but lost draws no ACK; the transmitter
 	// retries after another airtime, up to the 802.11 retry limit.
-	if retriesLeft > 0 && m.rng.prob(txPos, rxPos) > 0 {
+	if retriesLeft > 0 {
 		m.FramesRetried++
 		m.mRetried.Inc()
 		m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, txCh, f, retriesLeft-1)
@@ -564,7 +494,7 @@ func (m *Medium) deliverBroadcast(tx ieee80211.MAC, txPos geo.Point, txCh uint8,
 		return
 	}
 
-	cands := m.grid.AppendNeighborhood(m.scratch[:0], txPos, m.maxRange)
+	cands := m.grid.AppendNeighborhood(m.scratch[:0], txPos, m.radius)
 	slices.Sort(cands)
 	m.scratch = cands
 	gen := m.compactGen

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -65,7 +67,7 @@ func TestMediumBroadcastDelivery(t *testing.T) {
 	e, m := newTestMedium(t, 50, tx, near, far)
 
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 
 	if len(near.received) != 1 {
 		t.Errorf("near received %d frames, want 1", len(near.received))
@@ -88,7 +90,7 @@ func TestMediumUnicastDelivery(t *testing.T) {
 	e, m := newTestMedium(t, 50, tx, dst, other)
 
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 
 	if len(dst.received) != 1 {
 		t.Errorf("dst received %d, want 1", len(dst.received))
@@ -103,7 +105,7 @@ func TestMediumUnicastOutOfRange(t *testing.T) {
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(60, 0)}
 	e, m := newTestMedium(t, 50, tx, dst)
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("out-of-range dst received %d frames", len(dst.received))
 	}
@@ -118,7 +120,7 @@ func TestMediumAirtimeDelay(t *testing.T) {
 	var deliveredAt time.Duration
 	dst.onRecv = func(*ieee80211.Frame) { deliveredAt = e.Now() }
 	done := m.Transmit(f)
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 
 	if deliveredAt != f.Airtime() {
 		t.Errorf("delivered at %v, want airtime %v", deliveredAt, f.Airtime())
@@ -140,7 +142,7 @@ func TestMediumSerializesTransmitter(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Transmit(f)
 	}
-	e.Run(time.Minute)
+	e.RunContext(context.Background(), time.Minute)
 
 	if len(times) != n {
 		t.Fatalf("delivered %d, want %d", len(times), n)
@@ -167,7 +169,7 @@ func TestMediumTwoTransmittersIndependent(t *testing.T) {
 	fb := probeResp(b.addr, a.addr, "B")
 	m.Transmit(fa)
 	m.Transmit(fb)
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	// Different transmitters do not queue behind each other.
 	if len(a.received) != 1 || len(b.received) != 1 {
 		t.Errorf("received a=%d b=%d, want 1/1", len(a.received), len(b.received))
@@ -184,7 +186,7 @@ func TestMediumDetachDropsInFlight(t *testing.T) {
 
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	m.Detach(dst.addr)
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("detached station received %d frames", len(dst.received))
 	}
@@ -197,9 +199,37 @@ func TestMediumDetachedTransmitterLosesFrame(t *testing.T) {
 
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	m.Detach(tx.addr)
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("frame from departed transmitter delivered")
+	}
+}
+
+// TestMediumRangeBoundary pins the inclusive range check: a receiver at
+// exactly the radius hears unicast and broadcast frames, and one a single
+// float step beyond it hears neither.
+func TestMediumRangeBoundary(t *testing.T) {
+	const radius = 50.0
+	for _, c := range []struct {
+		x     float64
+		hears bool
+	}{
+		{radius, true},
+		{math.Nextafter(radius, math.Inf(1)), false},
+	} {
+		tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
+		rx := &fakeStation{addr: mac(2), pos: geo.Pt(c.x, 0)}
+		e, m := newTestMedium(t, radius, tx, rx)
+		m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
+		m.Transmit(probeReq(tx.addr))
+		e.RunContext(context.Background(), time.Second)
+		want := 0
+		if c.hears {
+			want = 2
+		}
+		if len(rx.received) != want {
+			t.Errorf("receiver at x=%v heard %d frames, want %d (unicast and broadcast)", c.x, len(rx.received), want)
+		}
 	}
 }
 
@@ -214,8 +244,8 @@ func TestMediumAttachDuplicate(t *testing.T) {
 func TestMediumDetachUnknownIsNoop(t *testing.T) {
 	_, m := newTestMedium(t, 50)
 	m.Detach(mac(9)) // must not panic
-	if m.StationCount() != 0 {
-		t.Errorf("StationCount = %d", m.StationCount())
+	if len(m.index) != 0 {
+		t.Errorf("StationCount = %d", len(m.index))
 	}
 }
 
@@ -227,7 +257,7 @@ func TestMediumMovingReceiver(t *testing.T) {
 	// The receiver walks out of range before the frame lands.
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	dst.pos = geo.Pt(1000, 0)
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("frame delivered to receiver that moved away")
 	}
@@ -246,14 +276,14 @@ func TestMediumCompaction(t *testing.T) {
 	for i := 0; i < 180; i++ {
 		m.Detach(stations[i].addr)
 	}
-	if m.StationCount() != 20 {
-		t.Fatalf("StationCount = %d, want 20", m.StationCount())
+	if len(m.index) != 20 {
+		t.Fatalf("StationCount = %d, want 20", len(m.index))
 	}
 	// Remaining stations still reachable after compaction.
 	tx := stations[190]
 	tx.pos = geo.Pt(0, 0)
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	for i := 180; i < 200; i++ {
 		if i == 190 {
 			continue
@@ -273,7 +303,7 @@ func TestMediumReceiveCallbackCanDetach(t *testing.T) {
 	// a detaches b upon reception; b must then not receive the broadcast.
 	a.onRecv = func(*ieee80211.Frame) { m.Detach(b.addr) }
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(b.received) != 0 {
 		t.Errorf("b received %d frames after being detached mid-delivery", len(b.received))
 	}
@@ -293,7 +323,7 @@ func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
 		}
 	}
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	for i := range got {
 		if got[i] != byte(i+1) {
 			t.Fatalf("delivery order %v, want attach order", got)
@@ -310,7 +340,7 @@ func TestPromiscuousHearsUnicast(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(mon.received) != 1 {
 		t.Errorf("monitor heard %d unicast frames, want 1", len(mon.received))
 	}
@@ -327,7 +357,7 @@ func TestPromiscuousHearsBroadcastOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(mon.received) != 1 {
 		t.Errorf("monitor heard broadcast %d times, want exactly 1", len(mon.received))
 	}
@@ -341,17 +371,17 @@ func TestPromiscuousNotAddressable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Transmit(probeResp(tx.addr, mon.addr, "Net"))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	// It still hears the frame — but through monitor mode, exactly once,
 	// not through addressing.
 	if len(mon.received) != 1 {
 		t.Errorf("monitor received %d frames, want 1", len(mon.received))
 	}
-	if !m.Attached(mon.addr) {
+	if _, ok := m.promiscIndex[mon.addr]; !ok {
 		t.Error("promiscuous station not reported attached")
 	}
 	m.Detach(mon.addr)
-	if m.Attached(mon.addr) {
+	if _, ok := m.promiscIndex[mon.addr]; ok {
 		t.Error("promiscuous station still attached after Detach")
 	}
 }
@@ -380,7 +410,7 @@ func TestPromiscuousOutOfRangeHearsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(mon.received) != 0 {
 		t.Errorf("distant monitor heard %d frames", len(mon.received))
 	}
@@ -388,7 +418,8 @@ func TestPromiscuousOutOfRangeHearsNothing(t *testing.T) {
 
 func TestFrameLossTotal(t *testing.T) {
 	e := NewEngine()
-	m := NewMedium(e, 50, WithFrameLoss(1.0, 1))
+	m := NewMedium(e, 50)
+	m.SetFrameLoss(1.0, 1)
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 	if err := m.Attach(tx); err != nil {
@@ -400,7 +431,7 @@ func TestFrameLossTotal(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 	}
-	e.Run(time.Minute)
+	e.RunContext(context.Background(), time.Minute)
 	if len(rx.received) != 0 {
 		t.Errorf("received %d frames at 100%% loss", len(rx.received))
 	}
@@ -409,7 +440,8 @@ func TestFrameLossTotal(t *testing.T) {
 func TestFrameLossBroadcastNotRetried(t *testing.T) {
 	// Broadcast frames carry no ACK, so loss hits them at face value.
 	e := NewEngine()
-	m := NewMedium(e, 50, WithFrameLoss(0.5, 2))
+	m := NewMedium(e, 50)
+	m.SetFrameLoss(0.5, 2)
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 	if err := m.Attach(tx); err != nil {
@@ -422,7 +454,7 @@ func TestFrameLossBroadcastNotRetried(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Transmit(probeReq(tx.addr))
 	}
-	e.Run(time.Hour)
+	e.RunContext(context.Background(), time.Hour)
 	got := len(rx.received)
 	if got < n*40/100 || got > n*60/100 {
 		t.Errorf("received %d of %d broadcasts at 50%% loss, want ≈%d", got, n, n/2)
@@ -433,7 +465,8 @@ func TestFrameLossUnicastRetriesRecover(t *testing.T) {
 	// Unicast frames are ACKed and retried up to 7 times: at 50% loss,
 	// effective delivery is 1-0.5^8 ≈ 99.6%.
 	e := NewEngine()
-	m := NewMedium(e, 50, WithFrameLoss(0.5, 2))
+	m := NewMedium(e, 50)
+	m.SetFrameLoss(0.5, 2)
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 	if err := m.Attach(tx); err != nil {
@@ -446,7 +479,7 @@ func TestFrameLossUnicastRetriesRecover(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 	}
-	e.Run(time.Hour)
+	e.RunContext(context.Background(), time.Hour)
 	got := len(rx.received)
 	if got < n*97/100 {
 		t.Errorf("received %d of %d unicasts at 50%% loss with retries, want ≳97%%", got, n)
@@ -459,7 +492,8 @@ func TestFrameLossUnicastRetriesRecover(t *testing.T) {
 func TestFrameLossDeterministic(t *testing.T) {
 	run := func() int {
 		e := NewEngine()
-		m := NewMedium(e, 50, WithFrameLoss(0.3, 7))
+		m := NewMedium(e, 50)
+		m.SetFrameLoss(0.3, 7)
 		tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 		rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 		if err := m.Attach(tx); err != nil {
@@ -471,43 +505,11 @@ func TestFrameLossDeterministic(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 		}
-		e.Run(time.Hour)
+		e.RunContext(context.Background(), time.Hour)
 		return len(rx.received)
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("same loss seed delivered %d vs %d frames", a, b)
-	}
-}
-
-func TestSoftEdgeFades(t *testing.T) {
-	deliveredAt := func(dist float64) int {
-		e := NewEngine()
-		m := NewMedium(e, 100, WithSoftEdge(50))
-		tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
-		rx := &fakeStation{addr: mac(2), pos: geo.Pt(dist, 0)}
-		if err := m.Attach(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Attach(rx); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 400; i++ {
-			m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
-		}
-		e.Run(time.Hour)
-		return len(rx.received)
-	}
-	inside := deliveredAt(30)
-	edge := deliveredAt(75)
-	outside := deliveredAt(120)
-	if inside != 400 {
-		t.Errorf("inside inner radius delivered %d/400", inside)
-	}
-	if edge <= outside || edge >= inside {
-		t.Errorf("fade zone delivered %d, want between %d and %d", edge, outside, inside)
-	}
-	if outside != 0 {
-		t.Errorf("outside outer radius delivered %d/400", outside)
 	}
 }
 
@@ -532,7 +534,7 @@ func TestChannelIsolation(t *testing.T) {
 		}
 	}
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(same.received) != 1 {
 		t.Errorf("same-channel station received %d", len(same.received))
 	}
@@ -556,7 +558,7 @@ func TestChannelUnicastWrongChannelRetriesThenDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 0 {
 		t.Errorf("cross-channel unicast delivered %d", len(rx.received))
 	}
@@ -581,7 +583,7 @@ func TestChannelRetrySucceedsAfterReceiverHops(t *testing.T) {
 	// The receiver hops onto the transmitter's channel before the retry
 	// budget runs out.
 	e.Schedule(2*f.Airtime()+time.Microsecond, func() { rx.channel = 6 })
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 1 {
 		t.Errorf("retry after hop delivered %d, want 1", len(rx.received))
 	}

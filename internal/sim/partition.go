@@ -171,17 +171,6 @@ func (p *Partitioned) Post(from, src int, at time.Duration, dst int, fn func()) 
 	p.outboxes[from] = append(p.outboxes[from], crossMsg{at: at, src: src, dst: dst, fn: fn})
 }
 
-// Global schedules fn once on the coordinator goroutine at a barrier whose
-// horizon is exactly at (clamped to the current clock if in the past).
-// All partition clocks read at when it runs, and none is running.
-func (p *Partitioned) Global(at time.Duration, fn func()) {
-	if at < p.now {
-		at = p.now
-	}
-	heap.Push(&p.globals, globalEvent{at: at, seq: p.gseq, fn: fn})
-	p.gseq++
-}
-
 // GlobalEvery schedules fn at now+delay and then every period thereafter,
 // each firing at a window barrier. period must be positive.
 func (p *Partitioned) GlobalEvery(delay, period time.Duration, fn func()) {
@@ -268,12 +257,6 @@ func (p *Partitioned) RunContext(ctx context.Context, until time.Duration) (int,
 		p.runGlobalsDue(p.now)
 	}
 	return executed, nil
-}
-
-// Run advances to until without cancellation.
-func (p *Partitioned) Run(until time.Duration) int {
-	n, _ := p.RunContext(context.Background(), until)
-	return n
 }
 
 // runWindow runs every partition engine to horizon w, concurrently when

@@ -88,7 +88,7 @@ func TestPartitionedDeterminism(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, nparts := range []int{1, 2, 3, 4} {
 			w := newPartWorkload(4, nparts)
-			w.coord.Run(time.Second)
+			w.coord.RunContext(context.Background(), time.Second)
 			if v := w.coord.LookaheadViolations(); v != 0 {
 				t.Fatalf("GOMAXPROCS=%d parts=%d: %d lookahead violations", procs, nparts, v)
 			}
@@ -127,7 +127,7 @@ func TestPartitionedWindowEdge(t *testing.T) {
 		// Scheduled during the window for the same instant: runs after.
 		coord.Part(1).At(edge, func() { order = append(order, "during-local") })
 	})
-	coord.Run(200 * time.Millisecond)
+	coord.RunContext(context.Background(), 200*time.Millisecond)
 	want := []string{"prior-local", "message", "during-local"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -153,7 +153,7 @@ func TestPartitionedGlobalBarrier(t *testing.T) {
 		}
 		fired = append(fired, coord.Now())
 	})
-	coord.Run(time.Second)
+	coord.RunContext(context.Background(), time.Second)
 	want := []time.Duration{300 * time.Millisecond, 600 * time.Millisecond, 900 * time.Millisecond}
 	if !reflect.DeepEqual(fired, want) {
 		t.Fatalf("global fired at %v, want %v", fired, want)
@@ -218,7 +218,7 @@ func TestPartitionedLookaheadViolation(t *testing.T) {
 			ranAt = coord.Part(1).Now()
 		})
 	})
-	coord.Run(time.Second)
+	coord.RunContext(context.Background(), time.Second)
 	if coord.LookaheadViolations() != 1 {
 		t.Fatalf("violations = %d, want 1", coord.LookaheadViolations())
 	}

@@ -1,50 +1,13 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"cityhunter/internal/geo"
 	"cityhunter/internal/ieee80211"
 )
-
-// TestEngineStepClearsHalt pins Step's contract with Halt: a Halt issued
-// while the engine is idle must not swallow the next stepped event, exactly
-// as RunContext clears a stale halt on entry.
-func TestEngineStepClearsHalt(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(time.Millisecond, func() { ran++ })
-	e.Schedule(2*time.Millisecond, func() { ran++ })
-
-	e.Halt() // stale halt from an idle engine
-	if !e.Step() {
-		t.Fatal("Step after stale Halt executed nothing")
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-
-	// A Halt issued by the event itself must not stop Step either (Step
-	// executes exactly one event; there is nothing left to halt), but a
-	// following Run must start fresh rather than see the halted flag.
-	e.Halt()
-	if !e.Step() {
-		t.Fatal("second Step executed nothing")
-	}
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
-	}
-
-	e.Schedule(time.Millisecond, func() { ran++ })
-	e.Halt()
-	if n := e.Run(time.Second); n != 1 {
-		t.Fatalf("Run after stale Halt executed %d events, want 1", n)
-	}
-	if ran != 3 {
-		t.Fatalf("ran = %d, want 3", ran)
-	}
-}
 
 // TestMediumDetachCompactsMidBroadcast is the regression test for the
 // compaction generation counter: a Receive callback that detaches enough
@@ -79,9 +42,9 @@ func TestMediumDetachCompactsMidBroadcast(t *testing.T) {
 	}
 
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 
-	if got := m.StationCount(); got != 21 {
+	if got := len(m.index); got != 21 {
 		t.Fatalf("StationCount = %d, want 21", got)
 	}
 	if len(stations[0].received) != 1 {
@@ -112,7 +75,7 @@ func TestMediumMovedRebucketsStation(t *testing.T) {
 	rx.pos = geo.Pt(10, 0)
 	m.Moved(rx.addr)
 	m.Transmit(probeReq(tx.addr))
-	e.Run(time.Second)
+	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 1 {
 		t.Fatalf("moved-in station received %d frames, want 1", len(rx.received))
 	}
@@ -120,7 +83,7 @@ func TestMediumMovedRebucketsStation(t *testing.T) {
 	rx.pos = geo.Pt(500, 500)
 	m.Moved(rx.addr)
 	m.Transmit(probeReq(tx.addr))
-	e.Run(2 * time.Second)
+	e.RunContext(context.Background(), 2*time.Second)
 	if len(rx.received) != 1 {
 		t.Fatalf("moved-out station received %d frames in total, want still 1", len(rx.received))
 	}
@@ -147,14 +110,14 @@ func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		e.Schedule(time.Duration(i), fn)
 	}
-	for e.Step() {
-	}
+	ctx := context.Background()
+	e.RunContext(ctx, time.Second)
 	avg := testing.AllocsPerRun(200, func() {
 		e.Schedule(time.Microsecond, fn)
-		e.Step()
+		e.RunContext(ctx, e.Now()+time.Microsecond)
 	})
 	if avg != 0 {
-		t.Errorf("Engine.Schedule+Step steady state allocates %.2f/op, want 0", avg)
+		t.Errorf("Engine.Schedule+RunContext steady state allocates %.2f/op, want 0", avg)
 	}
 }
 
@@ -179,12 +142,12 @@ func TestMediumBroadcastSteadyStateAllocs(t *testing.T) {
 	}
 	f := probeReq(tx.addr)
 	m.Transmit(f)
-	e.Run(time.Second) // warm the pools and the candidate buffer
+	e.RunContext(context.Background(), time.Second) // warm the pools and the candidate buffer
 
+	ctx := context.Background()
 	avg := testing.AllocsPerRun(100, func() {
 		m.Transmit(f)
-		for e.Step() {
-		}
+		e.RunContext(ctx, e.Now()+time.Second)
 	})
 	if avg != 0 {
 		t.Errorf("broadcast delivery steady state allocates %.2f/op, want 0", avg)

@@ -140,89 +140,6 @@ func RealTimeBroadcastHitRate(outcomes []ClientOutcome, window, horizon time.Dur
 	return points
 }
 
-// Histogram is a fixed-bin-width histogram over non-negative values.
-type Histogram struct {
-	binWidth float64
-	counts   []int
-	n        int
-	sum      float64
-	min, max float64
-}
-
-// NewHistogram returns a histogram with the given bin width.
-func NewHistogram(binWidth float64) (*Histogram, error) {
-	if binWidth <= 0 {
-		return nil, fmt.Errorf("stats: bin width %v must be positive", binWidth)
-	}
-	return &Histogram{binWidth: binWidth, min: math.Inf(1), max: math.Inf(-1)}, nil
-}
-
-// Add records one value; negative values clamp to bin zero.
-func (h *Histogram) Add(v float64) {
-	i := 0
-	if v > 0 {
-		i = int(v / h.binWidth)
-	}
-	for len(h.counts) <= i {
-		h.counts = append(h.counts, 0)
-	}
-	h.counts[i]++
-	h.n++
-	h.sum += v
-	h.min = math.Min(h.min, v)
-	h.max = math.Max(h.max, v)
-}
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int { return h.n }
-
-// Mean returns the average of recorded values (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min and Max return the extremes; both are 0 when the histogram is empty.
-func (h *Histogram) Min() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest recorded value.
-func (h *Histogram) Max() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Bin is one histogram bucket.
-type Bin struct {
-	Lo, Hi   float64
-	Count    int
-	Fraction float64
-}
-
-// Bins returns the non-empty-prefix of buckets with fractions of the total.
-func (h *Histogram) Bins() []Bin {
-	bins := make([]Bin, len(h.counts))
-	for i, c := range h.counts {
-		bins[i] = Bin{
-			Lo:    float64(i) * h.binWidth,
-			Hi:    float64(i+1) * h.binWidth,
-			Count: c,
-		}
-		if h.n > 0 {
-			bins[i].Fraction = float64(c) / float64(h.n)
-		}
-	}
-	return bins
-}
-
 // Breakdown classifies the SSIDs that hit broadcast-probing clients, the
 // two groupings of Fig. 6.
 type Breakdown struct {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"cityhunter/internal/core"
@@ -82,78 +81,6 @@ func TestRealTimeInvalidArgs(t *testing.T) {
 	}
 	if RealTimeBroadcastHitRate(nil, time.Minute, 0) != nil {
 		t.Error("zero horizon accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 39, 40, 80, 80, 200} {
-		h.Add(v)
-	}
-	if h.Count() != 6 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	bins := h.Bins()
-	if bins[0].Count != 2 { // 0 and 39
-		t.Errorf("bin0 = %+v", bins[0])
-	}
-	if bins[1].Count != 1 { // 40
-		t.Errorf("bin1 = %+v", bins[1])
-	}
-	if bins[2].Count != 2 { // 80, 80
-		t.Errorf("bin2 = %+v", bins[2])
-	}
-	if bins[5].Count != 1 { // 200
-		t.Errorf("bin5 = %+v", bins[5])
-	}
-	if got := bins[0].Fraction; math.Abs(got-2.0/6) > 1e-12 {
-		t.Errorf("fraction = %v", got)
-	}
-	if h.Min() != 0 || h.Max() != 200 {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	if want := (0 + 39 + 40 + 80 + 80 + 200) / 6.0; math.Abs(h.Mean()-want) > 1e-9 {
-		t.Errorf("mean = %v, want %v", h.Mean(), want)
-	}
-}
-
-func TestHistogramEmptyAndInvalid(t *testing.T) {
-	if _, err := NewHistogram(0); err == nil {
-		t.Error("zero bin width accepted")
-	}
-	h, err := NewHistogram(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Count() != 0 {
-		t.Error("empty histogram stats not zero")
-	}
-	h.Add(-5) // clamps to bin 0
-	if h.Bins()[0].Count != 1 {
-		t.Error("negative value not clamped to bin 0")
-	}
-}
-
-func TestQuickHistogramTotal(t *testing.T) {
-	f := func(vals []uint16) bool {
-		h, err := NewHistogram(7)
-		if err != nil {
-			return false
-		}
-		for _, v := range vals {
-			h.Add(float64(v % 1000))
-		}
-		total := 0
-		for _, b := range h.Bins() {
-			total += b.Count
-		}
-		return total == len(vals) && h.Count() == len(vals)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

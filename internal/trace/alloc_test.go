@@ -39,9 +39,6 @@ func TestPcapWriterSteadyStateZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("WriteFrame steady state allocates %.2f/op, want 0", avg)
 	}
-	if pw.Count() < 201 {
-		t.Errorf("Count = %d", pw.Count())
-	}
 }
 
 // TestMonitorReceiveAllocs pins the capture path: an entry holds the

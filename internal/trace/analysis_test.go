@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -19,10 +20,10 @@ func TestAnalyzeEmpty(t *testing.T) {
 }
 
 func TestAnalyzeCounts(t *testing.T) {
-	phone1 := mustMAC(t, "02:00:00:00:00:01")
-	phone2 := mustMAC(t, "02:00:00:00:00:02")
-	twin := mustMAC(t, "0a:00:00:00:00:01")
-	honest := mustMAC(t, "0a:00:00:00:00:02")
+	phone1 := ieee80211.MAC{0x02, 0, 0, 0, 0, 0x01}
+	phone2 := ieee80211.MAC{0x02, 0, 0, 0, 0, 0x02}
+	twin := ieee80211.MAC{0x0a, 0, 0, 0, 0, 0x01}
+	honest := ieee80211.MAC{0x0a, 0, 0, 0, 0, 0x02}
 	const (
 		probe  = ieee80211.SubtypeProbeRequest
 		resp   = ieee80211.SubtypeProbeResponse
@@ -72,7 +73,7 @@ func TestAnalyzeCounts(t *testing.T) {
 func TestAnalyzeLiveCapture(t *testing.T) {
 	// Wire a monitor into a tiny live exchange and analyse the capture.
 	engine, medium, mon := monitorFixture(t)
-	tx := &beeper{addr: mustMAC(t, "02:00:00:00:00:09"), pos: mon.Pos()}
+	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 0x09}, pos: mon.Pos()}
 	if err := medium.Attach(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestAnalyzeLiveCapture(t *testing.T) {
 		medium.Transmit(probeEntryFrame(tx.addr, ""))
 		medium.Transmit(probeEntryFrame(tx.addr, "MyNet"))
 	}
-	engine.Run(time.Minute)
+	engine.RunContext(context.Background(), time.Minute)
 	a := Analyze(mon.Entries())
 	if a.Probers != 1 || a.DirectProbers != 1 {
 		t.Errorf("probers = %d/%d", a.Probers, a.DirectProbers)

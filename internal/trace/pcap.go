@@ -24,8 +24,7 @@ const (
 // PcapWriter streams frames into the classic libpcap file format with
 // 802.11 link type, so captures open directly in Wireshark/tcpdump.
 type PcapWriter struct {
-	w     io.Writer
-	count int
+	w io.Writer
 	// buf is the reusable frame-encode scratch and rec the record-header
 	// scratch (a local array would escape through the io.Writer call):
 	// after the first record the steady-state encode path allocates
@@ -68,12 +67,8 @@ func (p *PcapWriter) WriteFrame(at time.Duration, f *ieee80211.Frame) error {
 	if _, err := p.w.Write(wire); err != nil {
 		return fmt.Errorf("trace: pcap payload: %w", err)
 	}
-	p.count++
 	return nil
 }
-
-// Count returns the number of packets written.
-func (p *PcapWriter) Count() int { return p.count }
 
 // WritePcap writes a monitor's capture in pcap form. Each record is the
 // frame rebuilt from its entry — subtype, addressing and SSID, which is

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 	"time"
@@ -43,8 +44,8 @@ func TestPcapWriteFrame(t *testing.T) {
 	if err := pw.WriteFrame(at, f); err != nil {
 		t.Fatal(err)
 	}
-	if pw.Count() != 1 {
-		t.Errorf("Count = %d", pw.Count())
+	if got, want := buf.Len(), 24+16+f.WireLen(); got != want {
+		t.Errorf("wrote %d bytes, want %d (header and one record)", got, want)
 	}
 	rec := buf.Bytes()[24:]
 	if sec := binary.LittleEndian.Uint32(rec[0:4]); sec != 3 {
@@ -81,7 +82,7 @@ func TestMonitorWritePcap(t *testing.T) {
 			SSID: "N",
 		})
 	}
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 
 	var buf bytes.Buffer
 	if err := mon.WritePcap(&buf); err != nil {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestMonitorCaptures(t *testing.T) {
 		Subtype: ieee80211.SubtypeProbeRequest,
 		DA:      ieee80211.BroadcastMAC, SA: tx.addr, BSSID: ieee80211.BroadcastMAC,
 	})
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 
 	if mon.Len() != 2 {
 		t.Fatalf("captured %d frames, want 2", mon.Len())
@@ -73,7 +74,7 @@ func TestMonitorBounded(t *testing.T) {
 			DA:      ieee80211.BroadcastMAC, SA: tx.addr,
 		})
 	}
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 	if mon.Len() != 3 {
 		t.Errorf("Len = %d, want 3", mon.Len())
 	}
@@ -101,7 +102,7 @@ func TestMonitorOnFirstDrop(t *testing.T) {
 			DA:      ieee80211.BroadcastMAC, SA: tx.addr,
 		})
 	}
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 	if fired != 1 {
 		t.Errorf("OnFirstDrop fired %d times, want exactly once", fired)
 	}
@@ -120,7 +121,7 @@ func TestEntriesReturnsCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	medium.Transmit(&ieee80211.Frame{Subtype: ieee80211.SubtypeProbeRequest, DA: ieee80211.BroadcastMAC, SA: tx.addr})
-	engine.Run(time.Second)
+	engine.RunContext(context.Background(), time.Second)
 	got := mon.Entries()
 	got[0].SSID = "mutated"
 	if mon.Entries()[0].SSID == "mutated" {
@@ -128,16 +129,7 @@ func TestEntriesReturnsCopy(t *testing.T) {
 	}
 }
 
-// mustMAC and probeEntryFrame are helpers shared with the analysis tests.
-func mustMAC(t *testing.T, s string) ieee80211.MAC {
-	t.Helper()
-	m, err := ieee80211.ParseMAC(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
+// probeEntryFrame is a helper shared with the analysis tests.
 func probeEntryFrame(sa ieee80211.MAC, ssid string) *ieee80211.Frame {
 	return &ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,

@@ -28,14 +28,14 @@ func calibratedDBs(tb testing.TB) map[string]*wigle.DB {
 	return map[string]*wigle.DB{"full": city.DB, "sampled": sampled}
 }
 
-// openByDistance returns the indices of db's open records in ascending
+// openByDistance returns the indices of the open records in ascending
 // (squared distance, record index) order from p, with each record's
 // squared distance.
-func openByDistance(db *wigle.DB, p geo.Point) (ids []int, d2 []float64) {
-	d2 = make([]float64, db.Len())
+func openByDistance(recs []wigle.Record, p geo.Point) (ids []int, d2 []float64) {
+	d2 = make([]float64, len(recs))
 	for i := range d2 {
-		d2[i] = db.At(i).Pos.Dist2(p)
-		if db.At(i).Open {
+		d2[i] = recs[i].Pos.Dist2(p)
+		if recs[i].Open {
 			ids = append(ids, i)
 		}
 	}
@@ -51,9 +51,8 @@ func openByDistance(db *wigle.DB, p geo.Point) (ids []int, d2 []float64) {
 // bruteNearestSSIDs is the reference for NearestSSIDsWithin: the first n
 // distinct SSIDs of the open records in (squared distance, index) order,
 // cut at radius and at the search's last ring (the first doubling of
-// width/32 past width plus height).
-func bruteNearestSSIDs(db *wigle.DB, ids []int, d2 []float64, n int, radius float64) []string {
-	b := db.Bounds()
+// width/32 past width plus height of the city bounds b).
+func bruteNearestSSIDs(recs []wigle.Record, b geo.Rect, ids []int, d2 []float64, n int, radius float64) []string {
 	lastRing := b.Width() / 32
 	for lastRing <= b.Width()+b.Height() {
 		lastRing *= 2
@@ -64,7 +63,7 @@ func bruteNearestSSIDs(db *wigle.DB, ids []int, d2 []float64, n int, radius floa
 		if len(out) == n || d2[id] > radius*radius || d2[id] > lastRing*lastRing {
 			break
 		}
-		if ssid := db.At(id).SSID; !seen[ssid] {
+		if ssid := recs[id].SSID; !seen[ssid] {
 			seen[ssid] = true
 			out = append(out, ssid)
 		}
@@ -73,14 +72,17 @@ func bruteNearestSSIDs(db *wigle.DB, ids []int, d2 []float64, n int, radius floa
 }
 
 func TestNearestSSIDsMatchesBruteForce(t *testing.T) {
+	// Both databases span the default city's bounds.
+	bounds := citygen.DefaultConfig(1).Bounds
 	for name, db := range calibratedDBs(t) {
 		t.Run(name, func(t *testing.T) {
+			recs := db.Records()
 			rng := rand.New(rand.NewSource(3))
 			for q := 0; q < 400; q++ {
 				p := geo.Pt(rng.Float64()*9000-500, rng.Float64()*9000-500)
-				ids, d2 := openByDistance(db, p)
+				ids, d2 := openByDistance(recs, p)
 				for _, n := range []int{1, 25, 100, 400, 5000} {
-					want := bruteNearestSSIDs(db, ids, d2, n, math.Inf(1))
+					want := bruteNearestSSIDs(recs, bounds, ids, d2, n, math.Inf(1))
 					if got := db.NearestSSIDs(p, n); !reflect.DeepEqual(got, want) {
 						t.Fatalf("NearestSSIDs(%v, %d): got %d SSIDs, want %d\ngot  %q\nwant %q",
 							p, n, len(got), len(want), got, want)
@@ -89,7 +91,7 @@ func TestNearestSSIDsMatchesBruteForce(t *testing.T) {
 				// The radius-capped form, at the local-pool cap and at
 				// radii inside and beyond the first ring.
 				for _, radius := range []float64{0, 120, 900, 20000} {
-					want := bruteNearestSSIDs(db, ids, d2, 25, radius)
+					want := bruteNearestSSIDs(recs, bounds, ids, d2, 25, radius)
 					if got := db.NearestSSIDsWithin(p, 25, radius); !reflect.DeepEqual(got, want) {
 						t.Fatalf("NearestSSIDsWithin(%v, 25, %v):\ngot  %q\nwant %q", p, radius, got, want)
 					}

@@ -112,31 +112,10 @@ func New(bounds geo.Rect, records []Record) (*DB, error) {
 // Len returns the number of records.
 func (db *DB) Len() int { return len(db.records) }
 
-// Bounds returns the city bounds the DB was built with.
-func (db *DB) Bounds() geo.Rect { return db.bounds }
-
 // Records returns a copy of all records.
 func (db *DB) Records() []Record {
 	out := make([]Record, len(db.records))
 	copy(out, db.records)
-	return out
-}
-
-// At returns the i-th record.
-func (db *DB) At(i int) Record { return db.records[i] }
-
-// Nearby returns the records within radius metres of p, nearest first.
-// When openOnly is set, encrypted networks are skipped.
-func (db *DB) Nearby(p geo.Point, radius float64, openOnly bool) []Record {
-	ids := db.index.WithinRadius(p, radius)
-	out := make([]Record, 0, len(ids))
-	for _, id := range ids {
-		r := db.records[id]
-		if openOnly && !r.Open {
-			continue
-		}
-		out = append(out, r)
-	}
 	return out
 }
 
@@ -260,32 +239,6 @@ func (db *DB) OpenPositionsBySSID() map[string][]geo.Point {
 	return out
 }
 
-// InRect returns the records inside the axis-aligned rectangle, in
-// insertion order. When openOnly is set, encrypted networks are skipped.
-func (db *DB) InRect(r geo.Rect, openOnly bool) []Record {
-	var out []Record
-	for _, rec := range db.records {
-		if !r.Contains(rec.Pos) {
-			continue
-		}
-		if openOnly && !rec.Open {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// DensityPerKm2 returns the AP density (APs per square kilometre) inside
-// the rectangle.
-func (db *DB) DensityPerKm2(r geo.Rect, openOnly bool) float64 {
-	area := r.Area() / 1e6
-	if area <= 0 {
-		return 0
-	}
-	return float64(len(db.InRect(r, openOnly))) / area
-}
-
 // SampleCrowdsourced returns a copy of the database with crowd-sourced
 // coverage gaps: whole networks are missing with a probability that falls
 // with how observable they are. Networks with at most 3 APs are dropped
@@ -363,14 +316,4 @@ func (db *DB) SaveFile(path string) (err error) {
 		}
 	}()
 	return db.Save(f)
-}
-
-// LoadFile reads a DB from path.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("wigle: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -3,6 +3,7 @@ package wigle
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestNewCopiesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs[0].SSID = "mutated"
-	if db.At(0).SSID == "mutated" {
+	if db.records[0].SSID == "mutated" {
 		t.Error("DB shares caller's slice")
 	}
 }
@@ -56,28 +57,8 @@ func TestLenAndBounds(t *testing.T) {
 	if db.Len() != 7 {
 		t.Errorf("Len = %d, want 7", db.Len())
 	}
-	if db.Bounds() != testBounds {
-		t.Errorf("Bounds = %v", db.Bounds())
-	}
-}
-
-func TestNearby(t *testing.T) {
-	db := mustDB(t)
-	got := db.Nearby(geo.Pt(100, 100), 30, false)
-	if len(got) != 3 {
-		t.Fatalf("Nearby = %d records, want 3", len(got))
-	}
-	if got[0].SSID != "CafeNet" {
-		t.Errorf("nearest = %q, want CafeNet", got[0].SSID)
-	}
-	open := db.Nearby(geo.Pt(100, 100), 30, true)
-	if len(open) != 2 {
-		t.Fatalf("open Nearby = %d, want 2 (SecureCorp excluded)", len(open))
-	}
-	for _, r := range open {
-		if !r.Open {
-			t.Errorf("openOnly returned secured record %q", r.SSID)
-		}
+	if db.bounds != testBounds {
+		t.Errorf("bounds = %v", db.bounds)
 	}
 }
 
@@ -187,7 +168,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Records(), db.Records()) {
 		t.Error("records changed across save/load")
 	}
-	if back.Bounds() != db.Bounds() {
+	if back.bounds != db.bounds {
 		t.Error("bounds changed across save/load")
 	}
 }
@@ -204,15 +185,17 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := db.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	back, err := LoadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := Load(f)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
 	}
 	if back.Len() != db.Len() {
 		t.Errorf("Len = %d, want %d", back.Len(), db.Len())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("want error for missing file")
 	}
 }
 
@@ -220,36 +203,8 @@ func TestRecordsReturnsCopy(t *testing.T) {
 	db := mustDB(t)
 	recs := db.Records()
 	recs[0].SSID = "mutated"
-	if db.At(0).SSID == "mutated" {
+	if db.records[0].SSID == "mutated" {
 		t.Error("Records exposes internal slice")
-	}
-}
-
-func TestInRect(t *testing.T) {
-	db := mustDB(t)
-	r := geo.NewRect(geo.Pt(90, 90), geo.Pt(130, 110))
-	all := db.InRect(r, false)
-	if len(all) != 3 { // CafeNet@100, SecureCorp@105, MallWiFi@120
-		t.Fatalf("InRect = %d records", len(all))
-	}
-	open := db.InRect(r, true)
-	if len(open) != 2 {
-		t.Errorf("open InRect = %d, want 2", len(open))
-	}
-	if got := db.InRect(geo.NewRect(geo.Pt(2000, 2000), geo.Pt(3000, 3000)), false); len(got) != 0 {
-		t.Errorf("far rect returned %d", len(got))
-	}
-}
-
-func TestDensityPerKm2(t *testing.T) {
-	db := mustDB(t)
-	// The whole 1 km × 1 km test city holds 7 APs.
-	got := db.DensityPerKm2(testBounds, false)
-	if got != 7 {
-		t.Errorf("density = %v APs/km², want 7", got)
-	}
-	if db.DensityPerKm2(geo.Rect{}, false) != 0 {
-		t.Error("degenerate rect density != 0")
 	}
 }
 
