@@ -1,6 +1,6 @@
 // Golden-equivalence tests: the seed-1 outputs captured before the
 // scenario.Runner decomposition (testdata/golden/*) must stay byte-identical
-// through any refactor of the run path. Four surfaces are pinned, each at
+// through any refactor of the run path. Five surfaces are pinned, each at
 // worker counts 1 and 8 where a pool is involved:
 //
 //   - the reduced-scale experiments grid (Figures 5+6 rendering),
@@ -8,6 +8,9 @@
 //     prints them),
 //   - a city-scale trio with a far field, at one partition and at one per
 //     site group,
+//   - the phone draws no default run takes: canary, pre-connected and
+//     randomizing phones, with and without a named rotation policy, at a
+//     venue and in a far field,
 //   - the sha256 of a single-run pcap capture.
 //
 // Regenerate with `go test -run TestGolden -update` ONLY when an
@@ -174,6 +177,74 @@ func TestGoldenFarField(t *testing.T) {
 		}
 		checkGolden(t, "farfield.txt", b.String())
 	}
+}
+
+// TestGoldenPhoneDraws pins the per-phone behaviour draws the calibrated
+// defaults leave at zero — canary probing, pre-connection (with the deauth
+// extension that frees those phones), and MAC randomization both as the
+// per-scan share and under named policies with chipset fingerprints — on a
+// canteen run and on a roaming trio whose promoted far-field phones draw the
+// same flags from their private streams.
+func TestGoldenPhoneDraws(t *testing.T) {
+	if testing.Short() {
+		t.Skip("phone-draw golden is not -short friendly")
+	}
+	world := apiWorld(t)
+	var b strings.Builder
+	venueRuns := []struct {
+		name string
+		opts []cityhunter.RunOption
+	}{
+		{"per-scan share", nil},
+		{"per-burst policy, composite linker", []cityhunter.RunOption{
+			cityhunter.WithMACRandomization(0.5, cityhunter.RandomizePerBurst),
+			cityhunter.WithLinker(cityhunter.LinkerComposite),
+		}},
+	}
+	for _, run := range venueRuns {
+		opts := append([]cityhunter.RunOption{
+			cityhunter.WithRunSeed(1),
+			cityhunter.WithCanaryClients(0.2),
+			cityhunter.WithDeauth(0.3),
+			cityhunter.WithRandomizedMACs(0.5),
+		}, run.opts...)
+		res, err := world.Run(cityhunter.CanteenVenue(), cityhunter.CityHunter,
+			cityhunter.LunchSlot, 10*time.Minute, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		fmt.Fprintf(&b, "canteen, %s: %v\n", run.name, res.Tally)
+		fmt.Fprintf(&b, "  canary detections %d, deauths sent %d\n", res.CanaryDetections, res.Report.DeauthsSent)
+		fmt.Fprintf(&b, "  links: %+v\n", res.Links)
+	}
+
+	sites := []cityhunter.Venue{cityhunter.StationVenue(), cityhunter.CanteenVenue(), cityhunter.MallVenue()}
+	dep, err := world.DeploySitesContext(context.Background(), sites, cityhunter.CityHunter,
+		cityhunter.LunchSlot, 30*time.Minute,
+		cityhunter.WithRoaming(0.8),
+		cityhunter.WithPopulationScale(3000),
+		cityhunter.WithLODRadius(100),
+		cityhunter.WithCityRoutes(world.City.RouteStops()),
+		cityhunter.WithRunOptions(cityhunter.WithRunSeed(1), cityhunter.WithArrivalScale(0.3),
+			cityhunter.WithCanaryClients(0.2),
+			cityhunter.WithMACRandomization(0.5, cityhunter.RandomizeTimed)))
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	fmt.Fprintf(&b, "trio: %d roams\n", dep.Roams)
+	for _, s := range dep.Sites {
+		fmt.Fprintf(&b, "site %s: %v\n", s.Venue, s.Tally)
+		fmt.Fprintf(&b, "  canary detections %d, links: %+v\n", s.CanaryDetections, s.Links)
+	}
+	ff := dep.FarField
+	if ff == nil {
+		t.Fatal("no far-field result")
+	}
+	fmt.Fprintf(&b, "far field: %d promoted, tally %v\n", ff.Promoted, ff.Tally)
+	for _, o := range ff.Outcomes {
+		fmt.Fprintf(&b, "pedestrian %+v\n", o)
+	}
+	checkGolden(t, "phones_seed1.txt", b.String())
 }
 
 // TestGoldenPcapSHA256 pins the sha256 of a single-run frame capture: any
