@@ -484,18 +484,20 @@ func WithFrameLoss(p float64) RunOption {
 }
 
 // WithRandomizedMACs makes the given fraction of phones rotate their probe
-// MAC every scan, the privacy default of modern mobile OSes. It defeats
-// the attacker's per-client rotation without any cooperation from the
-// network side.
+// MAC every scan, the privacy default of modern mobile OSes: per-scan
+// rotation without a fingerprint. It defeats the attacker's per-client
+// rotation without any cooperation from the network side.
 func WithRandomizedMACs(fraction float64) RunOption {
 	return runOptionFunc(func(o *runOptions) { o.cfg.RandomizeMACFraction = fraction })
 }
 
 // WithMACRandomization makes the given fraction of phones rotate their
 // source MAC under an explicit policy (per scan, per channel burst, or on
-// a timer). Unlike the legacy WithRandomizedMACs shorthand, policy-driven
-// phones also emit their chipset IE fingerprint — the stable observable a
-// de-anonymisation linker (WithLinker) can exploit.
+// a timer). Unlike WithRandomizedMACs, whose phones rotate per scan
+// without a fingerprint, policy-driven phones also emit their chipset IE
+// fingerprint — the stable observable a de-anonymisation linker
+// (WithLinker) can exploit. RandomizeNone names no policy, which is
+// WithRandomizedMACs.
 func WithMACRandomization(fraction float64, policy RandomizationPolicy) RunOption {
 	return runOptionFunc(func(o *runOptions) {
 		o.cfg.RandomizeMACFraction = fraction

@@ -97,9 +97,6 @@ type Pool struct {
 	// telemetry unless the base configuration already set a publisher.
 	// Results stay byte-identical — publishing is read-only.
 	Publisher obs.Publisher
-	// PublishEvery overrides the virtual-time cadence at which each run
-	// forwards its buffered events; 0 keeps the scenario default.
-	PublishEvery time.Duration
 	// Label names the campaign on the monitor; empty derives "campaign
 	// (N specs)".
 	Label string
@@ -293,9 +290,6 @@ func (c *Campaign) config(i int) scenario.Config {
 		// Each spec's run registers itself on the campaign's monitor; an
 		// explicit per-run publisher set via Base or Configure wins.
 		cfg.Publisher = c.Pool.Publisher
-		if c.Pool.PublishEvery > 0 {
-			cfg.PublishEvery = c.Pool.PublishEvery
-		}
 		if cfg.RunLabel == "" {
 			cfg.RunLabel = s.Name
 		}

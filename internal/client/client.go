@@ -82,20 +82,11 @@ type Config struct {
 	// genuine AP with that BSSID: it will not probe until it receives a
 	// deauthentication from that BSSID (the §V-B scenario).
 	PreconnectedBSSID ieee80211.MAC
-	// RescanAfterDeauth is the delay before the first scan after losing
-	// an association.
-	RescanAfterDeauth time.Duration
 	// CanaryProbing arms the client-side evil-twin countermeasure: every
 	// scan also directs a probe at a random nonexistent SSID, and any
 	// responder that mimics it is marked hostile and ignored from then
 	// on. This is the classic KARMA detector; see internal/detect.
 	CanaryProbing bool
-	// RandomizeMAC is the legacy shorthand for Randomization ==
-	// RandomizePerScan; it defeats the attacker's per-client untried
-	// rotation: every scan looks like a brand-new client, so the attacker
-	// resends its head batch instead of progressing through the database.
-	// Ignored when Randomization is set explicitly.
-	RandomizeMAC bool
 	// Randomization selects when the over-the-air MAC rotates; see
 	// RandomizationPolicy. Rotated MACs are derived from the identity MAC
 	// by counter (ieee80211.DerivedRandomMAC), so rotation consumes no RNG
@@ -122,7 +113,8 @@ type Config struct {
 // OSes scan roughly once a minute with the screen off).
 const DefaultScanInterval = 60 * time.Second
 
-// defaultRescanAfterDeauth is used when Config.RescanAfterDeauth is zero.
+// defaultRescanAfterDeauth is the delay before the first scan after losing
+// an association or failing a handshake.
 const defaultRescanAfterDeauth = 2 * time.Second
 
 // handshakeTimeout bounds each step of the auth/assoc exchange.
@@ -207,14 +199,8 @@ func New(engine *sim.Engine, medium *sim.Medium, rng *rand.Rand, cfg Config) (*C
 	if cfg.ScanInterval <= 0 {
 		cfg.ScanInterval = DefaultScanInterval
 	}
-	if cfg.RescanAfterDeauth <= 0 {
-		cfg.RescanAfterDeauth = defaultRescanAfterDeauth
-	}
 	if cfg.MAC == (ieee80211.MAC{}) {
 		return nil, fmt.Errorf("client: zero MAC")
-	}
-	if cfg.Randomization == RandomizeNone && cfg.RandomizeMAC {
-		cfg.Randomization = RandomizePerScan
 	}
 	if cfg.Randomization == RandomizeTimed && cfg.RandomizeEvery <= 0 {
 		cfg.RandomizeEvery = DefaultRandomizeEvery
@@ -578,7 +564,7 @@ func (c *Client) armHandshakeTimeout() {
 		if c.hsEpoch == epoch && c.hsStep == step && c.state == StateAssociating {
 			// Handshake stalled; resume scanning.
 			c.state = StateScanning
-			c.scheduleScan(c.cfg.RescanAfterDeauth)
+			c.scheduleScan(defaultRescanAfterDeauth)
 		}
 	})
 }
@@ -589,7 +575,7 @@ func (c *Client) onAuth(f *ieee80211.Frame) {
 	}
 	if f.Status != ieee80211.StatusSuccess || f.AuthSeq != 2 {
 		c.state = StateScanning
-		c.scheduleScan(c.cfg.RescanAfterDeauth)
+		c.scheduleScan(defaultRescanAfterDeauth)
 		return
 	}
 	c.hsStep = 2
@@ -609,7 +595,7 @@ func (c *Client) onAssocResponse(f *ieee80211.Frame) {
 	}
 	if f.Status != ieee80211.StatusSuccess {
 		c.state = StateScanning
-		c.scheduleScan(c.cfg.RescanAfterDeauth)
+		c.scheduleScan(defaultRescanAfterDeauth)
 		return
 	}
 	c.hsStep = 3
@@ -638,5 +624,5 @@ func (c *Client) onDeauth(f *ieee80211.Frame) {
 	c.state = StateScanning
 	c.peer = ieee80211.MAC{}
 	c.hsEpoch++
-	c.scheduleScan(c.cfg.RescanAfterDeauth)
+	c.scheduleScan(defaultRescanAfterDeauth)
 }

@@ -319,9 +319,10 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("monitor: listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.hs = &http.Server{Handler: s.Handler()}
-	go func() { _ = s.hs.Serve(ln) }()
+	hs := &http.Server{Handler: s.Handler()}
+	s.ln, s.hs = ln, hs
+	// Serve on the local: a Close racing this goroutine clears s.hs.
+	go func() { _ = hs.Serve(ln) }()
 	return ln.Addr().String(), nil
 }
 
@@ -339,11 +340,16 @@ func (s *Server) Addr() string {
 // already registered keep publishing into the server's state harmlessly.
 func (s *Server) Close() error {
 	s.httpMu.Lock()
-	hs := s.hs
+	ln, hs := s.ln, s.hs
 	s.ln, s.hs = nil, nil
 	s.httpMu.Unlock()
 	if hs == nil {
 		return nil
 	}
-	return hs.Close()
+	err := hs.Close()
+	// hs.Close closes only the listeners Serve has begun to track; one
+	// whose serving goroutine has not run yet would stay bound until it
+	// does. Closing ln here frees the address before Close returns.
+	_ = ln.Close()
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -331,4 +332,24 @@ func TestSSEDisconnectReleasesSubscriber(t *testing.T) {
 
 	// Broadcasting after the disconnect must not block or panic.
 	publishDemoRun(s)
+}
+
+// TestCloseJustStarted closes the monitor right after Start, before its
+// serving goroutine may have run: Close must not race that goroutine, and
+// the address must refuse connections once Close returns.
+func TestCloseJustStarted(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		s := New()
+		addr, err := s.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i, err)
+		}
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			t.Fatalf("Close %d left %s listening", i, addr)
+		}
+	}
 }

@@ -320,11 +320,10 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario: site %q: %w", v.Name, err)
 		}
-		pop := newPopulation(env, v, d.sites[i].id.legitMAC, attackers, macs[groupOf[i]])
-		pop.siteIndex = i
-		pop.endDwell = d.endDwell
+		pop := &population{env: env, venue: v, siteIndex: i, legitMAC: d.sites[i].id.legitMAC,
+			attackers: attackers, endDwell: d.endDwell, macs: macs[groupOf[i]]}
 		d.pops[i] = pop
-		pop.spawnArrivals(arrivals, slotStart, v.Groups(slot), duration)
+		pop.spawnArrivals(arrivals, slotStart, v.Groups(slot))
 	}
 
 	// Level-of-detail layer: the far-field tier spawns after the venue
@@ -478,9 +477,7 @@ func (d *deployment) startTransit(m *member, target int) {
 	if err != nil {
 		return
 	}
-	m.leg++
-	m.legStart = env.engine.Now()
-	arriveAt := m.legStart + path.Duration
+	arriveAt := env.engine.Now() + path.Duration
 	arrive := func() { d.arrive(m, target, entry, snap) }
 	if gs, gt := d.groupOf[src], d.groupOf[target]; gs == gt {
 		env.engine.At(arriveAt, arrive)
@@ -489,11 +486,12 @@ func (d *deployment) startTransit(m *member, target int) {
 	}
 }
 
-// arrive resumes the phone at the target site and starts a fresh dwell
+// arrive resumes the phone at the target site and starts a fresh stay
 // there, drawn from that venue's own dwell and movement models.
 func (d *deployment) arrive(m *member, target int, entry geo.Point, snap client.Snapshot) {
 	pop := d.pops[target]
-	c, err := resumeClient(d.env(target), pop.rng, snap)
+	env := pop.env
+	c, err := resumeClient(env, env.rng, snap)
 	if err != nil {
 		return
 	}
@@ -502,24 +500,12 @@ func (d *deployment) arrive(m *member, target int, entry geo.Point, snap client.
 	d.siteRoams[target]++
 	m.roams++
 	m.site = target
-	venue := pop.venue
-	now := pop.engine.Now()
-	moving := pop.rng.Float64() < venue.MovingFraction
-	var dwell time.Duration
-	if moving {
-		dwell = venue.MovingDwell.SampleDwell(pop.rng)
-	} else {
-		dwell = venue.StaticDwell.SampleDwell(pop.rng)
+	now := env.engine.Now()
+	s := drawStay(env.rng, pop.venue)
+	m.departAt = now + s.dwell
+	c.SetPos(s.startPos(env.rng, pop.venue))
+	if s.moving {
+		walk(env.engine, c, s.path, now)
 	}
-	m.leg++
-	m.legStart = now
-	m.departAt = now + dwell
-	if moving {
-		path := mobility.CorridorPath(pop.rng, venue.Position, venue.RadioRange, dwell)
-		m.c.SetPos(path.At(0))
-		pop.scheduleMove(m, path)
-	} else {
-		m.c.SetPos(mobility.StaticPos(pop.rng, venue.Position, venue.RadioRange*0.9))
-	}
-	pop.engine.At(m.departAt, func() { d.endDwell(m) })
+	env.engine.At(m.departAt, func() { d.endDwell(m) })
 }

@@ -292,6 +292,7 @@ func TestSharedKnowledgeBeatsIsolated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed 30-minute deployments")
 	}
+	t.Parallel()
 	pooled := func(plane KnowledgePlane, seed int64) stats.Tally {
 		cfg := deployConfig(t, CityHunter, seed)
 		cfg.RoamFraction = 0.5

@@ -92,40 +92,20 @@ func newLinker(kind LinkerKind) (linker.Linker, error) {
 }
 
 // defaultFingerprintModels is how many distinct IE/PNL-order chipset
-// fingerprints the phone population draws from when FingerprintModels is
-// unset — deliberately small so fingerprints collide across phones the
-// way real chipset fingerprints do.
+// fingerprints the phone population draws from — deliberately small so
+// fingerprints collide across phones the way real chipset fingerprints do.
 const defaultFingerprintModels = 24
 
 // fingerprintFor derives a phone's stable IE fingerprint from its true
 // identity MAC — a hash, not an RNG draw, so enabling fingerprints
 // perturbs no randomness stream.
-func fingerprintFor(m ieee80211.MAC, models int) uint32 {
-	if models <= 0 {
-		models = defaultFingerprintModels
-	}
+func fingerprintFor(m ieee80211.MAC) uint32 {
 	h := uint32(2166136261) // FNV-1a
 	for _, b := range m {
 		h ^= uint32(b)
 		h *= 16777619
 	}
-	return 1 + h%uint32(models)
-}
-
-// applyRandomization upgrades a client config whose legacy RandomizeMAC
-// flag was just drawn: when the scenario names an explicit policy, the
-// flag is traded for the policy plus the phone's derived IE fingerprint.
-// With no explicit policy the flag stands as-is (per-scan rotation without
-// fingerprints — the historical behaviour, byte-identical). Called after
-// the config literal so the RNG draw order of the literal is untouched.
-func (cfg Config) applyRandomization(ccfg *client.Config) {
-	if !ccfg.RandomizeMAC || cfg.Randomization == client.RandomizeNone {
-		return
-	}
-	ccfg.RandomizeMAC = false
-	ccfg.Randomization = cfg.Randomization
-	ccfg.RandomizeEvery = cfg.RandomizeEvery
-	ccfg.Fingerprint = fingerprintFor(ccfg.MAC, cfg.FingerprintModels)
+	return 1 + h%defaultFingerprintModels
 }
 
 // deviceMACs is one device's ground truth: its true identity and every
@@ -184,9 +164,6 @@ func (cfg Config) validateLinking() error {
 	}
 	if cfg.RandomizeEvery < 0 {
 		return fmt.Errorf("scenario: negative randomize-every %v", cfg.RandomizeEvery)
-	}
-	if cfg.FingerprintModels < 0 {
-		return fmt.Errorf("scenario: negative fingerprint models %d", cfg.FingerprintModels)
 	}
 	if _, err := newLinker(cfg.Linker); err != nil {
 		return err

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -64,11 +65,11 @@ func TestFingerprintForStableAndBounded(t *testing.T) {
 	counts := make(map[uint32]int)
 	for i := 0; i < 500; i++ {
 		m := alloc.mac()
-		fp := fingerprintFor(m, 0)
+		fp := fingerprintFor(m)
 		if fp < 1 || fp > defaultFingerprintModels {
 			t.Fatalf("fingerprint %d out of [1, %d]", fp, defaultFingerprintModels)
 		}
-		if again := fingerprintFor(m, 0); again != fp {
+		if again := fingerprintFor(m); again != fp {
 			t.Fatalf("fingerprint of %v not stable: %d then %d", m, fp, again)
 		}
 		counts[fp]++
@@ -88,37 +89,58 @@ func TestFingerprintForStableAndBounded(t *testing.T) {
 	t.Error("no fingerprint collisions across 500 phones and 24 models")
 }
 
+// TestApplyRandomizationUpgradesLegacyFlag pins the randomization fields
+// phoneConfig gives a phone: no randomizing share leaves the phone fixed, a
+// share without a named policy rotates per scan with no fingerprint, and a
+// named policy brings its period and the phone's chipset fingerprint. The
+// draws come in seeded order: scan jitter, canary, randomization.
 func TestApplyRandomizationUpgradesLegacyFlag(t *testing.T) {
 	mac := ieee80211.MAC{0x02, 0, 0, 0, 0, 1}
+	fp := fingerprintFor(mac)
+	cases := []struct {
+		name     string
+		fraction float64
+		policy   client.RandomizationPolicy
+		every    time.Duration
+		want     client.RandomizationPolicy
+		wantFP   uint32
+	}{
+		{"fraction 0", 0, client.RandomizePerBurst, time.Minute, client.RandomizeNone, 0},
+		{"legacy", 1, client.RandomizeNone, time.Minute, client.RandomizePerScan, 0},
+		{"per-scan", 1, client.RandomizePerScan, time.Minute, client.RandomizePerScan, fp},
+		{"per-burst", 1, client.RandomizePerBurst, time.Minute, client.RandomizePerBurst, fp},
+		{"timed", 1, client.RandomizeTimed, time.Minute, client.RandomizeTimed, fp},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &runEnv{cfg: Config{
+				ScanInterval:         time.Minute,
+				CanaryFraction:       0.5,
+				RandomizeMACFraction: tc.fraction,
+				Randomization:        tc.policy,
+				RandomizeEvery:       tc.every,
+			}}
+			ccfg := env.phoneConfig(rand.New(rand.NewSource(1)), mac, nil, false)
+			wantEvery := time.Duration(0)
+			if tc.wantFP != 0 {
+				wantEvery = tc.every
+			}
+			if ccfg.Randomization != tc.want || ccfg.RandomizeEvery != wantEvery || ccfg.Fingerprint != tc.wantFP {
+				t.Errorf("got policy %v, every %v, fingerprint %d; want %v, %v, %d",
+					ccfg.Randomization, ccfg.RandomizeEvery, ccfg.Fingerprint, tc.want, wantEvery, tc.wantFP)
+			}
 
-	// No scenario policy: the drawn flag stands (historical per-scan
-	// rotation without fingerprints, byte-identical to the seed).
-	ccfg := client.Config{MAC: mac, RandomizeMAC: true}
-	(Config{}).applyRandomization(&ccfg)
-	if !ccfg.RandomizeMAC || ccfg.Randomization != client.RandomizeNone {
-		t.Errorf("legacy flag rewritten without a policy: %+v", ccfg)
-	}
-
-	// Policy set: flag traded for the policy plus the derived fingerprint.
-	ccfg = client.Config{MAC: mac, RandomizeMAC: true}
-	cfg := Config{Randomization: client.RandomizePerBurst, RandomizeEvery: time.Minute}
-	cfg.applyRandomization(&ccfg)
-	if ccfg.RandomizeMAC {
-		t.Error("legacy flag survived the policy upgrade")
-	}
-	if ccfg.Randomization != client.RandomizePerBurst || ccfg.RandomizeEvery != time.Minute {
-		t.Errorf("policy not applied: %+v", ccfg)
-	}
-	if ccfg.Fingerprint == 0 {
-		t.Error("fingerprint not derived")
-	}
-
-	// A phone whose flag was never drawn stays un-randomized regardless of
-	// the scenario policy.
-	ccfg = client.Config{MAC: mac}
-	cfg.applyRandomization(&ccfg)
-	if ccfg.Randomization != client.RandomizeNone || ccfg.Fingerprint != 0 {
-		t.Errorf("non-randomizing phone upgraded: %+v", ccfg)
+			ref := rand.New(rand.NewSource(1))
+			if want := time.Duration(float64(time.Minute) * (0.7 + 0.6*ref.Float64())); ccfg.ScanInterval != want {
+				t.Errorf("scan interval %v, want %v from the first draw", ccfg.ScanInterval, want)
+			}
+			if want := ref.Float64() < 0.5; ccfg.CanaryProbing != want {
+				t.Errorf("canary %v, want %v from the second draw", ccfg.CanaryProbing, want)
+			}
+			if tc.fraction > 0 && ref.Float64() >= tc.fraction {
+				t.Fatal("fraction 1 did not draw the phone into the randomizing share")
+			}
+		})
 	}
 }
 
@@ -135,11 +157,6 @@ func TestValidateLinking(t *testing.T) {
 	bad.RandomizeEvery = -time.Second
 	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
 		t.Error("negative randomize-every accepted")
-	}
-	bad = base
-	bad.FingerprintModels = -1
-	if _, err := RunContext(context.Background(), bad, 0, time.Minute); err == nil {
-		t.Error("negative fingerprint models accepted")
 	}
 	bad = base
 	bad.Linker = LinkerKind(99)

@@ -436,7 +436,6 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 		p.rng = rand.New(replaySource(p.seed, p.spawnDraws))
 	}
 	if p.snap == nil {
-		cfg := env.cfg
 		// The PNL is drawn at the owning site's venue position — the same
 		// canonical positions the venue populations use — not the exact
 		// boundary-crossing point. pnl.Model caches venue-local pools on a
@@ -445,19 +444,7 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 		// poison cells that classic runs on the same shared World read
 		// later, perturbing their results.
 		list := env.model.NewList(p.rng, tm.sites[w.site].venue.Position)
-		if p.direct {
-			list = env.model.AugmentUnsafe(p.rng, list)
-		}
-		ccfg := client.Config{
-			MAC:           p.mac,
-			PNL:           list,
-			DirectProber:  p.direct,
-			ScanInterval:  time.Duration(float64(cfg.ScanInterval) * (0.7 + 0.6*p.rng.Float64())),
-			CanaryProbing: cfg.CanaryFraction > 0 && p.rng.Float64() < cfg.CanaryFraction,
-			RandomizeMAC:  cfg.RandomizeMACFraction > 0 && p.rng.Float64() < cfg.RandomizeMACFraction,
-			Obs:           env.rt,
-		}
-		cfg.applyRandomization(&ccfg)
+		ccfg := env.phoneConfig(p.rng, p.mac, list, p.direct)
 		c, err = client.New(env.engine, env.medium, p.rng, ccfg)
 		if err == nil {
 			c.SetPos(pos)
@@ -494,7 +481,7 @@ func (tm *tierManager) promote(p *pedestrian, w promoWindow) {
 		env.rt.Event(now, obs.EventPromotion, p.mac.String(),
 			"promoted near "+tm.sites[w.site].venue.Name)
 	}
-	tm.driveMovement(p, env)
+	walk(env.engine, c, &p.route, 0)
 }
 
 // demote suspends a promoted client back to the statistical tier, in the
@@ -520,26 +507,6 @@ func (tm *tierManager) demote(p *pedestrian, siteIdx int) {
 		env.rt.Event(p.lastDemote, obs.EventDemotion, p.mac.String(),
 			"suspended to far-field tier")
 	}
-}
-
-// driveMovement walks a promoted client along its route, 2 s steps like
-// the venue walkers. The ticker captures the client and consults only its
-// state: a demoted client is Departed forever, so a stale ticker dies
-// without reading pedestrian fields that a LATER promotion in another
-// group may be rewriting (every promotion materialises a fresh client, so
-// a live captured client always means the ticker is current).
-func (tm *tierManager) driveMovement(p *pedestrian, env *runEnv) {
-	const step = 2 * time.Second
-	c := p.cur
-	var tick func()
-	tick = func() {
-		if c.State() == client.StateDeparted {
-			return
-		}
-		c.SetPos(p.route.At(env.engine.Now()))
-		env.engine.Schedule(step, tick)
-	}
-	env.engine.Schedule(step, tick)
 }
 
 // result folds the per-site accounting into the FarFieldResult. The global
@@ -583,18 +550,7 @@ func (tm *tierManager) result(now time.Duration, engines []*core.Engine) *FarFie
 			continue // never promoted: nothing on air, nothing to report
 		}
 		res.Promoted++
-		o := stats.ClientOutcome{
-			Arrived:      p.firstPromo,
-			Departed:     p.lastDemote,
-			DirectProber: p.direct,
-			Probed:       st.BroadcastProbes+st.DirectProbes > 0,
-			Connected:    st.Connected && attackers[st.ConnectedTo],
-			ConnectedAt:  st.ConnectedAt,
-			MACsUsed:     len(macs),
-		}
-		for _, eng := range engines {
-			o.SSIDsSent += eng.SentCountAcross(macs)
-		}
+		o := outcome(p.firstPromo, p.lastDemote, p.direct, st, macs, attackers, engines)
 		if o.Connected {
 			if si, ok := siteByMAC[st.ConnectedTo]; ok {
 				res.Sites[si].Hits++

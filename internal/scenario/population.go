@@ -6,9 +6,9 @@ import (
 
 	"cityhunter/internal/client"
 	"cityhunter/internal/core"
+	"cityhunter/internal/geo"
 	"cityhunter/internal/ieee80211"
 	"cityhunter/internal/mobility"
-	"cityhunter/internal/obs"
 	"cityhunter/internal/pnl"
 	"cityhunter/internal/sim"
 	"cityhunter/internal/stats"
@@ -24,12 +24,6 @@ type member struct {
 	// site is the index of the deployment site the phone currently dwells
 	// at (always 0 for a single-venue run).
 	site int
-	// legStart anchors the current movement path; equal to arrived until
-	// the phone roams to another site.
-	legStart time.Duration
-	// leg counts movement legs (dwell, transit, dwell, ...). Position
-	// tickers capture it and stop when a newer leg supersedes them.
-	leg int
 	// roams counts completed inter-site transits.
 	roams int
 }
@@ -72,17 +66,118 @@ func resumeClient(env *runEnv, rng *rand.Rand, snap client.Snapshot) (*client.Cl
 	return client.Resume(env.engine, env.medium, rng, snap)
 }
 
+// phoneConfig builds a new phone's configuration, drawing its behaviour
+// from rng in the order every seeded result depends on: a direct prober's
+// extra remembered open networks, the scan-interval jitter, canary probing,
+// then MAC randomization. A phone drawn into the randomizing share rotates
+// per scan without a fingerprint unless the scenario names a policy; then
+// it follows that policy and stamps its chipset fingerprint. Venue arrivals
+// draw from the group's stream, promoted pedestrians from their own.
+func (env *runEnv) phoneConfig(rng *rand.Rand, mac ieee80211.MAC, list pnl.List, direct bool) client.Config {
+	cfg := env.cfg
+	if direct {
+		// Unsafe phones skew towards more remembered open networks.
+		list = env.model.AugmentUnsafe(rng, list)
+	}
+	ccfg := client.Config{
+		MAC:           mac,
+		PNL:           list,
+		DirectProber:  direct,
+		ScanInterval:  time.Duration(float64(cfg.ScanInterval) * (0.7 + 0.6*rng.Float64())),
+		CanaryProbing: cfg.CanaryFraction > 0 && rng.Float64() < cfg.CanaryFraction,
+		Obs:           env.rt,
+	}
+	if cfg.RandomizeMACFraction > 0 && rng.Float64() < cfg.RandomizeMACFraction {
+		ccfg.Randomization = client.RandomizePerScan
+		if cfg.Randomization != client.RandomizeNone {
+			ccfg.Randomization = cfg.Randomization
+			ccfg.RandomizeEvery = cfg.RandomizeEvery
+			ccfg.Fingerprint = fingerprintFor(mac)
+		}
+	}
+	return ccfg
+}
+
+// stay is one dwell at a venue: whether the phone walks, how long it
+// stays, and a walker's corridor path.
+type stay struct {
+	moving bool
+	dwell  time.Duration
+	path   mobility.Path
+}
+
+// drawStay draws a stay at venue from rng: the movement type, then the
+// dwell from that type's model, then a walker's path.
+func drawStay(rng *rand.Rand, venue Venue) stay {
+	s := stay{moving: rng.Float64() < venue.MovingFraction}
+	if s.moving {
+		s.dwell = venue.MovingDwell.SampleDwell(rng)
+		s.path = mobility.CorridorPath(rng, venue.Position, venue.RadioRange, s.dwell)
+	} else {
+		s.dwell = venue.StaticDwell.SampleDwell(rng)
+	}
+	return s
+}
+
+// startPos is where a phone starts a stay at venue: a walker at the start
+// of its path, anyone else at a spot drawn from rng inside 90 % of the
+// radio range.
+func (s stay) startPos(rng *rand.Rand, venue Venue) geo.Point {
+	if s.moving {
+		return s.path.At(0)
+	}
+	return mobility.StaticPos(rng, venue.Position, venue.RadioRange*0.9)
+}
+
+// walkStep is how often a walking phone's position advances.
+const walkStep = 2 * time.Second
+
+// walk moves c along track every walkStep, reading the track at the engine
+// clock minus origin, until c departs. The ticker reads nothing but the
+// client it captured: a phone that roams or demotes is suspended, which
+// leaves its old client Departed forever, while ANOTHER site group may be
+// rewriting the member or pedestrian for its next stay — and every stay
+// walks a fresh client.
+func walk(engine *sim.Engine, c *client.Client, track interface{ At(time.Duration) geo.Point }, origin time.Duration) {
+	var tick func()
+	tick = func() {
+		if c.State() == client.StateDeparted {
+			return
+		}
+		c.SetPos(track.At(engine.Now() - origin))
+		engine.Schedule(walkStep, tick)
+	}
+	engine.Schedule(walkStep, tick)
+}
+
+// outcome scores one phone's stay for the tally: st and macs are its
+// accumulated stats and every MAC it appeared under. It counts as connected
+// only if it associated to one of the attackers, and its SSIDs sent sum
+// what every engine that may have served it sent to those MACs.
+func outcome(arrived, departed time.Duration, direct bool, st client.Stats, macs []ieee80211.MAC,
+	attackers map[ieee80211.MAC]bool, engines []*core.Engine) stats.ClientOutcome {
+	o := stats.ClientOutcome{
+		Arrived:      arrived,
+		Departed:     departed,
+		DirectProber: direct,
+		Probed:       st.BroadcastProbes+st.DirectProbes > 0,
+		Connected:    st.Connected && attackers[st.ConnectedTo],
+		ConnectedAt:  st.ConnectedAt,
+		MACsUsed:     len(macs),
+	}
+	for _, eng := range engines {
+		o.SSIDsSent += eng.SentCountAcross(macs)
+	}
+	return o
+}
+
 // population creates phones on arrival at one venue, moves the walkers,
 // and ends everyone's dwell on schedule. What happens when a dwell ends is
 // pluggable: a single-venue run departs the phone; a deployment may hand
 // it a transit leg to another site.
 type population struct {
-	engine *sim.Engine
-	medium *sim.Medium
-	rng    *rand.Rand
-	model  *pnl.Model
-	cfg    Config
-	obs    *obs.Runtime
+	// env is the environment of the site group the venue belongs to.
+	env *runEnv
 
 	// venue is the deployment site this population spawns at.
 	venue Venue
@@ -100,131 +195,69 @@ type population struct {
 	macs    *macAllocator
 }
 
-func newPopulation(env *runEnv, venue Venue, legitMAC ieee80211.MAC, attackers map[ieee80211.MAC]bool, macs *macAllocator) *population {
-	return &population{
-		engine: env.engine, medium: env.medium, rng: env.rng,
-		model: env.model, cfg: env.cfg, obs: env.rt,
-		venue: venue, legitMAC: legitMAC, attackers: attackers, macs: macs,
-	}
-}
-
 // spawnArrivals schedules the slot's arrival stream as social groups.
 // Group-size draws happen here, at scheduling time, in arrival order.
-func (p *population) spawnArrivals(arrivals []time.Duration, slotStart time.Duration, groups mobility.GroupModel, horizon time.Duration) {
+func (p *population) spawnArrivals(arrivals []time.Duration, slotStart time.Duration, groups mobility.GroupModel) {
 	for i := 0; i < len(arrivals); {
 		at := arrivals[i] - slotStart
-		size := groups.SampleSize(p.rng)
+		size := groups.SampleSize(p.env.rng)
 		if size > len(arrivals)-i {
 			size = len(arrivals) - i
 		}
-		p.spawnGroup(at, size, horizon)
+		p.spawnGroup(at, size)
 		i += size
 	}
 }
 
 // spawnGroup schedules a social group of the given size to arrive at the
-// offset. Group members walk together: same movement type, correlated
-// dwell, shared PNL entries.
-func (p *population) spawnGroup(at time.Duration, size int, horizon time.Duration) {
-	p.engine.At(at, func() {
-		venue := p.venue
-		moving := p.rng.Float64() < venue.MovingFraction
-		var dwell time.Duration
-		if moving {
-			dwell = venue.MovingDwell.SampleDwell(p.rng)
-		} else {
-			dwell = venue.StaticDwell.SampleDwell(p.rng)
-		}
-
+// offset. Group members walk together: same movement type and path,
+// correlated dwell, shared PNL entries.
+func (p *population) spawnGroup(at time.Duration, size int) {
+	p.env.engine.At(at, func() {
+		rng, model, pos := p.env.rng, p.env.model, p.venue.Position
+		s := drawStay(rng, p.venue)
 		var leaderPNL pnl.List
-		var path mobility.Path
-		if moving {
-			path = mobility.CorridorPath(p.rng, venue.Position, venue.RadioRange, dwell)
-		}
 		for i := 0; i < size; i++ {
-			// Companions stay within ±10 % of the leader's dwell.
-			d := dwell
-			if i > 0 {
-				d = time.Duration(float64(dwell) * (0.9 + 0.2*p.rng.Float64()))
-			}
+			member := s
 			var list pnl.List
 			if i == 0 {
-				list = p.model.NewList(p.rng, venue.Position)
+				list = model.NewList(rng, pos)
 				leaderPNL = list
 			} else {
-				list = p.model.NewCompanionList(p.rng, venue.Position, leaderPNL)
+				// Companions stay within ±10 % of the leader's dwell.
+				member.dwell = time.Duration(float64(s.dwell) * (0.9 + 0.2*rng.Float64()))
+				list = model.NewCompanionList(rng, pos, leaderPNL)
 			}
-			p.spawnMember(list, moving, path, d)
+			p.spawnMember(list, member)
 		}
-		_ = horizon
 	})
 }
 
-func (p *population) spawnMember(list pnl.List, moving bool, path mobility.Path, dwell time.Duration) {
-	now := p.engine.Now()
-	direct := p.rng.Float64() < p.cfg.DirectProberFraction
-	if direct {
-		// Unsafe phones skew towards more remembered open networks.
-		list = p.model.AugmentUnsafe(p.rng, list)
-	}
-	cfg := client.Config{
-		MAC:           p.macs.mac(),
-		PNL:           list,
-		DirectProber:  direct,
-		ScanInterval:  time.Duration(float64(p.cfg.ScanInterval) * (0.7 + 0.6*p.rng.Float64())),
-		CanaryProbing: p.cfg.CanaryFraction > 0 && p.rng.Float64() < p.cfg.CanaryFraction,
-		RandomizeMAC:  p.cfg.RandomizeMACFraction > 0 && p.rng.Float64() < p.cfg.RandomizeMACFraction,
-		Obs:           p.obs,
-	}
-	p.cfg.applyRandomization(&cfg)
-	if p.cfg.PreconnectedFraction > 0 && p.rng.Float64() < p.cfg.PreconnectedFraction {
+func (p *population) spawnMember(list pnl.List, s stay) {
+	env := p.env
+	now := env.engine.Now()
+	direct := env.rng.Float64() < env.cfg.DirectProberFraction
+	cfg := env.phoneConfig(env.rng, p.macs.mac(), list, direct)
+	if env.cfg.PreconnectedFraction > 0 && env.rng.Float64() < env.cfg.PreconnectedFraction {
 		cfg.PreconnectedBSSID = p.legitMAC
 	}
-	c, err := client.New(p.engine, p.medium, p.rng, cfg)
+	c, err := client.New(env.engine, env.medium, env.rng, cfg)
 	if err != nil {
 		// Only reachable through programming errors (zero MAC); drop the
 		// member rather than corrupt the run.
 		return
 	}
-	if moving {
-		c.SetPos(path.At(0))
-	} else {
-		c.SetPos(mobility.StaticPos(p.rng, p.venue.Position, p.venue.RadioRange*0.9))
-	}
+	c.SetPos(s.startPos(env.rng, p.venue))
 	if err := c.Start(); err != nil {
 		return
 	}
 
-	m := &member{c: c, arrived: now, departAt: now + dwell, direct: cfg.DirectProber,
-		site: p.siteIndex, legStart: now}
+	m := &member{c: c, arrived: now, departAt: now + s.dwell, direct: direct, site: p.siteIndex}
 	p.members = append(p.members, m)
-
-	if moving {
-		p.scheduleMove(m, path)
+	if s.moving {
+		walk(env.engine, c, s.path, now)
 	}
-	p.engine.At(m.departAt, func() { p.endDwell(m) })
-}
-
-// scheduleMove updates a walker's position every 2 s along its path. The
-// ticker dies when the phone departs or starts a newer movement leg. It
-// captures the client pointer and consults its state before any member
-// field: a roaming phone's old client is Departed forever while ANOTHER
-// site group may be rewriting the member for the next dwell, so the state
-// check is the only read a stale ticker may make.
-func (p *population) scheduleMove(m *member, path mobility.Path) {
-	const step = 2 * time.Second
-	leg := m.leg
-	c := m.c
-	legStart := m.legStart
-	var tick func()
-	tick = func() {
-		if c.State() == client.StateDeparted || m.leg != leg {
-			return
-		}
-		c.SetPos(path.At(p.engine.Now() - legStart))
-		p.engine.Schedule(step, tick)
-	}
-	p.engine.Schedule(step, tick)
+	env.engine.At(m.departAt, func() { p.endDwell(m) })
 }
 
 // outcomes summarises every member after the run. engines lists the
@@ -233,24 +266,8 @@ func (p *population) scheduleMove(m *member, path mobility.Path) {
 func (p *population) outcomes(now time.Duration, engines []*core.Engine) []stats.ClientOutcome {
 	out := make([]stats.ClientOutcome, 0, len(p.members))
 	for _, m := range p.members {
-		st := m.c.Stats
-		departed := m.departAt
-		if departed > now {
-			departed = now
-		}
-		o := stats.ClientOutcome{
-			Arrived:      m.arrived,
-			Departed:     departed,
-			DirectProber: m.direct,
-			Probed:       st.BroadcastProbes+st.DirectProbes > 0,
-			Connected:    st.Connected && p.attackers[st.ConnectedTo],
-			ConnectedAt:  st.ConnectedAt,
-			MACsUsed:     len(m.c.UsedMACs()),
-		}
-		for _, eng := range engines {
-			o.SSIDsSent += eng.SentCountAcross(m.c.UsedMACs())
-		}
-		out = append(out, o)
+		out = append(out, outcome(m.arrived, min(m.departAt, now), m.direct,
+			m.c.Stats, m.c.UsedMACs(), p.attackers, engines))
 	}
 	return out
 }

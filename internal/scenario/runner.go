@@ -97,19 +97,14 @@ type Config struct {
 	// RandomizeMACFraction is the share of phones rotating their probe
 	// MAC every scan (the modern OS default while unassociated).
 	RandomizeMACFraction float64
-	// Randomization upgrades the randomizing share from the legacy
-	// per-scan flag to an explicit rotation policy; those phones also
-	// emit their chipset IE fingerprint, the observable the linker
-	// exploits. client.RandomizeNone (the zero value) keeps the
-	// historical per-scan behaviour byte-identically.
+	// Randomization names the rotation policy of the randomizing share;
+	// those phones also emit their chipset IE fingerprint (one of 24),
+	// the observable the linker exploits. client.RandomizeNone (the zero
+	// value) leaves the share rotating per scan without a fingerprint.
 	Randomization client.RandomizationPolicy
 	// RandomizeEvery is the rotation period under
 	// client.RandomizeTimed; 0 selects client.DefaultRandomizeEvery.
 	RandomizeEvery time.Duration
-	// FingerprintModels is how many distinct chipset fingerprints the
-	// population draws from; 0 selects the default (24). Smaller values
-	// mean more fingerprint collisions between phones.
-	FingerprintModels int
 	// Linker selects the attacker's MAC de-anonymisation strategy; the
 	// zero value (LinkerMAC) is the historical one-MAC-one-device
 	// mapping. Ignored when CoreConfig supplies its own Linker.

@@ -97,6 +97,7 @@ func TestCanteenComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30-minute canteen runs")
 	}
+	t.Parallel()
 	run := func(kind AttackKind) *Result {
 		cfg := baseConfig(t, CanteenVenue(), kind, 11)
 		res, err := RunContext(context.Background(), cfg, 4, 30*time.Minute) // lunch slot
@@ -141,6 +142,7 @@ func TestPassageVsCanteen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long scenario runs")
 	}
+	t.Parallel()
 	canteen, err := RunContext(context.Background(), baseConfig(t, CanteenVenue(), CityHunter, 13), 4, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -361,6 +363,7 @@ func TestFrameLossDegradesGracefully(t *testing.T) {
 }
 
 func TestKnownBeaconsBaseline(t *testing.T) {
+	t.Parallel()
 	cfg := baseConfig(t, CanteenVenue(), KnownBeacons, 51)
 	cfg.ArrivalScale = 0.6
 	kb, err := RunContext(context.Background(), cfg, 4, 15*time.Minute)
