@@ -31,8 +31,7 @@ type Snapshot struct {
 	// Hostile carries the canary detector's unmasked evil twins; the phone
 	// keeps ignoring them at the next site.
 	Hostile map[ieee80211.MAC]bool
-	// CurrentMAC is the over-the-air MAC at suspension time (zero in
-	// snapshots predating MAC randomization, read back as Config.MAC).
+	// CurrentMAC is the over-the-air MAC at suspension time.
 	CurrentMAC ieee80211.MAC
 	// Rotations is the rotation counter: the resumed phone's next rotation
 	// continues the derived sequence exactly where it stopped.
@@ -40,7 +39,8 @@ type Snapshot struct {
 	// NextRotateAt is the RandomizeTimed deadline, in simulation time.
 	NextRotateAt time.Duration
 	// UsedMACs is every MAC the phone has appeared under, for ground-truth
-	// accounting across demote/promote round trips.
+	// accounting across demote/promote round trips. A started phone has
+	// used at least one.
 	UsedMACs []ieee80211.MAC
 }
 
@@ -91,15 +91,10 @@ func Resume(engine *sim.Engine, medium *sim.Medium, rng *rand.Rand, snap Snapsho
 	c.Stats = snap.Stats
 	c.seq = snap.Seq
 	c.hostile = snap.Hostile
-	if snap.CurrentMAC != (ieee80211.MAC{}) {
-		c.mac = snap.CurrentMAC
-	}
+	c.mac = snap.CurrentMAC
 	c.rotations = snap.Rotations
 	c.nextRotateAt = snap.NextRotateAt
 	c.usedMACs = append([]ieee80211.MAC(nil), snap.UsedMACs...)
-	if len(c.usedMACs) == 0 {
-		c.usedMACs = append(c.usedMACs, c.mac)
-	}
 	if err := c.medium.Attach(c); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}

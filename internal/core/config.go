@@ -191,8 +191,6 @@ func NewEngine(cfg Config, seed *SeedData) (*Engine, error) {
 		linker:  lk,
 		clients: make(map[linker.TrackID]*clientTrack),
 		fbSize:  cfg.InitialFreshness,
-
-		scratchChosen: make(map[string]BufferKind, cfg.ReplyBudget),
 	}
 	if cfg.Mode == ModePreliminary {
 		e.fbSize = 0

@@ -31,6 +31,16 @@ func (e *Engine) clientFor(m ieee80211.MAC) *clientTrack {
 	return e.clients[id]
 }
 
+// ssidOf returns the SSID of the database entry with the given id.
+func (e *Engine) ssidOf(id int) string {
+	for ssid, en := range e.db.entries {
+		if en.id == id {
+			return ssid
+		}
+	}
+	return ""
+}
+
 // seedData builds a small city: one very hot venue SSID, a few chains, and
 // cafés near the attack position at (0,0).
 func seedData(t *testing.T) *SeedData {
@@ -381,15 +391,15 @@ func (e *Engine) ghostHitSetup(t *testing.T, kind BufferKind, victim ieee80211.M
 		base := time.Second
 		for i := 0; i < want && i < len(rank); i++ {
 			en := rank[len(rank)-1-i]
-			e.db.recordHit(en.ssid, base+time.Duration(i)*time.Second, 0)
+			e.db.recordHit(en, base+time.Duration(i)*time.Second, 0)
 		}
 	}
 	for round := 0; round < 50; round++ {
 		e.BroadcastReply(time.Duration(round)*time.Second, lnk(victim), e.cfg.ReplyBudget)
 		tr := e.clientFor(victim)
-		for ssid, k := range tr.sent {
-			if k == kind {
-				return ssid
+		for _, r := range tr.log {
+			if BufferKind(r.kind) == kind {
+				return e.ssidOf(int(r.id))
 			}
 		}
 	}

@@ -62,8 +62,11 @@ type entry struct {
 	// lastHit is the most recent capture time; meaningful when hasHit.
 	lastHit time.Duration
 	hasHit  bool
-	// insertOrder breaks weight ties deterministically (older first).
-	insertOrder int
+	// id is the entry's dense insertion index (0, 1, 2, ...). It breaks
+	// weight ties deterministically (older first) and keys the per-track
+	// sent sets and the per-reply chosen stamps, so the reply path never
+	// hashes an SSID.
+	id int
 }
 
 // database is the weighted SSID store with three lazily sorted views:
@@ -96,42 +99,36 @@ func (db *database) get(ssid string) (*entry, bool) {
 }
 
 // add inserts a new entry or, if the SSID exists, raises its weight to at
-// least w (keeping the original source). It reports whether a new entry was
-// created.
-func (db *database) add(ssid string, source Source, w float64) bool {
+// least w (keeping the original source). It returns the entry and reports
+// whether it was created. The empty SSID is never stored: add returns nil.
+func (db *database) add(ssid string, source Source, w float64) (*entry, bool) {
 	if ssid == "" {
-		return false
+		return nil, false
 	}
 	if e, ok := db.entries[ssid]; ok {
 		if w > e.weight {
 			e.weight = w
 			db.weightDirty = true
 		}
-		return false
+		return e, false
 	}
-	e := &entry{ssid: ssid, source: source, weight: w, insertOrder: len(db.entries)}
+	e := &entry{ssid: ssid, source: source, weight: w, id: len(db.entries)}
 	db.entries[ssid] = e
 	db.byWeight = append(db.byWeight, e)
 	db.weightDirty = true
 	db.bySSID = append(db.bySSID, e)
 	db.ssidsDirty = true
-	return true
+	return e, true
 }
 
 // bump raises an entry's weight by delta.
-func (db *database) bump(ssid string, delta float64) {
-	if e, ok := db.entries[ssid]; ok {
-		e.weight += delta
-		db.weightDirty = true
-	}
+func (db *database) bump(e *entry, delta float64) {
+	e.weight += delta
+	db.weightDirty = true
 }
 
-// recordHit registers a successful capture via ssid at the given time.
-func (db *database) recordHit(ssid string, now time.Duration, weightDelta float64) {
-	e, ok := db.entries[ssid]
-	if !ok {
-		return
-	}
+// recordHit registers a successful capture via e at the given time.
+func (db *database) recordHit(e *entry, now time.Duration, weightDelta float64) {
 	e.hits++
 	e.weight += weightDelta
 	e.lastHit = now
@@ -152,7 +149,7 @@ func (db *database) popularityRank() []*entry {
 			if db.byWeight[i].weight != db.byWeight[j].weight {
 				return db.byWeight[i].weight > db.byWeight[j].weight
 			}
-			return db.byWeight[i].insertOrder < db.byWeight[j].insertOrder
+			return db.byWeight[i].id < db.byWeight[j].id
 		})
 		db.weightDirty = false
 	}
@@ -179,7 +176,7 @@ func (db *database) freshnessRank() []*entry {
 			if db.byFresh[i].lastHit != db.byFresh[j].lastHit {
 				return db.byFresh[i].lastHit > db.byFresh[j].lastHit
 			}
-			return db.byFresh[i].insertOrder < db.byFresh[j].insertOrder
+			return db.byFresh[i].id < db.byFresh[j].id
 		})
 		db.freshDirty = false
 	}

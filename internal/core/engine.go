@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cityhunter/internal/ieee80211"
@@ -89,8 +90,108 @@ type StateSample struct {
 // re-identifies a rotated MAC resumes the device's rotation mid-list
 // instead of restarting from the head.
 type clientTrack struct {
-	sent      map[string]BufferKind
-	sentCount int
+	// sent is a bitset over entry ids, grown on demand to the highest id
+	// sent to this track: the untried check is one word test.
+	sent []uint64
+	// log has one record per entry ever sent, in send order, with the
+	// bucket it was first served from. Only RecordHit reads the kinds;
+	// its length is the track's sent count.
+	log []sentRecord
+}
+
+// sentRecord is one entry sent to a track and the bucket it came from.
+type sentRecord struct {
+	id   uint32
+	kind uint8
+}
+
+// has reports whether entry id was ever sent to the track.
+func (t *clientTrack) has(id int) bool {
+	w := id >> 6
+	return w < len(t.sent) && t.sent[w]&(1<<(id&63)) != 0
+}
+
+// grow extends the sent bitset to cover entry ids up to maxID.
+func (t *clientTrack) grow(maxID int) {
+	if n := maxID>>6 + 1; n > len(t.sent) {
+		t.sent = append(t.sent, make([]uint64, n-len(t.sent))...)
+	}
+}
+
+// record marks entry id as sent from the given bucket. An entry sent
+// before keeps the bucket it was first served from.
+func (t *clientTrack) record(id int, kind BufferKind) {
+	if t.has(id) {
+		return
+	}
+	t.grow(id)
+	t.sent[id>>6] |= 1 << (id & 63)
+	t.log = append(t.log, sentRecord{id: uint32(id), kind: uint8(kind)})
+}
+
+// kindOf returns the bucket entry id was first sent from. It scans the log
+// from the newest send, since a hit almost always answers a recent batch.
+func (t *clientTrack) kindOf(id int) (BufferKind, bool) {
+	if !t.has(id) {
+		return 0, false
+	}
+	for i := len(t.log) - 1; i >= 0; i-- {
+		if t.log[i].id == uint32(id) {
+			return BufferKind(t.log[i].kind), true
+		}
+	}
+	return 0, false
+}
+
+// selection is one reply batch under construction: the entries taken so
+// far and the bucket each came from, checked against the asking track's
+// sent set. The engine keeps one and reuses its buffers for every reply.
+type selection struct {
+	track   *clientTrack
+	rotate  bool
+	budget  int
+	entries []*entry
+	kinds   []BufferKind
+	// chosen[id] == gen marks entry id as already in the batch, so
+	// starting a new batch is one increment of gen.
+	chosen []uint32
+	gen    uint32
+	// ghostPop and ghostFresh collect the ghost-list candidates.
+	ghostPop, ghostFresh []*entry
+}
+
+// reset starts an empty batch of at most budget entries for track t over
+// a database of dbLen entries.
+func (s *selection) reset(t *clientTrack, rotate bool, budget, dbLen int) {
+	s.track, s.rotate, s.budget = t, rotate, budget
+	s.entries, s.kinds = s.entries[:0], s.kinds[:0]
+	if n := dbLen - len(s.chosen); n > 0 {
+		s.chosen = append(s.chosen, make([]uint32, n)...)
+	}
+	s.gen++
+	if s.gen == 0 {
+		// The stamp wrapped: stale stamps could collide with it.
+		clear(s.chosen)
+		s.gen = 1
+	}
+}
+
+// eligible reports whether en may join the batch: it is not in it yet
+// and, under the untried rotation, was never sent to the track.
+func (s *selection) eligible(en *entry) bool {
+	return s.chosen[en.id] != s.gen && !(s.rotate && s.track.has(en.id))
+}
+
+// take adds en to the batch from the given bucket when it is eligible,
+// and reports whether the batch is full.
+func (s *selection) take(en *entry, kind BufferKind) bool {
+	if !s.eligible(en) {
+		return false
+	}
+	s.chosen[en.id] = s.gen
+	s.entries = append(s.entries, en)
+	s.kinds = append(s.kinds, kind)
+	return len(s.entries) >= s.budget
 }
 
 // Engine is the City-Hunter strategy. It is not safe for concurrent use;
@@ -116,10 +217,9 @@ type Engine struct {
 	pbGhostHits int
 	fbGhostHits int
 
-	// scratchBatch and scratchChosen are reused across selections to
-	// avoid allocation.
-	scratchBatch  []string
-	scratchChosen map[string]BufferKind
+	// sel is the reply batch under construction, reused across replies
+	// to avoid allocation.
+	sel selection
 
 	// om holds the observability handles; nil when uninstrumented, which
 	// keeps the BroadcastReply hot path at a single branch.
@@ -230,7 +330,7 @@ func (e *Engine) SentCount(mac ieee80211.MAC) int {
 		return 0
 	}
 	if t, ok := e.clients[id]; ok {
-		return t.sentCount
+		return len(t.log)
 	}
 	return 0
 }
@@ -261,7 +361,7 @@ func (e *Engine) SentCountAcross(macs []ieee80211.MAC) int {
 		}
 		seen = append(seen, id)
 		if t, ok := e.clients[id]; ok {
-			total += t.sentCount
+			total += len(t.log)
 		}
 	}
 	return total
@@ -311,7 +411,7 @@ func (e *Engine) trackOf(o linker.Observation) (linker.TrackID, *clientTrack) {
 	id := e.linker.Observe(o)
 	t, ok := e.clients[id]
 	if !ok {
-		t = &clientTrack{sent: make(map[string]BufferKind)}
+		t = &clientTrack{}
 		e.clients[id] = t
 	}
 	return id, t
@@ -332,23 +432,19 @@ func (e *Engine) HarvestDirect(_ time.Duration, o linker.Observation, ssid strin
 	if ssid == "" {
 		return
 	}
-	if e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight) {
-		if e.om != nil {
-			e.om.harvests.Inc()
-			e.om.dbSize.Set(float64(e.db.len()))
-		}
-	} else {
-		e.db.bump(ssid, e.cfg.SightingWeightDelta)
+	en, fresh := e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight)
+	if !fresh {
+		e.db.bump(en, e.cfg.SightingWeightDelta)
+	} else if e.om != nil {
+		e.om.harvests.Inc()
+		e.om.dbSize.Set(float64(e.db.len()))
 	}
 	// A harvest is by definition a directed probe; normalise the
 	// observation so linkers see the disclosed SSID even when a caller
 	// hands in a bare MAC.
 	o.Directed, o.SSID = true, ssid
 	_, t := e.trackOf(o)
-	if _, dup := t.sent[ssid]; !dup {
-		t.sent[ssid] = KindMirror
-		t.sentCount++
-	}
+	t.record(en.id, KindMirror)
 }
 
 // BroadcastReply implements attack.Strategy: SSID selection (step 3 of
@@ -365,102 +461,75 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 		return nil
 	}
 	_, t := e.trackOf(o)
-
-	tried := func(ssid string) bool {
-		if !e.cfg.RotateUntried {
-			return false
-		}
-		_, ok := t.sent[ssid]
-		return ok
-	}
-
-	batch := e.scratchBatch[:0]
-	chosen := e.scratchChosen
-	clear(chosen)
-	take := func(en *entry, kind BufferKind) bool {
-		if _, dup := chosen[en.ssid]; dup || tried(en.ssid) {
-			return false
-		}
-		chosen[en.ssid] = kind
-		batch = append(batch, en.ssid)
-		return len(batch) >= budget
-	}
+	s := &e.sel
+	s.reset(t, e.cfg.RotateUntried, budget, e.db.len())
 
 	if e.cfg.Mode == ModeFull {
-		e.selectFull(budget, tried, chosen, take)
+		e.selectFull(s)
 	}
 	// Preliminary mode — and full-mode backfill when the freshness side
 	// could not fill its share. The §III design has no weights yet, so
 	// it walks the database in storage order; the full design backfills
 	// down the popularity ranking.
-	if len(batch) < budget {
+	if len(s.entries) < budget {
 		backfill := e.db.popularityRank()
 		if e.cfg.Mode == ModePreliminary {
 			backfill = e.db.unorderedRank()
 		}
 		for _, en := range backfill {
-			if take(en, KindPopularity) {
+			if s.take(en, KindPopularity) {
 				break
 			}
 		}
 	}
 
-	for _, ssid := range batch {
-		if _, dup := t.sent[ssid]; !dup {
-			t.sent[ssid] = chosen[ssid]
-			t.sentCount++
-		}
+	// Size the track's bitset and log once for the whole batch (an empty
+	// batch leaves maxID at -1, which grows nothing).
+	maxID := -1
+	for _, en := range s.entries {
+		maxID = max(maxID, en.id)
 	}
-	e.scratchBatch = batch
+	t.grow(maxID)
+	t.log = slices.Grow(t.log, len(s.entries))
+	out := make([]string, len(s.entries))
+	for i, en := range s.entries {
+		t.record(en.id, s.kinds[i])
+		out[i] = en.ssid
+	}
 	if e.om != nil {
 		e.om.replies.Inc()
-		e.om.batch.Observe(float64(len(batch)))
+		e.om.batch.Observe(float64(len(out)))
 		e.om.tracks.Set(float64(e.linker.Tracks()))
 		e.om.relinks.Set(float64(e.linker.Links()))
 	}
-	out := make([]string, len(batch))
-	copy(out, batch)
 	return out
 }
 
 // selectFull fills the batch from PB, FB and both ghost lists. Both the
 // regular buffers and the ghost candidates honour the per-client untried
 // rotation: a client never wastes a slot on an SSID it already received.
-func (e *Engine) selectFull(budget int, tried func(string) bool, chosen map[string]BufferKind, take func(*entry, BufferKind) bool) {
-	regular := budget - 2*e.cfg.GhostPicks
-	if regular < 0 {
-		regular = 0
-	}
-	fb := e.fbSize
-	if fb > regular {
-		fb = regular
-	}
+func (e *Engine) selectFull(s *selection) {
+	regular := max(s.budget-2*e.cfg.GhostPicks, 0)
+	fb := min(e.fbSize, regular)
 	pb := regular - fb
-
-	eligible := func(en *entry) bool {
-		if _, dup := chosen[en.ssid]; dup {
-			return false
-		}
-		return !tried(en.ssid)
-	}
 
 	// Popularity Buffer: the pb highest-weight eligible entries; the next
 	// GhostSize eligible entries form its ghost list.
-	var ghostPop []*entry
+	s.ghostPop = s.ghostPop[:0]
 	taken := 0
 	for _, en := range e.db.popularityRank() {
-		if !eligible(en) {
+		if !s.eligible(en) {
 			continue
 		}
 		if taken < pb {
-			if take(en, KindPopularity) {
+			if s.take(en, KindPopularity) {
 				return
 			}
 			taken++
 			continue
 		}
-		if len(ghostPop) < e.cfg.GhostSize {
-			ghostPop = append(ghostPop, en)
+		if len(s.ghostPop) < e.cfg.GhostSize {
+			s.ghostPop = append(s.ghostPop, en)
 			continue
 		}
 		break
@@ -468,29 +537,29 @@ func (e *Engine) selectFull(budget int, tried func(string) bool, chosen map[stri
 
 	// Freshness Buffer: the fb most recently hit eligible entries; the
 	// following GhostSize form its ghost list.
-	var ghostFresh []*entry
+	s.ghostFresh = s.ghostFresh[:0]
 	taken = 0
 	for _, en := range e.db.freshnessRank() {
-		if !eligible(en) {
+		if !s.eligible(en) {
 			continue
 		}
 		if taken < fb {
-			if take(en, KindFreshness) {
+			if s.take(en, KindFreshness) {
 				return
 			}
 			taken++
 			continue
 		}
-		if len(ghostFresh) < e.cfg.GhostSize {
-			ghostFresh = append(ghostFresh, en)
+		if len(s.ghostFresh) < e.cfg.GhostSize {
+			s.ghostFresh = append(s.ghostFresh, en)
 			continue
 		}
 		break
 	}
 
 	// Random ghost picks from each list.
-	e.pickGhosts(ghostPop, KindPopularityGhost, take)
-	e.pickGhosts(ghostFresh, KindFreshnessGhost, take)
+	e.pickGhosts(s, s.ghostPop, KindPopularityGhost)
+	e.pickGhosts(s, s.ghostFresh, KindFreshnessGhost)
 }
 
 // adaptDelta returns the buffer-boundary step for a ghost hit: 1 under the
@@ -502,17 +571,14 @@ func (e *Engine) adaptDelta(opposite, own int) int {
 	return opposite / own
 }
 
-// pickGhosts takes up to GhostPicks random entries from candidates.
-func (e *Engine) pickGhosts(candidates []*entry, kind BufferKind, take func(*entry, BufferKind) bool) {
-	picks := e.cfg.GhostPicks
-	if picks > len(candidates) {
-		picks = len(candidates)
-	}
+// pickGhosts takes up to GhostPicks random entries from candidates into s.
+func (e *Engine) pickGhosts(s *selection, candidates []*entry, kind BufferKind) {
+	picks := min(e.cfg.GhostPicks, len(candidates))
 	// Partial Fisher-Yates over the candidate list.
 	for i := 0; i < picks; i++ {
 		j := i + e.rng.Intn(len(candidates)-i)
 		candidates[i], candidates[j] = candidates[j], candidates[i]
-		if take(candidates[i], kind) {
+		if s.take(candidates[i], kind) {
 			return
 		}
 	}
@@ -531,10 +597,11 @@ func (e *Engine) AbsorbHit(now time.Duration, ssid string) {
 	if ssid == "" {
 		return
 	}
-	if e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight) && e.om != nil {
+	en, fresh := e.db.add(ssid, SourceDirectProbe, e.cfg.HarvestWeight)
+	if fresh && e.om != nil {
 		e.om.dbSize.Set(float64(e.db.len()))
 	}
-	e.db.recordHit(ssid, now, e.cfg.HitWeightDelta)
+	e.db.recordHit(en, now, e.cfg.HitWeightDelta)
 }
 
 // RecordHit implements attack.Strategy: weight and freshness updates plus
@@ -542,7 +609,10 @@ func (e *Engine) AbsorbHit(now time.Duration, ssid string) {
 // list means the Popularity Buffer was too small, so it grows at FB's
 // expense, and vice versa — the ARC-inspired balancing of §IV-C.
 func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid string) {
-	e.db.recordHit(ssid, now, e.cfg.HitWeightDelta)
+	en, known := e.db.get(ssid)
+	if known {
+		e.db.recordHit(en, now, e.cfg.HitWeightDelta)
+	}
 
 	// Resolve the victim to its device track. An associating victim has
 	// almost always probed first, so Lookup hits; the Observe fallback
@@ -551,15 +621,14 @@ func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid st
 	if !linked {
 		id = e.linker.Observe(victim)
 	}
-	kind := KindMirror
-	if t, ok := e.clients[id]; ok {
-		if k, ok := t.sent[ssid]; ok {
-			kind = k
-		}
-	}
-	source := SourceDirectProbe
-	if en, ok := e.db.get(ssid); ok {
+	kind, source := KindMirror, SourceDirectProbe
+	if known {
 		source = en.source
+		if t, ok := e.clients[id]; ok {
+			if k, ok := t.kindOf(en.id); ok {
+				kind = k
+			}
+		}
 	}
 	e.hits = append(e.hits, HitRecord{MAC: victim.MAC, Track: id, SSID: ssid, At: now, Source: source, Kind: kind})
 
@@ -570,7 +639,12 @@ func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid st
 				fmt.Sprintf("%s served %q", kind, ssid))
 		}
 	}
+	e.adapt(now, victim.MAC, kind)
+}
 
+// adapt moves the buffer boundary after a hit served from the given
+// bucket: a ghost hit grows its own side at the other's expense.
+func (e *Engine) adapt(now time.Duration, victim ieee80211.MAC, kind BufferKind) {
 	if e.cfg.Mode != ModeFull || e.cfg.DisableAdaptation {
 		return
 	}
@@ -603,7 +677,7 @@ func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid st
 		e.omSyncGauges()
 		if e.om.journal != nil {
 			pb, fb := e.BufferSizes()
-			e.om.journal.Record(now, obs.EventAdaptation, victim.MAC.String(),
+			e.om.journal.Record(now, obs.EventAdaptation, victim.String(),
 				fmt.Sprintf("%s hit moved boundary by %+d: pb=%d fb=%d", kind, adapted, pb, fb))
 		}
 	}

@@ -14,8 +14,10 @@ func rotatingClientMAC(c int) ieee80211.MAC {
 }
 
 // TestBroadcastReplyFreshClientAllocs pins the cost of answering a client
-// the engine has never seen: a new track, its sent set and a full batch
-// from a 2000-SSID database.
+// the engine has never seen: a new track, its sent bitset and log, and the
+// returned batch from a 2000-SSID database. That is 4 allocations, or 6
+// under the race detector, whose instrumentation keeps the temporaries of
+// the two append-to-grow calls.
 func TestBroadcastReplyFreshClientAllocs(t *testing.T) {
 	e := benchEngine(t, 2000)
 	i := 0
@@ -26,15 +28,16 @@ func TestBroadcastReplyFreshClientAllocs(t *testing.T) {
 			t.Fatalf("batch = %d, want 40", len(got))
 		}
 	})
-	if avg > 18 {
-		t.Errorf("BroadcastReply for a fresh client allocates %.0f/op, want ≤ 18", avg)
+	if avg > 6 {
+		t.Errorf("BroadcastReply for a fresh client allocates %.0f/op, want ≤ 6", avg)
 	}
 }
 
 // TestBroadcastReplyRotatingClientAllocs pins the untried rotation: a
 // client is answered until it has been sent all 2000 SSIDs (50 batches),
 // then a never-seen client takes over, so every window of operations
-// holds the same mix of first and follow-up replies.
+// holds the same mix of first and follow-up replies. A follow-up reply
+// allocates only the returned batch.
 func TestBroadcastReplyRotatingClientAllocs(t *testing.T) {
 	e := benchEngine(t, 2000)
 	client, i := 0, 0
@@ -46,8 +49,8 @@ func TestBroadcastReplyRotatingClientAllocs(t *testing.T) {
 			client++
 		}
 	})
-	if avg > 8 {
-		t.Errorf("BroadcastReply for a rotating client allocates %.0f/op, want ≤ 8", avg)
+	if avg > 2 {
+		t.Errorf("BroadcastReply for a rotating client allocates %.0f/op, want ≤ 2", avg)
 	}
 }
 

@@ -1,6 +1,10 @@
 package geo
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // CellKey identifies one cell of a HashGrid.
 type CellKey struct{ X, Y int32 }
@@ -12,8 +16,10 @@ type CellKey struct{ X, Y int32 }
 // covering a radius at delivery time.
 //
 // Items are referenced by caller-supplied int32 ids; the grid stores no
-// payloads. Neighborhood queries return ids in unspecified order; callers
-// sort them.
+// payloads. Every cell keeps its ids in ascending order, whatever the
+// history of inserts, moves and removals, and neighborhood queries return
+// ids in ascending order. The medium numbers stations by attach order, so
+// its broadcast candidates come back in attach order with no sort.
 type HashGrid struct {
 	cellSize float64
 	cells    map[CellKey][]int32
@@ -46,28 +52,37 @@ func floorDiv(v, size float64) int {
 }
 
 // Insert adds id at p and returns the cell it landed in, for the caller to
-// cache and hand back to Move or Remove.
+// cache and hand back to Move or Remove. An id larger than every id in its
+// cell — the medium's case, whose newest slot is always the largest — is
+// appended; any other is placed by binary search.
 func (g *HashGrid) Insert(id int32, p Point) CellKey {
 	k := g.Key(p)
-	g.cells[k] = append(g.cells[k], id)
+	g.cells[k] = insertSorted(g.cells[k], id)
 	return k
 }
 
-// Remove deletes id from the cell it was last inserted or moved into.
-// Removing an id the cell does not hold is a no-op.
+// insertSorted adds id to the ascending ids, keeping them ascending.
+func insertSorted(ids []int32, id int32) []int32 {
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		return append(ids, id)
+	}
+	i, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, i, id)
+}
+
+// Remove deletes id from the cell it was last inserted or moved into,
+// shifting the ids after it down so the cell stays ascending. Removing an
+// id the cell does not hold is a no-op.
 func (g *HashGrid) Remove(id int32, k CellKey) {
 	ids := g.cells[k]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			if len(ids) == 0 {
-				delete(g.cells, k)
-			} else {
-				g.cells[k] = ids
-			}
-			return
-		}
+	i, ok := slices.BinarySearch(ids, id)
+	if !ok {
+		return
+	}
+	if ids = slices.Delete(ids, i, i+1); len(ids) == 0 {
+		delete(g.cells, k)
+	} else {
+		g.cells[k] = ids
 	}
 }
 
@@ -80,7 +95,7 @@ func (g *HashGrid) Move(id int32, from CellKey, p Point) CellKey {
 		return k
 	}
 	g.Remove(id, from)
-	g.cells[k] = append(g.cells[k], id)
+	g.cells[k] = insertSorted(g.cells[k], id)
 	return k
 }
 
@@ -88,24 +103,21 @@ func (g *HashGrid) Move(id int32, from CellKey, p Point) CellKey {
 // size: p's cell and the ring around it.
 const oneRing = 9
 
-// AppendNeighborhood appends to dst the ids of every item whose cell
-// intersects the axis-aligned square of half-width radius around p, and
-// returns the extended slice. The result is a superset of the items within
-// radius of p — callers re-check exact geometry — and is produced without
-// allocating when dst has capacity. The ids come back in unspecified
-// order, so callers that need a global order must impose their own (ids
-// are ints — sort them).
+// AppendNeighborhood appends to dst, in ascending order, the ids of every
+// item whose cell intersects the axis-aligned square of half-width radius
+// around p, and returns the extended slice. The result is a superset of
+// the items within radius of p — callers re-check exact geometry — and is
+// produced without allocating when dst has capacity.
 //
 // The scan spans ceil(radius/cellSize) rings of cells on each side of p's
-// cell, so radii larger than the cell size are handled exactly. A box
-// wider than one ring costs min(box cells, occupied cells): when it covers
-// more cells than the grid holds, the occupied cells are scanned instead
-// and kept when inside the box. That is the level-of-detail promotion
-// scheduler's query, at radii many times the cell size around a handful
-// of sites. A box of one ring or less — the medium's query at its radio
-// range, one ring by construction of its cell size — is always scanned
-// cell by cell: at most nine lookups, in row-major order, which the
-// medium's sort orders faster than the map's order.
+// cell, so radii larger than the cell size are handled exactly. A box of
+// one ring or less — the medium's query at its radio range, one ring by
+// construction of its cell size — takes at most nine lookups and merges
+// the ascending cell lists. A wider box costs min(box cells, occupied
+// cells): when it covers more cells than the grid holds, the occupied
+// cells are scanned instead and kept when inside the box. That is the
+// level-of-detail promotion scheduler's query, at radii many times the
+// cell size around a handful of sites; its few ids are sorted once.
 func (g *HashGrid) AppendNeighborhood(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst
@@ -113,18 +125,84 @@ func (g *HashGrid) AppendNeighborhood(dst []int32, p Point, radius float64) []in
 	lo := g.Key(Point{X: p.X - radius, Y: p.Y - radius})
 	hi := g.Key(Point{X: p.X + radius, Y: p.Y + radius})
 	box := (int64(hi.X) - int64(lo.X) + 1) * (int64(hi.Y) - int64(lo.Y) + 1)
-	if box > oneRing && box > int64(len(g.cells)) {
+	if box <= oneRing {
+		var lists [oneRing][]int32
+		n := 0
+		for cy := lo.Y; cy <= hi.Y; cy++ {
+			for cx := lo.X; cx <= hi.X; cx++ {
+				if ids := g.cells[CellKey{X: cx, Y: cy}]; len(ids) > 0 {
+					lists[n] = ids
+					n++
+				}
+			}
+		}
+		return mergeAppend(dst, lists[:n])
+	}
+	start := len(dst)
+	if box > int64(len(g.cells)) {
 		for k, ids := range g.cells {
 			if k.X >= lo.X && k.X <= hi.X && k.Y >= lo.Y && k.Y <= hi.Y {
 				dst = append(dst, ids...)
 			}
 		}
-		return dst
-	}
-	for cy := lo.Y; cy <= hi.Y; cy++ {
-		for cx := lo.X; cx <= hi.X; cx++ {
-			dst = append(dst, g.cells[CellKey{X: cx, Y: cy}]...)
+	} else {
+		for cy := lo.Y; cy <= hi.Y; cy++ {
+			for cx := lo.X; cx <= hi.X; cx++ {
+				dst = append(dst, g.cells[CellKey{X: cx, Y: cy}]...)
+			}
 		}
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// mergeSpan is the id span one bitmap window of mergeAppend covers: 4096
+// ids, a 512-byte stack array. A medium's slot ids span its station table,
+// a few hundred slots in a crowded venue, so one window usually suffices.
+const mergeSpan = 4096
+
+// mergeAppend appends the union of the ascending, non-empty lists to dst
+// in ascending order; no id may be in two lists. It works in windows of
+// mergeSpan ids starting at the smallest head: each list's ids in the
+// window are marked in a bitmap, a few nanoseconds per id, and read back
+// in order, and the lists resume after them. It reslices the elements of
+// lists as it consumes them.
+func mergeAppend(dst []int32, lists [][]int32) []int32 {
+	for len(lists) > 1 {
+		lo := lists[0][0]
+		for _, l := range lists[1:] {
+			lo = min(lo, l[0])
+		}
+		var seen [mergeSpan / 64]uint64
+		top, n := 0, 0
+		for _, l := range lists {
+			// k is how many of l's ids fall in the window: usually all.
+			k := len(l)
+			if int64(l[k-1])-int64(lo) >= mergeSpan {
+				for k = 0; int64(l[k])-int64(lo) < mergeSpan; k++ {
+				}
+			}
+			for _, id := range l[:k] {
+				d := id - lo
+				seen[d>>6] |= 1 << (d & 63)
+			}
+			if k > 0 {
+				top = max(top, int(l[k-1]-lo)>>6)
+			}
+			if k < len(l) {
+				lists[n] = l[k:]
+				n++
+			}
+		}
+		lists = lists[:n]
+		for w, word := range seen[:top+1] {
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, lo+int32(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	if len(lists) == 1 {
+		dst = append(dst, lists[0]...)
 	}
 	return dst
 }

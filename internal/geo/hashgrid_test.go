@@ -114,13 +114,10 @@ func TestHashGridNeighborhoodDeterministicAndZeroAlloc(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g.Insert(int32(i), Pt(float64(i%20)*7, float64(i/20)*7))
 	}
-	// Order is unspecified; the id set is not.
 	a := g.AppendNeighborhood(nil, Pt(50, 30), 25)
 	b := g.AppendNeighborhood(nil, Pt(50, 30), 25)
-	slices.Sort(a)
-	slices.Sort(b)
-	if !slices.Equal(a, b) {
-		t.Fatalf("neighborhood not deterministic: %v vs %v", a, b)
+	if !slices.Equal(a, b) || !slices.IsSorted(a) {
+		t.Fatalf("neighborhood not ascending and deterministic: %v vs %v", a, b)
 	}
 
 	buf := make([]int32, 0, 256)
@@ -129,6 +126,25 @@ func TestHashGridNeighborhoodDeterministicAndZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("AppendNeighborhood with capacity allocates %.2f/op, want 0", avg)
+	}
+
+	// Ids spanning more than mergeSpan merge in several bitmap windows,
+	// which must not allocate either.
+	wide, err := NewHashGrid(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		wide.Insert(int32(i*100), Pt(float64(i%20)*7, float64(i/20)*7))
+	}
+	if got := wide.AppendNeighborhood(buf[:0], Pt(50, 30), 25); !slices.IsSorted(got) || len(got) == 0 {
+		t.Fatalf("wide-span neighborhood %v not ascending", got)
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		buf = wide.AppendNeighborhood(buf[:0], Pt(50, 30), 25)
+	})
+	if avg != 0 {
+		t.Errorf("wide-span AppendNeighborhood with capacity allocates %.2f/op, want 0", avg)
 	}
 }
 
@@ -190,11 +206,13 @@ func bruteNeighborhood(g *HashGrid, ids []int32, pts []Point, p Point, radius fl
 }
 
 // TestHashGridNeighborhoodMatchesBruteForce checks AppendNeighborhood,
-// once sorted, against the cell-box filter over random grids, at radii
-// that take the box scan (radius 0, below the cell size, one cell, and a
-// few cells over a crowded grid) and the occupied-cell scan (many cells
-// wide, wider than the whole grid), with points and queries on both sides
-// of the origin, and after removals and moves.
+// order included, against the sorted cell-box filter over random grids, at
+// radii that take the one-ring merge (radius 0, below the cell size, one
+// cell), the box scan (a few cells over a crowded grid) and the
+// occupied-cell scan (many cells wide, wider than the whole grid), with
+// points and queries on both sides of the origin, ids inserted out of
+// order and spread past the merge bitmap's span, and after removals and
+// moves.
 func TestHashGridNeighborhoodMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	coord := func(span float64) float64 { return (rng.Float64()*2 - 1) * span }
@@ -206,11 +224,12 @@ func TestHashGridNeighborhoodMatchesBruteForce(t *testing.T) {
 		}
 		span := cell * float64(1+rng.Intn(40))
 		n := rng.Intn(60) // includes the empty grid
+		stride := []int32{1, 1, 500}[rng.Intn(3)]
 		ids := make([]int32, n)
 		pts := make([]Point, n)
 		keys := make([]CellKey, n)
-		for i := range ids {
-			ids[i] = int32(i)
+		for i, id := range rng.Perm(n) {
+			ids[i] = int32(id) * stride
 			pts[i] = Pt(coord(span), coord(span))
 			keys[i] = g.Insert(ids[i], pts[i])
 		}
@@ -229,7 +248,6 @@ func TestHashGridNeighborhoodMatchesBruteForce(t *testing.T) {
 			for q := 0; q < 5; q++ {
 				p := Pt(coord(span*1.5), coord(span*1.5))
 				got := g.AppendNeighborhood(nil, p, radius)
-				slices.Sort(got)
 				want := bruteNeighborhood(g, ids, pts, p, radius)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d cell %.2f radius %.2f at %v: got %v, want %v",
@@ -238,6 +256,119 @@ func TestHashGridNeighborhoodMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkCellsAscending fails unless every cell of g holds strictly
+// ascending ids.
+func checkCellsAscending(t *testing.T, g *HashGrid) {
+	t.Helper()
+	for k, ids := range g.cells {
+		for i := 1; i < len(ids); i++ {
+			if ids[i-1] >= ids[i] {
+				t.Fatalf("cell %+v not ascending: %v", k, ids)
+			}
+		}
+	}
+}
+
+// TestHashGridCellsStayAscending drives random inserts (in and out of id
+// order), removals and moves, and checks after every step that each cell
+// is strictly ascending and the grid holds exactly the live ids.
+func TestHashGridCellsStayAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g, err := NewHashGrid(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int32 // live ids
+	keys := make(map[int32]CellKey)
+	next := int32(0)
+	pos := func() Point { return Pt(rng.Float64()*60-30, rng.Float64()*60-30) }
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 || len(ids) == 0:
+			id := next
+			if rng.Intn(3) == 0 {
+				id = rng.Int31n(next + 1) // out of order, when free
+			}
+			if _, dup := keys[id]; dup {
+				continue
+			}
+			keys[id] = g.Insert(id, pos())
+			ids = append(ids, id)
+			next = max(next, id+1)
+		case op == 1:
+			i := rng.Intn(len(ids))
+			g.Remove(ids[i], keys[ids[i]])
+			delete(keys, ids[i])
+			ids = slices.Delete(ids, i, i+1)
+		default:
+			id := ids[rng.Intn(len(ids))]
+			keys[id] = g.Move(id, keys[id], pos())
+		}
+		checkCellsAscending(t, g)
+		if n := gridLen(g); n != len(ids) {
+			t.Fatalf("step %d: grid holds %d ids, want %d", step, n, len(ids))
+		}
+	}
+}
+
+// FuzzHashGridOrder decodes the input as a sequence of inserts, removals
+// and moves, then checks that every cell is ascending and that the
+// neighborhood merge, around each live item and at several radii, equals
+// the brute-force sorted scan. stride spreads the ids so the merge runs
+// over one bitmap window or several.
+func FuzzHashGridOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 4, 5, 6, 2, 0, 9, 9, 1, 0, 0, 0}, uint16(1))
+	f.Add([]byte{0, 10, 200, 30, 0, 11, 40, 250, 0, 12, 128, 128, 2, 10, 0, 0, 0, 3, 129, 127}, uint16(700))
+	f.Fuzz(func(t *testing.T, ops []byte, stride uint16) {
+		const cell = 16.0
+		g, err := NewHashGrid(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := int32(stride%1024) + 1
+		type item struct {
+			p Point
+			k CellKey
+		}
+		live := make(map[int32]item)
+		for ; len(ops) >= 4; ops = ops[4:] {
+			id := int32(ops[1]) * step
+			p := Pt(float64(ops[2])-128, float64(ops[3])-128)
+			it, ok := live[id]
+			switch ops[0] % 3 {
+			case 0:
+				if !ok {
+					live[id] = item{p, g.Insert(id, p)}
+				}
+			case 1:
+				if ok {
+					g.Remove(id, it.k)
+					delete(live, id)
+				}
+			case 2:
+				if ok {
+					live[id] = item{p, g.Move(id, it.k, p)}
+				}
+			}
+		}
+		checkCellsAscending(t, g)
+		ids := make([]int32, 0, len(live))
+		pts := make([]Point, 0, len(live))
+		for id, it := range live {
+			ids = append(ids, id)
+			pts = append(pts, it.p)
+		}
+		for _, p := range append(pts[:len(pts):len(pts)], Pt(0, 0)) {
+			for _, radius := range []float64{0, cell / 2, cell, 3 * cell, 40 * cell} {
+				got := g.AppendNeighborhood(nil, p, radius)
+				if want := bruteNeighborhood(g, ids, pts, p, radius); !slices.Equal(got, want) {
+					t.Fatalf("neighborhood at %v radius %v: got %v, want %v", p, radius, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestHashGridWideQueryAllocs pins the occupied-cell scan a promotion

@@ -478,7 +478,7 @@ func (d *deployment) startTransit(m *member, target int) {
 		return
 	}
 	arriveAt := env.engine.Now() + path.Duration
-	arrive := func() { d.arrive(m, target, entry, snap) }
+	arrive := func() { d.arrive(m, target, snap) }
 	if gs, gt := d.groupOf[src], d.groupOf[target]; gs == gt {
 		env.engine.At(arriveAt, arrive)
 	} else {
@@ -488,14 +488,13 @@ func (d *deployment) startTransit(m *member, target int) {
 
 // arrive resumes the phone at the target site and starts a fresh stay
 // there, drawn from that venue's own dwell and movement models.
-func (d *deployment) arrive(m *member, target int, entry geo.Point, snap client.Snapshot) {
+func (d *deployment) arrive(m *member, target int, snap client.Snapshot) {
 	pop := d.pops[target]
 	env := pop.env
 	c, err := resumeClient(env, env.rng, snap)
 	if err != nil {
 		return
 	}
-	c.SetPos(entry)
 	m.c = c
 	d.siteRoams[target]++
 	m.roams++

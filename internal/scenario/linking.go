@@ -133,15 +133,6 @@ func linkReport(eng *core.Engine, devices []deviceMACs) *linker.Report {
 	return &r
 }
 
-// snapshotMACs is the used-MAC list of a suspended phone; legacy
-// snapshots without one fall back to the identity MAC.
-func snapshotMACs(snap *client.Snapshot) []ieee80211.MAC {
-	if len(snap.UsedMACs) > 0 {
-		return snap.UsedMACs
-	}
-	return []ieee80211.MAC{snap.Config.MAC}
-}
-
 // memberDevices collects the ground-truth MAC sets of a venue population.
 func memberDevices(members []*member) []deviceMACs {
 	out := make([]deviceMACs, 0, len(members))

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -367,7 +366,6 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 		case mobility.LegTransit:
 			mid := leg.From.Add(leg.To.Sub(leg.From).Scale(0.5))
 			cand = grid.AppendNeighborhood(cand[:0], mid, leg.From.Dist(leg.To)/2+r)
-			slices.Sort(cand) // the grid returns ids in no set order
 			for _, si := range cand {
 				t0, t1, ok := geo.SegmentDiskCrossings(leg.From, leg.To, sitePos[si], r)
 				if !ok {
@@ -382,7 +380,6 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 			}
 		case mobility.LegDwell:
 			cand = grid.AppendNeighborhood(cand[:0], leg.To, r)
-			slices.Sort(cand) // the grid returns ids in no set order
 			for _, si := range cand {
 				if leg.To.Dist(sitePos[si]) <= r {
 					raw = append(raw, promoWindow{start: leg.Start, end: leg.End, site: int(si)})
@@ -545,7 +542,7 @@ func (tm *tierManager) result(now time.Duration, engines []*core.Engine) *FarFie
 			p.lastDemote = now
 		case p.snap != nil:
 			st = p.snap.Stats
-			macs = snapshotMACs(p.snap)
+			macs = p.snap.UsedMACs
 		default:
 			continue // never promoted: nothing on air, nothing to report
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -69,4 +70,34 @@ func BenchmarkMediumUnicast(b *testing.B) {
 		}
 	}
 	e.RunContext(context.Background(), e.Now()+time.Hour)
+}
+
+// BenchmarkMediumBroadcastSpread fans a broadcast out to 200 stations
+// scattered over the transmitter's 3×3 cell neighborhood, attached in
+// random spatial order, so every cell list interleaves with the others
+// and the candidates must be merged into attach order.
+func BenchmarkMediumBroadcastSpread(b *testing.B) {
+	e := NewEngine()
+	m := NewMedium(e, 50)
+	tx := &quietStation{addr: mac(0), pos: geo.Pt(25, 25)}
+	if err := m.Attach(tx); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i <= 200; i++ {
+		s := &quietStation{
+			addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)},
+			pos:  geo.Pt(rng.Float64()*150-50, rng.Float64()*150-50),
+		}
+		if err := m.Attach(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	f := probeReq(tx.addr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Transmit(f)
+		e.RunContext(context.Background(), e.Now()+time.Millisecond)
+	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -48,6 +47,9 @@ type Station interface {
 // deterministic for a given seed. A spatial hash grid over station
 // positions narrows each broadcast to the cells that can contain receivers,
 // so fan-out cost scales with local density instead of the total population.
+// Stations are numbered by attach order and every grid cell keeps its
+// numbers ascending, so merging the transmitter's neighbouring cells yields
+// the receivers in attach order without a sort.
 type Medium struct {
 	engine *Engine
 
@@ -62,9 +64,9 @@ type Medium struct {
 	order []Station
 	index map[ieee80211.MAC]int
 
-	// grid buckets attached stations by position for broadcast delivery;
-	// cellKeys caches each slot's current cell. grid is nil when the
-	// medium has no positive range (everything falls back to a full scan).
+	// grid buckets attached stations' slots by position for broadcast
+	// delivery, each cell in ascending slot order; cellKeys caches each
+	// slot's current cell.
 	grid     *geo.HashGrid
 	cellKeys []geo.CellKey
 	// scratch is the reusable broadcast candidate buffer. Delivery never
@@ -147,22 +149,24 @@ func (m *Medium) Instrument(rt *obs.Runtime) {
 
 // NewMedium returns a medium on engine where stations hear each other
 // within radius metres (unit-disk propagation). The paper's Raspberry Pi
-// at 100 mW covers roughly a 50 m disk in open indoor space.
+// at 100 mW covers roughly a 50 m disk in open indoor space. radius must
+// be positive; NewMedium panics otherwise.
 func NewMedium(engine *Engine, radius float64) *Medium {
-	m := &Medium{
+	// One cell per range disk: a 3×3 neighborhood always covers the
+	// transmitter's reach, and typical venues keep the crowd within a
+	// handful of cells.
+	grid, err := geo.NewHashGrid(radius)
+	if err != nil {
+		panic("sim: medium radius: " + err.Error())
+	}
+	return &Medium{
 		engine:       engine,
 		radius:       radius,
+		grid:         grid,
 		index:        make(map[ieee80211.MAC]int),
 		promiscIndex: make(map[ieee80211.MAC]int),
 		busyUntil:    make(map[ieee80211.MAC]time.Duration),
 	}
-	if radius > 0 {
-		// One cell per range disk: a 3×3 neighborhood always covers the
-		// transmitter's reach, and typical venues keep the crowd within a
-		// handful of cells.
-		m.grid, _ = geo.NewHashGrid(radius)
-	}
-	return m
 }
 
 // SetFrameLoss drops each frame delivery independently with probability p
@@ -204,9 +208,7 @@ func (m *Medium) Attach(s Station) error {
 	i := len(m.order)
 	m.index[s.Addr()] = i
 	m.order = append(m.order, s)
-	if m.grid != nil {
-		m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
-	}
+	m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
 	return nil
 }
 
@@ -247,9 +249,7 @@ func (m *Medium) Detach(addr ieee80211.MAC) {
 	if !ok {
 		return
 	}
-	if m.grid != nil {
-		m.grid.Remove(int32(i), m.cellKeys[i])
-	}
+	m.grid.Remove(int32(i), m.cellKeys[i])
 	m.order[i] = nil
 	delete(m.index, addr)
 	delete(m.busyUntil, addr)
@@ -263,9 +263,6 @@ func (m *Medium) Detach(addr ieee80211.MAC) {
 // so movers may report unconditionally — before Attach, after Detach, or
 // for promiscuous stations (which are not spatially indexed).
 func (m *Medium) Moved(addr ieee80211.MAC) {
-	if m.grid == nil {
-		return
-	}
 	i, ok := m.index[addr]
 	if !ok {
 		return
@@ -275,7 +272,8 @@ func (m *Medium) Moved(addr ieee80211.MAC) {
 
 // maybeCompact rebuilds the order slice once more than half its slots are
 // tombstones, preserving attach order. The spatial index is rebuilt with
-// the new slot numbering, and the compaction generation bump tells any
+// the new slot numbering, inserted in slot order so every cell's append
+// keeps it ascending, and the compaction generation bump tells any
 // broadcast loop in progress to stop trusting its pre-compaction snapshot.
 func (m *Medium) maybeCompact() {
 	if len(m.order) < 64 || len(m.index)*2 > len(m.order) {
@@ -290,15 +288,11 @@ func (m *Medium) maybeCompact() {
 		}
 	}
 	m.order = compact
-	if m.grid != nil {
-		m.grid, _ = geo.NewHashGrid(m.radius)
-		m.cellKeys = m.cellKeys[:0]
-	}
+	m.grid, _ = geo.NewHashGrid(m.radius)
+	m.cellKeys = m.cellKeys[:0]
 	for i, s := range m.order {
 		m.index[s.Addr()] = i
-		if m.grid != nil {
-			m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
-		}
+		m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
 	}
 }
 
@@ -429,7 +423,7 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 	}
 
 	if f.DA.IsBroadcast() {
-		m.deliverBroadcast(tx, txPos, txCh, f)
+		m.deliverBroadcast(ti, txPos, txCh, f)
 		return
 	}
 	ri, ok := m.index[f.DA]
@@ -470,37 +464,22 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 	}
 }
 
-// deliverBroadcast fans f out to every in-range station in attach order.
-// With the spatial index armed, only stations bucketed in cells the
-// transmitter can reach are visited; slot ids sort ascending, which IS
-// attach order, so the delivery sequence (and thus every RNG draw) is
-// identical to a full scan.
-func (m *Medium) deliverBroadcast(tx ieee80211.MAC, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
+// deliverBroadcast fans f out, from the station in slot ti, to every
+// in-range station in attach order. Only stations bucketed in cells the
+// transmitter can reach are visited; the grid returns their slot ids
+// ascending, which IS attach order, so the delivery sequence (and thus
+// every RNG draw) is identical to a full scan. Slot ids index the order
+// snapshot taken here, which a mid-fan-out compaction replaces but never
+// rewrites, so comparing a candidate's slot with ti skips exactly the
+// transmitter.
+func (m *Medium) deliverBroadcast(ti int, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
 	order := m.order
-	if m.grid == nil {
-		for _, rx := range order {
-			if rx == nil || rx.Addr() == tx {
-				continue
-			}
-			if _, live := m.index[rx.Addr()]; !live {
-				continue
-			}
-			if sameChannel(txCh, rx) && m.receives(txPos, rx.Pos(), f.Subtype) {
-				m.FramesDelivered++
-				m.mDelivered[f.Subtype&0xf].Inc()
-				rx.Receive(f)
-			}
-		}
-		return
-	}
-
 	cands := m.grid.AppendNeighborhood(m.scratch[:0], txPos, m.radius)
-	slices.Sort(cands)
 	m.scratch = cands
 	gen := m.compactGen
 	for _, i := range cands {
 		rx := order[i]
-		if rx == nil || rx.Addr() == tx {
+		if rx == nil || int(i) == ti {
 			continue
 		}
 		if m.compactGen != gen {

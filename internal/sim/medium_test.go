@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -233,6 +235,21 @@ func TestMediumRangeBoundary(t *testing.T) {
 	}
 }
 
+// TestNewMediumRequiresPositiveRadius pins NewMedium's precondition: the
+// spatial grid is sized by the radius, and there is no full-scan fallback.
+func TestNewMediumRequiresPositiveRadius(t *testing.T) {
+	for _, r := range []float64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMedium(radius %v) did not panic", r)
+				}
+			}()
+			NewMedium(NewEngine(), r)
+		}()
+	}
+}
+
 func TestMediumAttachDuplicate(t *testing.T) {
 	s := &fakeStation{addr: mac(1)}
 	_, m := newTestMedium(t, 50, s)
@@ -309,26 +326,146 @@ func TestMediumReceiveCallbackCanDetach(t *testing.T) {
 	}
 }
 
+// TestMediumBroadcastOrderIsAttachOrder checks that a broadcast reaches
+// its receivers in attach order: in one cell, spread over the
+// transmitter's whole cell neighborhood and moved across cell boundaries
+// in between, and across a compaction triggered in the middle of the
+// fan-out (with the transmitter's slot among the candidates after it).
 func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
-	tx := &fakeStation{addr: mac(9), pos: geo.Pt(0, 0)}
-	e, m := newTestMedium(t, 50, tx)
-	var got []byte
-	for i := byte(1); i <= 5; i++ {
-		s := &fakeStation{addr: mac(i), pos: geo.Pt(1, 0)}
-		s.onRecv = func(addr ieee80211.MAC) func(*ieee80211.Frame) {
-			return func(*ieee80211.Frame) { got = append(got, addr[5]) }
-		}(s.addr)
-		if err := m.Attach(s); err != nil {
-			t.Fatal(err)
-		}
+	// A rig is a medium with a transmitter at the origin and receivers
+	// that log their attach index, in delivery order, to heard.
+	type rig struct {
+		e     *Engine
+		m     *Medium
+		tx    *fakeStation
+		rxs   []*fakeStation
+		heard []int
 	}
-	m.Transmit(probeReq(tx.addr))
-	e.RunContext(context.Background(), time.Second)
-	for i := range got {
-		if got[i] != byte(i+1) {
-			t.Fatalf("delivery order %v, want attach order", got)
+	// build attaches a receiver at each position, and the transmitter
+	// just before receiver txAt.
+	build := func(t *testing.T, txAt int, pos []geo.Point) *rig {
+		r := &rig{tx: &fakeStation{addr: ieee80211.MAC{0x02, 0xff, 0, 0, 0, 0}, pos: geo.Pt(0, 0)}}
+		r.e, r.m = newTestMedium(t, 50)
+		for i, p := range pos {
+			if i == txAt {
+				if err := r.m.Attach(r.tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := &fakeStation{addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)}, pos: p}
+			s.onRecv = func(*ieee80211.Frame) { r.heard = append(r.heard, i) }
+			if err := r.m.Attach(s); err != nil {
+				t.Fatal(err)
+			}
+			r.rxs = append(r.rxs, s)
 		}
+		return r
 	}
+	// inRange lists the receivers within range of the origin, in attach
+	// order, skipping those in skip.
+	inRange := func(r *rig, skip func(int) bool) []int {
+		var want []int
+		for i, s := range r.rxs {
+			if s.pos.Dist(r.tx.pos) <= 50 && !skip(i) {
+				want = append(want, i)
+			}
+		}
+		return want
+	}
+	none := func(int) bool { return false }
+	scatter := func(rng *rand.Rand, n int) []geo.Point {
+		pos := make([]geo.Point, n)
+		for i := range pos {
+			// The transmitter's 3×3 neighborhood of 50 m cells is
+			// [-50, 100) on each axis; some receivers land out of range.
+			pos[i] = geo.Pt(rng.Float64()*150-50, rng.Float64()*150-50)
+		}
+		return pos
+	}
+
+	t.Run("one-cell", func(t *testing.T) {
+		pos := make([]geo.Point, 5)
+		for i := range pos {
+			pos[i] = geo.Pt(1, 0)
+		}
+		r := build(t, 0, pos)
+		r.m.Transmit(probeReq(r.tx.addr))
+		r.e.RunContext(context.Background(), time.Second)
+		if want := inRange(r, none); !slices.Equal(r.heard, want) {
+			t.Fatalf("delivery order %v, want attach order %v", r.heard, want)
+		}
+	})
+
+	t.Run("spread-and-moved", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		r := build(t, 0, scatter(rng, 120))
+		for round := 0; round < 5; round++ {
+			// Move a third of the receivers, most across a cell boundary.
+			for i, s := range r.rxs {
+				if rng.Intn(3) == 0 {
+					s.pos = geo.Pt(rng.Float64()*150-50, rng.Float64()*150-50)
+					r.m.Moved(r.rxs[i].addr)
+				}
+			}
+			r.heard = r.heard[:0]
+			r.m.Transmit(probeReq(r.tx.addr))
+			r.e.RunContext(context.Background(), r.e.Now()+time.Second)
+			if want := inRange(r, none); !slices.Equal(r.heard, want) {
+				t.Fatalf("round %d: delivery order %v, want attach order %v", round, r.heard, want)
+			}
+		}
+	})
+
+	t.Run("compaction-mid-broadcast", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		pos := scatter(rng, 120)
+		pos[0] = geo.Pt(1, 1) // the trigger hears the broadcast first
+		r := build(t, 30, pos)
+		// The first receiver detaches 90 others, past the compaction
+		// threshold, and attaches a newcomer in range, which must not hear
+		// a broadcast that began before it arrived.
+		detached := func(i int) bool { return i >= 1 && i <= 90 && i%4 != 0 }
+		late := &fakeStation{addr: ieee80211.MAC{0x02, 0xee, 0, 0, 0, 0}}
+		r.rxs[0].onRecv = func(*ieee80211.Frame) {
+			r.heard = append(r.heard, 0)
+			if late.pos != (geo.Point{}) {
+				return // the newcomer is in: the churn is done
+			}
+			late.pos = geo.Pt(2, 2)
+			for i := 1; i <= 90; i++ {
+				if detached(i) {
+					r.m.Detach(r.rxs[i].addr)
+				}
+			}
+			if err := r.m.Attach(late); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen := r.m.compactGen
+		r.m.Transmit(probeReq(r.tx.addr))
+		r.e.RunContext(context.Background(), time.Second)
+		if r.m.compactGen == gen {
+			t.Fatal("the broadcast did not compact the station table")
+		}
+		if want := inRange(r, detached); !slices.Equal(r.heard, want) {
+			t.Fatalf("delivery order %v, want attach order %v", r.heard, want)
+		}
+		if len(r.tx.received) != 0 || len(late.received) != 0 {
+			t.Fatalf("transmitter heard %d frames and the newcomer %d, want 0 and 0",
+				len(r.tx.received), len(late.received))
+		}
+
+		// The next broadcast runs on the compacted table.
+		r.heard = r.heard[:0]
+		r.m.Transmit(probeReq(r.tx.addr))
+		r.e.RunContext(context.Background(), 2*time.Second)
+		if want := inRange(r, detached); !slices.Equal(r.heard, want) {
+			t.Fatalf("after compaction: delivery order %v, want attach order %v", r.heard, want)
+		}
+		if len(late.received) != 1 {
+			t.Fatalf("newcomer heard %d frames after compaction, want 1", len(late.received))
+		}
+	})
 }
 
 func TestPromiscuousHearsUnicast(t *testing.T) {
