@@ -141,7 +141,8 @@ type Client struct {
 	usedMACs     []ieee80211.MAC
 
 	// curChannel is the tuned channel (0 = agnostic, e.g. while
-	// associated to a channel-agnostic test responder).
+	// associated to a channel-agnostic test responder). Every write is
+	// reported to the medium through Retuned.
 	curChannel  uint8
 	scanChanIdx int
 
@@ -350,6 +351,7 @@ func (c *Client) scanChannel() {
 	}
 	epoch := c.scanEpoch
 	c.curChannel = c.channels()[c.scanChanIdx]
+	c.medium.Retuned(c.Addr())
 	c.windowOpen = true
 	c.firstRespAt = -1
 
@@ -533,6 +535,7 @@ func (c *Client) evaluateScan() {
 		if c.cfg.PNL.OpenSSID(f.SSID) {
 			if f.Channel != 0 {
 				c.curChannel = f.Channel
+				c.medium.Retuned(c.Addr())
 			}
 			c.associate(f.SA, f.SSID)
 			return

@@ -23,6 +23,10 @@ type CellKey struct{ X, Y int32 }
 type HashGrid struct {
 	cellSize float64
 	cells    map[CellKey][]int32
+	// spare holds the emptied id lists of deleted cells for new cells to
+	// reuse, so a grid whose items move, churn or come and go stops
+	// allocating once warm.
+	spare [][]int32
 }
 
 // NewHashGrid builds a grid with cellSize-metre cells. cellSize must be
@@ -57,8 +61,19 @@ func floorDiv(v, size float64) int {
 // appended; any other is placed by binary search.
 func (g *HashGrid) Insert(id int32, p Point) CellKey {
 	k := g.Key(p)
-	g.cells[k] = insertSorted(g.cells[k], id)
+	g.add(k, id)
 	return k
+}
+
+// add puts id into cell k, starting an absent cell from a spare list.
+func (g *HashGrid) add(k CellKey, id int32) {
+	ids, ok := g.cells[k]
+	if n := len(g.spare); !ok && n > 0 {
+		ids = g.spare[n-1]
+		g.spare[n-1] = nil
+		g.spare = g.spare[:n-1]
+	}
+	g.cells[k] = insertSorted(ids, id)
 }
 
 // insertSorted adds id to the ascending ids, keeping them ascending.
@@ -81,6 +96,7 @@ func (g *HashGrid) Remove(id int32, k CellKey) {
 	}
 	if ids = slices.Delete(ids, i, i+1); len(ids) == 0 {
 		delete(g.cells, k)
+		g.spare = append(g.spare, ids)
 	} else {
 		g.cells[k] = ids
 	}
@@ -95,8 +111,20 @@ func (g *HashGrid) Move(id int32, from CellKey, p Point) CellKey {
 		return k
 	}
 	g.Remove(id, from)
-	g.cells[k] = insertSorted(g.cells[k], id)
+	g.add(k, id)
 	return k
+}
+
+// Renumber replaces every id the grid holds with newID[id]. newID must
+// increase over those ids, so every cell stays ascending; it is how the
+// medium renumbers its slots when it compacts its station table, with no
+// allocation.
+func (g *HashGrid) Renumber(newID []int32) {
+	for _, ids := range g.cells {
+		for j, id := range ids {
+			ids[j] = newID[id]
+		}
+	}
 }
 
 // oneRing is the number of cells in a query box of radius at most the cell
@@ -119,36 +147,64 @@ const oneRing = 9
 // level-of-detail promotion scheduler's query, at radii many times the
 // cell size around a handful of sites; its few ids are sorted once.
 func (g *HashGrid) AppendNeighborhood(dst []int32, p Point, radius float64) []int32 {
-	if radius < 0 {
+	return AppendNeighborhoods(dst, p, radius, g)
+}
+
+// AppendNeighborhoods is AppendNeighborhood over the union of grids, which
+// must share one cell size and hold disjoint ids; nil grids are skipped. A
+// one-ring query merges the cell lists of every grid in one pass, so the
+// union comes back ascending without a sort. The medium keeps one grid per
+// radio channel and queries a channel's grid with the channel-agnostic
+// one.
+func AppendNeighborhoods(dst []int32, p Point, radius float64, grids ...*HashGrid) []int32 {
+	var g0 *HashGrid
+	for _, g := range grids {
+		if g != nil {
+			g0 = g
+			break
+		}
+	}
+	if radius < 0 || g0 == nil {
 		return dst
 	}
-	lo := g.Key(Point{X: p.X - radius, Y: p.Y - radius})
-	hi := g.Key(Point{X: p.X + radius, Y: p.Y + radius})
+	lo := g0.Key(Point{X: p.X - radius, Y: p.Y - radius})
+	hi := g0.Key(Point{X: p.X + radius, Y: p.Y + radius})
 	box := (int64(hi.X) - int64(lo.X) + 1) * (int64(hi.Y) - int64(lo.Y) + 1)
 	if box <= oneRing {
-		var lists [oneRing][]int32
-		n := 0
-		for cy := lo.Y; cy <= hi.Y; cy++ {
-			for cx := lo.X; cx <= hi.X; cx++ {
-				if ids := g.cells[CellKey{X: cx, Y: cy}]; len(ids) > 0 {
-					lists[n] = ids
-					n++
+		// Room for a channel grid and the agnostic one on the stack; a
+		// merge over more grids spills to the heap.
+		var buf [2 * oneRing][]int32
+		lists := buf[:0]
+		for _, g := range grids {
+			if g == nil {
+				continue
+			}
+			for cy := lo.Y; cy <= hi.Y; cy++ {
+				for cx := lo.X; cx <= hi.X; cx++ {
+					if ids := g.cells[CellKey{X: cx, Y: cy}]; len(ids) > 0 {
+						lists = append(lists, ids)
+					}
 				}
 			}
 		}
-		return mergeAppend(dst, lists[:n])
+		return mergeAppend(dst, lists)
 	}
 	start := len(dst)
-	if box > int64(len(g.cells)) {
-		for k, ids := range g.cells {
-			if k.X >= lo.X && k.X <= hi.X && k.Y >= lo.Y && k.Y <= hi.Y {
-				dst = append(dst, ids...)
-			}
+	for _, g := range grids {
+		if g == nil {
+			continue
 		}
-	} else {
-		for cy := lo.Y; cy <= hi.Y; cy++ {
-			for cx := lo.X; cx <= hi.X; cx++ {
-				dst = append(dst, g.cells[CellKey{X: cx, Y: cy}]...)
+		if box > int64(len(g.cells)) {
+			for k, ids := range g.cells {
+				if k.X >= lo.X && k.X <= hi.X && k.Y >= lo.Y && k.Y <= hi.Y {
+					dst = append(dst, ids...)
+				}
+			}
+		} else {
+			for cy := lo.Y; cy <= hi.Y; cy++ {
+				for cx := lo.X; cx <= hi.X; cx++ {
+					dst = append(dst, g.cells[CellKey{X: cx, Y: cy}]...)
+				}
 			}
 		}
 	}

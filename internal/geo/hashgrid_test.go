@@ -258,6 +258,71 @@ func TestHashGridNeighborhoodMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestHashGridNeighborhoodsMergeGrids spreads random items over three
+// grids, as the medium spreads stations over channel grids, and checks
+// that AppendNeighborhoods over any of them, nil grids included, equals
+// the brute-force scan of the items they hold, before and after Renumber
+// closes the gaps a churn left in the ids.
+func TestHashGridNeighborhoodsMergeGrids(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const cell = 20.0
+	for trial := 0; trial < 100; trial++ {
+		var grids [3]*HashGrid
+		for i := range grids {
+			grids[i], _ = NewHashGrid(cell)
+		}
+		n := rng.Intn(80)
+		ids, pts, in := make([]int32, 0, n), make([]Point, 0, n), make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				continue // a gap, as a detached slot leaves
+			}
+			ids = append(ids, int32(i))
+			pts = append(pts, Pt(rng.Float64()*120-60, rng.Float64()*120-60))
+			in = append(in, rng.Intn(3))
+			grids[in[len(in)-1]].Insert(int32(i), pts[len(pts)-1])
+		}
+		check := func(stage string) {
+			for q := 0; q < 5; q++ {
+				p := Pt(rng.Float64()*120-60, rng.Float64()*120-60)
+				for _, radius := range []float64{cell / 2, cell, 3 * cell} {
+					for mask := 0; mask < 8; mask++ {
+						sel := make([]*HashGrid, 3)
+						var sub []int32
+						var subPts []Point
+						for j, g := range grids {
+							if mask&(1<<j) != 0 {
+								sel[j] = g
+							}
+						}
+						for k, id := range ids {
+							if sel[in[k]] != nil {
+								sub, subPts = append(sub, id), append(subPts, pts[k])
+							}
+						}
+						got := AppendNeighborhoods(nil, p, radius, sel...)
+						if want := bruteNeighborhood(grids[0], sub, subPts, p, radius); !slices.Equal(got, want) {
+							t.Fatalf("trial %d %s: grids %03b at %v radius %v: got %v, want %v",
+								trial, stage, mask, p, radius, got, want)
+						}
+					}
+				}
+			}
+		}
+		check("before renumbering")
+		newID := make([]int32, n)
+		for k, id := range ids {
+			newID[id] = int32(k)
+			ids[k] = int32(k)
+		}
+		for _, g := range grids {
+			g.Renumber(newID)
+			checkCellsAscending(t, g)
+		}
+		check("after renumbering")
+	}
+}
+
 // checkCellsAscending fails unless every cell of g holds strictly
 // ascending ids.
 func checkCellsAscending(t *testing.T, g *HashGrid) {

@@ -101,3 +101,20 @@ func BenchmarkMediumBroadcastSpread(b *testing.B) {
 		e.RunContext(context.Background(), e.Now()+time.Millisecond)
 	}
 }
+
+// BenchmarkMediumBroadcastChannels fans a channel-6 broadcast out over 150
+// stations spread across the transmitter's cell neighbourhood on channels
+// 1, 6 and 11, plus one channel-agnostic station: the medium merges the
+// cells of the channel-6 grid and the agnostic one.
+func BenchmarkMediumBroadcastChannels(b *testing.B) {
+	e := NewEngine()
+	m := NewMedium(e, 50)
+	f := probeReq(channelCrowd(b, m, 150).addr)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Transmit(f)
+		e.RunContext(ctx, e.Now()+time.Millisecond)
+	}
+}

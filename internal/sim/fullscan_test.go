@@ -1,0 +1,437 @@
+package sim
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"cityhunter/internal/geo"
+	"cityhunter/internal/ieee80211"
+)
+
+// fanoutMedium is the surface TestMediumMatchesFullScan drives, on Medium
+// and on the full-scan reference alike.
+type fanoutMedium interface {
+	Attach(Station) error
+	AttachPromiscuous(Station) error
+	Detach(ieee80211.MAC)
+	Moved(ieee80211.MAC)
+	Retuned(ieee80211.MAC)
+	Transmit(*ieee80211.Frame) time.Duration
+}
+
+// scanMedium is the medium's definition as a full scan: every delivery
+// walks every attached station in attach order and reads its live Pos and
+// CurrentChannel, so it needs neither Moved nor Retuned. A broadcast's
+// candidates are the stations attached and on its channel when it lands;
+// positions do not change while a fan-out runs in the tests that use it,
+// so the medium's cell query selects the same ones.
+type scanMedium struct {
+	e        *Engine
+	radius   float64
+	stations []Station // attached, in attach order
+	promisc  []Station
+	busy     map[ieee80211.MAC]time.Duration
+	loss     float64
+	rng      *rand.Rand
+
+	sent, delivered, retried int
+}
+
+func newScanMedium(e *Engine, radius float64, loss float64, seed int64) *scanMedium {
+	return &scanMedium{e: e, radius: radius, busy: make(map[ieee80211.MAC]time.Duration),
+		loss: loss, rng: rand.New(rand.NewSource(seed))}
+}
+
+// find returns the attached station with the given address, nil if none.
+func find(stations []Station, addr ieee80211.MAC) Station {
+	for _, s := range stations {
+		if s.Addr() == addr {
+			return s
+		}
+	}
+	return nil
+}
+
+func (r *scanMedium) Attach(s Station) error {
+	if find(r.stations, s.Addr()) != nil || find(r.promisc, s.Addr()) != nil {
+		return errDuplicate
+	}
+	r.stations = append(r.stations, s)
+	return nil
+}
+
+func (r *scanMedium) AttachPromiscuous(s Station) error {
+	if find(r.stations, s.Addr()) != nil || find(r.promisc, s.Addr()) != nil {
+		return errDuplicate
+	}
+	r.promisc = append(r.promisc, s)
+	return nil
+}
+
+func (r *scanMedium) Detach(addr ieee80211.MAC) {
+	del := func(s Station) bool { return s.Addr() == addr }
+	if find(r.promisc, addr) != nil {
+		r.promisc = slices.DeleteFunc(r.promisc, del)
+		return
+	}
+	if find(r.stations, addr) != nil {
+		r.stations = slices.DeleteFunc(r.stations, del)
+		delete(r.busy, addr)
+	}
+}
+
+func (r *scanMedium) Moved(ieee80211.MAC)   {}
+func (r *scanMedium) Retuned(ieee80211.MAC) {}
+
+func (r *scanMedium) Transmit(f *ieee80211.Frame) time.Duration {
+	var txCh uint8
+	if s := find(r.stations, f.SA); s != nil {
+		txCh = tunedTo(s)
+	}
+	start := max(r.e.Now(), r.busy[f.SA])
+	done := start + f.Airtime()
+	r.busy[f.SA] = done
+	r.sent++
+	r.schedule(done, f.SA, txCh, f, unicastRetryLimit)
+	return done
+}
+
+func (r *scanMedium) schedule(at time.Duration, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retries int) {
+	r.e.At(at, func() { r.deliver(tx, txCh, f, retries) })
+}
+
+// receives is Medium.receives on live state: in range, then the loss draw.
+func (r *scanMedium) receives(txPos geo.Point, rx Station) bool {
+	if txPos.Dist2(rx.Pos()) > r.radius*r.radius {
+		return false
+	}
+	return r.loss == 0 || r.rng.Float64() < 1-r.loss
+}
+
+func (r *scanMedium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retries int) {
+	txs := find(r.stations, tx)
+	if txs == nil {
+		return
+	}
+	txPos := txs.Pos()
+	for _, rx := range slices.Clone(r.promisc) {
+		if !slices.Contains(r.promisc, rx) || rx.Addr() == tx {
+			continue
+		}
+		if hears(txCh, tunedTo(rx)) && r.receives(txPos, rx) {
+			rx.Receive(f)
+		}
+	}
+	if f.DA.IsBroadcast() {
+		var cands []Station
+		for _, s := range r.stations {
+			if s != txs && hears(txCh, tunedTo(s)) {
+				cands = append(cands, s)
+			}
+		}
+		for _, rx := range cands {
+			if slices.Contains(r.stations, rx) && hears(txCh, tunedTo(rx)) && r.receives(txPos, rx) {
+				r.delivered++
+				rx.Receive(f)
+			}
+		}
+		return
+	}
+	rx := find(r.stations, f.DA)
+	if rx == nil {
+		return
+	}
+	if hears(txCh, tunedTo(rx)) {
+		if txPos.Dist2(rx.Pos()) > r.radius*r.radius {
+			return
+		}
+		if r.loss == 0 || r.rng.Float64() < 1-r.loss {
+			r.delivered++
+			rx.Receive(f)
+			return
+		}
+	}
+	if retries > 0 {
+		r.retried++
+		r.schedule(r.e.Now()+f.Airtime(), tx, txCh, f, retries-1)
+	}
+}
+
+var errDuplicate = errors.New("duplicate station")
+
+// heard is one reception: when, by which station, which frame.
+type heard struct {
+	at time.Duration
+	id int
+	f  *ieee80211.Frame
+}
+
+// scanAction is what a station does on its next reception, in the middle
+// of a fan-out: 0 detaches target, 1 retunes target and every third
+// station after it to ch, 2 attaches a fresh station beside the receiver
+// and then detaches target, 3 detaches every other attached station
+// (enough, on a large table, to compact it).
+type scanAction struct {
+	kind   byte
+	target int
+	ch     uint8
+}
+
+// scanStation is an untuned test station of a scanWorld; scanTuner adds a
+// channel.
+type scanStation struct {
+	w        *scanWorld
+	id       int
+	addr     ieee80211.MAC
+	pos      geo.Point
+	attached bool
+	promisc  bool
+	act      *scanAction
+}
+
+func (s *scanStation) Addr() ieee80211.MAC { return s.addr }
+func (s *scanStation) Pos() geo.Point      { return s.pos }
+func (s *scanStation) Receive(f *ieee80211.Frame) {
+	s.w.log = append(s.w.log, heard{s.w.e.Now(), s.id, f})
+	if a := s.act; a != nil {
+		s.act = nil
+		s.w.midFanout++
+		s.w.apply(s, *a)
+	}
+}
+
+type scanTuner struct {
+	scanStation
+	ch uint8
+}
+
+func (s *scanTuner) CurrentChannel() uint8 { return s.ch }
+
+// scanWorld is one medium, real or reference, with its stations; the
+// test drives two in lockstep.
+type scanWorld struct {
+	e         *Engine
+	m         fanoutMedium
+	sts       []*scanStation
+	as        []Station // what was attached for sts[i]
+	tuners    []*scanTuner
+	log       []heard
+	nextAddr  int
+	midFanout int
+}
+
+// add creates a station: kind 0–3 tuned to channel 1, 6, 11 or 0, 4
+// untuned, 5 a promiscuous station tuned to ch.
+func (w *scanWorld) add(kind byte, p geo.Point, ch uint8) *scanStation {
+	w.nextAddr++
+	s := &scanStation{w: w, id: len(w.sts), addr: ieee80211.MAC{0x02, 0, 0, 0, byte(w.nextAddr >> 8), byte(w.nextAddr)}, pos: p}
+	var st Station = s
+	var tu *scanTuner
+	switch kind % 6 {
+	case 0, 1, 2, 3:
+		tu = &scanTuner{scanStation: *s, ch: []uint8{1, 6, 11, 0}[kind%6]}
+		s = &tu.scanStation
+		st = tu
+	case 5:
+		s.promisc = true
+		tu = &scanTuner{scanStation: *s, ch: ch}
+		s = &tu.scanStation
+		st = tu
+	}
+	w.sts, w.as, w.tuners = append(w.sts, s), append(w.as, st), append(w.tuners, tu)
+	return s
+}
+
+// attach attaches sts[i], recording whether the medium took it.
+func (w *scanWorld) attach(i int) {
+	s := w.sts[i]
+	var err error
+	if s.promisc {
+		err = w.m.AttachPromiscuous(w.as[i])
+	} else {
+		err = w.m.Attach(w.as[i])
+	}
+	s.attached = err == nil
+}
+
+func (w *scanWorld) detach(i int) {
+	w.m.Detach(w.sts[i].addr)
+	w.sts[i].attached = false
+}
+
+func (w *scanWorld) retune(i int, ch uint8) {
+	if tu := w.tuners[i]; tu != nil {
+		tu.ch = ch
+		w.m.Retuned(tu.addr)
+	}
+}
+
+func (w *scanWorld) apply(by *scanStation, a scanAction) {
+	if len(w.sts) == 0 {
+		return
+	}
+	target := a.target % len(w.sts)
+	switch a.kind % 4 {
+	case 0:
+		w.detach(target)
+	case 1:
+		for i := target; i < len(w.sts); i += 3 {
+			w.retune(i, a.ch)
+		}
+	case 2:
+		// The newcomer lands at the end of the station table, which may
+		// move it; a stale copy must not resurrect target.
+		s := w.add(byte(target), by.pos.Add(geo.Pt(1, 1)), a.ch)
+		w.attach(s.id)
+		w.detach(target)
+	case 3:
+		for i, s := range w.sts {
+			if s.attached && i%2 == 0 {
+				w.detach(i)
+			}
+		}
+	}
+}
+
+// scanCoord maps a byte onto [-100, 200) metres: with a 50 m radius, the
+// stations spread over several cells and some are out of range.
+func scanCoord(b byte) float64 { return float64(b)*300/256 - 100 }
+
+var scanChannels = []uint8{0, 1, 6, 11}
+
+// runFanout decodes ops four bytes at a time and applies each to a Medium
+// and to the full-scan reference, both with frame loss at 30 %, then
+// checks that they delivered the same frames to the same stations at the
+// same times in the same order, counted the same, and left the loss RNG at
+// the same position. It returns the Medium's compaction count and the
+// number of actions run mid-fan-out.
+func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFanout int) {
+	t.Helper()
+	const radius, loss = 50.0, 0.3
+	real, ref := NewEngine(), NewEngine()
+	m := NewMedium(real, radius)
+	m.SetFrameLoss(loss, seed)
+	sm := newScanMedium(ref, radius, loss, seed)
+	worlds := [2]*scanWorld{{e: real, m: m}, {e: ref, m: sm}}
+	each := func(fn func(w *scanWorld)) {
+		for _, w := range worlds {
+			fn(w)
+		}
+	}
+	for ; len(ops) >= 4; ops = ops[4:] {
+		op, a, b, c := ops[0]%11, ops[1], ops[2], ops[3]
+		n := len(worlds[0].sts)
+		switch {
+		case op <= 1 && n >= 300:
+			// Enough for compactions; more only slows the full scan.
+		case op == 0:
+			each(func(w *scanWorld) { w.attach(w.add(a, geo.Pt(scanCoord(b), scanCoord(c)), scanChannels[a%4]).id) })
+		case op == 1:
+			// A batch, so the table grows past the compaction threshold.
+			rng := rand.New(rand.NewSource(int64(b)<<8 | int64(c)))
+			for k := 0; k <= int(a%32); k++ {
+				kind, x, y := byte(rng.Intn(6)), byte(rng.Intn(256)), byte(rng.Intn(256))
+				each(func(w *scanWorld) { w.attach(w.add(kind, geo.Pt(scanCoord(x), scanCoord(y)), scanChannels[x%4]).id) })
+			}
+		case n == 0:
+		case op == 2:
+			each(func(w *scanWorld) { w.detach(int(a) % n) })
+		case op == 3:
+			each(func(w *scanWorld) {
+				s := w.sts[int(a)%n]
+				s.pos = geo.Pt(scanCoord(b), scanCoord(c))
+				w.m.Moved(s.addr)
+			})
+		case op == 4:
+			each(func(w *scanWorld) { w.retune(int(a)%n, scanChannels[b%4]) })
+		case op == 5:
+			f := probeReq(worlds[0].sts[int(a)%n].addr)
+			each(func(w *scanWorld) { w.m.Transmit(f) })
+		case op == 6:
+			f := probeResp(worlds[0].sts[int(a)%n].addr, worlds[0].sts[int(b)%n].addr, "Net")
+			each(func(w *scanWorld) { w.m.Transmit(f) })
+		case op == 7:
+			act := scanAction{kind: b, target: int(c), ch: scanChannels[c%4]}
+			each(func(w *scanWorld) { w.sts[int(a)%n].act = &act })
+		case op == 8:
+			each(func(w *scanWorld) {
+				w.e.RunContext(context.Background(), w.e.Now()+(time.Duration(a)+1)*100*time.Microsecond)
+			})
+		case op == 9:
+			// A MAC rotation: leave, re-key, come back at the table's end.
+			each(func(w *scanWorld) {
+				i := int(a) % n
+				w.detach(i)
+				w.nextAddr++
+				w.sts[i].addr = ieee80211.MAC{0x02, 1, 0, 0, byte(w.nextAddr >> 8), byte(w.nextAddr)}
+				w.attach(i)
+			})
+		case op == 10:
+			each(func(w *scanWorld) {
+				if i := int(a) % n; !w.sts[i].attached {
+					w.attach(i)
+				}
+			})
+		}
+	}
+	each(func(w *scanWorld) { w.e.RunContext(context.Background(), w.e.Now()+time.Hour) })
+
+	got, want := worlds[0], worlds[1]
+	for i := range min(len(got.log), len(want.log)) {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("reception %d: medium %+v, full scan %+v", i, got.log[i], want.log[i])
+		}
+	}
+	if len(got.log) != len(want.log) {
+		t.Fatalf("medium made %d receptions, full scan %d", len(got.log), len(want.log))
+	}
+	if m.FramesSent != sm.sent || m.FramesDelivered != sm.delivered || m.FramesRetried != sm.retried {
+		t.Fatalf("sent/delivered/retried: medium %d/%d/%d, full scan %d/%d/%d",
+			m.FramesSent, m.FramesDelivered, m.FramesRetried, sm.sent, sm.delivered, sm.retried)
+	}
+	if g, w := m.lossRNG.Int63(), sm.rng.Int63(); g != w {
+		t.Fatalf("loss RNG out of step: next draw %d on the medium, %d on the full scan", g, w)
+	}
+	return m.compactGen, got.midFanout
+}
+
+// TestMediumMatchesFullScan drives random stations — tuned to channels 1,
+// 6 and 11, tuned to channel 0, untuned and promiscuous — through random
+// moves, retunes, MAC rotations, detach/attach churn and compactions, with
+// broadcasts and unicasts under frame loss and Receive callbacks that
+// detach, retune and attach stations mid-fan-out, and checks every
+// delivery against a full scan of the attached stations.
+func TestMediumMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var compactions uint64
+	var mid int
+	for trial := 0; trial < 60; trial++ {
+		ops := make([]byte, 0, 4*400)
+		for k := 0; k < 400; k++ {
+			op := byte(rng.Intn(11))
+			if k < 4 {
+				op = 1 // start from a crowd
+			}
+			ops = append(ops, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+		c, n := runFanout(t, ops, int64(trial))
+		compactions += c
+		mid += n
+	}
+	if compactions == 0 || mid == 0 {
+		t.Fatalf("%d compactions and %d mid-fan-out actions: the trials miss what they test", compactions, mid)
+	}
+}
+
+// FuzzMediumFanout is TestMediumMatchesFullScan over fuzzed operations.
+func FuzzMediumFanout(f *testing.F) {
+	f.Add([]byte{1, 31, 1, 2, 7, 0, 3, 5, 5, 0, 0, 0, 1, 20, 9, 9, 7, 3, 2, 4, 5, 3, 0, 0, 9, 4, 0, 0, 5, 4, 0, 0}, int64(1))
+	f.Add([]byte{1, 31, 7, 7, 1, 31, 8, 8, 1, 31, 9, 9, 7, 0, 3, 0, 5, 1, 0, 0, 6, 2, 3, 0, 8, 9, 0, 0, 5, 0, 0, 0}, int64(2))
+	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
+		runFanout(t, ops, seed)
+	})
+}

@@ -15,6 +15,11 @@ import (
 // and receives only on its current channel; stations that do not are
 // channel-agnostic — they hear and reach every channel, which is the right
 // model for monitor-mode sniffers and for tests that do not care.
+//
+// The medium reads CurrentChannel when the station attaches and again
+// whenever Medium.Retuned reports a change; it never asks on the delivery
+// path. A tuner whose channel changes while attached must report each
+// change through Retuned, or it keeps hearing its old channel.
 type ChannelTuner interface {
 	// CurrentChannel returns the channel the radio is tuned to right now
 	// (0 behaves as channel-agnostic).
@@ -27,10 +32,14 @@ type Station interface {
 	// Addr returns the station's MAC address. It must be unique on the
 	// medium and stable for the station's lifetime.
 	Addr() ieee80211.MAC
-	// Pos returns the station's current position. The medium calls it at
-	// frame-delivery time. A station whose position changes while attached
-	// must report each change through Medium.Moved — the medium's spatial
-	// delivery index relies on it to keep broadcast fan-out exact.
+	// Pos returns the station's current position. The medium reads it when
+	// the station attaches and whenever Medium.Moved reports a change, and
+	// keeps that position for broadcast fan-out and for the station's own
+	// transmissions; only a unicast receiver's and a monitor-mode
+	// station's positions are read live at delivery time. A station whose position changes while attached must
+	// report each change through Medium.Moved, and a ChannelTuner each
+	// channel change through Medium.Retuned — the medium's spatial delivery
+	// index relies on both to keep broadcast fan-out exact.
 	Pos() geo.Point
 	// Receive delivers a frame that arrived at the station's antenna.
 	Receive(f *ieee80211.Frame)
@@ -44,12 +53,22 @@ type Station interface {
 // attacker to ~40 probe responses per 10 ms scan window.
 //
 // Broadcast delivery iterates stations in attach order, so runs are
-// deterministic for a given seed. A spatial hash grid over station
-// positions narrows each broadcast to the cells that can contain receivers,
-// so fan-out cost scales with local density instead of the total population.
-// Stations are numbered by attach order and every grid cell keeps its
-// numbers ascending, so merging the transmitter's neighbouring cells yields
-// the receivers in attach order without a sort.
+// deterministic for a given seed. Each station gets a slot when it attaches,
+// and the medium resolves its position and channel into per-slot arrays
+// then, so the delivery path makes no interface call or type assertion
+// until Receive. One spatial hash grid per channel in use holds the slots
+// tuned to it (channel 0 holds the channel-agnostic ones); a broadcast
+// merges the neighbouring cells of its channel's grid and the agnostic
+// grid, so fan-out cost scales with the local density of its own channel
+// instead of the whole population. Every grid cell keeps its slots
+// ascending, so the merge yields the receivers in attach order without a
+// sort.
+//
+// A broadcast's candidate set is fixed when its query runs: a station
+// that attaches, walks into reach or tunes to the channel while the
+// fan-out is under way does not hear it. Each candidate's channel,
+// position and attachment are read again when its turn comes, so one that
+// detaches, retunes or walks out of range first does not hear it either.
 type Medium struct {
 	engine *Engine
 
@@ -58,33 +77,43 @@ type Medium struct {
 	// candidate query.
 	radius float64
 
-	// order holds attached stations in attach order; index maps a MAC to
-	// its slot in order. Detached slots are nil and recycled lazily, so an
-	// ascending slot scan is an attach-order scan.
+	// order holds attached stations in attach order, with pos and ch
+	// their positions and channels as last reported; index maps a packed
+	// MAC (macKey) to its slot. Detached slots are nil and recycled lazily,
+	// so an ascending slot scan is an attach-order scan.
 	order []Station
-	index map[ieee80211.MAC]int
+	pos   []geo.Point
+	ch    []uint8
+	index map[uint64]int
 
-	// grid buckets attached stations' slots by position for broadcast
-	// delivery, each cell in ascending slot order; cellKeys caches each
-	// slot's current cell.
-	grid     *geo.HashGrid
-	cellKeys []geo.CellKey
-	// scratch is the reusable broadcast candidate buffer. Delivery never
-	// nests (events run one at a time and Receive callbacks only schedule
-	// future work), so a single buffer is safe.
-	scratch []int32
-	// compactGen counts station-table compactions. Broadcast loops snapshot
-	// it: while it is unchanged, a nil slot check is an exact liveness test
-	// for the snapshot they iterate, and the per-receiver map lookup the
-	// old implementation paid is skipped entirely.
+	// grids[c] buckets the slots tuned to channel c by position for
+	// broadcast delivery, each cell in ascending slot order, so slot i
+	// sits in grids[ch[i]] at the cell of pos[i]; inUse lists the grids
+	// created so far, the agnostic grids[0] first.
+	grids []*geo.HashGrid
+	inUse []*geo.HashGrid
+	// scratch is the reusable broadcast candidate buffer, and renumber the
+	// reusable slot map of a compaction. Delivery never nests (events run
+	// one at a time and Receive callbacks only schedule future work), so a
+	// single buffer is safe.
+	scratch  []int32
+	renumber []int32
+	// delivering is set while a delivery runs Receive callbacks. A Detach
+	// in a callback defers compaction to the delivery's end, so slot
+	// numbers — the transmitter's and the broadcast candidates' — hold for
+	// the whole delivery.
+	delivering bool
+	// compactGen counts station-table compactions.
 	compactGen uint64
 
-	// promisc holds monitor-mode stations: they hear every in-range
-	// frame regardless of its destination, and are never addressable.
+	// promisc holds monitor-mode stations and promiscCh their channels:
+	// they hear every in-range frame regardless of its destination, and
+	// are never addressable.
 	promisc      []Station
-	promiscIndex map[ieee80211.MAC]int
+	promiscCh    []uint8
+	promiscIndex map[uint64]int
 
-	busyUntil map[ieee80211.MAC]time.Duration
+	busyUntil map[uint64]time.Duration
 
 	// deliverPool recycles the frame-delivery events TransmitFrom and the
 	// retry paths schedule, so steady-state transmission allocates no
@@ -155,18 +184,50 @@ func NewMedium(engine *Engine, radius float64) *Medium {
 	// One cell per range disk: a 3×3 neighborhood always covers the
 	// transmitter's reach, and typical venues keep the crowd within a
 	// handful of cells.
-	grid, err := geo.NewHashGrid(radius)
+	agnostic, err := geo.NewHashGrid(radius)
 	if err != nil {
 		panic("sim: medium radius: " + err.Error())
 	}
 	return &Medium{
 		engine:       engine,
 		radius:       radius,
-		grid:         grid,
-		index:        make(map[ieee80211.MAC]int),
-		promiscIndex: make(map[ieee80211.MAC]int),
-		busyUntil:    make(map[ieee80211.MAC]time.Duration),
+		grids:        []*geo.HashGrid{agnostic},
+		inUse:        []*geo.HashGrid{agnostic},
+		index:        make(map[uint64]int),
+		promiscIndex: make(map[uint64]int),
+		busyUntil:    make(map[uint64]time.Duration),
 	}
+}
+
+// macKey packs a MAC into the low 48 bits of a uint64, the medium's map
+// key: Go hashes a uint64 key on its fast path, a 6-byte array through
+// the generic one.
+func macKey(a ieee80211.MAC) uint64 {
+	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 |
+		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
+}
+
+// tunedTo returns the channel s is tuned to, 0 for a channel-agnostic
+// station. Only Attach, AttachPromiscuous and Retuned ask.
+func tunedTo(s Station) uint8 {
+	if t, ok := s.(ChannelTuner); ok {
+		return t.CurrentChannel()
+	}
+	return 0
+}
+
+// grid returns channel c's spatial grid, creating it on first use.
+func (m *Medium) grid(c uint8) *geo.HashGrid {
+	if n := int(c) + 1; n > len(m.grids) {
+		m.grids = append(m.grids, make([]*geo.HashGrid, n-len(m.grids))...)
+	}
+	g := m.grids[c]
+	if g == nil {
+		g, _ = geo.NewHashGrid(m.radius) // NewMedium checked the radius
+		m.grids[c] = g
+		m.inUse = append(m.inUse, g)
+	}
+	return g
 }
 
 // SetFrameLoss drops each frame delivery independently with probability p
@@ -206,9 +267,12 @@ func (m *Medium) Attach(s Station) error {
 		return err
 	}
 	i := len(m.order)
-	m.index[s.Addr()] = i
+	p, c := s.Pos(), tunedTo(s)
+	m.index[macKey(s.Addr())] = i
 	m.order = append(m.order, s)
-	m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
+	m.pos = append(m.pos, p)
+	m.ch = append(m.ch, c)
+	m.grid(c).Insert(int32(i), p)
 	return nil
 }
 
@@ -221,16 +285,17 @@ func (m *Medium) AttachPromiscuous(s Station) error {
 	if err := m.checkNew(s.Addr()); err != nil {
 		return err
 	}
-	m.promiscIndex[s.Addr()] = len(m.promisc)
+	m.promiscIndex[macKey(s.Addr())] = len(m.promisc)
 	m.promisc = append(m.promisc, s)
+	m.promiscCh = append(m.promiscCh, tunedTo(s))
 	return nil
 }
 
 func (m *Medium) checkNew(addr ieee80211.MAC) error {
-	if _, dup := m.index[addr]; dup {
+	if _, dup := m.index[macKey(addr)]; dup {
 		return fmt.Errorf("sim: station %v already attached", addr)
 	}
-	if _, dup := m.promiscIndex[addr]; dup {
+	if _, dup := m.promiscIndex[macKey(addr)]; dup {
 		return fmt.Errorf("sim: station %v already attached promiscuously", addr)
 	}
 	return nil
@@ -240,60 +305,102 @@ func (m *Medium) checkNew(addr ieee80211.MAC) error {
 // flight to it are dropped at delivery time. Detaching an unknown address
 // is a no-op so departing clients can detach unconditionally.
 func (m *Medium) Detach(addr ieee80211.MAC) {
-	if pi, ok := m.promiscIndex[addr]; ok {
+	key := macKey(addr)
+	if pi, ok := m.promiscIndex[key]; ok {
 		m.promisc[pi] = nil
-		delete(m.promiscIndex, addr)
+		delete(m.promiscIndex, key)
 		return
 	}
-	i, ok := m.index[addr]
+	i, ok := m.index[key]
 	if !ok {
 		return
 	}
-	m.grid.Remove(int32(i), m.cellKeys[i])
+	m.unbucket(i)
 	m.order[i] = nil
-	delete(m.index, addr)
-	delete(m.busyUntil, addr)
-	m.maybeCompact()
+	delete(m.index, key)
+	delete(m.busyUntil, key)
+	if !m.delivering {
+		m.maybeCompact()
+	}
 }
 
-// Moved re-buckets a station in the spatial delivery index after its
-// position changed. Every station whose position changes while attached
-// must call it (or be moved through it); a stale bucket can hide the
-// station from broadcasts it should hear. Unknown addresses are a no-op,
+// Moved records a station's new position and re-buckets it in the spatial
+// delivery index. Every station whose position changes while attached
+// must call it (or be moved through it); a stale position can hide the
+// station from broadcasts it should hear, or let it hear ones it should
+// not. A move during a broadcast's fan-out counts for that fan-out's range
+// check, though not for its candidate set. Unknown addresses are a no-op,
 // so movers may report unconditionally — before Attach, after Detach, or
 // for promiscuous stations (which are not spatially indexed).
 func (m *Medium) Moved(addr ieee80211.MAC) {
-	i, ok := m.index[addr]
+	i, ok := m.index[macKey(addr)]
 	if !ok {
 		return
 	}
-	m.cellKeys[i] = m.grid.Move(int32(i), m.cellKeys[i], m.order[i].Pos())
+	g, p := m.grids[m.ch[i]], m.order[i].Pos()
+	g.Move(int32(i), g.Key(m.pos[i]), p)
+	m.pos[i] = p
 }
 
-// maybeCompact rebuilds the order slice once more than half its slots are
-// tombstones, preserving attach order. The spatial index is rebuilt with
-// the new slot numbering, inserted in slot order so every cell's append
-// keeps it ascending, and the compaction generation bump tells any
-// broadcast loop in progress to stop trusting its pre-compaction snapshot.
+// Retuned records a ChannelTuner's new channel and moves it to that
+// channel's spatial grid. Every tuner whose channel changes while attached
+// must call it; until it does, the medium delivers to and from the station
+// on its old channel. A retune during a broadcast's fan-out counts for
+// that fan-out's channel check, though not for its candidate set. Like
+// Moved, it is a no-op for unknown addresses and cheap when the channel is
+// unchanged, so tuners may report unconditionally.
+func (m *Medium) Retuned(addr ieee80211.MAC) {
+	key := macKey(addr)
+	if pi, ok := m.promiscIndex[key]; ok {
+		m.promiscCh[pi] = tunedTo(m.promisc[pi])
+		return
+	}
+	i, ok := m.index[key]
+	if !ok {
+		return
+	}
+	c := tunedTo(m.order[i])
+	if c == m.ch[i] {
+		return
+	}
+	m.unbucket(i)
+	m.ch[i] = c
+	m.grid(c).Insert(int32(i), m.pos[i])
+}
+
+// unbucket removes slot i from its channel's grid.
+func (m *Medium) unbucket(i int) {
+	g := m.grids[m.ch[i]]
+	g.Remove(int32(i), g.Key(m.pos[i]))
+}
+
+// maybeCompact drops the station table's tombstones once more than half
+// its slots are, preserving attach order. It runs between deliveries only,
+// so it rewrites the per-slot arrays in place, and renumbers every grid's
+// slots through a monotone map, which keeps each cell ascending.
 func (m *Medium) maybeCompact() {
 	if len(m.order) < 64 || len(m.index)*2 > len(m.order) {
 		return
 	}
 	m.mCompactions.Inc()
 	m.compactGen++
-	compact := make([]Station, 0, len(m.index))
-	for _, s := range m.order {
-		if s != nil {
-			compact = append(compact, s)
-		}
-	}
-	m.order = compact
-	m.grid, _ = geo.NewHashGrid(m.radius)
-	m.cellKeys = m.cellKeys[:0]
+	renumber := m.renumber[:0]
+	n := 0
 	for i, s := range m.order {
-		m.index[s.Addr()] = i
-		m.cellKeys = append(m.cellKeys, m.grid.Insert(int32(i), s.Pos()))
+		renumber = append(renumber, int32(n))
+		if s == nil {
+			continue
+		}
+		m.order[n], m.pos[n], m.ch[n] = s, m.pos[i], m.ch[i]
+		m.index[macKey(s.Addr())] = n
+		n++
 	}
+	clear(m.order[n:])
+	m.order, m.pos, m.ch = m.order[:n], m.pos[:n], m.ch[:n]
+	for _, g := range m.inUse {
+		g.Renumber(renumber)
+	}
+	m.renumber = renumber
 }
 
 // Transmit queues f for transmission by the station with MAC f.SA. The
@@ -316,11 +423,12 @@ func (m *Medium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duratio
 	// channel.
 	txCh := m.channelOf(tx)
 	start := m.engine.Now()
-	if busy := m.busyUntil[tx]; busy > start {
+	key := macKey(tx)
+	if busy := m.busyUntil[key]; busy > start {
 		start = busy
 	}
 	done := start + f.Airtime()
-	m.busyUntil[tx] = done
+	m.busyUntil[key] = done
 	m.FramesSent++
 	m.mSent[f.Subtype&0xf].Inc()
 
@@ -368,26 +476,16 @@ func (de *deliverEvent) exec() {
 // channelOf returns a station's current channel, or 0 (agnostic) when the
 // station is unknown or untuned.
 func (m *Medium) channelOf(addr ieee80211.MAC) uint8 {
-	if i, ok := m.index[addr]; ok {
-		if t, ok := m.order[i].(ChannelTuner); ok {
-			return t.CurrentChannel()
-		}
+	if i, ok := m.index[macKey(addr)]; ok {
+		return m.ch[i]
 	}
 	return 0
 }
 
-// sameChannel reports whether a transmission on txCh reaches a receiver;
-// channel 0 on either side is agnostic.
-func sameChannel(txCh uint8, rx Station) bool {
-	if txCh == 0 {
-		return true
-	}
-	t, ok := rx.(ChannelTuner)
-	if !ok {
-		return true
-	}
-	rxCh := t.CurrentChannel()
-	return rxCh == 0 || rxCh == txCh
+// hears reports whether a transmission on txCh reaches a receiver tuned to
+// rxCh; channel 0 on either side is agnostic.
+func hears(txCh, rxCh uint8) bool {
+	return txCh == rxCh || txCh == 0 || rxCh == 0
 }
 
 // unicastRetryLimit is the 802.11 long retry limit: unicast frames are
@@ -398,26 +496,40 @@ const unicastRetryLimit = 7
 // TxBusyUntil returns when the given transmitter's queue drains; before
 // that time any new Transmit will be queued behind earlier frames.
 func (m *Medium) TxBusyUntil(addr ieee80211.MAC) time.Duration {
-	return m.busyUntil[addr]
+	return m.busyUntil[macKey(addr)]
 }
 
+// deliver lands one transmission, then runs the compaction a Receive
+// callback's Detach deferred.
 func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
-	ti, ok := m.index[tx]
+	ti, ok := m.index[macKey(tx)]
 	if !ok {
 		// Transmitter departed mid-flight: the tail of its transmission
 		// is lost.
 		return
 	}
-	txPos := m.order[ti].Pos()
+	m.delivering = true
+	m.land(ti, tx, txCh, f, retriesLeft)
+	m.delivering = false
+	m.maybeCompact()
+}
+
+// land delivers a transmission from the station in slot ti: to the
+// monitor-mode stations, then to the unicast destination or the broadcast
+// fan-out.
+func (m *Medium) land(ti int, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
+	txPos := m.pos[ti]
 
 	// Monitor-mode stations hear everything in range, first — their
 	// detectors may inform decisions other receivers make later in the
-	// same instant.
-	for _, rx := range m.promisc {
+	// same instant. A callback may attach more; they do not hear this
+	// frame.
+	for pi, n := 0, len(m.promisc); pi < n; pi++ {
+		rx := m.promisc[pi]
 		if rx == nil || rx.Addr() == tx {
 			continue
 		}
-		if sameChannel(txCh, rx) && m.receives(txPos, rx.Pos(), f.Subtype) {
+		if hears(txCh, m.promiscCh[pi]) && m.receives(txPos, rx.Pos(), f.Subtype) {
 			rx.Receive(f)
 		}
 	}
@@ -426,13 +538,13 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 		m.deliverBroadcast(ti, txPos, txCh, f)
 		return
 	}
-	ri, ok := m.index[f.DA]
+	ri, ok := m.index[macKey(f.DA)]
 	if !ok {
 		return
 	}
 	rx := m.order[ri]
 	rxPos := rx.Pos()
-	if !sameChannel(txCh, rx) {
+	if !hears(txCh, m.ch[ri]) {
 		// Wrong channel: no ACK, so the transmitter retries exactly as
 		// for a lost frame (which is what a real radio observes).
 		if retriesLeft > 0 {
@@ -466,35 +578,31 @@ func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retri
 
 // deliverBroadcast fans f out, from the station in slot ti, to every
 // in-range station in attach order. Only stations bucketed in cells the
-// transmitter can reach are visited; the grid returns their slot ids
-// ascending, which IS attach order, so the delivery sequence (and thus
-// every RNG draw) is identical to a full scan. Slot ids index the order
-// snapshot taken here, which a mid-fan-out compaction replaces but never
-// rewrites, so comparing a candidate's slot with ti skips exactly the
-// transmitter.
+// transmitter can reach, in its channel's grid and the agnostic one (every
+// grid for an agnostic transmitter), are visited; the merge returns their
+// slot ids ascending, which IS attach order, so the delivery sequence (and
+// thus every RNG draw) is identical to a full scan. No compaction runs
+// while the fan-out does, so a slot keeps its station throughout; each
+// candidate's channel, position and attachment are read when its turn
+// comes.
 func (m *Medium) deliverBroadcast(ti int, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
-	order := m.order
-	cands := m.grid.AppendNeighborhood(m.scratch[:0], txPos, m.radius)
+	cands := m.scratch[:0]
+	if txCh == 0 {
+		cands = geo.AppendNeighborhoods(cands, txPos, m.radius, m.inUse...)
+	} else {
+		cands = geo.AppendNeighborhoods(cands, txPos, m.radius, m.grids[txCh], m.grids[0])
+	}
 	m.scratch = cands
-	gen := m.compactGen
 	for _, i := range cands {
-		rx := order[i]
-		if rx == nil || int(i) == ti {
+		if !hears(txCh, m.ch[i]) || !m.inRange(txPos, m.pos[i]) || int(i) == ti {
 			continue
 		}
-		if m.compactGen != gen {
-			// A Receive callback compacted the station table: the slots of
-			// our pre-compaction snapshot are no longer nilled on detach,
-			// so fall back to the authoritative liveness map for the rest
-			// of this fan-out.
-			if _, live := m.index[rx.Addr()]; !live {
-				continue
-			}
+		rx := m.order[i]
+		if rx == nil || m.dropped(f.Subtype) {
+			continue
 		}
-		if sameChannel(txCh, rx) && m.receives(txPos, rx.Pos(), f.Subtype) {
-			m.FramesDelivered++
-			m.mDelivered[f.Subtype&0xf].Inc()
-			rx.Receive(f)
-		}
+		m.FramesDelivered++
+		m.mDelivered[f.Subtype&0xf].Inc()
+		rx.Receive(f)
 	}
 }

@@ -326,6 +326,30 @@ func TestMediumReceiveCallbackCanDetach(t *testing.T) {
 	}
 }
 
+// TestMediumDetachAfterAttachMidBroadcast detaches a receiver from a
+// Receive callback that first attached enough stations to regrow the
+// station table: the detached receiver must not hear the broadcast under
+// way.
+func TestMediumDetachAfterAttachMidBroadcast(t *testing.T) {
+	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
+	a := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
+	b := &fakeStation{addr: mac(3), pos: geo.Pt(2, 0)}
+	e, m := newTestMedium(t, 50, tx, a, b)
+	a.onRecv = func(*ieee80211.Frame) {
+		for i := 0; i < 10; i++ {
+			if err := m.Attach(&fakeStation{addr: ieee80211.MAC{0x02, 9, 0, 0, 0, byte(i)}, pos: geo.Pt(500, 500)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Detach(b.addr)
+	}
+	m.Transmit(probeReq(tx.addr))
+	e.RunContext(context.Background(), time.Second)
+	if len(b.received) != 0 {
+		t.Errorf("b received %d frames after being detached mid-delivery", len(b.received))
+	}
+}
+
 // TestMediumBroadcastOrderIsAttachOrder checks that a broadcast reaches
 // its receivers in attach order: in one cell, spread over the
 // transmitter's whole cell neighborhood and moved across cell boundaries
@@ -514,11 +538,11 @@ func TestPromiscuousNotAddressable(t *testing.T) {
 	if len(mon.received) != 1 {
 		t.Errorf("monitor received %d frames, want 1", len(mon.received))
 	}
-	if _, ok := m.promiscIndex[mon.addr]; !ok {
+	if _, ok := m.promiscIndex[macKey(mon.addr)]; !ok {
 		t.Error("promiscuous station not reported attached")
 	}
 	m.Detach(mon.addr)
-	if _, ok := m.promiscIndex[mon.addr]; ok {
+	if _, ok := m.promiscIndex[macKey(mon.addr)]; ok {
 		t.Error("promiscuous station still attached after Detach")
 	}
 }
@@ -719,7 +743,10 @@ func TestChannelRetrySucceedsAfterReceiverHops(t *testing.T) {
 	m.Transmit(f)
 	// The receiver hops onto the transmitter's channel before the retry
 	// budget runs out.
-	e.Schedule(2*f.Airtime()+time.Microsecond, func() { rx.channel = 6 })
+	e.Schedule(2*f.Airtime()+time.Microsecond, func() {
+		rx.channel = 6
+		m.Retuned(rx.addr)
+	})
 	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 1 {
 		t.Errorf("retry after hop delivered %d, want 1", len(rx.received))

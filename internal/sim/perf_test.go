@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -151,5 +152,106 @@ func TestMediumBroadcastSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("broadcast delivery steady state allocates %.2f/op, want 0", avg)
+	}
+}
+
+// quietTuner is a quietStation parked on a channel.
+type quietTuner struct {
+	quietStation
+	ch uint8
+}
+
+func (s *quietTuner) CurrentChannel() uint8 { return s.ch }
+
+// channelCrowd attaches a transmitter on channel 6 at the origin and n
+// stations spread over its cell neighbourhood, round-robin over channels
+// 1, 6 and 11, plus one channel-agnostic station.
+func channelCrowd(tb testing.TB, m *Medium, n int) *quietTuner {
+	tb.Helper()
+	tx := &quietTuner{quietStation: quietStation{addr: mac(0), pos: geo.Pt(25, 25)}, ch: 6}
+	stations := []Station{tx, &quietStation{addr: mac(1), pos: geo.Pt(30, 20)}}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		stations = append(stations, &quietTuner{
+			quietStation: quietStation{
+				addr: ieee80211.MAC{0x02, 1, 0, 0, byte(i >> 8), byte(i)},
+				pos:  geo.Pt(rng.Float64()*150-50, rng.Float64()*150-50),
+			},
+			ch: []uint8{1, 6, 11}[i%3],
+		})
+	}
+	for _, s := range stations {
+		if err := m.Attach(s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tx
+}
+
+// TestMediumBroadcastChannelsSteadyStateAllocs is
+// TestMediumBroadcastSteadyStateAllocs over a crowd on channels 1, 6 and 11
+// and one agnostic station, so the fan-out merges two grids' cells.
+func TestMediumBroadcastChannelsSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	m := NewMedium(e, 50)
+	f := probeReq(channelCrowd(t, m, 150).addr)
+	ctx := context.Background()
+	m.Transmit(f)
+	e.RunContext(ctx, time.Second)
+	avg := testing.AllocsPerRun(100, func() {
+		m.Transmit(f)
+		e.RunContext(ctx, e.Now()+time.Second)
+	})
+	if avg != 0 {
+		t.Errorf("broadcast delivery across channel grids allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestMediumRetunedSteadyStateAllocs pins Retuned: reporting an unchanged
+// channel allocates nothing, and neither does hopping a lone station
+// between channel grids once each grid has held it.
+func TestMediumRetunedSteadyStateAllocs(t *testing.T) {
+	_, m := newTestMedium(t, 50)
+	s := &quietTuner{quietStation: quietStation{addr: mac(1), pos: geo.Pt(10, 10)}, ch: 1}
+	if err := m.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { m.Retuned(s.addr) }); avg != 0 {
+		t.Errorf("Retuned on an unchanged channel allocates %.2f/op, want 0", avg)
+	}
+	hop := func() {
+		for _, c := range []uint8{6, 11, 1} {
+			s.ch = c
+			m.Retuned(s.addr)
+		}
+	}
+	hop()
+	if avg := testing.AllocsPerRun(100, hop); avg != 0 {
+		t.Errorf("Retuned across channels allocates %.2f per hop of three, want 0", avg)
+	}
+}
+
+// TestMediumUnicastSteadyStateAllocs pins a unicast Transmit and its
+// delivery at zero allocations once the delivery pool is warm.
+func TestMediumUnicastSteadyStateAllocs(t *testing.T) {
+	tx := &quietStation{addr: mac(1), pos: geo.Pt(0, 0)}
+	rx := &quietStation{addr: mac(2), pos: geo.Pt(5, 0)}
+	e := NewEngine()
+	m := NewMedium(e, 50)
+	for _, s := range []Station{tx, rx} {
+		if err := m.Attach(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := probeResp(tx.addr, rx.addr, "Net")
+	ctx := context.Background()
+	m.Transmit(f)
+	e.RunContext(ctx, time.Second)
+	avg := testing.AllocsPerRun(100, func() {
+		m.Transmit(f)
+		e.RunContext(ctx, e.Now()+time.Second)
+	})
+	if avg != 0 || rx.got != 102 {
+		t.Errorf("unicast delivery allocates %.2f/op with %d of 102 frames delivered, want 0", avg, rx.got)
 	}
 }
