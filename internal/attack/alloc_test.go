@@ -25,10 +25,9 @@ func (s *quietProber) Receive(*ieee80211.Frame) { s.got++ }
 // TestBroadcastReplyPathAllocBudget pins the steady-state allocation cost
 // of the hottest path in every experiment: a broadcast probe request
 // arriving at the attacker and being answered with a full batch of forged
-// probe responses. With pooled engine events, pooled delivery events, and
-// arena-backed frames, the whole burst must stay within a small per-probe
-// budget (the arena amortises to well under one allocation per reply;
-// before this pass each reply cost its own frame and closure allocations).
+// probe responses. Engine events and delivery events are pooled, and each
+// delivery event carries its frame by value, so once warm the whole burst
+// allocates nothing.
 func TestBroadcastReplyPathAllocBudget(t *testing.T) {
 	e := sim.NewEngine()
 	m := sim.NewMedium(e, 50)
@@ -58,7 +57,7 @@ func TestBroadcastReplyPathAllocBudget(t *testing.T) {
 		m.Transmit(probe)
 		e.RunContext(context.Background(), e.Now()+time.Minute)
 	}
-	drain() // warm pools, arena, and the attacker's client table
+	drain() // warm the event pools and the attacker's client table
 
 	batch := a.Report().BroadcastClients
 	if batch != 1 {
@@ -70,9 +69,7 @@ func TestBroadcastReplyPathAllocBudget(t *testing.T) {
 	if perReply < 30 {
 		t.Fatalf("replies per probe = %.1f, expected a full batch", perReply)
 	}
-	// Budget: strictly less than 3 allocations per probe burst (~40
-	// replies). The arena contributes ~40/64, everything else is pooled.
-	if avg >= 3 {
-		t.Errorf("broadcast reply burst allocates %.2f/op, want < 3", avg)
+	if avg != 0 {
+		t.Errorf("broadcast reply burst allocates %.2f/op, want 0", avg)
 	}
 }

@@ -32,7 +32,9 @@ type Strategy interface {
 	// probe, with the prober's observation.
 	HarvestDirect(now time.Duration, o linker.Observation, ssid string)
 	// BroadcastReply returns the SSIDs (at most limit) to advertise to a
-	// broadcast probe from the observed client.
+	// broadcast probe from the observed client. The slice may be the
+	// strategy's own buffer: it is valid until the strategy's next call,
+	// and the caller neither keeps nor modifies it.
 	BroadcastReply(now time.Duration, o linker.Observation, limit int) []string
 	// RecordHit is called when the observed victim completes association
 	// via ssid.
@@ -134,7 +136,6 @@ type Attacker struct {
 	strategy Strategy
 
 	seq     uint16
-	arena   ieee80211.FrameArena
 	clients map[ieee80211.MAC]*clientInfo
 	// victims in capture order.
 	victims []Victim
@@ -240,14 +241,14 @@ func (a *Attacker) scheduleBeacon(idx int) {
 	a.engine.Schedule(a.cfg.BeaconEvery, func() {
 		a.beaconsSent++
 		a.mBeaconsSent.Inc()
-		a.medium.Transmit(a.frame(ieee80211.Frame{
+		a.send(ieee80211.Frame{
 			Subtype:          ieee80211.SubtypeBeacon,
 			DA:               ieee80211.BroadcastMAC,
 			SSID:             a.cfg.Beacons[idx%len(a.cfg.Beacons)],
 			Capability:       ieee80211.CapESS,
 			Channel:          a.cfg.Channel,
 			BeaconIntervalTU: 100,
-		}))
+		})
 		a.scheduleBeacon(idx + 1)
 	})
 }
@@ -328,40 +329,40 @@ func (a *Attacker) onProbe(f *ieee80211.Frame) {
 // respond sends one forged open-network probe response.
 func (a *Attacker) respond(da ieee80211.MAC, ssid string) {
 	a.mResponses.Inc()
-	a.medium.Transmit(a.frame(ieee80211.Frame{
+	a.send(ieee80211.Frame{
 		Subtype:          ieee80211.SubtypeProbeResponse,
 		DA:               da,
 		SSID:             ssid,
 		Capability:       ieee80211.CapESS, // never privacy: the twin must be open
 		Channel:          a.cfg.Channel,
 		BeaconIntervalTU: 100,
-	}))
+	})
 }
 
 func (a *Attacker) onAuth(f *ieee80211.Frame) {
 	if f.DA != a.cfg.MAC || f.AuthSeq != 1 {
 		return
 	}
-	a.medium.Transmit(a.frame(ieee80211.Frame{
+	a.send(ieee80211.Frame{
 		Subtype:       ieee80211.SubtypeAuth,
 		DA:            f.SA,
 		AuthAlgorithm: ieee80211.AuthOpenSystem,
 		AuthSeq:       2,
 		Status:        ieee80211.StatusSuccess,
-	}))
+	})
 }
 
 func (a *Attacker) onAssocRequest(f *ieee80211.Frame) {
 	if f.DA != a.cfg.MAC {
 		return
 	}
-	a.medium.Transmit(a.frame(ieee80211.Frame{
+	a.send(ieee80211.Frame{
 		Subtype:       ieee80211.SubtypeAssocResponse,
 		DA:            f.SA,
 		Capability:    ieee80211.CapESS,
 		Status:        ieee80211.StatusSuccess,
 		AssociationID: uint16(len(a.victims)+1) & 0x3fff,
-	}))
+	})
 	ci := a.client(f.SA)
 	if ci.connected {
 		return // duplicate association (e.g. after deauth) counted once
@@ -414,12 +415,14 @@ func (a *Attacker) scheduleDeauthSweep() {
 	})
 }
 
-func (a *Attacker) frame(f ieee80211.Frame) *ieee80211.Frame {
+// send stamps the attacker's addressing and next sequence number on a
+// template and transmits it, returning when it finishes on air.
+func (a *Attacker) send(f ieee80211.Frame) time.Duration {
 	f.SA = a.cfg.MAC
 	f.BSSID = a.cfg.MAC
 	a.seq = (a.seq + 1) & 0x0fff
 	f.Seq = a.seq
-	return a.arena.New(f)
+	return a.medium.Transmit(&f)
 }
 
 // Victims returns the captured clients in capture order.

@@ -130,7 +130,6 @@ type Client struct {
 	state State
 	pos   geo.Point
 	seq   uint16
-	arena ieee80211.FrameArena
 
 	// mac is the current over-the-air source MAC; it starts as the
 	// identity MAC (cfg.MAC) and moves along the derived rotation sequence
@@ -148,10 +147,12 @@ type Client struct {
 
 	// scanEpoch invalidates stale window/timeout events.
 	scanEpoch int
-	// window state for the current scan.
+	// window state for the current scan. responses keeps, in arrival
+	// order, the responses the scan could join: open, and naming an open
+	// PNL entry. responsesHeard counts every response the window accepted.
 	windowOpen     bool
 	firstRespAt    time.Duration
-	responses      []*ieee80211.Frame
+	responses      []scanResult
 	responsesHeard int
 
 	// association state.
@@ -171,6 +172,16 @@ type Client struct {
 
 	// Stats exposes what the experiment harness needs.
 	Stats Stats
+}
+
+// scanResult is one joinable probe response buffered for evaluateScan: the
+// responder, the channel it advertised and the SSID it offered. The client
+// copies these out of the frame, which the medium reuses once Receive
+// returns.
+type scanResult struct {
+	sa      ieee80211.MAC
+	channel uint8
+	ssid    string
 }
 
 // Stats are the per-client counters the experiments aggregate.
@@ -356,31 +367,35 @@ func (c *Client) scanChannel() {
 	c.firstRespAt = -1
 
 	if c.cfg.CanaryProbing {
-		c.medium.Transmit(c.frame(ieee80211.Frame{
+		c.send(ieee80211.Frame{
 			Subtype: ieee80211.SubtypeProbeRequest,
 			DA:      ieee80211.BroadcastMAC,
 			BSSID:   ieee80211.BroadcastMAC,
 			SSID:    c.canarySSID,
-		}))
+		})
 	}
 	if c.cfg.DirectProber {
-		for _, ssid := range c.cfg.PNL.Probeable() {
-			c.medium.Transmit(c.frame(ieee80211.Frame{
+		// Every PNL entry except hidden ones is disclosed.
+		for _, n := range c.cfg.PNL {
+			if n.Hidden {
+				continue
+			}
+			c.send(ieee80211.Frame{
 				Subtype: ieee80211.SubtypeProbeRequest,
 				DA:      ieee80211.BroadcastMAC,
 				BSSID:   ieee80211.BroadcastMAC,
-				SSID:    ssid,
-			}))
+				SSID:    n.SSID,
+			})
 			c.Stats.DirectProbes++
 		}
 	}
 	// The broadcast probe goes out last; its completion time anchors the
 	// listening window.
-	lastDone := c.medium.Transmit(c.frame(ieee80211.Frame{
+	lastDone := c.send(ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,
 		DA:      ieee80211.BroadcastMAC,
 		BSSID:   ieee80211.BroadcastMAC,
-	}))
+	})
 	c.Stats.BroadcastProbes++
 
 	// The channel dwell ends MinChannelTime after the last probe finished
@@ -443,17 +458,18 @@ func (c *Client) rotateMAC() {
 	c.usedMACs = append(c.usedMACs, fresh)
 }
 
-// frame stamps addressing, sequence numbers and the probe fingerprint on a
-// template. The sequence counter advances per frame regardless of MAC
-// rotations — the continuity the sequence-number linker exploits.
-func (c *Client) frame(f ieee80211.Frame) *ieee80211.Frame {
+// send stamps addressing, sequence numbers and the probe fingerprint on a
+// template and transmits it, returning when it finishes on air. The
+// sequence counter advances per frame regardless of MAC rotations — the
+// continuity the sequence-number linker exploits.
+func (c *Client) send(f ieee80211.Frame) time.Duration {
 	f.SA = c.mac
 	c.seq = (c.seq + 1) & 0x0fff
 	f.Seq = c.seq
 	if f.Subtype == ieee80211.SubtypeProbeRequest {
 		f.Fingerprint = c.cfg.Fingerprint
 	}
-	return c.arena.New(f)
+	return c.medium.Transmit(&f)
 }
 
 // Receive implements sim.Station.
@@ -510,36 +526,33 @@ func (c *Client) onProbeResponse(f *ieee80211.Frame) {
 			}
 		})
 	}
-	c.responses = append(c.responses, f)
+	if !f.Capability.Privacy() && c.cfg.PNL.OpenSSID(f.SSID) {
+		// Only a response the scan could join is kept: an encrypted
+		// twin would need credentials the attacker cannot complete.
+		c.responses = append(c.responses, scanResult{sa: f.SA, channel: f.Channel, ssid: f.SSID})
+	}
 }
 
-// evaluateScan inspects every response collected across the scan's
-// channels and begins association with the first one matching an open PNL
-// entry.
+// evaluateScan begins association with the first joinable response
+// collected across the scan's channels whose responder no canary has
+// unmasked since.
 func (c *Client) evaluateScan() {
 	c.windowOpen = false
 	if c.trace != nil {
 		c.trace.Span("scan", "scan", c.tid, c.scanStart, c.engine.Now(),
 			map[string]any{"responses": c.responsesHeard})
 	}
-	for _, f := range c.responses {
-		if c.hostile[f.SA] {
+	for _, r := range c.responses {
+		if c.hostile[r.sa] {
 			// Unmasked after this response was buffered.
 			continue
 		}
-		if f.Capability.Privacy() {
-			// The twin claims an encrypted network; auto-join would
-			// need credentials the attacker cannot complete.
-			continue
+		if r.channel != 0 {
+			c.curChannel = r.channel
+			c.medium.Retuned(c.Addr())
 		}
-		if c.cfg.PNL.OpenSSID(f.SSID) {
-			if f.Channel != 0 {
-				c.curChannel = f.Channel
-				c.medium.Retuned(c.Addr())
-			}
-			c.associate(f.SA, f.SSID)
-			return
-		}
+		c.associate(r.sa, r.ssid)
+		return
 	}
 }
 
@@ -551,13 +564,13 @@ func (c *Client) associate(peer ieee80211.MAC, ssid string) {
 	c.joinSSID = ssid
 	c.hsEpoch++
 	c.hsStep = 1
-	c.medium.Transmit(c.frame(ieee80211.Frame{
+	c.send(ieee80211.Frame{
 		Subtype:       ieee80211.SubtypeAuth,
 		DA:            peer,
 		BSSID:         peer,
 		AuthAlgorithm: ieee80211.AuthOpenSystem,
 		AuthSeq:       1,
-	}))
+	})
 	c.armHandshakeTimeout()
 }
 
@@ -582,13 +595,13 @@ func (c *Client) onAuth(f *ieee80211.Frame) {
 		return
 	}
 	c.hsStep = 2
-	c.medium.Transmit(c.frame(ieee80211.Frame{
+	c.send(ieee80211.Frame{
 		Subtype:    ieee80211.SubtypeAssocRequest,
 		DA:         c.peer,
 		BSSID:      c.peer,
 		SSID:       c.joinSSID,
 		Capability: ieee80211.CapESS,
-	}))
+	})
 	c.armHandshakeTimeout()
 }
 

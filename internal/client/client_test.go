@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -31,6 +32,7 @@ type responder struct {
 	silent      bool
 
 	directProbes    int
+	directSSIDs     map[string]int // directed probes heard, by SSID
 	broadcastProbes int
 	associations    int
 }
@@ -54,6 +56,10 @@ func (r *responder) Receive(f *ieee80211.Frame) {
 		}
 		if f.IsDirectedProbe() {
 			r.directProbes++
+			if r.directSSIDs == nil {
+				r.directSSIDs = make(map[string]int)
+			}
+			r.directSSIDs[f.SSID]++
 			if r.mirror && !r.silent {
 				r.medium.Transmit(&ieee80211.Frame{
 					Subtype: ieee80211.SubtypeProbeResponse,
@@ -199,6 +205,12 @@ func TestDirectProberDisclosesVisibleEntries(t *testing.T) {
 	if c.Stats.BroadcastProbes != 3*c.Stats.Scans {
 		t.Errorf("broadcast probes = %d over %d scans, want one per channel (3)",
 			c.Stats.BroadcastProbes, c.Stats.Scans)
+	}
+	// The hidden carrier entry is never disclosed; the others are, once
+	// per channel visit each.
+	want := map[string]int{"Home": c.Stats.BroadcastProbes, "Cafe": c.Stats.BroadcastProbes}
+	if !maps.Equal(fx.resp.directSSIDs, want) {
+		t.Errorf("directed probes by SSID = %v, want %v", fx.resp.directSSIDs, want)
 	}
 }
 
@@ -780,5 +792,68 @@ func TestPreconnectedWithRandomizedMAC(t *testing.T) {
 	}
 	if c.Addr() == initial {
 		t.Error("MAC never rotated after deauth despite per-scan randomization")
+	}
+}
+
+// TestScanResultsOutliveFrames feeds a scanning client its responses
+// through one frame that is rewritten between Receive calls, as the medium
+// reuses its frames: the client must keep what it needs of each response,
+// join the first joinable one, in arrival order, whose responder no canary
+// has unmasked since, and count every response it heard.
+func TestScanResultsOutliveFrames(t *testing.T) {
+	e := sim.NewEngine()
+	m := sim.NewMedium(e, 50)
+	rng := rand.New(rand.NewSource(5))
+	c, err := New(e, m, rng, Config{
+		MAC: ieee80211.MAC{0x02, 0, 0, 0, 0, 9},
+		PNL: pnl.List{
+			{SSID: "Open One", Open: true},
+			{SSID: "Open Two", Open: true},
+			{SSID: "Home"},
+		},
+		CanaryProbing: true,
+		ScanInterval:  time.Hour,
+		ScanChannels:  []uint8{6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.scan() // opens channel 6's window now; the scheduled first scan goes stale
+
+	twin := func(b byte) ieee80211.MAC { return ieee80211.MAC{0x0a, 0, 0, 0, 0, b} }
+	unmasked, joined := twin(3), twin(4)
+	f := &ieee80211.Frame{}
+	respond := func(sa ieee80211.MAC, ssid string, caps ieee80211.CapabilityInfo, ch uint8) {
+		*f = ieee80211.Frame{
+			Subtype: ieee80211.SubtypeProbeResponse,
+			DA:      c.Addr(), SA: sa, BSSID: sa,
+			SSID: ssid, Capability: caps, Channel: ch,
+		}
+		c.Receive(f)
+	}
+	respond(twin(1), "Open One", ieee80211.CapESS|ieee80211.CapPrivacy, 1) // encrypted
+	respond(twin(2), "Not Remembered", ieee80211.CapESS, 2)                // not in the PNL
+	respond(unmasked, "Open One", ieee80211.CapESS, 3)                     // joinable until the canary
+	respond(joined, "Open Two", ieee80211.CapESS, 11)
+	respond(twin(5), "Open One", ieee80211.CapESS, 5)
+	respond(unmasked, c.canarySSID, ieee80211.CapESS, 3) // mimics the canary
+	// Leave the frame looking like the encrypted response: a client that
+	// kept the pointer would now see nothing joinable.
+	respond(twin(1), "Open One", ieee80211.CapESS|ieee80211.CapPrivacy, 1)
+
+	e.RunContext(context.Background(), e.Now()+ieee80211.MaxChannelTime+time.Millisecond)
+	if c.State() != StateAssociating || c.peer != joined || c.joinSSID != "Open Two" {
+		t.Fatalf("state %v with peer %v via %q, want associating with %v via %q",
+			c.State(), c.peer, c.joinSSID, joined, "Open Two")
+	}
+	if ch := c.CurrentChannel(); ch != 11 {
+		t.Errorf("tuned to channel %d, want the joined responder's 11", ch)
+	}
+	if c.Stats.ResponsesHeard != 6 || c.Stats.CanaryDetections != 1 {
+		t.Errorf("heard %d responses and %d canary detections, want 6 and 1",
+			c.Stats.ResponsesHeard, c.Stats.CanaryDetections)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -274,7 +275,7 @@ func TestPreliminaryBatchesAreUnordered(t *testing.T) {
 
 func TestRotationDisabledResendsHead(t *testing.T) {
 	e := newFull(t, func(c *Config) { c.RotateUntried = false })
-	a := e.BroadcastReply(0, lnk(mac(1)), 40)
+	a := slices.Clone(e.BroadcastReply(0, lnk(mac(1)), 40)) // the next reply reuses the batch
 	b := e.BroadcastReply(0, lnk(mac(1)), 40)
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("batch lengths %d/%d", len(a), len(b))
@@ -398,8 +399,8 @@ func (e *Engine) ghostHitSetup(t *testing.T, kind BufferKind, victim ieee80211.M
 		e.BroadcastReply(time.Duration(round)*time.Second, lnk(victim), e.cfg.ReplyBudget)
 		tr := e.clientFor(victim)
 		for _, r := range tr.log {
-			if BufferKind(r.kind) == kind {
-				return e.ssidOf(int(r.id))
+			if r.kind() == kind {
+				return e.ssidOf(r.id())
 			}
 		}
 	}

@@ -99,11 +99,19 @@ type clientTrack struct {
 	log []sentRecord
 }
 
-// sentRecord is one entry sent to a track and the bucket it came from.
-type sentRecord struct {
-	id   uint32
-	kind uint8
+// sentRecord is one entry sent to a track and the bucket it came from,
+// packed into one word: the entry id above sentKindBits, the BufferKind
+// (1–5) in the low bits.
+type sentRecord uint32
+
+const sentKindBits = 3
+
+func newSentRecord(id int, kind BufferKind) sentRecord {
+	return sentRecord(uint32(id)<<sentKindBits | uint32(kind))
 }
+
+func (r sentRecord) id() int          { return int(r >> sentKindBits) }
+func (r sentRecord) kind() BufferKind { return BufferKind(r & (1<<sentKindBits - 1)) }
 
 // has reports whether entry id was ever sent to the track.
 func (t *clientTrack) has(id int) bool {
@@ -126,7 +134,7 @@ func (t *clientTrack) record(id int, kind BufferKind) {
 	}
 	t.grow(id)
 	t.sent[id>>6] |= 1 << (id & 63)
-	t.log = append(t.log, sentRecord{id: uint32(id), kind: uint8(kind)})
+	t.log = append(t.log, newSentRecord(id, kind))
 }
 
 // kindOf returns the bucket entry id was first sent from. It scans the log
@@ -136,8 +144,8 @@ func (t *clientTrack) kindOf(id int) (BufferKind, bool) {
 		return 0, false
 	}
 	for i := len(t.log) - 1; i >= 0; i-- {
-		if t.log[i].id == uint32(id) {
-			return BufferKind(t.log[i].kind), true
+		if t.log[i].id() == id {
+			return t.log[i].kind(), true
 		}
 	}
 	return 0, false
@@ -217,9 +225,11 @@ type Engine struct {
 	pbGhostHits int
 	fbGhostHits int
 
-	// sel is the reply batch under construction, reused across replies
-	// to avoid allocation.
-	sel selection
+	// sel is the reply batch under construction, and batch the SSIDs
+	// BroadcastReply returns; both are reused across replies to avoid
+	// allocation.
+	sel   selection
+	batch []string
 
 	// om holds the observability handles; nil when uninstrumented, which
 	// keeps the BroadcastReply hot path at a single branch.
@@ -451,7 +461,8 @@ func (e *Engine) HarvestDirect(_ time.Duration, o linker.Observation, ssid strin
 // Fig. 3). In full mode the batch is drawn from the Popularity Buffer, the
 // Freshness Buffer and GhostPicks random entries from each ghost list,
 // under the per-client untried rotation; any shortfall is backfilled with
-// further popularity-ranked entries.
+// further popularity-ranked entries. The returned slice is the engine's
+// own buffer, valid until the next BroadcastReply.
 func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int) []string {
 	budget := e.cfg.ReplyBudget
 	if limit < budget {
@@ -491,11 +502,12 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 	}
 	t.grow(maxID)
 	t.log = slices.Grow(t.log, len(s.entries))
-	out := make([]string, len(s.entries))
+	out := e.batch[:0]
 	for i, en := range s.entries {
 		t.record(en.id, s.kinds[i])
-		out[i] = en.ssid
+		out = append(out, en.ssid)
 	}
+	e.batch = out
 	if e.om != nil {
 		e.om.replies.Inc()
 		e.om.batch.Observe(float64(len(out)))

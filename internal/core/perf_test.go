@@ -14,10 +14,10 @@ func rotatingClientMAC(c int) ieee80211.MAC {
 }
 
 // TestBroadcastReplyFreshClientAllocs pins the cost of answering a client
-// the engine has never seen: a new track, its sent bitset and log, and the
-// returned batch from a 2000-SSID database. That is 4 allocations, or 6
-// under the race detector, whose instrumentation keeps the temporaries of
-// the two append-to-grow calls.
+// the engine has never seen from a 2000-SSID database: a new track and its
+// sent bitset and log. The returned batch reuses the engine's buffer. That
+// is 3 allocations, or 5 under the race detector, whose instrumentation
+// keeps the temporaries of the two append-to-grow calls.
 func TestBroadcastReplyFreshClientAllocs(t *testing.T) {
 	e := benchEngine(t, 2000)
 	i := 0
@@ -28,8 +28,12 @@ func TestBroadcastReplyFreshClientAllocs(t *testing.T) {
 			t.Fatalf("batch = %d, want 40", len(got))
 		}
 	})
-	if avg > 6 {
-		t.Errorf("BroadcastReply for a fresh client allocates %.0f/op, want ≤ 6", avg)
+	want := 3.0
+	if raceEnabled {
+		want = 5
+	}
+	if avg > want {
+		t.Errorf("BroadcastReply for a fresh client allocates %.0f/op, want ≤ %.0f", avg, want)
 	}
 }
 
@@ -37,7 +41,8 @@ func TestBroadcastReplyFreshClientAllocs(t *testing.T) {
 // client is answered until it has been sent all 2000 SSIDs (50 batches),
 // then a never-seen client takes over, so every window of operations
 // holds the same mix of first and follow-up replies. A follow-up reply
-// allocates only the returned batch.
+// allocates nothing, and a first one too little to show in the average;
+// under the race detector the average is 1.
 func TestBroadcastReplyRotatingClientAllocs(t *testing.T) {
 	e := benchEngine(t, 2000)
 	client, i := 0, 0
@@ -49,8 +54,12 @@ func TestBroadcastReplyRotatingClientAllocs(t *testing.T) {
 			client++
 		}
 	})
-	if avg > 2 {
-		t.Errorf("BroadcastReply for a rotating client allocates %.0f/op, want ≤ 2", avg)
+	want := 0.0
+	if raceEnabled {
+		want = 1
+	}
+	if avg > want {
+		t.Errorf("BroadcastReply for a rotating client allocates %.0f/op, want ≤ %.0f", avg, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestPropertyRandomOps(t *testing.T) {
 							t.Fatalf("step %d: replied %q not in database", step, ssid)
 						}
 					}
-					lastBatch[c] = batch
+					lastBatch[c] = slices.Clone(batch) // batch is reused by the next reply
 				}
 
 				pb, fb := e.BufferSizes()

@@ -262,7 +262,7 @@ func TestReplyMatchesStringKeyedReference(t *testing.T) {
 						if !slices.Equal(got, want) {
 							t.Fatalf("step %d: batch for %v\n got %q\nwant %q", step, c, got, want)
 						}
-						last[c] = got
+						last[c] = slices.Clone(got) // got is reused by the next reply
 					}
 					if got, want := e.SentCount(c), ref.sentCount(c); got != want {
 						t.Fatalf("step %d: SentCount(%v) = %d, want %d", step, c, got, want)

@@ -70,18 +70,6 @@ func (l List) OpenSSID(ssid string) bool {
 	return false
 }
 
-// Probeable returns the SSIDs a direct-probing phone discloses: every entry
-// except hidden ones.
-func (l List) Probeable() []string {
-	var out []string
-	for _, n := range l {
-		if !n.Hidden {
-			out = append(out, n.SSID)
-		}
-	}
-	return out
-}
-
 // CarrierNetwork pairs a carrier hotspot SSID with its subscriber share.
 type CarrierNetwork struct {
 	SSID string

@@ -50,23 +50,6 @@ func TestListContains(t *testing.T) {
 	}
 }
 
-func TestProbeableExcludesHidden(t *testing.T) {
-	l := List{
-		{SSID: "home"},
-		{SSID: "PCCW1x", Open: true, Hidden: true},
-		{SSID: "cafe", Open: true},
-	}
-	got := l.Probeable()
-	if len(got) != 2 {
-		t.Fatalf("Probeable = %v", got)
-	}
-	for _, s := range got {
-		if s == "PCCW1x" {
-			t.Error("hidden carrier SSID disclosed in probes")
-		}
-	}
-}
-
 func TestNewModelValidation(t *testing.T) {
 	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))
 	db, err := wigle.New(bounds, nil)

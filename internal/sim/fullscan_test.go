@@ -163,11 +163,15 @@ func (r *scanMedium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, r
 
 var errDuplicate = errors.New("duplicate station")
 
-// heard is one reception: when, by which station, which frame.
+// heard is one reception: when, by which station, which frame. The frame
+// is a copy, since the medium reuses it after Receive; runFanout stamps a
+// distinct Seq on every frame it transmits (up to 65,536 of them, far more
+// than a trial sends), so comparing copies tells frames apart as strictly
+// as comparing pointers would.
 type heard struct {
 	at time.Duration
 	id int
-	f  *ieee80211.Frame
+	f  ieee80211.Frame
 }
 
 // scanAction is what a station does on its next reception, in the middle
@@ -196,7 +200,7 @@ type scanStation struct {
 func (s *scanStation) Addr() ieee80211.MAC { return s.addr }
 func (s *scanStation) Pos() geo.Point      { return s.pos }
 func (s *scanStation) Receive(f *ieee80211.Frame) {
-	s.w.log = append(s.w.log, heard{s.w.e.Now(), s.id, f})
+	s.w.log = append(s.w.log, heard{s.w.e.Now(), s.id, *f})
 	if a := s.act; a != nil {
 		s.act = nil
 		s.w.midFanout++
@@ -322,6 +326,12 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 			fn(w)
 		}
 	}
+	var seq uint16
+	transmit := func(f *ieee80211.Frame) {
+		seq++
+		f.Seq = seq
+		each(func(w *scanWorld) { w.m.Transmit(f) })
+	}
 	for ; len(ops) >= 4; ops = ops[4:] {
 		op, a, b, c := ops[0]%11, ops[1], ops[2], ops[3]
 		n := len(worlds[0].sts)
@@ -349,11 +359,9 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 		case op == 4:
 			each(func(w *scanWorld) { w.retune(int(a)%n, scanChannels[b%4]) })
 		case op == 5:
-			f := probeReq(worlds[0].sts[int(a)%n].addr)
-			each(func(w *scanWorld) { w.m.Transmit(f) })
+			transmit(probeReq(worlds[0].sts[int(a)%n].addr))
 		case op == 6:
-			f := probeResp(worlds[0].sts[int(a)%n].addr, worlds[0].sts[int(b)%n].addr, "Net")
-			each(func(w *scanWorld) { w.m.Transmit(f) })
+			transmit(probeResp(worlds[0].sts[int(a)%n].addr, worlds[0].sts[int(b)%n].addr, "Net"))
 		case op == 7:
 			act := scanAction{kind: b, target: int(c), ch: scanChannels[c%4]}
 			each(func(w *scanWorld) { w.sts[int(a)%n].act = &act })

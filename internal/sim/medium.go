@@ -41,7 +41,9 @@ type Station interface {
 	// channel change through Medium.Retuned — the medium's spatial delivery
 	// index relies on both to keep broadcast fan-out exact.
 	Pos() geo.Point
-	// Receive delivers a frame that arrived at the station's antenna.
+	// Receive delivers a frame that arrived at the station's antenna. The
+	// medium owns f: it is valid only during the call and is reused once
+	// Receive returns, so a station copies whatever it keeps.
 	Receive(f *ieee80211.Frame)
 }
 
@@ -116,8 +118,8 @@ type Medium struct {
 	busyUntil map[uint64]time.Duration
 
 	// deliverPool recycles the frame-delivery events TransmitFrom and the
-	// retry paths schedule, so steady-state transmission allocates no
-	// per-frame closures.
+	// retry paths schedule. Each event carries its frame by value, so
+	// steady-state transmission allocates neither frames nor closures.
 	deliverPool []*deliverEvent
 
 	// loss is the independent per-delivery drop probability; lossRNG
@@ -409,6 +411,9 @@ func (m *Medium) maybeCompact() {
 // in-range station — to the unicast destination only, or to everyone for
 // broadcast destinations. Transmit returns the time the frame will finish
 // transmitting.
+//
+// The medium copies *f before Transmit returns, so the caller may reuse f
+// or keep it on its stack.
 func (m *Medium) Transmit(f *ieee80211.Frame) time.Duration {
 	return m.TransmitFrom(f.SA, f)
 }
@@ -436,22 +441,24 @@ func (m *Medium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duratio
 	return done
 }
 
-// deliverEvent is a pooled frame-delivery callback. One sits on the engine
-// queue per in-flight transmission or retry; executing it returns the event
-// to the medium's pool before the delivery runs, so the delivery itself may
-// immediately recycle it for a retry. The bound run closure is allocated
-// once per pool entry and reused for every schedule.
+// deliverEvent is a pooled frame-delivery callback holding its own copy of
+// the frame. One sits on the engine queue per in-flight transmission or
+// retry; executing it delivers &f to every receiver and only then returns
+// the event to the medium's pool, so a frame lives exactly as long as its
+// delivery. A retry copies the frame into another pooled event. The bound
+// run closure is allocated once per pool entry and reused for every
+// schedule.
 type deliverEvent struct {
 	m           *Medium
 	tx          ieee80211.MAC
 	txCh        uint8
-	f           *ieee80211.Frame
+	f           ieee80211.Frame
 	retriesLeft int
 	run         func()
 }
 
-// scheduleDeliver queues a delivery of f at absolute time at, reusing a
-// pooled event when one is free.
+// scheduleDeliver queues a delivery of a copy of *f at absolute time at,
+// reusing a pooled event when one is free.
 func (m *Medium) scheduleDeliver(at time.Duration, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
 	var de *deliverEvent
 	if n := len(m.deliverPool); n > 0 {
@@ -462,15 +469,15 @@ func (m *Medium) scheduleDeliver(at time.Duration, tx ieee80211.MAC, txCh uint8,
 		de = &deliverEvent{m: m}
 		de.run = de.exec
 	}
-	de.tx, de.txCh, de.f, de.retriesLeft = tx, txCh, f, retriesLeft
+	de.tx, de.txCh, de.f, de.retriesLeft = tx, txCh, *f, retriesLeft
 	m.engine.At(at, de.run)
 }
 
 func (de *deliverEvent) exec() {
-	m, tx, txCh, f, retries := de.m, de.tx, de.txCh, de.f, de.retriesLeft
-	de.f = nil // drop the frame reference while pooled
+	m := de.m
+	m.deliver(de.tx, de.txCh, &de.f, de.retriesLeft)
+	de.f = ieee80211.Frame{} // drop the SSID reference while pooled
 	m.deliverPool = append(m.deliverPool, de)
-	m.deliver(tx, txCh, f, retries)
 }
 
 // channelOf returns a station's current channel, or 0 (agnostic) when the

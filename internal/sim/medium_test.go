@@ -12,18 +12,18 @@ import (
 	"cityhunter/internal/ieee80211"
 )
 
-// fakeStation records everything it receives.
+// fakeStation records a copy of everything it receives.
 type fakeStation struct {
 	addr     ieee80211.MAC
 	pos      geo.Point
-	received []*ieee80211.Frame
+	received []ieee80211.Frame
 	onRecv   func(*ieee80211.Frame)
 }
 
 func (s *fakeStation) Addr() ieee80211.MAC { return s.addr }
 func (s *fakeStation) Pos() geo.Point      { return s.pos }
 func (s *fakeStation) Receive(f *ieee80211.Frame) {
-	s.received = append(s.received, f)
+	s.received = append(s.received, *f)
 	if s.onRecv != nil {
 		s.onRecv(f)
 	}
