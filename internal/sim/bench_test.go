@@ -22,6 +22,50 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.RunContext(context.Background(), e.Now()+time.Second)
 }
 
+// BenchmarkEngineMixedHorizon times one executed event under the mix a
+// venue run schedules: 128 chains of short hops, 95 % of them under 17 ms
+// ahead (frame deliveries, scan-window closes) and the rest 17 ms to 2 s
+// (scan intervals, walk steps), beside 300 timers re-armed 2 s to 10 min
+// ahead (arrivals, departures, far-field promotions) that stay pending
+// throughout. BenchmarkEngineScheduleRun has no long timers. The delays
+// are drawn up front, so ns/op is the queue's.
+func BenchmarkEngineMixedHorizon(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var hops, timers [4096]time.Duration
+	for i := range hops {
+		hops[i] = time.Duration(rng.Int63n(int64(17 * time.Millisecond)))
+		if rng.Intn(20) == 0 {
+			hops[i] = 17*time.Millisecond + time.Duration(rng.Int63n(int64(2*time.Second-17*time.Millisecond)))
+		}
+		timers[i] = 2*time.Second + time.Duration(rng.Int63n(int64(598*time.Second)))
+	}
+	e := NewEngine()
+	var nh, nt int
+	var timer, hop func()
+	timer = func() {
+		e.Schedule(timers[nt%len(timers)], timer)
+		nt++
+	}
+	hop = func() {
+		e.Schedule(hops[nh%len(hops)], hop)
+		nh++
+	}
+	for i := 0; i < 300; i++ {
+		timer()
+	}
+	for i := 0; i < 128; i++ {
+		hop()
+	}
+	ctx := context.Background()
+	e.RunContext(ctx, time.Minute) // past the first refills
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; {
+		k, _ := e.RunContext(ctx, e.Now()+100*time.Millisecond)
+		n += k
+	}
+}
+
 // BenchmarkMediumBroadcast100Stations fans a broadcast out to 100
 // stations packed into the transmitter's cell; they only count what they
 // hear, so ns/op times the fan-out alone.

@@ -21,6 +21,8 @@ type fanoutMedium interface {
 	Moved(ieee80211.MAC)
 	Retuned(ieee80211.MAC)
 	Transmit(*ieee80211.Frame) time.Duration
+	TransmitFrom(ieee80211.MAC, *ieee80211.Frame) time.Duration
+	TxBusyUntil(ieee80211.MAC) time.Duration
 }
 
 // scanMedium is the medium's definition as a full scan: every delivery
@@ -28,7 +30,9 @@ type fanoutMedium interface {
 // CurrentChannel, so it needs neither Moved nor Retuned. A broadcast's
 // candidates are the stations attached and on its channel when it lands;
 // positions do not change while a fan-out runs in the tests that use it,
-// so the medium's cell query selects the same ones.
+// so the medium's cell query selects the same ones. busy holds every
+// transmitter's busy-until time by MAC, attached or not; a detach forgets
+// an attached station's.
 type scanMedium struct {
 	e        *Engine
 	radius   float64
@@ -87,18 +91,22 @@ func (r *scanMedium) Detach(addr ieee80211.MAC) {
 func (r *scanMedium) Moved(ieee80211.MAC)   {}
 func (r *scanMedium) Retuned(ieee80211.MAC) {}
 
-func (r *scanMedium) Transmit(f *ieee80211.Frame) time.Duration {
+func (r *scanMedium) Transmit(f *ieee80211.Frame) time.Duration { return r.TransmitFrom(f.SA, f) }
+
+func (r *scanMedium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duration {
 	var txCh uint8
-	if s := find(r.stations, f.SA); s != nil {
+	if s := find(r.stations, tx); s != nil {
 		txCh = tunedTo(s)
 	}
-	start := max(r.e.Now(), r.busy[f.SA])
+	start := max(r.e.Now(), r.busy[tx])
 	done := start + f.Airtime()
-	r.busy[f.SA] = done
+	r.busy[tx] = done
 	r.sent++
-	r.schedule(done, f.SA, txCh, f, unicastRetryLimit)
+	r.schedule(done, tx, txCh, f, unicastRetryLimit)
 	return done
 }
+
+func (r *scanMedium) TxBusyUntil(addr ieee80211.MAC) time.Duration { return r.busy[addr] }
 
 func (r *scanMedium) schedule(at time.Duration, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retries int) {
 	r.e.At(at, func() { r.deliver(tx, txCh, f, retries) })
@@ -226,6 +234,7 @@ type scanWorld struct {
 	log       []heard
 	nextAddr  int
 	midFanout int
+	retired   []ieee80211.MAC // addresses MAC rotations left behind
 }
 
 // add creates a station: kind 0–3 tuned to channel 1, 6, 11 or 0, 4
@@ -308,11 +317,13 @@ func scanCoord(b byte) float64 { return float64(b)*300/256 - 100 }
 var scanChannels = []uint8{0, 1, 6, 11}
 
 // runFanout decodes ops four bytes at a time and applies each to a Medium
-// and to the full-scan reference, both with frame loss at 30 %, then
-// checks that they delivered the same frames to the same stations at the
-// same times in the same order, counted the same, and left the loss RNG at
-// the same position. It returns the Medium's compaction count and the
-// number of actions run mid-fan-out.
+// and to the full-scan reference, both with frame loss at 30 %. It checks
+// that every transmission returned the same end time and, after every
+// operation, that every address the stations have held reports the same
+// TxBusyUntil. At the end it checks that they delivered the same frames to
+// the same stations at the same times in the same order, counted the same,
+// and left the loss RNG at the same position. It returns the Medium's
+// compaction count and the number of actions run mid-fan-out.
 func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFanout int) {
 	t.Helper()
 	const radius, loss = 50.0, 0.3
@@ -327,13 +338,24 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 		}
 	}
 	var seq uint16
-	transmit := func(f *ieee80211.Frame) {
+	// transmit sends f from tx, through Transmit when tx is f's SA.
+	transmit := func(tx ieee80211.MAC, f *ieee80211.Frame) {
 		seq++
 		f.Seq = seq
-		each(func(w *scanWorld) { w.m.Transmit(f) })
+		var done [2]time.Duration
+		for i, w := range worlds {
+			if tx == f.SA {
+				done[i] = w.m.Transmit(f)
+			} else {
+				done[i] = w.m.TransmitFrom(tx, f)
+			}
+		}
+		if done[0] != done[1] {
+			t.Fatalf("transmission %d from %v ends at %v on the medium, %v on the full scan", seq, tx, done[0], done[1])
+		}
 	}
 	for ; len(ops) >= 4; ops = ops[4:] {
-		op, a, b, c := ops[0]%11, ops[1], ops[2], ops[3]
+		op, a, b, c := ops[0]%13, ops[1], ops[2], ops[3]
 		n := len(worlds[0].sts)
 		switch {
 		case op <= 1 && n >= 300:
@@ -359,9 +381,11 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 		case op == 4:
 			each(func(w *scanWorld) { w.retune(int(a)%n, scanChannels[b%4]) })
 		case op == 5:
-			transmit(probeReq(worlds[0].sts[int(a)%n].addr))
+			sa := worlds[0].sts[int(a)%n].addr
+			transmit(sa, probeReq(sa))
 		case op == 6:
-			transmit(probeResp(worlds[0].sts[int(a)%n].addr, worlds[0].sts[int(b)%n].addr, "Net"))
+			sa := worlds[0].sts[int(a)%n].addr
+			transmit(sa, probeResp(sa, worlds[0].sts[int(b)%n].addr, "Net"))
 		case op == 7:
 			act := scanAction{kind: b, target: int(c), ch: scanChannels[c%4]}
 			each(func(w *scanWorld) { w.sts[int(a)%n].act = &act })
@@ -374,6 +398,7 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 			each(func(w *scanWorld) {
 				i := int(a) % n
 				w.detach(i)
+				w.retired = append(w.retired, w.sts[i].addr)
 				w.nextAddr++
 				w.sts[i].addr = ieee80211.MAC{0x02, 1, 0, 0, byte(w.nextAddr >> 8), byte(w.nextAddr)}
 				w.attach(i)
@@ -384,6 +409,22 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 					w.attach(i)
 				}
 			})
+		case op == 11:
+			// A spoofed frame: the radio of one station, another's SA.
+			sts := worlds[0].sts
+			transmit(sts[int(a)%n].addr, probeResp(sts[int(b)%n].addr, sts[int(c)%n].addr, "Net"))
+		case op == 12:
+			// A station that transmits before it attaches (op 10 may
+			// attach it later).
+			each(func(w *scanWorld) { w.add(a, geo.Pt(scanCoord(b), scanCoord(c)), scanChannels[a%4]) })
+			sa := worlds[0].sts[n].addr
+			transmit(sa, probeReq(sa))
+		}
+		for i, s := range worlds[0].sts {
+			checkBusy(t, worlds, s.addr, worlds[1].sts[i].addr)
+		}
+		for i, a := range worlds[0].retired {
+			checkBusy(t, worlds, a, worlds[1].retired[i])
 		}
 	}
 	each(func(w *scanWorld) { w.e.RunContext(context.Background(), w.e.Now()+time.Hour) })
@@ -407,12 +448,26 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 	return m.compactGen, got.midFanout
 }
 
+// checkBusy compares TxBusyUntil for one address, which both worlds of
+// runFanout hand out alike.
+func checkBusy(t *testing.T, worlds [2]*scanWorld, a, b ieee80211.MAC) {
+	t.Helper()
+	if a != b {
+		t.Fatalf("address %v on the medium is %v on the full scan", a, b)
+	}
+	if g, w := worlds[0].m.TxBusyUntil(a), worlds[1].m.TxBusyUntil(a); g != w {
+		t.Fatalf("TxBusyUntil(%v): medium %v, full scan %v", a, g, w)
+	}
+}
+
 // TestMediumMatchesFullScan drives random stations — tuned to channels 1,
 // 6 and 11, tuned to channel 0, untuned and promiscuous — through random
 // moves, retunes, MAC rotations, detach/attach churn and compactions, with
-// broadcasts and unicasts under frame loss and Receive callbacks that
-// detach, retune and attach stations mid-fan-out, and checks every
-// delivery against a full scan of the attached stations.
+// broadcasts, unicasts, spoofed frames and frames from stations not yet
+// attached under frame loss, and Receive callbacks that detach, retune and
+// attach stations mid-fan-out. It checks every delivery, every
+// transmission's end time and every address's busy-until time against a
+// full scan of the attached stations.
 func TestMediumMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var compactions uint64
@@ -420,7 +475,7 @@ func TestMediumMatchesFullScan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		ops := make([]byte, 0, 4*400)
 		for k := 0; k < 400; k++ {
-			op := byte(rng.Intn(11))
+			op := byte(rng.Intn(13))
 			if k < 4 {
 				op = 1 // start from a crowd
 			}

@@ -80,12 +80,14 @@ type Medium struct {
 	radius float64
 
 	// order holds attached stations in attach order, with pos and ch
-	// their positions and channels as last reported; index maps a packed
-	// MAC (macKey) to its slot. Detached slots are nil and recycled lazily,
-	// so an ascending slot scan is an attach-order scan.
+	// their positions and channels as last reported and busy the time
+	// each one's transmit queue drains; index maps a packed MAC (macKey)
+	// to its slot. Detached slots are nil and recycled lazily, so an
+	// ascending slot scan is an attach-order scan.
 	order []Station
 	pos   []geo.Point
 	ch    []uint8
+	busy  []time.Duration
 	index map[uint64]int
 
 	// grids[c] buckets the slots tuned to channel c by position for
@@ -105,7 +107,8 @@ type Medium struct {
 	// numbers — the transmitter's and the broadcast candidates' — hold for
 	// the whole delivery.
 	delivering bool
-	// compactGen counts station-table compactions.
+	// compactGen counts station-table compactions; a slot number taken
+	// under an older generation may name another station.
 	compactGen uint64
 
 	// promisc holds monitor-mode stations and promiscCh their channels:
@@ -115,6 +118,9 @@ type Medium struct {
 	promiscCh    []uint8
 	promiscIndex map[uint64]int
 
+	// busyUntil holds the busy-until times of transmitters that are not
+	// attached (promiscuous stations, or a MAC that transmits before it
+	// attaches); Attach moves a MAC's entry into busy.
 	busyUntil map[uint64]time.Duration
 
 	// deliverPool recycles the frame-delivery events TransmitFrom and the
@@ -269,11 +275,13 @@ func (m *Medium) Attach(s Station) error {
 		return err
 	}
 	i := len(m.order)
-	p, c := s.Pos(), tunedTo(s)
-	m.index[macKey(s.Addr())] = i
+	p, c, key := s.Pos(), tunedTo(s), macKey(s.Addr())
+	m.index[key] = i
 	m.order = append(m.order, s)
 	m.pos = append(m.pos, p)
 	m.ch = append(m.ch, c)
+	m.busy = append(m.busy, m.busyUntil[key])
+	delete(m.busyUntil, key)
 	m.grid(c).Insert(int32(i), p)
 	return nil
 }
@@ -319,8 +327,8 @@ func (m *Medium) Detach(addr ieee80211.MAC) {
 	}
 	m.unbucket(i)
 	m.order[i] = nil
+	m.busy[i] = 0
 	delete(m.index, key)
-	delete(m.busyUntil, key)
 	if !m.delivering {
 		m.maybeCompact()
 	}
@@ -393,12 +401,12 @@ func (m *Medium) maybeCompact() {
 		if s == nil {
 			continue
 		}
-		m.order[n], m.pos[n], m.ch[n] = s, m.pos[i], m.ch[i]
+		m.order[n], m.pos[n], m.ch[n], m.busy[n] = s, m.pos[i], m.ch[i], m.busy[i]
 		m.index[macKey(s.Addr())] = n
 		n++
 	}
 	clear(m.order[n:])
-	m.order, m.pos, m.ch = m.order[:n], m.pos[:n], m.ch[:n]
+	m.order, m.pos, m.ch, m.busy = m.order[:n], m.pos[:n], m.ch[:n], m.busy[:n]
 	for _, g := range m.inUse {
 		g.Renumber(renumber)
 	}
@@ -410,7 +418,8 @@ func (m *Medium) maybeCompact() {
 // (half-duplex serialization) and is delivered after its airtime to every
 // in-range station — to the unicast destination only, or to everyone for
 // broadcast destinations. Transmit returns the time the frame will finish
-// transmitting.
+// transmitting. An attached transmitter's channel and busy-until time sit
+// in its slot, so the call costs one MAC lookup.
 //
 // The medium copies *f before Transmit returns, so the caller may reuse f
 // or keep it on its stack.
@@ -425,19 +434,23 @@ func (m *Medium) Transmit(f *ieee80211.Frame) time.Duration {
 func (m *Medium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duration {
 	// The PHY channel is pinned at transmit time: if the transmitter
 	// hops before the frame lands, the tail still went out on the old
-	// channel.
-	txCh := m.channelOf(tx)
-	start := m.engine.Now()
+	// channel. An unattached transmitter is agnostic and has no slot.
 	key := macKey(tx)
-	if busy := m.busyUntil[key]; busy > start {
-		start = busy
+	now, slot := m.engine.Now(), int32(-1)
+	var txCh uint8
+	var done time.Duration
+	if i, ok := m.index[key]; ok {
+		slot, txCh = int32(i), m.ch[i]
+		done = max(now, m.busy[i]) + f.Airtime()
+		m.busy[i] = done
+	} else {
+		done = max(now, m.busyUntil[key]) + f.Airtime()
+		m.busyUntil[key] = done
 	}
-	done := start + f.Airtime()
-	m.busyUntil[key] = done
 	m.FramesSent++
 	m.mSent[f.Subtype&0xf].Inc()
 
-	m.scheduleDeliver(done, tx, txCh, f, unicastRetryLimit)
+	m.scheduleDeliver(done, tx, slot, txCh, f, unicastRetryLimit)
 	return done
 }
 
@@ -448,18 +461,26 @@ func (m *Medium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duratio
 // delivery. A retry copies the frame into another pooled event. The bound
 // run closure is allocated once per pool entry and reused for every
 // schedule.
+//
+// slot is the transmitter's slot when the event was scheduled (-1 if it
+// was not attached) and gen the compaction generation then: while no
+// compaction has run and the slot is still occupied, it holds the same
+// station, so the delivery needs no MAC lookup.
 type deliverEvent struct {
 	m           *Medium
 	tx          ieee80211.MAC
+	slot        int32
 	txCh        uint8
+	gen         uint64
 	f           ieee80211.Frame
 	retriesLeft int
 	run         func()
 }
 
 // scheduleDeliver queues a delivery of a copy of *f at absolute time at,
-// reusing a pooled event when one is free.
-func (m *Medium) scheduleDeliver(at time.Duration, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
+// reusing a pooled event when one is free. slot is the transmitter's
+// current slot, or -1.
+func (m *Medium) scheduleDeliver(at time.Duration, tx ieee80211.MAC, slot int32, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
 	var de *deliverEvent
 	if n := len(m.deliverPool); n > 0 {
 		de = m.deliverPool[n-1]
@@ -469,24 +490,15 @@ func (m *Medium) scheduleDeliver(at time.Duration, tx ieee80211.MAC, txCh uint8,
 		de = &deliverEvent{m: m}
 		de.run = de.exec
 	}
-	de.tx, de.txCh, de.f, de.retriesLeft = tx, txCh, *f, retriesLeft
+	de.tx, de.slot, de.txCh, de.gen, de.f, de.retriesLeft = tx, slot, txCh, m.compactGen, *f, retriesLeft
 	m.engine.At(at, de.run)
 }
 
 func (de *deliverEvent) exec() {
 	m := de.m
-	m.deliver(de.tx, de.txCh, &de.f, de.retriesLeft)
+	m.deliver(de)
 	de.f = ieee80211.Frame{} // drop the SSID reference while pooled
 	m.deliverPool = append(m.deliverPool, de)
-}
-
-// channelOf returns a station's current channel, or 0 (agnostic) when the
-// station is unknown or untuned.
-func (m *Medium) channelOf(addr ieee80211.MAC) uint8 {
-	if i, ok := m.index[macKey(addr)]; ok {
-		return m.ch[i]
-	}
-	return 0
 }
 
 // hears reports whether a transmission on txCh reaches a receiver tuned to
@@ -503,20 +515,28 @@ const unicastRetryLimit = 7
 // TxBusyUntil returns when the given transmitter's queue drains; before
 // that time any new Transmit will be queued behind earlier frames.
 func (m *Medium) TxBusyUntil(addr ieee80211.MAC) time.Duration {
-	return m.busyUntil[macKey(addr)]
+	key := macKey(addr)
+	if i, ok := m.index[key]; ok {
+		return m.busy[i]
+	}
+	return m.busyUntil[key]
 }
 
 // deliver lands one transmission, then runs the compaction a Receive
-// callback's Detach deferred.
-func (m *Medium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
-	ti, ok := m.index[macKey(tx)]
-	if !ok {
-		// Transmitter departed mid-flight: the tail of its transmission
-		// is lost.
-		return
+// callback's Detach deferred. It looks the transmitter up by MAC again
+// only when the event's slot may be stale.
+func (m *Medium) deliver(de *deliverEvent) {
+	ti := int(de.slot)
+	if ti < 0 || de.gen != m.compactGen || m.order[ti] == nil {
+		var ok bool
+		if ti, ok = m.index[macKey(de.tx)]; !ok {
+			// Transmitter departed mid-flight: the tail of its
+			// transmission is lost.
+			return
+		}
 	}
 	m.delivering = true
-	m.land(ti, tx, txCh, f, retriesLeft)
+	m.land(ti, de.tx, de.txCh, &de.f, de.retriesLeft)
 	m.delivering = false
 	m.maybeCompact()
 }
@@ -557,7 +577,7 @@ func (m *Medium) land(ti int, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, 
 		if retriesLeft > 0 {
 			m.FramesRetried++
 			m.mRetried.Inc()
-			m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, txCh, f, retriesLeft-1)
+			m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, int32(ti), txCh, f, retriesLeft-1)
 		}
 		return
 	}
@@ -579,7 +599,7 @@ func (m *Medium) land(ti int, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, 
 	if retriesLeft > 0 {
 		m.FramesRetried++
 		m.mRetried.Inc()
-		m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, txCh, f, retriesLeft-1)
+		m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, int32(ti), txCh, f, retriesLeft-1)
 	}
 }
 

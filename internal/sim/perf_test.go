@@ -103,8 +103,8 @@ func (s *quietStation) Pos() geo.Point           { return s.pos }
 func (s *quietStation) Receive(*ieee80211.Frame) { s.got++ }
 
 // TestEngineScheduleSteadyStateAllocs pins the event queue's allocation
-// behaviour: once slot storage is warm, scheduling and executing events
-// allocates nothing (the value heap recycles slots through the free list).
+// behaviour: once the heaps are warm, scheduling and executing events
+// allocates nothing (both heaps are value slices that keep their capacity).
 func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -119,6 +119,31 @@ func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Engine.Schedule+RunContext steady state allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestEngineRefillSteadyStateAllocs pins the far-to-near refill: once
+// warm, events scheduled seconds to minutes ahead wait in the far heap,
+// move to the near heap window by window and run without allocating.
+func TestEngineRefillSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	fn := func() { ran++ }
+	ctx := context.Background()
+	op := func() {
+		for i := 1; i <= 64; i++ {
+			e.Schedule(time.Duration(i)*time.Second, fn)
+		}
+		e.Schedule(time.Millisecond, fn)
+		e.RunContext(ctx, e.Now()+2*time.Minute)
+	}
+	op()
+	avg := testing.AllocsPerRun(100, op)
+	if avg != 0 {
+		t.Errorf("far-heap events allocate %.2f per 65-event round, want 0", avg)
+	}
+	if want := 65 * 102; ran != want || pending(e) != 0 {
+		t.Errorf("ran %d events with %d pending, want %d with none", ran, pending(e), want)
 	}
 }
 
