@@ -38,6 +38,7 @@ type AP struct {
 	cfg    Config
 	engine *sim.Engine
 	medium *sim.Medium
+	radio  *sim.Radio
 	seq    uint16
 
 	// BeaconsSent counts transmitted beacons.
@@ -70,7 +71,8 @@ func (a *AP) Receive(*ieee80211.Frame) {}
 
 // Start attaches the AP and begins the beacon loop.
 func (a *AP) Start() error {
-	if err := a.medium.Attach(a); err != nil {
+	var err error
+	if a.radio, err = a.medium.Attach(a); err != nil {
 		return fmt.Errorf("ap: %w", err)
 	}
 	a.scheduleBeacon()
@@ -80,7 +82,7 @@ func (a *AP) Start() error {
 func (a *AP) scheduleBeacon() {
 	a.engine.Schedule(a.cfg.BeaconInterval, func() {
 		a.seq = (a.seq + 1) & 0x0fff
-		a.medium.Transmit(&ieee80211.Frame{
+		a.radio.Transmit(&ieee80211.Frame{
 			Subtype:          ieee80211.SubtypeBeacon,
 			DA:               ieee80211.BroadcastMAC,
 			SA:               a.cfg.MAC,

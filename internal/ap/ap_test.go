@@ -7,6 +7,7 @@ import (
 
 	"cityhunter/internal/geo"
 	"cityhunter/internal/ieee80211"
+	"cityhunter/internal/obs"
 	"cityhunter/internal/sim"
 )
 
@@ -15,6 +16,7 @@ type sniffer struct {
 	pos     geo.Point
 	beacons int
 	other   int
+	radio   *sim.Radio
 }
 
 func (s *sniffer) Addr() ieee80211.MAC { return s.addr }
@@ -32,7 +34,8 @@ func fixture(t *testing.T) (*sim.Engine, *sim.Medium, *sniffer) {
 	engine := sim.NewEngine()
 	medium := sim.NewMedium(engine, 100)
 	sn := &sniffer{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 9}, pos: geo.Pt(5, 0)}
-	if err := medium.Attach(sn); err != nil {
+	var err error
+	if sn.radio, err = medium.Attach(sn); err != nil {
 		t.Fatal(err)
 	}
 	return engine, medium, sn
@@ -93,7 +96,9 @@ func TestCustomInterval(t *testing.T) {
 }
 
 func TestAPIgnoresTraffic(t *testing.T) {
-	engine, medium, _ := fixture(t)
+	engine, medium, sn := fixture(t)
+	reg := obs.NewRegistry()
+	medium.Instrument(&obs.Runtime{Metrics: reg})
 	a, err := New(engine, medium, Config{
 		MAC: ieee80211.MAC{0x0a, 1, 1, 1, 1, 1}, SSID: "X",
 	})
@@ -104,16 +109,20 @@ func TestAPIgnoresTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A probe request to the AP draws no response.
-	medium.Transmit(&ieee80211.Frame{
+	sn.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,
 		DA:      ieee80211.BroadcastMAC,
-		SA:      ieee80211.MAC{0x02, 0, 0, 0, 0, 9},
+		SA:      sn.addr,
 	})
-	sent := medium.FramesSent
 	engine.RunContext(context.Background(), 50*time.Millisecond)
-	// Only beacons may have been added after the probe.
-	extra := medium.FramesSent - sent
-	if extra > 1 { // at most the next beacon
-		t.Errorf("unexpected AP transmissions: %d", extra)
+	// Only the probe and beacons may have been sent.
+	snap := reg.Snapshot()
+	if n := snap.Value("medium_frames_sent", "subtype", ieee80211.SubtypeProbeRequest.String()); n != 1 {
+		t.Errorf("%v probe requests counted, want 1", n)
+	}
+	for _, sub := range []ieee80211.FrameSubtype{ieee80211.SubtypeProbeResponse, ieee80211.SubtypeAuth, ieee80211.SubtypeAssocResponse} {
+		if n := snap.Value("medium_frames_sent", "subtype", sub.String()); n != 0 {
+			t.Errorf("unexpected AP transmissions: %v %s frames", n, sub)
+		}
 	}
 }

@@ -43,7 +43,8 @@ func TestBroadcastReplyPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	prober := &quietProber{addr: ieee80211.MAC{0x02, 1, 1, 1, 1, 1}}
-	if err := m.Attach(prober); err != nil {
+	radio, err := m.Attach(prober)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +55,7 @@ func TestBroadcastReplyPathAllocBudget(t *testing.T) {
 		BSSID:   ieee80211.BroadcastMAC,
 	}
 	drain := func() {
-		m.Transmit(probe)
+		radio.Transmit(probe)
 		e.RunContext(context.Background(), e.Now()+time.Minute)
 	}
 	drain() // warm the event pools and the attacker's client table

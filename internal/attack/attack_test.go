@@ -12,6 +12,7 @@ import (
 	"cityhunter/internal/geo"
 	"cityhunter/internal/ieee80211"
 	"cityhunter/internal/linker"
+	"cityhunter/internal/obs"
 	"cityhunter/internal/pnl"
 	"cityhunter/internal/sim"
 )
@@ -235,7 +236,7 @@ func TestVictimCountedOnce(t *testing.T) {
 		t.Fatal("no capture")
 	}
 	// Deauth the victim; it reconnects but must not be double counted.
-	fx.medium.Transmit(&ieee80211.Frame{
+	a.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      c.Addr(), SA: attackerMAC, BSSID: attackerMAC,
 	})
@@ -417,7 +418,8 @@ func TestAttackerRespectsReplyBudget(t *testing.T) {
 		mana.HarvestDirect(0, lnk(ieee80211.MAC{9}), fmt.Sprintf("net-%03d", i))
 	}
 	fx.newAttacker(t, mana, Config{MaxBroadcastReplies: 15})
-	sent := fx.medium.FramesSent
+	reg := obs.NewRegistry()
+	fx.medium.Instrument(&obs.Runtime{Metrics: reg})
 	// One broadcast probe from a bystander triggers the batch.
 	probe := &ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,
@@ -426,14 +428,15 @@ func TestAttackerRespectsReplyBudget(t *testing.T) {
 		BSSID:   ieee80211.BroadcastMAC,
 	}
 	bystander := &bystanderStation{addr: probe.SA}
-	if err := fx.medium.Attach(bystander); err != nil {
+	radio, err := fx.medium.Attach(bystander)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fx.medium.Transmit(probe)
+	radio.Transmit(probe)
 	fx.engine.RunContext(context.Background(), time.Second)
-	replies := fx.medium.FramesSent - sent - 1 // minus the probe itself
+	replies := reg.Snapshot().Value("medium_frames_sent", "subtype", ieee80211.SubtypeProbeResponse.String())
 	if replies != 15 {
-		t.Errorf("attacker sent %d replies, want the configured 15", replies)
+		t.Errorf("attacker sent %v replies, want the configured 15", replies)
 	}
 }
 

@@ -133,6 +133,7 @@ type Attacker struct {
 	cfg      Config
 	engine   *sim.Engine
 	medium   *sim.Medium
+	radio    *sim.Radio
 	strategy Strategy
 
 	seq     uint16
@@ -223,7 +224,8 @@ func (a *Attacker) CurrentChannel() uint8 { return a.cfg.Channel }
 // Start attaches the attacker to the medium and arms the deauth loop when
 // enabled.
 func (a *Attacker) Start() error {
-	if err := a.medium.Attach(a); err != nil {
+	var err error
+	if a.radio, err = a.medium.Attach(a); err != nil {
 		return fmt.Errorf("attack: %w", err)
 	}
 	if a.cfg.Deauth.Enabled {
@@ -321,7 +323,7 @@ func (a *Attacker) onProbe(f *ieee80211.Frame) {
 	if a.trace != nil && len(batch) > 0 {
 		// The batch occupies the radio until the transmit queue drains;
 		// that window is the span chrome://tracing shows per reply burst.
-		a.trace.Span("attacker", "reply-batch", a.tid, now, a.medium.TxBusyUntil(a.cfg.MAC),
+		a.trace.Span("attacker", "reply-batch", a.tid, now, a.radio.BusyUntil(),
 			map[string]any{"client": f.SA.String(), "ssids": len(batch)})
 	}
 }
@@ -399,7 +401,7 @@ func (a *Attacker) scheduleDeauthSweep() {
 		for _, ap := range a.knownAPs {
 			a.deauthsSent++
 			a.mDeauths.Inc()
-			a.medium.TransmitFrom(a.cfg.MAC, &ieee80211.Frame{
+			a.radio.Transmit(&ieee80211.Frame{
 				Subtype: ieee80211.SubtypeDeauth,
 				DA:      ieee80211.BroadcastMAC,
 				SA:      ap,
@@ -422,7 +424,7 @@ func (a *Attacker) send(f ieee80211.Frame) time.Duration {
 	f.BSSID = a.cfg.MAC
 	a.seq = (a.seq + 1) & 0x0fff
 	f.Seq = a.seq
-	return a.medium.Transmit(&f)
+	return a.radio.Transmit(&f)
 }
 
 // Victims returns the captured clients in capture order.

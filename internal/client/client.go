@@ -125,7 +125,10 @@ type Client struct {
 	cfg    Config
 	engine *sim.Engine
 	medium *sim.Medium
-	rng    *rand.Rand
+	// radio is the phone's handle on the medium, nil before it attaches;
+	// every attach (a start, a resume, a MAC rotation) replaces it.
+	radio *sim.Radio
+	rng   *rand.Rand
 
 	state State
 	pos   geo.Point
@@ -141,7 +144,7 @@ type Client struct {
 
 	// curChannel is the tuned channel (0 = agnostic, e.g. while
 	// associated to a channel-agnostic test responder). Every write is
-	// reported to the medium through Retuned.
+	// reported to the medium through radio.Retuned.
 	curChannel  uint8
 	scanChanIdx int
 
@@ -247,7 +250,7 @@ func (c *Client) Pos() geo.Point { return c.pos }
 // while the phone is not attached).
 func (c *Client) SetPos(p geo.Point) {
 	c.pos = p
-	c.medium.Moved(c.Addr())
+	c.radio.Moved()
 }
 
 // CurrentChannel implements sim.ChannelTuner.
@@ -274,7 +277,8 @@ func (c *Client) Start() error {
 	if c.state != StateIdle {
 		return fmt.Errorf("client %v: Start in state %v", c.Addr(), c.state)
 	}
-	if err := c.medium.Attach(c); err != nil {
+	var err error
+	if c.radio, err = c.medium.Attach(c); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
 	if c.cfg.Obs != nil && c.cfg.Obs.Trace != nil {
@@ -302,7 +306,7 @@ func (c *Client) Depart() {
 	c.state = StateDeparted
 	c.scanEpoch++
 	c.hsEpoch++
-	c.medium.Detach(c.Addr())
+	c.radio.Detach()
 }
 
 // scheduleScan queues a scan after the given delay. Stale events cancel
@@ -362,7 +366,7 @@ func (c *Client) scanChannel() {
 	}
 	epoch := c.scanEpoch
 	c.curChannel = c.channels()[c.scanChanIdx]
-	c.medium.Retuned(c.Addr())
+	c.radio.Retuned()
 	c.windowOpen = true
 	c.firstRespAt = -1
 
@@ -442,13 +446,14 @@ func (c *Client) rotateMAC() {
 	fresh := ieee80211.DerivedRandomMAC(c.cfg.MAC, c.rotations)
 	c.rotations++
 	old := c.mac
-	c.medium.Detach(old)
+	c.radio.Detach()
 	c.mac = fresh
-	if err := c.medium.Attach(c); err != nil {
+	var err error
+	if c.radio, err = c.medium.Attach(c); err != nil {
 		c.mac = old
 		// Re-attach under the old identity; this cannot collide because
 		// we just vacated it.
-		if err := c.medium.Attach(c); err != nil {
+		if c.radio, err = c.medium.Attach(c); err != nil {
 			// The medium rejected both identities: the client is
 			// effectively off the air. Leave it detached.
 			c.state = StateDeparted
@@ -469,7 +474,7 @@ func (c *Client) send(f ieee80211.Frame) time.Duration {
 	if f.Subtype == ieee80211.SubtypeProbeRequest {
 		f.Fingerprint = c.cfg.Fingerprint
 	}
-	return c.medium.Transmit(&f)
+	return c.radio.Transmit(&f)
 }
 
 // Receive implements sim.Station.
@@ -549,7 +554,7 @@ func (c *Client) evaluateScan() {
 		}
 		if r.channel != 0 {
 			c.curChannel = r.channel
-			c.medium.Retuned(c.Addr())
+			c.radio.Retuned()
 		}
 		c.associate(r.sa, r.ssid)
 		return

@@ -20,7 +20,7 @@ type responder struct {
 	addr   ieee80211.MAC
 	pos    geo.Point
 	engine *sim.Engine
-	medium *sim.Medium
+	radio  *sim.Radio
 
 	replySSIDs  []string
 	respChannel uint8 // DS channel advertised in responses (0 → 6)
@@ -61,7 +61,7 @@ func (r *responder) Receive(f *ieee80211.Frame) {
 			}
 			r.directSSIDs[f.SSID]++
 			if r.mirror && !r.silent {
-				r.medium.Transmit(&ieee80211.Frame{
+				r.radio.Transmit(&ieee80211.Frame{
 					Subtype: ieee80211.SubtypeProbeResponse,
 					DA:      f.SA, SA: r.addr, BSSID: r.addr,
 					SSID: f.SSID, Capability: caps, Channel: ch,
@@ -74,7 +74,7 @@ func (r *responder) Receive(f *ieee80211.Frame) {
 			return
 		}
 		for _, ssid := range r.replySSIDs {
-			r.medium.Transmit(&ieee80211.Frame{
+			r.radio.Transmit(&ieee80211.Frame{
 				Subtype: ieee80211.SubtypeProbeResponse,
 				DA:      f.SA, SA: r.addr, BSSID: r.addr,
 				SSID: ssid, Capability: caps, Channel: ch,
@@ -84,7 +84,7 @@ func (r *responder) Receive(f *ieee80211.Frame) {
 		if r.refuseAuth {
 			return
 		}
-		r.medium.Transmit(&ieee80211.Frame{
+		r.radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeAuth,
 			DA:      f.SA, SA: r.addr, BSSID: r.addr,
 			AuthAlgorithm: ieee80211.AuthOpenSystem, AuthSeq: 2,
@@ -95,7 +95,7 @@ func (r *responder) Receive(f *ieee80211.Frame) {
 			return
 		}
 		r.associations++
-		r.medium.Transmit(&ieee80211.Frame{
+		r.radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeAssocResponse,
 			DA:      f.SA, SA: r.addr, BSSID: r.addr,
 			Capability: caps, Status: ieee80211.StatusSuccess, AssociationID: 1,
@@ -118,21 +118,29 @@ func newFixture(t *testing.T) *fixture {
 		addr:   ieee80211.MAC{0x0a, 0, 0, 0, 0, 1},
 		pos:    geo.Pt(0, 0),
 		engine: e,
-		medium: m,
 	}
-	if err := m.Attach(r); err != nil {
+	r.radio = attach(t, m, r)
+	return &fixture{engine: e, medium: m, resp: r, rng: rand.New(rand.NewSource(1))}
+}
+
+// attach attaches s to m and returns its radio, failing the test on error.
+func attach(t *testing.T, m *sim.Medium, s sim.Station) *sim.Radio {
+	t.Helper()
+	r, err := m.Attach(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{engine: e, medium: m, resp: r, rng: rand.New(rand.NewSource(1))}
+	return r
 }
 
 // attached reports whether m holds c's current MAC: the medium refuses to
 // attach a MAC it holds, and a free one is detached again at once.
 func attached(m *sim.Medium, c *Client) bool {
-	if err := m.Attach(c); err != nil {
+	r, err := m.Attach(c)
+	if err != nil {
 		return true
 	}
-	m.Detach(c.Addr())
+	r.Detach()
 	return false
 }
 
@@ -348,7 +356,7 @@ func TestDeauthTriggersRescan(t *testing.T) {
 		t.Fatal("did not connect")
 	}
 	probesBefore := c.Stats.BroadcastProbes
-	fx.medium.Transmit(&ieee80211.Frame{
+	fx.resp.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      c.Addr(), SA: fx.resp.addr, BSSID: fx.resp.addr,
 		Reason: ieee80211.ReasonDeauthLeaving,
@@ -371,7 +379,7 @@ func TestDeauthFromStrangerIgnored(t *testing.T) {
 		t.Fatal("did not connect")
 	}
 	stranger := ieee80211.MAC{0x0a, 9, 9, 9, 9, 9}
-	fx.medium.TransmitFrom(fx.resp.addr, &ieee80211.Frame{
+	fx.resp.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      c.Addr(), SA: stranger, BSSID: stranger,
 	})
@@ -398,7 +406,7 @@ func TestPreconnectedClientSilentUntilDeauth(t *testing.T) {
 	}
 	// Broadcast deauth spoofing the legit AP (the paper's §V-B attack),
 	// physically radiated by the attacker's radio.
-	fx.medium.TransmitFrom(fx.resp.addr, &ieee80211.Frame{
+	fx.resp.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      ieee80211.BroadcastMAC, SA: legit, BSSID: legit,
 		Reason: ieee80211.ReasonDeauthLeaving,
@@ -547,12 +555,10 @@ func TestClientFindsAttackerOnAnyScanChannel(t *testing.T) {
 		m := sim.NewMedium(e, 50)
 		base := &responder{
 			addr: ieee80211.MAC{0x0a, 0, 0, 0, 0, 1}, pos: geo.Pt(0, 0),
-			engine: e, medium: m, replySSIDs: []string{"Net"}, respChannel: ch,
+			engine: e, replySSIDs: []string{"Net"}, respChannel: ch,
 		}
 		tuned := &tunedResponder{responder: base, channel: ch}
-		if err := m.Attach(tuned); err != nil {
-			t.Fatal(err)
-		}
+		tuned.radio = attach(t, m, tuned)
 		rng := rand.New(rand.NewSource(int64(ch)))
 		c, err := New(e, m, rng, Config{
 			MAC:          ieee80211.RandomMAC(rng),
@@ -587,12 +593,10 @@ func TestClientSkipsChannelsNotConfigured(t *testing.T) {
 	m := sim.NewMedium(e, 50)
 	base := &responder{
 		addr: ieee80211.MAC{0x0a, 0, 0, 0, 0, 1}, pos: geo.Pt(0, 0),
-		engine: e, medium: m, replySSIDs: []string{"Net"},
+		engine: e, replySSIDs: []string{"Net"},
 	}
 	tuned := &tunedResponder{responder: base, channel: 11}
-	if err := m.Attach(tuned); err != nil {
-		t.Fatal(err)
-	}
+	tuned.radio = attach(t, m, tuned)
 	c, err := New(e, m, fx.rng, Config{
 		MAC:          ieee80211.RandomMAC(fx.rng),
 		PNL:          pnl.List{{SSID: "Net", Open: true}},
@@ -620,11 +624,9 @@ func TestLateResponsesIgnored(t *testing.T) {
 	m := sim.NewMedium(e, 50)
 	slow := &slowResponder{
 		addr: ieee80211.MAC{0x0a, 0, 0, 0, 0, 1}, pos: geo.Pt(0, 0),
-		engine: e, medium: m, delay: 200 * time.Millisecond, ssid: "Net",
+		engine: e, delay: 200 * time.Millisecond, ssid: "Net",
 	}
-	if err := m.Attach(slow); err != nil {
-		t.Fatal(err)
-	}
+	slow.radio = attach(t, m, slow)
 	rng := rand.New(rand.NewSource(3))
 	c, err := New(e, m, rng, Config{
 		MAC:          ieee80211.RandomMAC(rng),
@@ -652,7 +654,7 @@ type slowResponder struct {
 	addr   ieee80211.MAC
 	pos    geo.Point
 	engine *sim.Engine
-	medium *sim.Medium
+	radio  *sim.Radio
 	delay  time.Duration
 	ssid   string
 }
@@ -667,7 +669,7 @@ func (r *slowResponder) Receive(f *ieee80211.Frame) {
 		}
 		sa := f.SA
 		r.engine.Schedule(r.delay, func() {
-			r.medium.Transmit(&ieee80211.Frame{
+			r.radio.Transmit(&ieee80211.Frame{
 				Subtype: ieee80211.SubtypeProbeResponse,
 				DA:      sa, SA: r.addr, BSSID: r.addr,
 				SSID: r.ssid, Capability: ieee80211.CapESS, Channel: 6,
@@ -675,14 +677,14 @@ func (r *slowResponder) Receive(f *ieee80211.Frame) {
 		})
 	case ieee80211.SubtypeAuth:
 		// Handshakes complete promptly; only probe responses are slow.
-		r.medium.Transmit(&ieee80211.Frame{
+		r.radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeAuth,
 			DA:      f.SA, SA: r.addr, BSSID: r.addr,
 			AuthAlgorithm: ieee80211.AuthOpenSystem, AuthSeq: 2,
 			Status: ieee80211.StatusSuccess,
 		})
 	case ieee80211.SubtypeAssocRequest:
-		r.medium.Transmit(&ieee80211.Frame{
+		r.radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeAssocResponse,
 			DA:      f.SA, SA: r.addr, BSSID: r.addr,
 			Capability: ieee80211.CapESS, Status: ieee80211.StatusSuccess, AssociationID: 1,
@@ -698,18 +700,14 @@ func TestWindowExtensionAllowsSecondResponse(t *testing.T) {
 	m := sim.NewMedium(e, 50)
 	first := &slowResponder{
 		addr: ieee80211.MAC{0x0a, 0, 0, 0, 0, 1}, pos: geo.Pt(0, 0),
-		engine: e, medium: m, delay: 2 * time.Millisecond, ssid: "decoy",
+		engine: e, delay: 2 * time.Millisecond, ssid: "decoy",
 	}
 	second := &slowResponder{
 		addr: ieee80211.MAC{0x0a, 0, 0, 0, 0, 2}, pos: geo.Pt(1, 0),
-		engine: e, medium: m, delay: 10 * time.Millisecond, ssid: "Real Net",
+		engine: e, delay: 10 * time.Millisecond, ssid: "Real Net",
 	}
-	if err := m.Attach(first); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(second); err != nil {
-		t.Fatal(err)
-	}
+	first.radio = attach(t, m, first)
+	second.radio = attach(t, m, second)
 	rng := rand.New(rand.NewSource(4))
 	c, err := New(e, m, rng, Config{
 		MAC:          ieee80211.RandomMAC(rng),
@@ -782,7 +780,7 @@ func TestPreconnectedWithRandomizedMAC(t *testing.T) {
 	if c.Addr() != initial {
 		t.Error("MAC rotated while still associated")
 	}
-	fx.medium.TransmitFrom(fx.resp.addr, &ieee80211.Frame{
+	fx.resp.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeDeauth,
 		DA:      ieee80211.BroadcastMAC, SA: legit, BSSID: legit,
 	})

@@ -69,7 +69,7 @@ func (c *Client) Suspend() (Snapshot, error) {
 	c.state = StateDeparted
 	c.scanEpoch++
 	c.hsEpoch++
-	c.medium.Detach(c.Addr())
+	c.radio.Detach()
 	return snap, nil
 }
 
@@ -95,7 +95,7 @@ func Resume(engine *sim.Engine, medium *sim.Medium, rng *rand.Rand, snap Snapsho
 	c.rotations = snap.Rotations
 	c.nextRotateAt = snap.NextRotateAt
 	c.usedMACs = append([]ieee80211.MAC(nil), snap.UsedMACs...)
-	if err := c.medium.Attach(c); err != nil {
+	if c.radio, err = c.medium.Attach(c); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	if c.cfg.Obs != nil && c.cfg.Obs.Trace != nil {

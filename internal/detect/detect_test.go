@@ -19,8 +19,9 @@ var (
 )
 
 type emitter struct {
-	addr ieee80211.MAC
-	pos  geo.Point
+	addr  ieee80211.MAC
+	pos   geo.Point
+	radio *sim.Radio
 }
 
 func (e *emitter) Addr() ieee80211.MAC      { return e.addr }
@@ -32,28 +33,35 @@ func fixture(t *testing.T, threshold int) (*sim.Engine, *sim.Medium, *Sentinel, 
 	engine := sim.NewEngine()
 	medium := sim.NewMedium(engine, 100)
 	s := NewSentinel(engine, sentinelMAC, geo.Pt(0, 0), threshold)
-	if err := medium.AttachPromiscuous(s); err != nil {
+	if _, err := medium.AttachPromiscuous(s); err != nil {
 		t.Fatal(err)
 	}
 	tx := &emitter{addr: twinMAC, pos: geo.Pt(5, 0)}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, medium, tx)
 	return engine, medium, s, tx
 }
 
-func respond(medium *sim.Medium, from ieee80211.MAC, ssid string) {
-	medium.Transmit(&ieee80211.Frame{
+// attach attaches e to medium and keeps its radio.
+func attach(t *testing.T, medium *sim.Medium, e *emitter) {
+	t.Helper()
+	var err error
+	if e.radio, err = medium.Attach(e); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func respond(from *emitter, ssid string) {
+	from.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeResponse,
-		DA:      clientMAC, SA: from, BSSID: from,
+		DA:      clientMAC, SA: from.addr, BSSID: from.addr,
 		SSID: ssid, Capability: ieee80211.CapESS,
 	})
 }
 
 func TestSentinelFlagsSSIDDiversity(t *testing.T) {
-	engine, medium, s, _ := fixture(t, 5)
+	engine, _, s, twin := fixture(t, 5)
 	for i := 0; i < 10; i++ {
-		respond(medium, twinMAC, fmt.Sprintf("Lure-%d", i))
+		respond(twin, fmt.Sprintf("Lure-%d", i))
 	}
 	engine.RunContext(context.Background(), time.Second)
 	if !s.flagged[twinMAC] {
@@ -80,13 +88,11 @@ func TestSentinelFlagsSSIDDiversity(t *testing.T) {
 func TestSentinelToleratesHonestAP(t *testing.T) {
 	engine, medium, s, _ := fixture(t, 5)
 	honest := &emitter{addr: honestMAC, pos: geo.Pt(-5, 0)}
-	if err := medium.Attach(honest); err != nil {
-		t.Fatal(err)
-	}
+	attach(t, medium, honest)
 	// A real AP repeats the same one or two SSIDs in responses/beacons.
 	for i := 0; i < 50; i++ {
-		respond(medium, honestMAC, "Cafe WiFi")
-		medium.Transmit(&ieee80211.Frame{
+		respond(honest, "Cafe WiFi")
+		honest.radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeBeacon,
 			DA:      ieee80211.BroadcastMAC, SA: honestMAC, BSSID: honestMAC,
 			SSID: "Cafe WiFi Guest",
@@ -102,12 +108,12 @@ func TestSentinelToleratesHonestAP(t *testing.T) {
 }
 
 func TestSentinelIgnoresIrrelevantFrames(t *testing.T) {
-	engine, medium, s, _ := fixture(t, 5)
-	medium.Transmit(&ieee80211.Frame{
+	engine, _, s, twin := fixture(t, 5)
+	twin.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,
 		DA:      ieee80211.BroadcastMAC, SA: twinMAC, SSID: "x",
 	})
-	medium.Transmit(&ieee80211.Frame{
+	twin.radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeResponse,
 		DA:      clientMAC, SA: twinMAC, BSSID: twinMAC, SSID: "",
 	})
@@ -118,15 +124,15 @@ func TestSentinelIgnoresIrrelevantFrames(t *testing.T) {
 }
 
 func TestSentinelDefaultThreshold(t *testing.T) {
-	engine, medium, s, _ := fixture(t, 0)
+	engine, _, s, twin := fixture(t, 0)
 	for i := 0; i < DefaultSSIDThreshold-1; i++ {
-		respond(medium, twinMAC, fmt.Sprintf("L%d", i))
+		respond(twin, fmt.Sprintf("L%d", i))
 	}
 	engine.RunContext(context.Background(), time.Second)
 	if s.flagged[twinMAC] {
 		t.Error("flagged below default threshold")
 	}
-	respond(medium, twinMAC, "one-more")
+	respond(twin, "one-more")
 	engine.RunContext(context.Background(), engine.Now()+time.Second)
 	if !s.flagged[twinMAC] {
 		t.Error("not flagged at default threshold")

@@ -108,14 +108,6 @@ func (j *Journal) Len() int {
 	return len(j.buf)
 }
 
-// Cap returns the ring capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return j.capacity
-}
-
 // Dropped returns how many events were overwritten by newer ones.
 func (j *Journal) Dropped() int {
 	if j == nil {

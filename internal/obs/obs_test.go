@@ -153,8 +153,8 @@ func TestMergeJournals(t *testing.T) {
 		recorded++
 	}
 	m := MergeJournals(4, a, b)
-	if m.Len() != 4 || m.Cap() != 4 {
-		t.Fatalf("Len, Cap = %d, %d, want 4, 4", m.Len(), m.Cap())
+	if m.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", m.Len())
 	}
 	if m.Dropped() != recorded-m.Len() {
 		t.Errorf("Dropped = %d, want recorded %d - kept %d", m.Dropped(), recorded, m.Len())
@@ -172,11 +172,32 @@ func TestMergeJournals(t *testing.T) {
 	if MergeJournals(4, nil, nil) != nil {
 		t.Error("nil journals merged into a recorder")
 	}
+	checkCapacity(t, m, 4)
 }
 
 func TestJournalDefaultCap(t *testing.T) {
-	if got := NewJournal(0).Cap(); got != DefaultJournalCap {
-		t.Fatalf("Cap = %d, want %d", got, DefaultJournalCap)
+	checkCapacity(t, NewJournal(0), DefaultJournalCap)
+}
+
+// checkCapacity fills j to want events and records one more: the ring must
+// keep want events and drop exactly one, the oldest.
+func checkCapacity(t *testing.T, j *Journal, want int) {
+	t.Helper()
+	for j.Len() < want {
+		before := j.Len()
+		j.Record(time.Hour, EventRunStart, "fill", "")
+		if j.Len() != before+1 {
+			t.Fatalf("journal holds %d events, short of its capacity %d", before, want)
+		}
+	}
+	dropped := j.Dropped()
+	j.Record(2*time.Hour, EventRunStart, "last", "")
+	if j.Len() != want || j.Dropped() != dropped+1 {
+		t.Fatalf("one past capacity %d: Len %d, Dropped %d, want %d and %d",
+			want, j.Len(), j.Dropped(), want, dropped+1)
+	}
+	if e := j.Events(); e[len(e)-1].Actor != "last" {
+		t.Fatalf("newest event is %q, want last", e[len(e)-1].Actor)
 	}
 }
 

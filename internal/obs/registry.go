@@ -120,26 +120,6 @@ func (h *Histogram) snapshot() (sum float64, n int64, buckets []BucketCount) {
 	return h.sum, h.n, buckets
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // metricKind discriminates registry entries.
 type metricKind int
 

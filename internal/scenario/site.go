@@ -192,7 +192,7 @@ func deploySite(env *runEnv, venue Venue, id siteIdentity, set strategySet) (*si
 	if cfg.Sentinel {
 		st.sentinel = detect.NewSentinel(env.engine, id.sentinelMAC,
 			venue.Position.Add(geo.Pt(-10, 5)), 0)
-		if err := env.medium.AttachPromiscuous(st.sentinel); err != nil {
+		if _, err := env.medium.AttachPromiscuous(st.sentinel); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 	}
@@ -213,7 +213,7 @@ func deploySite(env *runEnv, venue Venue, id siteIdentity, set strategySet) (*si
 			monitor.DropCounter = rt.Metrics.Counter("trace_monitor_dropped_frames",
 				env.siteLabels(venue.Name)...)
 		}
-		if err := env.medium.AttachPromiscuous(monitor); err != nil {
+		if _, err := env.medium.AttachPromiscuous(monitor); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 		st.monitor = monitor

@@ -73,23 +73,19 @@ func BenchmarkMediumBroadcast100Stations(b *testing.B) {
 	e := NewEngine()
 	m := NewMedium(e, 100)
 	tx := &quietStation{addr: mac(0), pos: geo.Pt(0, 0)}
-	if err := m.Attach(tx); err != nil {
-		b.Fatal(err)
-	}
+	radio := attach(b, m.Attach, tx)
 	for i := 1; i <= 100; i++ {
 		s := &quietStation{
 			addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)},
 			pos:  geo.Pt(float64(i%10), float64(i/10)),
 		}
-		if err := m.Attach(s); err != nil {
-			b.Fatal(err)
-		}
+		attach(b, m.Attach, s)
 	}
 	f := probeReq(tx.addr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Transmit(f)
+		radio.Transmit(f)
 		e.RunContext(context.Background(), e.Now()+time.Millisecond)
 	}
 }
@@ -99,17 +95,13 @@ func BenchmarkMediumUnicast(b *testing.B) {
 	m := NewMedium(e, 100)
 	tx := &fakeStation{addr: mac(0), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(1), pos: geo.Pt(5, 0)}
-	if err := m.Attach(tx); err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Attach(rx); err != nil {
-		b.Fatal(err)
-	}
+	radio := attach(b, m.Attach, tx)
+	attach(b, m.Attach, rx)
 	f := probeResp(tx.addr, rx.addr, "Bench Net")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Transmit(f)
+		radio.Transmit(f)
 		if i%256 == 255 {
 			e.RunContext(context.Background(), e.Now()+time.Second)
 			rx.received = rx.received[:0]
@@ -126,24 +118,20 @@ func BenchmarkMediumBroadcastSpread(b *testing.B) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
 	tx := &quietStation{addr: mac(0), pos: geo.Pt(25, 25)}
-	if err := m.Attach(tx); err != nil {
-		b.Fatal(err)
-	}
+	radio := attach(b, m.Attach, tx)
 	rng := rand.New(rand.NewSource(1))
 	for i := 1; i <= 200; i++ {
 		s := &quietStation{
 			addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)},
 			pos:  geo.Pt(rng.Float64()*150-50, rng.Float64()*150-50),
 		}
-		if err := m.Attach(s); err != nil {
-			b.Fatal(err)
-		}
+		attach(b, m.Attach, s)
 	}
 	f := probeReq(tx.addr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Transmit(f)
+		radio.Transmit(f)
 		e.RunContext(context.Background(), e.Now()+time.Millisecond)
 	}
 }
@@ -155,12 +143,12 @@ func BenchmarkMediumBroadcastSpread(b *testing.B) {
 func BenchmarkMediumBroadcastChannels(b *testing.B) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
-	f := probeReq(channelCrowd(b, m, 150).addr)
+	radio, f := channelCrowd(b, m, 150)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Transmit(f)
+		radio.Transmit(f)
 		e.RunContext(ctx, e.Now()+time.Millisecond)
 	}
 }

@@ -12,42 +12,45 @@ import (
 	"cityhunter/internal/ieee80211"
 )
 
-// fanoutMedium is the surface TestMediumMatchesFullScan drives, on Medium
-// and on the full-scan reference alike.
-type fanoutMedium interface {
-	Attach(Station) error
-	AttachPromiscuous(Station) error
-	Detach(ieee80211.MAC)
-	Moved(ieee80211.MAC)
-	Retuned(ieee80211.MAC)
+// fanoutRadio is the handle surface TestMediumMatchesFullScan drives, on
+// *Radio and on the full-scan reference's *scanRadio alike.
+type fanoutRadio interface {
+	Detach()
+	Moved()
+	Retuned()
 	Transmit(*ieee80211.Frame) time.Duration
-	TransmitFrom(ieee80211.MAC, *ieee80211.Frame) time.Duration
-	TxBusyUntil(ieee80211.MAC) time.Duration
+	BusyUntil() time.Duration
 }
 
 // scanMedium is the medium's definition as a full scan: every delivery
 // walks every attached station in attach order and reads its live Pos and
-// CurrentChannel, so it needs neither Moved nor Retuned. A broadcast's
-// candidates are the stations attached and on its channel when it lands;
-// positions do not change while a fan-out runs in the tests that use it,
-// so the medium's cell query selects the same ones. busy holds every
-// transmitter's busy-until time by MAC, attached or not; a detach forgets
-// an attached station's.
+// CurrentChannel, so its radios need neither Moved nor Retuned. A
+// broadcast's candidates are the stations attached and on its channel
+// when it lands; positions do not change while a fan-out runs in the tests
+// that use it, so the medium's cell query selects the same ones.
 type scanMedium struct {
 	e        *Engine
 	radius   float64
 	stations []Station // attached, in attach order
 	promisc  []Station
-	busy     map[ieee80211.MAC]time.Duration
 	loss     float64
 	rng      *rand.Rand
 
 	sent, delivered, retried int
 }
 
+// scanRadio is a scanMedium handle: it holds its own busy-until time, and
+// its frames are lost once it detaches.
+type scanRadio struct {
+	r        *scanMedium
+	s        Station
+	promisc  bool
+	attached bool
+	busy     time.Duration
+}
+
 func newScanMedium(e *Engine, radius float64, loss float64, seed int64) *scanMedium {
-	return &scanMedium{e: e, radius: radius, busy: make(map[ieee80211.MAC]time.Duration),
-		loss: loss, rng: rand.New(rand.NewSource(seed))}
+	return &scanMedium{e: e, radius: radius, loss: loss, rng: rand.New(rand.NewSource(seed))}
 }
 
 // find returns the attached station with the given address, nil if none.
@@ -60,55 +63,50 @@ func find(stations []Station, addr ieee80211.MAC) Station {
 	return nil
 }
 
-func (r *scanMedium) Attach(s Station) error {
+func (r *scanMedium) attach(s Station, promisc bool) (*scanRadio, error) {
 	if find(r.stations, s.Addr()) != nil || find(r.promisc, s.Addr()) != nil {
-		return errDuplicate
+		return nil, errDuplicate
 	}
-	r.stations = append(r.stations, s)
-	return nil
+	if promisc {
+		r.promisc = append(r.promisc, s)
+	} else {
+		r.stations = append(r.stations, s)
+	}
+	return &scanRadio{r: r, s: s, promisc: promisc, attached: true}, nil
 }
 
-func (r *scanMedium) AttachPromiscuous(s Station) error {
-	if find(r.stations, s.Addr()) != nil || find(r.promisc, s.Addr()) != nil {
-		return errDuplicate
-	}
-	r.promisc = append(r.promisc, s)
-	return nil
-}
-
-func (r *scanMedium) Detach(addr ieee80211.MAC) {
-	del := func(s Station) bool { return s.Addr() == addr }
-	if find(r.promisc, addr) != nil {
-		r.promisc = slices.DeleteFunc(r.promisc, del)
+func (x *scanRadio) Detach() {
+	if x == nil || !x.attached {
 		return
 	}
-	if find(r.stations, addr) != nil {
-		r.stations = slices.DeleteFunc(r.stations, del)
-		delete(r.busy, addr)
-	}
+	x.attached = false
+	del := func(s Station) bool { return s == x.s }
+	x.r.promisc = slices.DeleteFunc(x.r.promisc, del)
+	x.r.stations = slices.DeleteFunc(x.r.stations, del)
 }
 
-func (r *scanMedium) Moved(ieee80211.MAC)   {}
-func (r *scanMedium) Retuned(ieee80211.MAC) {}
+func (x *scanRadio) Moved()   {}
+func (x *scanRadio) Retuned() {}
 
-func (r *scanMedium) Transmit(f *ieee80211.Frame) time.Duration { return r.TransmitFrom(f.SA, f) }
-
-func (r *scanMedium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duration {
-	var txCh uint8
-	if s := find(r.stations, tx); s != nil {
-		txCh = tunedTo(s)
+func (x *scanRadio) BusyUntil() time.Duration {
+	if x == nil || !x.attached {
+		return 0
 	}
-	start := max(r.e.Now(), r.busy[tx])
-	done := start + f.Airtime()
-	r.busy[tx] = done
+	return x.busy
+}
+
+func (x *scanRadio) Transmit(f *ieee80211.Frame) time.Duration {
+	if x == nil || !x.attached || x.promisc {
+		return 0
+	}
+	r := x.r
+	x.busy = max(r.e.Now(), x.busy) + f.Airtime()
 	r.sent++
-	r.schedule(done, tx, txCh, f, unicastRetryLimit)
-	return done
+	r.schedule(x.busy, x, tunedTo(x.s), f, unicastRetryLimit)
+	return x.busy
 }
 
-func (r *scanMedium) TxBusyUntil(addr ieee80211.MAC) time.Duration { return r.busy[addr] }
-
-func (r *scanMedium) schedule(at time.Duration, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retries int) {
+func (r *scanMedium) schedule(at time.Duration, tx *scanRadio, txCh uint8, f *ieee80211.Frame, retries int) {
 	r.e.At(at, func() { r.deliver(tx, txCh, f, retries) })
 }
 
@@ -120,17 +118,14 @@ func (r *scanMedium) receives(txPos geo.Point, rx Station) bool {
 	return r.loss == 0 || r.rng.Float64() < 1-r.loss
 }
 
-func (r *scanMedium) deliver(tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retries int) {
-	txs := find(r.stations, tx)
-	if txs == nil {
+func (r *scanMedium) deliver(tx *scanRadio, txCh uint8, f *ieee80211.Frame, retries int) {
+	if !tx.attached {
 		return
 	}
+	txs := tx.s
 	txPos := txs.Pos()
 	for _, rx := range slices.Clone(r.promisc) {
-		if !slices.Contains(r.promisc, rx) || rx.Addr() == tx {
-			continue
-		}
-		if hears(txCh, tunedTo(rx)) && r.receives(txPos, rx) {
+		if slices.Contains(r.promisc, rx) && hears(txCh, tunedTo(rx)) && r.receives(txPos, rx) {
 			rx.Receive(f)
 		}
 	}
@@ -227,14 +222,16 @@ func (s *scanTuner) CurrentChannel() uint8 { return s.ch }
 // test drives two in lockstep.
 type scanWorld struct {
 	e         *Engine
-	m         fanoutMedium
+	attachTo  func(s Station, promisc bool) (fanoutRadio, error)
+	none      fanoutRadio // a nil radio of the world's kind
 	sts       []*scanStation
-	as        []Station // what was attached for sts[i]
+	as        []Station     // what was attached for sts[i]
+	radios    []fanoutRadio // sts[i]'s latest radio, none before it attaches
 	tuners    []*scanTuner
 	log       []heard
 	nextAddr  int
 	midFanout int
-	retired   []ieee80211.MAC // addresses MAC rotations left behind
+	retired   []fanoutRadio // radios MAC rotations left behind
 }
 
 // add creates a station: kind 0–3 tuned to channel 1, 6, 11 or 0, 4
@@ -256,30 +253,28 @@ func (w *scanWorld) add(kind byte, p geo.Point, ch uint8) *scanStation {
 		st = tu
 	}
 	w.sts, w.as, w.tuners = append(w.sts, s), append(w.as, st), append(w.tuners, tu)
+	w.radios = append(w.radios, w.none)
 	return s
 }
 
-// attach attaches sts[i], recording whether the medium took it.
+// attach attaches sts[i], recording whether the medium took it and the
+// radio it handed out.
 func (w *scanWorld) attach(i int) {
-	s := w.sts[i]
-	var err error
-	if s.promisc {
-		err = w.m.AttachPromiscuous(w.as[i])
-	} else {
-		err = w.m.Attach(w.as[i])
+	r, err := w.attachTo(w.as[i], w.sts[i].promisc)
+	if w.sts[i].attached = err == nil; err == nil {
+		w.radios[i] = r
 	}
-	s.attached = err == nil
 }
 
 func (w *scanWorld) detach(i int) {
-	w.m.Detach(w.sts[i].addr)
+	w.radios[i].Detach()
 	w.sts[i].attached = false
 }
 
 func (w *scanWorld) retune(i int, ch uint8) {
 	if tu := w.tuners[i]; tu != nil {
 		tu.ch = ch
-		w.m.Retuned(tu.addr)
+		w.radios[i].Retuned()
 	}
 }
 
@@ -319,43 +314,53 @@ var scanChannels = []uint8{0, 1, 6, 11}
 // runFanout decodes ops four bytes at a time and applies each to a Medium
 // and to the full-scan reference, both with frame loss at 30 %. It checks
 // that every transmission returned the same end time and, after every
-// operation, that every address the stations have held reports the same
-// TxBusyUntil. At the end it checks that they delivered the same frames to
+// operation, that every radio the stations have held reports the same
+// BusyUntil. At the end it checks that they delivered the same frames to
 // the same stations at the same times in the same order, counted the same,
 // and left the loss RNG at the same position. It returns the Medium's
 // compaction count and the number of actions run mid-fan-out.
-func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFanout int) {
+func runFanout(t *testing.T, ops []byte, seed int64) (compactions int, midFanout int) {
 	t.Helper()
 	const radius, loss = 50.0, 0.3
 	real, ref := NewEngine(), NewEngine()
 	m := NewMedium(real, radius)
 	m.SetFrameLoss(loss, seed)
+	reg := meter(m)
 	sm := newScanMedium(ref, radius, loss, seed)
-	worlds := [2]*scanWorld{{e: real, m: m}, {e: ref, m: sm}}
+	worlds := [2]*scanWorld{
+		{e: real, none: (*Radio)(nil), attachTo: func(s Station, promisc bool) (fanoutRadio, error) {
+			attach := m.Attach
+			if promisc {
+				attach = m.AttachPromiscuous
+			}
+			r, err := attach(s)
+			return r, err
+		}},
+		{e: ref, none: (*scanRadio)(nil), attachTo: func(s Station, promisc bool) (fanoutRadio, error) {
+			r, err := sm.attach(s, promisc)
+			return r, err
+		}},
+	}
 	each := func(fn func(w *scanWorld)) {
 		for _, w := range worlds {
 			fn(w)
 		}
 	}
 	var seq uint16
-	// transmit sends f from tx, through Transmit when tx is f's SA.
-	transmit := func(tx ieee80211.MAC, f *ieee80211.Frame) {
+	// transmit sends f through station i's radio, whatever f's SA.
+	transmit := func(i int, f *ieee80211.Frame) {
 		seq++
 		f.Seq = seq
 		var done [2]time.Duration
-		for i, w := range worlds {
-			if tx == f.SA {
-				done[i] = w.m.Transmit(f)
-			} else {
-				done[i] = w.m.TransmitFrom(tx, f)
-			}
+		for k, w := range worlds {
+			done[k] = w.radios[i].Transmit(f)
 		}
 		if done[0] != done[1] {
-			t.Fatalf("transmission %d from %v ends at %v on the medium, %v on the full scan", seq, tx, done[0], done[1])
+			t.Fatalf("transmission %d from station %d ends at %v on the medium, %v on the full scan", seq, i, done[0], done[1])
 		}
 	}
 	for ; len(ops) >= 4; ops = ops[4:] {
-		op, a, b, c := ops[0]%13, ops[1], ops[2], ops[3]
+		op, a, b, c := ops[0]%12, ops[1], ops[2], ops[3]
 		n := len(worlds[0].sts)
 		switch {
 		case op <= 1 && n >= 300:
@@ -374,18 +379,18 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 			each(func(w *scanWorld) { w.detach(int(a) % n) })
 		case op == 3:
 			each(func(w *scanWorld) {
-				s := w.sts[int(a)%n]
-				s.pos = geo.Pt(scanCoord(b), scanCoord(c))
-				w.m.Moved(s.addr)
+				i := int(a) % n
+				w.sts[i].pos = geo.Pt(scanCoord(b), scanCoord(c))
+				w.radios[i].Moved()
 			})
 		case op == 4:
 			each(func(w *scanWorld) { w.retune(int(a)%n, scanChannels[b%4]) })
 		case op == 5:
-			sa := worlds[0].sts[int(a)%n].addr
-			transmit(sa, probeReq(sa))
+			i := int(a) % n
+			transmit(i, probeReq(worlds[0].sts[i].addr))
 		case op == 6:
-			sa := worlds[0].sts[int(a)%n].addr
-			transmit(sa, probeResp(sa, worlds[0].sts[int(b)%n].addr, "Net"))
+			i := int(a) % n
+			transmit(i, probeResp(worlds[0].sts[i].addr, worlds[0].sts[int(b)%n].addr, "Net"))
 		case op == 7:
 			act := scanAction{kind: b, target: int(c), ch: scanChannels[c%4]}
 			each(func(w *scanWorld) { w.sts[int(a)%n].act = &act })
@@ -394,11 +399,12 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 				w.e.RunContext(context.Background(), w.e.Now()+(time.Duration(a)+1)*100*time.Microsecond)
 			})
 		case op == 9:
-			// A MAC rotation: leave, re-key, come back at the table's end.
+			// A MAC rotation: leave, re-key, come back at the table's end
+			// with a new radio.
 			each(func(w *scanWorld) {
 				i := int(a) % n
 				w.detach(i)
-				w.retired = append(w.retired, w.sts[i].addr)
+				w.retired = append(w.retired, w.radios[i])
 				w.nextAddr++
 				w.sts[i].addr = ieee80211.MAC{0x02, 1, 0, 0, byte(w.nextAddr >> 8), byte(w.nextAddr)}
 				w.attach(i)
@@ -412,19 +418,16 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 		case op == 11:
 			// A spoofed frame: the radio of one station, another's SA.
 			sts := worlds[0].sts
-			transmit(sts[int(a)%n].addr, probeResp(sts[int(b)%n].addr, sts[int(c)%n].addr, "Net"))
-		case op == 12:
-			// A station that transmits before it attaches (op 10 may
-			// attach it later).
-			each(func(w *scanWorld) { w.add(a, geo.Pt(scanCoord(b), scanCoord(c)), scanChannels[a%4]) })
-			sa := worlds[0].sts[n].addr
-			transmit(sa, probeReq(sa))
+			transmit(int(a)%n, probeResp(sts[int(b)%n].addr, sts[int(c)%n].addr, "Net"))
 		}
 		for i, s := range worlds[0].sts {
-			checkBusy(t, worlds, s.addr, worlds[1].sts[i].addr)
+			if s.addr != worlds[1].sts[i].addr {
+				t.Fatalf("station %d is %v on the medium, %v on the full scan", i, s.addr, worlds[1].sts[i].addr)
+			}
+			checkBusy(t, worlds[0].radios[i], worlds[1].radios[i])
 		}
-		for i, a := range worlds[0].retired {
-			checkBusy(t, worlds, a, worlds[1].retired[i])
+		for i, r := range worlds[0].retired {
+			checkBusy(t, r, worlds[1].retired[i])
 		}
 	}
 	each(func(w *scanWorld) { w.e.RunContext(context.Background(), w.e.Now()+time.Hour) })
@@ -438,44 +441,47 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions uint64, midFan
 	if len(got.log) != len(want.log) {
 		t.Fatalf("medium made %d receptions, full scan %d", len(got.log), len(want.log))
 	}
-	if m.FramesSent != sm.sent || m.FramesDelivered != sm.delivered || m.FramesRetried != sm.retried {
+	snap := reg.Snapshot()
+	var sent, delivered int
+	for _, sub := range []ieee80211.FrameSubtype{ieee80211.SubtypeProbeRequest, ieee80211.SubtypeProbeResponse} {
+		sent += int(snap.Value("medium_frames_sent", "subtype", sub.String()))
+		delivered += int(snap.Value("medium_frames_delivered", "subtype", sub.String()))
+	}
+	if retried := int(snap.Value("medium_frames_retried")); sent != sm.sent || delivered != sm.delivered || retried != sm.retried {
 		t.Fatalf("sent/delivered/retried: medium %d/%d/%d, full scan %d/%d/%d",
-			m.FramesSent, m.FramesDelivered, m.FramesRetried, sm.sent, sm.delivered, sm.retried)
+			sent, delivered, retried, sm.sent, sm.delivered, sm.retried)
 	}
 	if g, w := m.lossRNG.Int63(), sm.rng.Int63(); g != w {
 		t.Fatalf("loss RNG out of step: next draw %d on the medium, %d on the full scan", g, w)
 	}
-	return m.compactGen, got.midFanout
+	return int(snap.Value("medium_compactions")), got.midFanout
 }
 
-// checkBusy compares TxBusyUntil for one address, which both worlds of
-// runFanout hand out alike.
-func checkBusy(t *testing.T, worlds [2]*scanWorld, a, b ieee80211.MAC) {
+// checkBusy compares BusyUntil for one station's radio in both worlds of
+// runFanout.
+func checkBusy(t *testing.T, got, want fanoutRadio) {
 	t.Helper()
-	if a != b {
-		t.Fatalf("address %v on the medium is %v on the full scan", a, b)
-	}
-	if g, w := worlds[0].m.TxBusyUntil(a), worlds[1].m.TxBusyUntil(a); g != w {
-		t.Fatalf("TxBusyUntil(%v): medium %v, full scan %v", a, g, w)
+	if g, w := got.BusyUntil(), want.BusyUntil(); g != w {
+		t.Fatalf("BusyUntil: medium %v, full scan %v", g, w)
 	}
 }
 
 // TestMediumMatchesFullScan drives random stations — tuned to channels 1,
 // 6 and 11, tuned to channel 0, untuned and promiscuous — through random
 // moves, retunes, MAC rotations, detach/attach churn and compactions, with
-// broadcasts, unicasts, spoofed frames and frames from stations not yet
-// attached under frame loss, and Receive callbacks that detach, retune and
-// attach stations mid-fan-out. It checks every delivery, every
-// transmission's end time and every address's busy-until time against a
-// full scan of the attached stations.
+// broadcasts, unicasts, spoofed frames and transmissions through detached
+// and never-attached radios under frame loss, and Receive callbacks that
+// detach, retune and attach stations mid-fan-out. It checks every
+// delivery, every transmission's end time and every radio's busy-until
+// time against a full scan of the attached stations.
 func TestMediumMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var compactions uint64
+	var compactions int
 	var mid int
 	for trial := 0; trial < 60; trial++ {
 		ops := make([]byte, 0, 4*400)
 		for k := 0; k < 400; k++ {
-			op := byte(rng.Intn(13))
+			op := byte(rng.Intn(12))
 			if k < 4 {
 				op = 1 // start from a crowd
 			}

@@ -17,9 +17,9 @@ import (
 // model for monitor-mode sniffers and for tests that do not care.
 //
 // The medium reads CurrentChannel when the station attaches and again
-// whenever Medium.Retuned reports a change; it never asks on the delivery
-// path. A tuner whose channel changes while attached must report each
-// change through Retuned, or it keeps hearing its old channel.
+// whenever its Radio.Retuned reports a change; it never asks on the
+// delivery path. A tuner whose channel changes while attached must report
+// each change through Retuned, or it keeps hearing its old channel.
 type ChannelTuner interface {
 	// CurrentChannel returns the channel the radio is tuned to right now
 	// (0 behaves as channel-agnostic).
@@ -30,16 +30,18 @@ type ChannelTuner interface {
 // legitimate APs.
 type Station interface {
 	// Addr returns the station's MAC address. It must be unique on the
-	// medium and stable for the station's lifetime.
+	// medium and stable while the station is attached; a station that
+	// changes it (a MAC rotation) detaches first and attaches again.
 	Addr() ieee80211.MAC
 	// Pos returns the station's current position. The medium reads it when
-	// the station attaches and whenever Medium.Moved reports a change, and
-	// keeps that position for broadcast fan-out and for the station's own
-	// transmissions; only a unicast receiver's and a monitor-mode
-	// station's positions are read live at delivery time. A station whose position changes while attached must
-	// report each change through Medium.Moved, and a ChannelTuner each
-	// channel change through Medium.Retuned — the medium's spatial delivery
-	// index relies on both to keep broadcast fan-out exact.
+	// the station attaches and whenever its Radio.Moved reports a change,
+	// and keeps that position for broadcast fan-out and for the station's
+	// own transmissions; only a unicast receiver's and a monitor-mode
+	// station's positions are read live at delivery time. A station whose
+	// position changes while attached must report each change through
+	// Moved, and a ChannelTuner each channel change through Retuned — the
+	// medium's spatial delivery index relies on both to keep broadcast
+	// fan-out exact.
 	Pos() geo.Point
 	// Receive delivers a frame that arrived at the station's antenna. The
 	// medium owns f: it is valid only during the call and is reused once
@@ -47,12 +49,28 @@ type Station interface {
 	Receive(f *ieee80211.Frame)
 }
 
+// Radio is a station's handle on the medium, returned by Attach and
+// AttachPromiscuous: the station transmits, and reports moves and retunes,
+// through it, so the medium never looks a station's own radio up by MAC.
+// Methods on a nil or detached Radio are no-ops. Attaching again (after a
+// MAC rotation, say) gives a new Radio, and frames the old one had in
+// flight are lost.
+type Radio struct {
+	m *Medium
+	// s is the station, nil once detached (and in a zero Radio).
+	s Station
+	// slot is the radio's index in the medium's station table, or in its
+	// monitor table if promisc. Compaction keeps it current.
+	slot    int32
+	promisc bool
+}
+
 // Medium is a shared broadcast RF channel. Frames sent by one station are
 // delivered, after their airtime, to every other attached station within
-// radio range of the transmitter at delivery time. Per-transmitter
-// serialization models the half-duplex radio: a station's next frame starts
-// only after its previous one finished, which is exactly what limits an
-// attacker to ~40 probe responses per 10 ms scan window.
+// radio range of the transmitter at delivery time. Per-radio serialization
+// models the half-duplex radio: a station's next frame starts only after
+// its previous one finished, which is exactly what limits an attacker to
+// ~40 probe responses per 10 ms scan window.
 //
 // Broadcast delivery iterates stations in attach order, so runs are
 // deterministic for a given seed. Each station gets a slot when it attaches,
@@ -79,16 +97,20 @@ type Medium struct {
 	// candidate query.
 	radius float64
 
-	// order holds attached stations in attach order, with pos and ch
-	// their positions and channels as last reported and busy the time
-	// each one's transmit queue drains; index maps a packed MAC (macKey)
-	// to its slot. Detached slots are nil and recycled lazily, so an
-	// ascending slot scan is an attach-order scan.
-	order []Station
+	// order holds the attached radios in attach order, with pos and ch
+	// their stations' positions and channels as last reported and busy
+	// the time each one's transmit queue drains. Detached slots are nil
+	// and recycled lazily, so an ascending slot scan is an attach-order
+	// scan.
+	order []*Radio
 	pos   []geo.Point
 	ch    []uint8
 	busy  []time.Duration
-	index map[uint64]int
+	// tombstones counts order's nil slots.
+	tombstones int
+	// index maps a packed MAC (macKey) to its attached radio, promiscuous
+	// ones included: it addresses unicast frames and refuses duplicates.
+	index map[uint64]*Radio
 
 	// grids[c] buckets the slots tuned to channel c by position for
 	// broadcast delivery, each cell in ascending slot order, so slot i
@@ -107,23 +129,14 @@ type Medium struct {
 	// numbers — the transmitter's and the broadcast candidates' — hold for
 	// the whole delivery.
 	delivering bool
-	// compactGen counts station-table compactions; a slot number taken
-	// under an older generation may name another station.
-	compactGen uint64
 
-	// promisc holds monitor-mode stations and promiscCh their channels:
-	// they hear every in-range frame regardless of its destination, and
-	// are never addressable.
-	promisc      []Station
-	promiscCh    []uint8
-	promiscIndex map[uint64]int
+	// promisc holds monitor-mode radios and promiscCh their channels: they
+	// hear every in-range frame regardless of its destination, and are
+	// never addressable.
+	promisc   []*Radio
+	promiscCh []uint8
 
-	// busyUntil holds the busy-until times of transmitters that are not
-	// attached (promiscuous stations, or a MAC that transmits before it
-	// attaches); Attach moves a MAC's entry into busy.
-	busyUntil map[uint64]time.Duration
-
-	// deliverPool recycles the frame-delivery events TransmitFrom and the
+	// deliverPool recycles the frame-delivery events Radio.Transmit and the
 	// retry paths schedule. Each event carries its frame by value, so
 	// steady-state transmission allocates neither frames nor closures.
 	deliverPool []*deliverEvent
@@ -132,13 +145,6 @@ type Medium struct {
 	// draws for it.
 	loss    float64
 	lossRNG *rand.Rand
-
-	// FramesSent counts every transmission accepted by the medium.
-	FramesSent int
-	// FramesDelivered counts every successful delivery to a receiver.
-	FramesDelivered int
-	// FramesRetried counts unicast retransmissions after a lost frame.
-	FramesRetried int
 
 	// Observability handles, indexed by frame subtype; all nil when
 	// uninstrumented (nil handles no-op).
@@ -197,13 +203,11 @@ func NewMedium(engine *Engine, radius float64) *Medium {
 		panic("sim: medium radius: " + err.Error())
 	}
 	return &Medium{
-		engine:       engine,
-		radius:       radius,
-		grids:        []*geo.HashGrid{agnostic},
-		inUse:        []*geo.HashGrid{agnostic},
-		index:        make(map[uint64]int),
-		promiscIndex: make(map[uint64]int),
-		busyUntil:    make(map[uint64]time.Duration),
+		engine: engine,
+		radius: radius,
+		grids:  []*geo.HashGrid{agnostic},
+		inUse:  []*geo.HashGrid{agnostic},
+		index:  make(map[uint64]*Radio),
 	}
 }
 
@@ -216,7 +220,7 @@ func macKey(a ieee80211.MAC) uint64 {
 }
 
 // tunedTo returns the channel s is tuned to, 0 for a channel-agnostic
-// station. Only Attach, AttachPromiscuous and Retuned ask.
+// station. Only Attach, AttachPromiscuous and Radio.Retuned ask.
 func tunedTo(s Station) uint8 {
 	if t, ok := s.(ChannelTuner); ok {
 		return t.CurrentChannel()
@@ -268,87 +272,88 @@ func (m *Medium) receives(tx, rx geo.Point, sub ieee80211.FrameSubtype) bool {
 	return m.inRange(tx, rx) && !m.dropped(sub)
 }
 
-// Attach registers s on the medium. Attaching a MAC twice is a programming
-// error and returns one.
-func (m *Medium) Attach(s Station) error {
-	if err := m.checkNew(s.Addr()); err != nil {
-		return err
+// Attach registers s on the medium and returns its radio. Attaching a MAC
+// twice is a programming error and returns one.
+func (m *Medium) Attach(s Station) (*Radio, error) {
+	r, err := m.newRadio(s, len(m.order), false)
+	if err != nil {
+		return nil, err
 	}
-	i := len(m.order)
-	p, c, key := s.Pos(), tunedTo(s), macKey(s.Addr())
-	m.index[key] = i
-	m.order = append(m.order, s)
+	p, c := s.Pos(), tunedTo(s)
+	m.order = append(m.order, r)
 	m.pos = append(m.pos, p)
 	m.ch = append(m.ch, c)
-	m.busy = append(m.busy, m.busyUntil[key])
-	delete(m.busyUntil, key)
-	m.grid(c).Insert(int32(i), p)
-	return nil
+	m.busy = append(m.busy, 0)
+	m.grid(c).Insert(r.slot, p)
+	return r, nil
 }
 
 // AttachPromiscuous registers s as a monitor-mode station: it receives
 // every frame whose transmitter is in range — unicast or broadcast, to
 // anyone — exactly like a sniffer in monitor mode. Promiscuous stations
-// are not addressable (frames sent to their MAC go nowhere) and should not
-// transmit.
-func (m *Medium) AttachPromiscuous(s Station) error {
-	if err := m.checkNew(s.Addr()); err != nil {
-		return err
+// are not addressable (frames sent to their MAC go nowhere) and do not
+// transmit: their radio's Transmit is a no-op.
+func (m *Medium) AttachPromiscuous(s Station) (*Radio, error) {
+	r, err := m.newRadio(s, len(m.promisc), true)
+	if err != nil {
+		return nil, err
 	}
-	m.promiscIndex[macKey(s.Addr())] = len(m.promisc)
-	m.promisc = append(m.promisc, s)
+	m.promisc = append(m.promisc, r)
 	m.promiscCh = append(m.promiscCh, tunedTo(s))
-	return nil
+	return r, nil
 }
 
-func (m *Medium) checkNew(addr ieee80211.MAC) error {
+// newRadio indexes a radio for s at the given slot, refusing a MAC that is
+// already attached.
+func (m *Medium) newRadio(s Station, slot int, promisc bool) (*Radio, error) {
+	addr := s.Addr()
 	if _, dup := m.index[macKey(addr)]; dup {
-		return fmt.Errorf("sim: station %v already attached", addr)
+		return nil, fmt.Errorf("sim: station %v already attached", addr)
 	}
-	if _, dup := m.promiscIndex[macKey(addr)]; dup {
-		return fmt.Errorf("sim: station %v already attached promiscuously", addr)
-	}
-	return nil
+	r := &Radio{m: m, s: s, slot: int32(slot), promisc: promisc}
+	m.index[macKey(addr)] = r
+	return r, nil
 }
 
-// Detach removes the station with the given address; frames already in
-// flight to it are dropped at delivery time. Detaching an unknown address
-// is a no-op so departing clients can detach unconditionally.
-func (m *Medium) Detach(addr ieee80211.MAC) {
-	key := macKey(addr)
-	if pi, ok := m.promiscIndex[key]; ok {
-		m.promisc[pi] = nil
-		delete(m.promiscIndex, key)
+// attached reports whether r is a live handle.
+func (r *Radio) attached() bool { return r != nil && r.s != nil }
+
+// Detach removes the radio's station from the medium; frames already in
+// flight to or from it are lost. Detaching twice is a no-op, so departing
+// stations can detach unconditionally.
+func (r *Radio) Detach() {
+	if !r.attached() {
 		return
 	}
-	i, ok := m.index[key]
-	if !ok {
+	m, i := r.m, r.slot
+	delete(m.index, macKey(r.s.Addr()))
+	r.s = nil
+	if r.promisc {
+		m.promisc[i] = nil
 		return
 	}
 	m.unbucket(i)
 	m.order[i] = nil
-	m.busy[i] = 0
-	delete(m.index, key)
+	m.tombstones++
 	if !m.delivering {
 		m.maybeCompact()
 	}
 }
 
-// Moved records a station's new position and re-buckets it in the spatial
-// delivery index. Every station whose position changes while attached
-// must call it (or be moved through it); a stale position can hide the
-// station from broadcasts it should hear, or let it hear ones it should
-// not. A move during a broadcast's fan-out counts for that fan-out's range
-// check, though not for its candidate set. Unknown addresses are a no-op,
-// so movers may report unconditionally — before Attach, after Detach, or
-// for promiscuous stations (which are not spatially indexed).
-func (m *Medium) Moved(addr ieee80211.MAC) {
-	i, ok := m.index[macKey(addr)]
-	if !ok {
+// Moved records the station's new position and re-buckets it in the
+// spatial delivery index. Every station whose position changes while
+// attached must call it; a stale position can hide the station from
+// broadcasts it should hear, or let it hear ones it should not. A move
+// during a broadcast's fan-out counts for that fan-out's range check,
+// though not for its candidate set. It is a no-op for a promiscuous radio,
+// whose position is read live, so movers may report unconditionally.
+func (r *Radio) Moved() {
+	if !r.attached() || r.promisc {
 		return
 	}
-	g, p := m.grids[m.ch[i]], m.order[i].Pos()
-	g.Move(int32(i), g.Key(m.pos[i]), p)
+	m, i := r.m, r.slot
+	g, p := m.grids[m.ch[i]], r.s.Pos()
+	g.Move(i, g.Key(m.pos[i]), p)
 	m.pos[i] = p
 }
 
@@ -356,53 +361,62 @@ func (m *Medium) Moved(addr ieee80211.MAC) {
 // channel's spatial grid. Every tuner whose channel changes while attached
 // must call it; until it does, the medium delivers to and from the station
 // on its old channel. A retune during a broadcast's fan-out counts for
-// that fan-out's channel check, though not for its candidate set. Like
-// Moved, it is a no-op for unknown addresses and cheap when the channel is
-// unchanged, so tuners may report unconditionally.
-func (m *Medium) Retuned(addr ieee80211.MAC) {
-	key := macKey(addr)
-	if pi, ok := m.promiscIndex[key]; ok {
-		m.promiscCh[pi] = tunedTo(m.promisc[pi])
+// that fan-out's channel check, though not for its candidate set. It is
+// cheap when the channel is unchanged, so tuners may report
+// unconditionally.
+func (r *Radio) Retuned() {
+	if !r.attached() {
 		return
 	}
-	i, ok := m.index[key]
-	if !ok {
+	m, i, c := r.m, r.slot, tunedTo(r.s)
+	if r.promisc {
+		m.promiscCh[i] = c
 		return
 	}
-	c := tunedTo(m.order[i])
 	if c == m.ch[i] {
 		return
 	}
 	m.unbucket(i)
 	m.ch[i] = c
-	m.grid(c).Insert(int32(i), m.pos[i])
+	m.grid(c).Insert(i, m.pos[i])
+}
+
+// BusyUntil returns when the radio's transmit queue drains; before that
+// time a new Transmit is queued behind earlier frames. It is 0 for a nil,
+// detached or promiscuous radio.
+func (r *Radio) BusyUntil() time.Duration {
+	if !r.attached() || r.promisc {
+		return 0
+	}
+	return r.m.busy[r.slot]
 }
 
 // unbucket removes slot i from its channel's grid.
-func (m *Medium) unbucket(i int) {
+func (m *Medium) unbucket(i int32) {
 	g := m.grids[m.ch[i]]
-	g.Remove(int32(i), g.Key(m.pos[i]))
+	g.Remove(i, g.Key(m.pos[i]))
 }
 
-// maybeCompact drops the station table's tombstones once more than half
-// its slots are, preserving attach order. It runs between deliveries only,
-// so it rewrites the per-slot arrays in place, and renumbers every grid's
-// slots through a monotone map, which keeps each cell ascending.
+// maybeCompact drops the station table's tombstones once it has at least
+// 64 slots and half of them are, preserving attach order. It runs between
+// deliveries only, so it rewrites the per-slot arrays and each live
+// radio's slot in place, and renumbers every grid's slots through a
+// monotone map, which keeps each cell ascending.
 func (m *Medium) maybeCompact() {
-	if len(m.order) < 64 || len(m.index)*2 > len(m.order) {
+	if len(m.order) < 64 || m.tombstones*2 < len(m.order) {
 		return
 	}
 	m.mCompactions.Inc()
-	m.compactGen++
+	m.tombstones = 0
 	renumber := m.renumber[:0]
-	n := 0
-	for i, s := range m.order {
-		renumber = append(renumber, int32(n))
-		if s == nil {
+	n := int32(0)
+	for i, r := range m.order {
+		renumber = append(renumber, n)
+		if r == nil {
 			continue
 		}
-		m.order[n], m.pos[n], m.ch[n], m.busy[n] = s, m.pos[i], m.ch[i], m.busy[i]
-		m.index[macKey(s.Addr())] = n
+		m.order[n], m.pos[n], m.ch[n], m.busy[n] = r, m.pos[i], m.ch[i], m.busy[i]
+		r.slot = n
 		n++
 	}
 	clear(m.order[n:])
@@ -413,91 +427,67 @@ func (m *Medium) maybeCompact() {
 	m.renumber = renumber
 }
 
-// Transmit queues f for transmission by the station with MAC f.SA. The
-// frame goes on air once the transmitter's previous frame has finished
-// (half-duplex serialization) and is delivered after its airtime to every
-// in-range station — to the unicast destination only, or to everyone for
-// broadcast destinations. Transmit returns the time the frame will finish
-// transmitting. An attached transmitter's channel and busy-until time sit
-// in its slot, so the call costs one MAC lookup.
+// Transmit queues f for transmission on the radio, whatever f.SA says (a
+// spoofed frame radiates from the spoofer's radio, so range and airtime
+// are charged to it). The frame goes on air once the radio's previous
+// frame has finished (half-duplex serialization) and is delivered after
+// its airtime to every in-range station — to the unicast destination only,
+// or to everyone for broadcast destinations. Transmit returns the time the
+// frame will finish transmitting; on a nil, detached or promiscuous radio
+// it sends nothing and returns 0.
 //
 // The medium copies *f before Transmit returns, so the caller may reuse f
 // or keep it on its stack.
-func (m *Medium) Transmit(f *ieee80211.Frame) time.Duration {
-	return m.TransmitFrom(f.SA, f)
-}
-
-// TransmitFrom is Transmit with an explicit physical transmitter, which may
-// differ from the frame's SA: spoofed frames (the deauthentication attack
-// forges the legitimate AP's address) radiate from the spoofer's radio, so
-// range and airtime are charged to the spoofer.
-func (m *Medium) TransmitFrom(tx ieee80211.MAC, f *ieee80211.Frame) time.Duration {
-	// The PHY channel is pinned at transmit time: if the transmitter
-	// hops before the frame lands, the tail still went out on the old
-	// channel. An unattached transmitter is agnostic and has no slot.
-	key := macKey(tx)
-	now, slot := m.engine.Now(), int32(-1)
-	var txCh uint8
-	var done time.Duration
-	if i, ok := m.index[key]; ok {
-		slot, txCh = int32(i), m.ch[i]
-		done = max(now, m.busy[i]) + f.Airtime()
-		m.busy[i] = done
-	} else {
-		done = max(now, m.busyUntil[key]) + f.Airtime()
-		m.busyUntil[key] = done
+func (r *Radio) Transmit(f *ieee80211.Frame) time.Duration {
+	if !r.attached() || r.promisc {
+		return 0
 	}
-	m.FramesSent++
+	// The PHY channel is pinned at transmit time: if the transmitter hops
+	// before the frame lands, the tail still went out on the old channel.
+	m, i := r.m, r.slot
+	done := max(m.engine.Now(), m.busy[i]) + f.Airtime()
+	m.busy[i] = done
 	m.mSent[f.Subtype&0xf].Inc()
-
-	m.scheduleDeliver(done, tx, slot, txCh, f, unicastRetryLimit)
+	m.scheduleDeliver(done, r, m.ch[i], f, unicastRetryLimit)
 	return done
 }
 
 // deliverEvent is a pooled frame-delivery callback holding its own copy of
-// the frame. One sits on the engine queue per in-flight transmission or
-// retry; executing it delivers &f to every receiver and only then returns
-// the event to the medium's pool, so a frame lives exactly as long as its
-// delivery. A retry copies the frame into another pooled event. The bound
-// run closure is allocated once per pool entry and reused for every
-// schedule.
-//
-// slot is the transmitter's slot when the event was scheduled (-1 if it
-// was not attached) and gen the compaction generation then: while no
-// compaction has run and the slot is still occupied, it holds the same
-// station, so the delivery needs no MAC lookup.
+// the frame and the radio that sent it. One sits on the engine queue per
+// in-flight transmission or retry; executing it delivers &f to every
+// receiver and only then returns the event to the medium's pool, so a
+// frame lives exactly as long as its delivery. A retry copies the frame
+// into another pooled event. The bound run closure is allocated once per
+// pool entry and reused for every schedule.
 type deliverEvent struct {
-	m           *Medium
-	tx          ieee80211.MAC
-	slot        int32
+	tx          *Radio
 	txCh        uint8
-	gen         uint64
 	f           ieee80211.Frame
 	retriesLeft int
 	run         func()
 }
 
-// scheduleDeliver queues a delivery of a copy of *f at absolute time at,
-// reusing a pooled event when one is free. slot is the transmitter's
-// current slot, or -1.
-func (m *Medium) scheduleDeliver(at time.Duration, tx ieee80211.MAC, slot int32, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
+// scheduleDeliver queues a delivery of a copy of *f from tx at absolute
+// time at, reusing a pooled event when one is free.
+func (m *Medium) scheduleDeliver(at time.Duration, tx *Radio, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
 	var de *deliverEvent
 	if n := len(m.deliverPool); n > 0 {
 		de = m.deliverPool[n-1]
 		m.deliverPool[n-1] = nil
 		m.deliverPool = m.deliverPool[:n-1]
 	} else {
-		de = &deliverEvent{m: m}
+		de = &deliverEvent{}
 		de.run = de.exec
 	}
-	de.tx, de.slot, de.txCh, de.gen, de.f, de.retriesLeft = tx, slot, txCh, m.compactGen, *f, retriesLeft
+	de.tx, de.txCh, de.f, de.retriesLeft = tx, txCh, *f, retriesLeft
 	m.engine.At(at, de.run)
 }
 
 func (de *deliverEvent) exec() {
-	m := de.m
+	m := de.tx.m
 	m.deliver(de)
-	de.f = ieee80211.Frame{} // drop the SSID reference while pooled
+	// Drop the radio and SSID references while pooled.
+	de.tx, de.f = nil, ieee80211.Frame{}
 	m.deliverPool = append(m.deliverPool, de)
 }
 
@@ -512,40 +502,24 @@ func hears(txCh, rxCh uint8) bool {
 // frames are never retried, per the standard.
 const unicastRetryLimit = 7
 
-// TxBusyUntil returns when the given transmitter's queue drains; before
-// that time any new Transmit will be queued behind earlier frames.
-func (m *Medium) TxBusyUntil(addr ieee80211.MAC) time.Duration {
-	key := macKey(addr)
-	if i, ok := m.index[key]; ok {
-		return m.busy[i]
-	}
-	return m.busyUntil[key]
-}
-
 // deliver lands one transmission, then runs the compaction a Receive
-// callback's Detach deferred. It looks the transmitter up by MAC again
-// only when the event's slot may be stale.
+// callback's Detach deferred. A frame whose radio detached before it lands
+// is lost: the tail of its transmission never went out.
 func (m *Medium) deliver(de *deliverEvent) {
-	ti := int(de.slot)
-	if ti < 0 || de.gen != m.compactGen || m.order[ti] == nil {
-		var ok bool
-		if ti, ok = m.index[macKey(de.tx)]; !ok {
-			// Transmitter departed mid-flight: the tail of its
-			// transmission is lost.
-			return
-		}
+	if !de.tx.attached() {
+		return
 	}
 	m.delivering = true
-	m.land(ti, de.tx, de.txCh, &de.f, de.retriesLeft)
+	m.land(de.tx, de.txCh, &de.f, de.retriesLeft)
 	m.delivering = false
 	m.maybeCompact()
 }
 
-// land delivers a transmission from the station in slot ti: to the
+// land delivers a transmission from the attached radio tx: to the
 // monitor-mode stations, then to the unicast destination or the broadcast
 // fan-out.
-func (m *Medium) land(ti int, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
-	txPos := m.pos[ti]
+func (m *Medium) land(tx *Radio, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
+	txPos := m.pos[tx.slot]
 
 	// Monitor-mode stations hear everything in range, first — their
 	// detectors may inform decisions other receivers make later in the
@@ -553,57 +527,52 @@ func (m *Medium) land(ti int, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, 
 	// frame.
 	for pi, n := 0, len(m.promisc); pi < n; pi++ {
 		rx := m.promisc[pi]
-		if rx == nil || rx.Addr() == tx {
-			continue
-		}
-		if hears(txCh, m.promiscCh[pi]) && m.receives(txPos, rx.Pos(), f.Subtype) {
-			rx.Receive(f)
+		if rx != nil && hears(txCh, m.promiscCh[pi]) && m.receives(txPos, rx.s.Pos(), f.Subtype) {
+			rx.s.Receive(f)
 		}
 	}
 
 	if f.DA.IsBroadcast() {
-		m.deliverBroadcast(ti, txPos, txCh, f)
+		m.deliverBroadcast(tx.slot, txPos, txCh, f)
 		return
 	}
-	ri, ok := m.index[macKey(f.DA)]
-	if !ok {
+	rx, ok := m.index[macKey(f.DA)]
+	if !ok || rx.promisc {
 		return
 	}
-	rx := m.order[ri]
-	rxPos := rx.Pos()
-	if !hears(txCh, m.ch[ri]) {
+	if !hears(txCh, m.ch[rx.slot]) {
 		// Wrong channel: no ACK, so the transmitter retries exactly as
 		// for a lost frame (which is what a real radio observes).
-		if retriesLeft > 0 {
-			m.FramesRetried++
-			m.mRetried.Inc()
-			m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, int32(ti), txCh, f, retriesLeft-1)
-		}
+		m.retry(tx, txCh, f, retriesLeft)
 		return
 	}
-	if !m.inRange(txPos, rxPos) {
+	if !m.inRange(txPos, rx.s.Pos()) {
 		return
 	}
 	if !m.dropped(f.Subtype) {
-		m.FramesDelivered++
 		m.mDelivered[f.Subtype&0xf].Inc()
-		rx.Receive(f)
+		rx.s.Receive(f)
 		return
 	}
 	if m.journal != nil {
-		m.journal.Record(m.engine.Now(), obs.EventFrameLoss, tx.String(),
+		m.journal.Record(m.engine.Now(), obs.EventFrameLoss, tx.s.Addr().String(),
 			fmt.Sprintf("%s to %s lost, %d retries left", f.Subtype, f.DA, retriesLeft))
 	}
 	// A unicast frame in range but lost draws no ACK; the transmitter
 	// retries after another airtime, up to the 802.11 retry limit.
+	m.retry(tx, txCh, f, retriesLeft)
+}
+
+// retry schedules an un-ACKed unicast frame's retransmission after another
+// airtime, while the retry budget lasts.
+func (m *Medium) retry(tx *Radio, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
 	if retriesLeft > 0 {
-		m.FramesRetried++
 		m.mRetried.Inc()
-		m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, int32(ti), txCh, f, retriesLeft-1)
+		m.scheduleDeliver(m.engine.Now()+f.Airtime(), tx, txCh, f, retriesLeft-1)
 	}
 }
 
-// deliverBroadcast fans f out, from the station in slot ti, to every
+// deliverBroadcast fans f out, from the radio in slot ti, to every
 // in-range station in attach order. Only stations bucketed in cells the
 // transmitter can reach, in its channel's grid and the agnostic one (every
 // grid for an agnostic transmitter), are visited; the merge returns their
@@ -612,7 +581,7 @@ func (m *Medium) land(ti int, tx ieee80211.MAC, txCh uint8, f *ieee80211.Frame, 
 // while the fan-out does, so a slot keeps its station throughout; each
 // candidate's channel, position and attachment are read when its turn
 // comes.
-func (m *Medium) deliverBroadcast(ti int, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
+func (m *Medium) deliverBroadcast(ti int32, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
 	cands := m.scratch[:0]
 	if txCh == 0 {
 		cands = geo.AppendNeighborhoods(cands, txPos, m.radius, m.inUse...)
@@ -621,15 +590,14 @@ func (m *Medium) deliverBroadcast(ti int, txPos geo.Point, txCh uint8, f *ieee80
 	}
 	m.scratch = cands
 	for _, i := range cands {
-		if !hears(txCh, m.ch[i]) || !m.inRange(txPos, m.pos[i]) || int(i) == ti {
+		if !hears(txCh, m.ch[i]) || !m.inRange(txPos, m.pos[i]) || i == ti {
 			continue
 		}
 		rx := m.order[i]
 		if rx == nil || m.dropped(f.Subtype) {
 			continue
 		}
-		m.FramesDelivered++
 		m.mDelivered[f.Subtype&0xf].Inc()
-		rx.Receive(f)
+		rx.s.Receive(f)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"cityhunter/internal/geo"
 	"cityhunter/internal/ieee80211"
+	"cityhunter/internal/obs"
 )
 
 // fakeStation records a copy of everything it receives.
@@ -18,6 +19,7 @@ type fakeStation struct {
 	pos      geo.Point
 	received []ieee80211.Frame
 	onRecv   func(*ieee80211.Frame)
+	radio    *Radio
 }
 
 func (s *fakeStation) Addr() ieee80211.MAC { return s.addr }
@@ -36,11 +38,27 @@ func newTestMedium(t *testing.T, radius float64, stations ...*fakeStation) (*Eng
 	e := NewEngine()
 	m := NewMedium(e, radius)
 	for _, s := range stations {
-		if err := m.Attach(s); err != nil {
-			t.Fatalf("Attach(%v): %v", s.addr, err)
-		}
+		s.radio = attach(t, m.Attach, s)
 	}
 	return e, m
+}
+
+// attach attaches s through Medium.Attach or AttachPromiscuous and returns
+// its radio, failing the test on error.
+func attach(tb testing.TB, attachFn func(Station) (*Radio, error), s Station) *Radio {
+	tb.Helper()
+	r, err := attachFn(s)
+	if err != nil {
+		tb.Fatalf("Attach(%v): %v", s.Addr(), err)
+	}
+	return r
+}
+
+// meter instruments m with a fresh registry and returns it.
+func meter(m *Medium) *obs.Registry {
+	reg := obs.NewRegistry()
+	m.Instrument(&obs.Runtime{Metrics: reg})
+	return reg
 }
 
 func probeReq(sa ieee80211.MAC) *ieee80211.Frame {
@@ -67,8 +85,9 @@ func TestMediumBroadcastDelivery(t *testing.T) {
 	near := &fakeStation{addr: mac(2), pos: geo.Pt(10, 0)}
 	far := &fakeStation{addr: mac(3), pos: geo.Pt(100, 0)}
 	e, m := newTestMedium(t, 50, tx, near, far)
+	reg := meter(m)
 
-	m.Transmit(probeReq(tx.addr))
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 
 	if len(near.received) != 1 {
@@ -80,8 +99,10 @@ func TestMediumBroadcastDelivery(t *testing.T) {
 	if len(tx.received) != 0 {
 		t.Errorf("transmitter received own frame")
 	}
-	if m.FramesSent != 1 || m.FramesDelivered != 1 {
-		t.Errorf("sent/delivered = %d/%d, want 1/1", m.FramesSent, m.FramesDelivered)
+	snap, sub := reg.Snapshot(), ieee80211.SubtypeProbeRequest.String()
+	sent, delivered := snap.Value("medium_frames_sent", "subtype", sub), snap.Value("medium_frames_delivered", "subtype", sub)
+	if sent != 1 || delivered != 1 {
+		t.Errorf("sent/delivered = %v/%v, want 1/1", sent, delivered)
 	}
 }
 
@@ -89,9 +110,9 @@ func TestMediumUnicastDelivery(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(10, 0)}
 	other := &fakeStation{addr: mac(3), pos: geo.Pt(10, 10)}
-	e, m := newTestMedium(t, 50, tx, dst, other)
+	e, _ := newTestMedium(t, 50, tx, dst, other)
 
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	e.RunContext(context.Background(), time.Second)
 
 	if len(dst.received) != 1 {
@@ -105,8 +126,8 @@ func TestMediumUnicastDelivery(t *testing.T) {
 func TestMediumUnicastOutOfRange(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(60, 0)}
-	e, m := newTestMedium(t, 50, tx, dst)
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	e, _ := newTestMedium(t, 50, tx, dst)
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("out-of-range dst received %d frames", len(dst.received))
@@ -116,12 +137,12 @@ func TestMediumUnicastOutOfRange(t *testing.T) {
 func TestMediumAirtimeDelay(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	e, m := newTestMedium(t, 50, tx, dst)
+	e, _ := newTestMedium(t, 50, tx, dst)
 
 	f := probeResp(tx.addr, dst.addr, "Net")
 	var deliveredAt time.Duration
 	dst.onRecv = func(*ieee80211.Frame) { deliveredAt = e.Now() }
-	done := m.Transmit(f)
+	done := tx.radio.Transmit(f)
 	e.RunContext(context.Background(), time.Second)
 
 	if deliveredAt != f.Airtime() {
@@ -135,14 +156,14 @@ func TestMediumAirtimeDelay(t *testing.T) {
 func TestMediumSerializesTransmitter(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	e, m := newTestMedium(t, 50, tx, dst)
+	e, _ := newTestMedium(t, 50, tx, dst)
 
 	var times []time.Duration
 	dst.onRecv = func(*ieee80211.Frame) { times = append(times, e.Now()) }
 	const n = 40
 	f := probeResp(tx.addr, dst.addr, "SomeNetworkSSID")
 	for i := 0; i < n; i++ {
-		m.Transmit(f)
+		tx.radio.Transmit(f)
 	}
 	e.RunContext(context.Background(), time.Minute)
 
@@ -165,29 +186,29 @@ func TestMediumSerializesTransmitter(t *testing.T) {
 func TestMediumTwoTransmittersIndependent(t *testing.T) {
 	a := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	b := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	e, m := newTestMedium(t, 50, a, b)
+	e, _ := newTestMedium(t, 50, a, b)
 
 	fa := probeResp(a.addr, b.addr, "A")
 	fb := probeResp(b.addr, a.addr, "B")
-	m.Transmit(fa)
-	m.Transmit(fb)
+	a.radio.Transmit(fa)
+	b.radio.Transmit(fb)
 	e.RunContext(context.Background(), time.Second)
 	// Different transmitters do not queue behind each other.
 	if len(a.received) != 1 || len(b.received) != 1 {
 		t.Errorf("received a=%d b=%d, want 1/1", len(a.received), len(b.received))
 	}
-	if m.TxBusyUntil(a.addr) != fa.Airtime() {
-		t.Errorf("a busyUntil = %v, want %v", m.TxBusyUntil(a.addr), fa.Airtime())
+	if a.radio.BusyUntil() != fa.Airtime() {
+		t.Errorf("a busyUntil = %v, want %v", a.radio.BusyUntil(), fa.Airtime())
 	}
 }
 
 func TestMediumDetachDropsInFlight(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	e, m := newTestMedium(t, 50, tx, dst)
+	e, _ := newTestMedium(t, 50, tx, dst)
 
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
-	m.Detach(dst.addr)
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	dst.radio.Detach()
 	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("detached station received %d frames", len(dst.received))
@@ -197,13 +218,58 @@ func TestMediumDetachDropsInFlight(t *testing.T) {
 func TestMediumDetachedTransmitterLosesFrame(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	e, m := newTestMedium(t, 50, tx, dst)
+	e, _ := newTestMedium(t, 50, tx, dst)
 
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
-	m.Detach(tx.addr)
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	tx.radio.Detach()
 	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
 		t.Errorf("frame from departed transmitter delivered")
+	}
+}
+
+// TestMediumInFlightFromDetachedRadioIsLost detaches a radio while its
+// unicast and broadcast frames are in flight: both are lost, also when the
+// station attaches again before they land — under a new MAC, as a rotation
+// does, or under the same one — since they went out on the old radio. The
+// new radio then transmits from an idle queue.
+func TestMediumInFlightFromDetachedRadioIsLost(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		reattach bool
+		addr     ieee80211.MAC
+	}{
+		{"detached", false, mac(1)},
+		{"reattached-new-mac", true, mac(3)},
+		{"reattached-same-mac", true, mac(1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
+			dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
+			e, m := newTestMedium(t, 50, tx, dst)
+			tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+			tx.radio.Transmit(probeReq(tx.addr))
+			tx.radio.Detach()
+			if c.reattach {
+				tx.addr = c.addr
+				tx.radio = attach(t, m.Attach, tx)
+			}
+			e.RunContext(context.Background(), time.Second)
+			if len(dst.received) != 0 {
+				t.Fatalf("%d frames from a detached radio delivered", len(dst.received))
+			}
+			if !c.reattach {
+				return
+			}
+			f := probeReq(tx.addr)
+			if done := tx.radio.Transmit(f); done != e.Now()+f.Airtime() {
+				t.Errorf("the new radio's frame ends at %v, want %v", done, e.Now()+f.Airtime())
+			}
+			e.RunContext(context.Background(), 2*time.Second)
+			if len(dst.received) != 1 {
+				t.Errorf("the new radio's frame reached dst %d times, want 1", len(dst.received))
+			}
+		})
 	}
 }
 
@@ -221,9 +287,9 @@ func TestMediumRangeBoundary(t *testing.T) {
 	} {
 		tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 		rx := &fakeStation{addr: mac(2), pos: geo.Pt(c.x, 0)}
-		e, m := newTestMedium(t, radius, tx, rx)
-		m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
-		m.Transmit(probeReq(tx.addr))
+		e, _ := newTestMedium(t, radius, tx, rx)
+		tx.radio.Transmit(probeResp(tx.addr, rx.addr, "Net"))
+		tx.radio.Transmit(probeReq(tx.addr))
 		e.RunContext(context.Background(), time.Second)
 		want := 0
 		if c.hears {
@@ -253,26 +319,50 @@ func TestNewMediumRequiresPositiveRadius(t *testing.T) {
 func TestMediumAttachDuplicate(t *testing.T) {
 	s := &fakeStation{addr: mac(1)}
 	_, m := newTestMedium(t, 50, s)
-	if err := m.Attach(&fakeStation{addr: mac(1)}); err == nil {
-		t.Error("duplicate Attach succeeded")
+	if r, err := m.Attach(&fakeStation{addr: mac(1)}); err == nil || r != nil {
+		t.Errorf("duplicate Attach returned %v, %v; want nil and an error", r, err)
 	}
 }
 
+// TestMediumDetachUnknownIsNoop detaches a radio twice: the second Detach
+// must neither panic nor disturb a station attached since under the same
+// MAC.
 func TestMediumDetachUnknownIsNoop(t *testing.T) {
-	_, m := newTestMedium(t, 50)
-	m.Detach(mac(9)) // must not panic
-	if len(m.index) != 0 {
-		t.Errorf("StationCount = %d", len(m.index))
+	s := &fakeStation{addr: mac(9)}
+	_, m := newTestMedium(t, 50, s)
+	old := s.radio
+	old.Detach()
+	s.radio = attach(t, m.Attach, s)
+	old.Detach()
+	if len(m.index) != 1 || m.index[macKey(s.addr)] != s.radio {
+		t.Errorf("a second Detach of a stale radio disturbed the station attached since")
+	}
+}
+
+// TestMediumNilRadioIsNoop calls every Radio method on a nil and a zero
+// handle: each must do nothing, and Transmit and BusyUntil return 0.
+func TestMediumNilRadioIsNoop(t *testing.T) {
+	f := probeReq(mac(1))
+	for _, r := range []*Radio{nil, {}} {
+		r.Moved()
+		r.Retuned()
+		if done := r.Transmit(f); done != 0 {
+			t.Errorf("Transmit on %#v returned %v, want 0", r, done)
+		}
+		if busy := r.BusyUntil(); busy != 0 {
+			t.Errorf("BusyUntil on %#v returned %v, want 0", r, busy)
+		}
+		r.Detach()
 	}
 }
 
 func TestMediumMovingReceiver(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(10, 0)}
-	e, m := newTestMedium(t, 50, tx, dst)
+	e, _ := newTestMedium(t, 50, tx, dst)
 
 	// The receiver walks out of range before the frame lands.
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	dst.pos = geo.Pt(1000, 0)
 	e.RunContext(context.Background(), time.Second)
 	if len(dst.received) != 0 {
@@ -280,26 +370,31 @@ func TestMediumMovingReceiver(t *testing.T) {
 	}
 }
 
+// TestMediumCompaction detaches 180 of 200 stations: the table compacts
+// each time half its slots are tombstones and it holds at least 64 — at
+// 100 and 150 detaches — and the rest still hear broadcasts.
 func TestMediumCompaction(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
+	reg := meter(m)
 	stations := make([]*fakeStation, 200)
 	for i := range stations {
 		stations[i] = &fakeStation{addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i / 256), byte(i)}}
-		if err := m.Attach(stations[i]); err != nil {
-			t.Fatal(err)
-		}
+		stations[i].radio = attach(t, m.Attach, stations[i])
 	}
 	for i := 0; i < 180; i++ {
-		m.Detach(stations[i].addr)
+		stations[i].radio.Detach()
 	}
-	if len(m.index) != 20 {
-		t.Fatalf("StationCount = %d, want 20", len(m.index))
+	if len(m.index) != 20 || len(m.order) != 50 {
+		t.Fatalf("%d stations attached in %d slots, want 20 in 50", len(m.index), len(m.order))
+	}
+	if n := reg.Snapshot().Value("medium_compactions"); n != 2 {
+		t.Fatalf("%v compactions, want 2", n)
 	}
 	// Remaining stations still reachable after compaction.
 	tx := stations[190]
 	tx.pos = geo.Pt(0, 0)
-	m.Transmit(probeReq(tx.addr))
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 	for i := 180; i < 200; i++ {
 		if i == 190 {
@@ -315,11 +410,11 @@ func TestMediumReceiveCallbackCanDetach(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	a := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 	b := &fakeStation{addr: mac(3), pos: geo.Pt(2, 0)}
-	e, m := newTestMedium(t, 50, tx, a, b)
+	e, _ := newTestMedium(t, 50, tx, a, b)
 
 	// a detaches b upon reception; b must then not receive the broadcast.
-	a.onRecv = func(*ieee80211.Frame) { m.Detach(b.addr) }
-	m.Transmit(probeReq(tx.addr))
+	a.onRecv = func(*ieee80211.Frame) { b.radio.Detach() }
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 	if len(b.received) != 0 {
 		t.Errorf("b received %d frames after being detached mid-delivery", len(b.received))
@@ -337,13 +432,11 @@ func TestMediumDetachAfterAttachMidBroadcast(t *testing.T) {
 	e, m := newTestMedium(t, 50, tx, a, b)
 	a.onRecv = func(*ieee80211.Frame) {
 		for i := 0; i < 10; i++ {
-			if err := m.Attach(&fakeStation{addr: ieee80211.MAC{0x02, 9, 0, 0, 0, byte(i)}, pos: geo.Pt(500, 500)}); err != nil {
-				t.Fatal(err)
-			}
+			attach(t, m.Attach, &fakeStation{addr: ieee80211.MAC{0x02, 9, 0, 0, 0, byte(i)}, pos: geo.Pt(500, 500)})
 		}
-		m.Detach(b.addr)
+		b.radio.Detach()
 	}
-	m.Transmit(probeReq(tx.addr))
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 	if len(b.received) != 0 {
 		t.Errorf("b received %d frames after being detached mid-delivery", len(b.received))
@@ -372,15 +465,11 @@ func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
 		r.e, r.m = newTestMedium(t, 50)
 		for i, p := range pos {
 			if i == txAt {
-				if err := r.m.Attach(r.tx); err != nil {
-					t.Fatal(err)
-				}
+				r.tx.radio = attach(t, r.m.Attach, r.tx)
 			}
 			s := &fakeStation{addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)}, pos: p}
 			s.onRecv = func(*ieee80211.Frame) { r.heard = append(r.heard, i) }
-			if err := r.m.Attach(s); err != nil {
-				t.Fatal(err)
-			}
+			s.radio = attach(t, r.m.Attach, s)
 			r.rxs = append(r.rxs, s)
 		}
 		return r
@@ -413,7 +502,7 @@ func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
 			pos[i] = geo.Pt(1, 0)
 		}
 		r := build(t, 0, pos)
-		r.m.Transmit(probeReq(r.tx.addr))
+		r.tx.radio.Transmit(probeReq(r.tx.addr))
 		r.e.RunContext(context.Background(), time.Second)
 		if want := inRange(r, none); !slices.Equal(r.heard, want) {
 			t.Fatalf("delivery order %v, want attach order %v", r.heard, want)
@@ -428,11 +517,11 @@ func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
 			for i, s := range r.rxs {
 				if rng.Intn(3) == 0 {
 					s.pos = geo.Pt(rng.Float64()*150-50, rng.Float64()*150-50)
-					r.m.Moved(r.rxs[i].addr)
+					r.rxs[i].radio.Moved()
 				}
 			}
 			r.heard = r.heard[:0]
-			r.m.Transmit(probeReq(r.tx.addr))
+			r.tx.radio.Transmit(probeReq(r.tx.addr))
 			r.e.RunContext(context.Background(), r.e.Now()+time.Second)
 			if want := inRange(r, none); !slices.Equal(r.heard, want) {
 				t.Fatalf("round %d: delivery order %v, want attach order %v", round, r.heard, want)
@@ -458,17 +547,15 @@ func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
 			late.pos = geo.Pt(2, 2)
 			for i := 1; i <= 90; i++ {
 				if detached(i) {
-					r.m.Detach(r.rxs[i].addr)
+					r.rxs[i].radio.Detach()
 				}
 			}
-			if err := r.m.Attach(late); err != nil {
-				t.Fatal(err)
-			}
+			late.radio = attach(t, r.m.Attach, late)
 		}
-		gen := r.m.compactGen
-		r.m.Transmit(probeReq(r.tx.addr))
+		txSlot := r.tx.radio.slot
+		r.tx.radio.Transmit(probeReq(r.tx.addr))
 		r.e.RunContext(context.Background(), time.Second)
-		if r.m.compactGen == gen {
+		if r.tx.radio.slot == txSlot {
 			t.Fatal("the broadcast did not compact the station table")
 		}
 		if want := inRange(r, detached); !slices.Equal(r.heard, want) {
@@ -481,7 +568,7 @@ func TestMediumBroadcastOrderIsAttachOrder(t *testing.T) {
 
 		// The next broadcast runs on the compacted table.
 		r.heard = r.heard[:0]
-		r.m.Transmit(probeReq(r.tx.addr))
+		r.tx.radio.Transmit(probeReq(r.tx.addr))
 		r.e.RunContext(context.Background(), 2*time.Second)
 		if want := inRange(r, detached); !slices.Equal(r.heard, want) {
 			t.Fatalf("after compaction: delivery order %v, want attach order %v", r.heard, want)
@@ -497,10 +584,8 @@ func TestPromiscuousHearsUnicast(t *testing.T) {
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 	e, m := newTestMedium(t, 50, tx, dst)
 	mon := &fakeStation{addr: mac(9), pos: geo.Pt(2, 0)}
-	if err := m.AttachPromiscuous(mon); err != nil {
-		t.Fatal(err)
-	}
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	mon.radio = attach(t, m.AttachPromiscuous, mon)
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	e.RunContext(context.Background(), time.Second)
 	if len(mon.received) != 1 {
 		t.Errorf("monitor heard %d unicast frames, want 1", len(mon.received))
@@ -514,10 +599,8 @@ func TestPromiscuousHearsBroadcastOnce(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	e, m := newTestMedium(t, 50, tx)
 	mon := &fakeStation{addr: mac(9), pos: geo.Pt(2, 0)}
-	if err := m.AttachPromiscuous(mon); err != nil {
-		t.Fatal(err)
-	}
-	m.Transmit(probeReq(tx.addr))
+	mon.radio = attach(t, m.AttachPromiscuous, mon)
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 	if len(mon.received) != 1 {
 		t.Errorf("monitor heard broadcast %d times, want exactly 1", len(mon.received))
@@ -528,21 +611,19 @@ func TestPromiscuousNotAddressable(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	e, m := newTestMedium(t, 50, tx)
 	mon := &fakeStation{addr: mac(9), pos: geo.Pt(2, 0)}
-	if err := m.AttachPromiscuous(mon); err != nil {
-		t.Fatal(err)
-	}
-	m.Transmit(probeResp(tx.addr, mon.addr, "Net"))
+	mon.radio = attach(t, m.AttachPromiscuous, mon)
+	tx.radio.Transmit(probeResp(tx.addr, mon.addr, "Net"))
 	e.RunContext(context.Background(), time.Second)
 	// It still hears the frame — but through monitor mode, exactly once,
 	// not through addressing.
 	if len(mon.received) != 1 {
 		t.Errorf("monitor received %d frames, want 1", len(mon.received))
 	}
-	if _, ok := m.promiscIndex[macKey(mon.addr)]; !ok {
+	if _, ok := m.index[macKey(mon.addr)]; !ok {
 		t.Error("promiscuous station not reported attached")
 	}
-	m.Detach(mon.addr)
-	if _, ok := m.promiscIndex[macKey(mon.addr)]; ok {
+	mon.radio.Detach()
+	if _, ok := m.index[macKey(mon.addr)]; ok {
 		t.Error("promiscuous station still attached after Detach")
 	}
 }
@@ -550,14 +631,12 @@ func TestPromiscuousNotAddressable(t *testing.T) {
 func TestPromiscuousDuplicateMACRejected(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	_, m := newTestMedium(t, 50, tx)
-	if err := m.AttachPromiscuous(&fakeStation{addr: mac(1)}); err == nil {
+	if _, err := m.AttachPromiscuous(&fakeStation{addr: mac(1)}); err == nil {
 		t.Error("promiscuous attach with duplicate MAC succeeded")
 	}
 	mon := &fakeStation{addr: mac(9)}
-	if err := m.AttachPromiscuous(mon); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(&fakeStation{addr: mac(9)}); err == nil {
+	attach(t, m.AttachPromiscuous, mon)
+	if _, err := m.Attach(&fakeStation{addr: mac(9)}); err == nil {
 		t.Error("normal attach over promiscuous MAC succeeded")
 	}
 }
@@ -567,10 +646,8 @@ func TestPromiscuousOutOfRangeHearsNothing(t *testing.T) {
 	dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
 	e, m := newTestMedium(t, 50, tx, dst)
 	mon := &fakeStation{addr: mac(9), pos: geo.Pt(500, 0)}
-	if err := m.AttachPromiscuous(mon); err != nil {
-		t.Fatal(err)
-	}
-	m.Transmit(probeResp(tx.addr, dst.addr, "Net"))
+	mon.radio = attach(t, m.AttachPromiscuous, mon)
+	tx.radio.Transmit(probeResp(tx.addr, dst.addr, "Net"))
 	e.RunContext(context.Background(), time.Second)
 	if len(mon.received) != 0 {
 		t.Errorf("distant monitor heard %d frames", len(mon.received))
@@ -583,14 +660,10 @@ func TestFrameLossTotal(t *testing.T) {
 	m.SetFrameLoss(1.0, 1)
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(rx); err != nil {
-		t.Fatal(err)
-	}
+	tx.radio = attach(t, m.Attach, tx)
+	rx.radio = attach(t, m.Attach, rx)
 	for i := 0; i < 50; i++ {
-		m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
+		tx.radio.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 	}
 	e.RunContext(context.Background(), time.Minute)
 	if len(rx.received) != 0 {
@@ -605,15 +678,11 @@ func TestFrameLossBroadcastNotRetried(t *testing.T) {
 	m.SetFrameLoss(0.5, 2)
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(rx); err != nil {
-		t.Fatal(err)
-	}
+	tx.radio = attach(t, m.Attach, tx)
+	rx.radio = attach(t, m.Attach, rx)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		m.Transmit(probeReq(tx.addr))
+		tx.radio.Transmit(probeReq(tx.addr))
 	}
 	e.RunContext(context.Background(), time.Hour)
 	got := len(rx.received)
@@ -628,24 +697,21 @@ func TestFrameLossUnicastRetriesRecover(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
 	m.SetFrameLoss(0.5, 2)
+	reg := meter(m)
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(rx); err != nil {
-		t.Fatal(err)
-	}
+	tx.radio = attach(t, m.Attach, tx)
+	rx.radio = attach(t, m.Attach, rx)
 	const n = 1000
 	for i := 0; i < n; i++ {
-		m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
+		tx.radio.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 	}
 	e.RunContext(context.Background(), time.Hour)
 	got := len(rx.received)
 	if got < n*97/100 {
 		t.Errorf("received %d of %d unicasts at 50%% loss with retries, want ≳97%%", got, n)
 	}
-	if m.FramesRetried == 0 {
+	if reg.Snapshot().Value("medium_frames_retried") == 0 {
 		t.Error("no retransmissions counted")
 	}
 }
@@ -657,14 +723,10 @@ func TestFrameLossDeterministic(t *testing.T) {
 		m.SetFrameLoss(0.3, 7)
 		tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 		rx := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
-		if err := m.Attach(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Attach(rx); err != nil {
-			t.Fatal(err)
-		}
+		tx.radio = attach(t, m.Attach, tx)
+		rx.radio = attach(t, m.Attach, rx)
 		for i := 0; i < 500; i++ {
-			m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
+			tx.radio.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 		}
 		e.RunContext(context.Background(), time.Hour)
 		return len(rx.received)
@@ -689,12 +751,11 @@ func TestChannelIsolation(t *testing.T) {
 	same := &tunedStation{fakeStation: fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}, channel: 6}
 	other := &tunedStation{fakeStation: fakeStation{addr: mac(3), pos: geo.Pt(2, 0)}, channel: 11}
 	agnostic := &fakeStation{addr: mac(4), pos: geo.Pt(3, 0)}
-	for _, s := range []Station{tx, same, other, agnostic} {
-		if err := m.Attach(s); err != nil {
-			t.Fatal(err)
-		}
+	tx.radio = attach(t, m.Attach, tx)
+	for _, s := range []Station{same, other, agnostic} {
+		attach(t, m.Attach, s)
 	}
-	m.Transmit(probeReq(tx.addr))
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 	if len(same.received) != 1 {
 		t.Errorf("same-channel station received %d", len(same.received))
@@ -710,20 +771,17 @@ func TestChannelIsolation(t *testing.T) {
 func TestChannelUnicastWrongChannelRetriesThenDrops(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
+	reg := meter(m)
 	tx := &tunedStation{fakeStation: fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}, channel: 6}
 	rx := &tunedStation{fakeStation: fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}, channel: 1}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(rx); err != nil {
-		t.Fatal(err)
-	}
-	m.Transmit(probeResp(tx.addr, rx.addr, "Net"))
+	tx.radio = attach(t, m.Attach, tx)
+	rx.radio = attach(t, m.Attach, rx)
+	tx.radio.Transmit(probeResp(tx.addr, rx.addr, "Net"))
 	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 0 {
 		t.Errorf("cross-channel unicast delivered %d", len(rx.received))
 	}
-	if m.FramesRetried == 0 {
+	if reg.Snapshot().Value("medium_frames_retried") == 0 {
 		t.Error("no retries for un-ACKed cross-channel unicast")
 	}
 }
@@ -733,19 +791,15 @@ func TestChannelRetrySucceedsAfterReceiverHops(t *testing.T) {
 	m := NewMedium(e, 50)
 	tx := &tunedStation{fakeStation: fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}, channel: 6}
 	rx := &tunedStation{fakeStation: fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}, channel: 1}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(rx); err != nil {
-		t.Fatal(err)
-	}
+	tx.radio = attach(t, m.Attach, tx)
+	rx.radio = attach(t, m.Attach, rx)
 	f := probeResp(tx.addr, rx.addr, "Net")
-	m.Transmit(f)
+	tx.radio.Transmit(f)
 	// The receiver hops onto the transmitter's channel before the retry
 	// budget runs out.
 	e.Schedule(2*f.Airtime()+time.Microsecond, func() {
 		rx.channel = 6
-		m.Retuned(rx.addr)
+		rx.radio.Retuned()
 	})
 	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 1 {

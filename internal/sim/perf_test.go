@@ -10,27 +10,23 @@ import (
 	"cityhunter/internal/ieee80211"
 )
 
-// TestMediumDetachCompactsMidBroadcast is the regression test for the
-// compaction generation counter: a Receive callback that detaches enough
-// stations to trigger maybeCompact mid-fan-out must neither skip nor
-// double-deliver to the stations that remain attached.
+// TestMediumDetachCompactsMidBroadcast is the regression test for
+// compaction mid-fan-out: a Receive callback that detaches enough stations
+// to trigger maybeCompact must neither skip nor double-deliver to the
+// stations that remain attached.
 func TestMediumDetachCompactsMidBroadcast(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
 
 	tx := &fakeStation{addr: ieee80211.MAC{0x02, 0xff, 0, 0, 0, 0}, pos: geo.Pt(0, 0)}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	tx.radio = attach(t, m.Attach, tx)
 	stations := make([]*fakeStation, 100)
 	for i := range stations {
 		stations[i] = &fakeStation{
 			addr: ieee80211.MAC{0x02, 0, 0, 0, byte(i / 256), byte(i)},
 			pos:  geo.Pt(float64(i)*0.1, 0), // all well within range
 		}
-		if err := m.Attach(stations[i]); err != nil {
-			t.Fatal(err)
-		}
+		stations[i].radio = attach(t, m.Attach, stations[i])
 	}
 
 	// The first receiver detaches stations 1..80, shrinking the live set
@@ -38,11 +34,11 @@ func TestMediumDetachCompactsMidBroadcast(t *testing.T) {
 	// so the station table is rebuilt while the broadcast is mid-flight.
 	stations[0].onRecv = func(*ieee80211.Frame) {
 		for i := 1; i <= 80; i++ {
-			m.Detach(stations[i].addr)
+			stations[i].radio.Detach()
 		}
 	}
 
-	m.Transmit(probeReq(tx.addr))
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 
 	if got := len(m.index); got != 21 {
@@ -65,25 +61,25 @@ func TestMediumDetachCompactsMidBroadcast(t *testing.T) {
 
 // TestMediumMovedRebucketsStation pins the Moved contract: a station that
 // walks into range and reports the move is found by the next broadcast, and
-// reporting moves for unknown addresses is a no-op.
+// reporting a move on a nil radio is a no-op.
 func TestMediumMovedRebucketsStation(t *testing.T) {
 	tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
 	rx := &fakeStation{addr: mac(2), pos: geo.Pt(500, 500)} // far cell
-	e, m := newTestMedium(t, 50, tx, rx)
+	e, _ := newTestMedium(t, 50, tx, rx)
 
-	m.Moved(mac(99)) // unknown: must not panic
+	(*Radio)(nil).Moved() // must not panic
 
 	rx.pos = geo.Pt(10, 0)
-	m.Moved(rx.addr)
-	m.Transmit(probeReq(tx.addr))
+	rx.radio.Moved()
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), time.Second)
 	if len(rx.received) != 1 {
 		t.Fatalf("moved-in station received %d frames, want 1", len(rx.received))
 	}
 
 	rx.pos = geo.Pt(500, 500)
-	m.Moved(rx.addr)
-	m.Transmit(probeReq(tx.addr))
+	rx.radio.Moved()
+	tx.radio.Transmit(probeReq(tx.addr))
 	e.RunContext(context.Background(), 2*time.Second)
 	if len(rx.received) != 1 {
 		t.Fatalf("moved-out station received %d frames in total, want still 1", len(rx.received))
@@ -154,25 +150,21 @@ func TestMediumBroadcastSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
 	tx := &quietStation{addr: mac(1), pos: geo.Pt(0, 0)}
-	if err := m.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	radio := attach(t, m.Attach, tx)
 	for i := 0; i < 50; i++ {
 		s := &quietStation{
 			addr: ieee80211.MAC{0x02, 1, 0, 0, 0, byte(i)},
 			pos:  geo.Pt(float64(i), 0),
 		}
-		if err := m.Attach(s); err != nil {
-			t.Fatal(err)
-		}
+		attach(t, m.Attach, s)
 	}
 	f := probeReq(tx.addr)
-	m.Transmit(f)
+	radio.Transmit(f)
 	e.RunContext(context.Background(), time.Second) // warm the pools and the candidate buffer
 
 	ctx := context.Background()
 	avg := testing.AllocsPerRun(100, func() {
-		m.Transmit(f)
+		radio.Transmit(f)
 		e.RunContext(ctx, e.Now()+time.Second)
 	})
 	if avg != 0 {
@@ -190,8 +182,9 @@ func (s *quietTuner) CurrentChannel() uint8 { return s.ch }
 
 // channelCrowd attaches a transmitter on channel 6 at the origin and n
 // stations spread over its cell neighbourhood, round-robin over channels
-// 1, 6 and 11, plus one channel-agnostic station.
-func channelCrowd(tb testing.TB, m *Medium, n int) *quietTuner {
+// 1, 6 and 11, plus one channel-agnostic station. It returns the
+// transmitter's radio and a probe request from it.
+func channelCrowd(tb testing.TB, m *Medium, n int) (*Radio, *ieee80211.Frame) {
 	tb.Helper()
 	tx := &quietTuner{quietStation: quietStation{addr: mac(0), pos: geo.Pt(25, 25)}, ch: 6}
 	stations := []Station{tx, &quietStation{addr: mac(1), pos: geo.Pt(30, 20)}}
@@ -205,12 +198,11 @@ func channelCrowd(tb testing.TB, m *Medium, n int) *quietTuner {
 			ch: []uint8{1, 6, 11}[i%3],
 		})
 	}
-	for _, s := range stations {
-		if err := m.Attach(s); err != nil {
-			tb.Fatal(err)
-		}
+	radio := attach(tb, m.Attach, tx)
+	for _, s := range stations[1:] {
+		attach(tb, m.Attach, s)
 	}
-	return tx
+	return radio, probeReq(tx.addr)
 }
 
 // TestMediumBroadcastChannelsSteadyStateAllocs is
@@ -219,12 +211,12 @@ func channelCrowd(tb testing.TB, m *Medium, n int) *quietTuner {
 func TestMediumBroadcastChannelsSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
-	f := probeReq(channelCrowd(t, m, 150).addr)
+	radio, f := channelCrowd(t, m, 150)
 	ctx := context.Background()
-	m.Transmit(f)
+	radio.Transmit(f)
 	e.RunContext(ctx, time.Second)
 	avg := testing.AllocsPerRun(100, func() {
-		m.Transmit(f)
+		radio.Transmit(f)
 		e.RunContext(ctx, e.Now()+time.Second)
 	})
 	if avg != 0 {
@@ -238,16 +230,14 @@ func TestMediumBroadcastChannelsSteadyStateAllocs(t *testing.T) {
 func TestMediumRetunedSteadyStateAllocs(t *testing.T) {
 	_, m := newTestMedium(t, 50)
 	s := &quietTuner{quietStation: quietStation{addr: mac(1), pos: geo.Pt(10, 10)}, ch: 1}
-	if err := m.Attach(s); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(100, func() { m.Retuned(s.addr) }); avg != 0 {
+	radio := attach(t, m.Attach, s)
+	if avg := testing.AllocsPerRun(100, func() { radio.Retuned() }); avg != 0 {
 		t.Errorf("Retuned on an unchanged channel allocates %.2f/op, want 0", avg)
 	}
 	hop := func() {
 		for _, c := range []uint8{6, 11, 1} {
 			s.ch = c
-			m.Retuned(s.addr)
+			radio.Retuned()
 		}
 	}
 	hop()
@@ -263,17 +253,14 @@ func TestMediumUnicastSteadyStateAllocs(t *testing.T) {
 	rx := &quietStation{addr: mac(2), pos: geo.Pt(5, 0)}
 	e := NewEngine()
 	m := NewMedium(e, 50)
-	for _, s := range []Station{tx, rx} {
-		if err := m.Attach(s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	radio := attach(t, m.Attach, tx)
+	attach(t, m.Attach, rx)
 	f := probeResp(tx.addr, rx.addr, "Net")
 	ctx := context.Background()
-	m.Transmit(f)
+	radio.Transmit(f)
 	e.RunContext(ctx, time.Second)
 	avg := testing.AllocsPerRun(100, func() {
-		m.Transmit(f)
+		radio.Transmit(f)
 		e.RunContext(ctx, e.Now()+time.Second)
 	})
 	if avg != 0 || rx.got != 102 {

@@ -74,12 +74,10 @@ func TestAnalyzeLiveCapture(t *testing.T) {
 	// Wire a monitor into a tiny live exchange and analyse the capture.
 	engine, medium, mon := monitorFixture(t)
 	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 0x09}, pos: mon.Pos()}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	radio := attach(t, medium, tx)
 	for i := 0; i < 5; i++ {
-		medium.Transmit(probeEntryFrame(tx.addr, ""))
-		medium.Transmit(probeEntryFrame(tx.addr, "MyNet"))
+		radio.Transmit(probeEntryFrame(tx.addr, ""))
+		radio.Transmit(probeEntryFrame(tx.addr, "MyNet"))
 	}
 	engine.RunContext(context.Background(), time.Minute)
 	a := Analyze(mon.Entries())

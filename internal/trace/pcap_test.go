@@ -72,11 +72,9 @@ func TestPcapWriteFrame(t *testing.T) {
 func TestMonitorWritePcap(t *testing.T) {
 	engine, medium, mon := monitorFixture(t)
 	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 1}, pos: mon.Pos()}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	radio := attach(t, medium, tx)
 	for i := 0; i < 5; i++ {
-		medium.Transmit(&ieee80211.Frame{
+		radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeProbeRequest,
 			DA:      ieee80211.BroadcastMAC, SA: tx.addr, BSSID: ieee80211.BroadcastMAC,
 			SSID: "N",

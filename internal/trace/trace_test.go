@@ -15,10 +15,20 @@ func monitorFixture(t *testing.T) (*sim.Engine, *sim.Medium, *Monitor) {
 	engine := sim.NewEngine()
 	medium := sim.NewMedium(engine, 100)
 	mon := NewMonitor(engine, ieee80211.MAC{0x0a, 0, 0, 0, 0, 0xfe}, geo.Pt(0, 0))
-	if err := medium.AttachPromiscuous(mon); err != nil {
+	if _, err := medium.AttachPromiscuous(mon); err != nil {
 		t.Fatal(err)
 	}
 	return engine, medium, mon
+}
+
+// attach attaches s to medium and returns its radio.
+func attach(t *testing.T, medium *sim.Medium, s sim.Station) *sim.Radio {
+	t.Helper()
+	radio, err := medium.Attach(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return radio
 }
 
 type beeper struct {
@@ -33,15 +43,13 @@ func (b *beeper) Receive(*ieee80211.Frame) {}
 func TestMonitorCaptures(t *testing.T) {
 	engine, medium, mon := monitorFixture(t)
 	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 1}, pos: geo.Pt(10, 0)}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	medium.Transmit(&ieee80211.Frame{
+	radio := attach(t, medium, tx)
+	radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,
 		DA:      ieee80211.BroadcastMAC, SA: tx.addr, BSSID: ieee80211.BroadcastMAC,
 		SSID: "CafeNet",
 	})
-	medium.Transmit(&ieee80211.Frame{
+	radio.Transmit(&ieee80211.Frame{
 		Subtype: ieee80211.SubtypeProbeRequest,
 		DA:      ieee80211.BroadcastMAC, SA: tx.addr, BSSID: ieee80211.BroadcastMAC,
 	})
@@ -65,11 +73,9 @@ func TestMonitorBounded(t *testing.T) {
 	engine, medium, mon := monitorFixture(t)
 	mon.MaxEntries = 3
 	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 1}, pos: geo.Pt(10, 0)}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	radio := attach(t, medium, tx)
 	for i := 0; i < 10; i++ {
-		medium.Transmit(&ieee80211.Frame{
+		radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeProbeRequest,
 			DA:      ieee80211.BroadcastMAC, SA: tx.addr,
 		})
@@ -93,11 +99,9 @@ func TestMonitorOnFirstDrop(t *testing.T) {
 		firedAtDropped = mon.Dropped
 	}
 	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 1}, pos: geo.Pt(10, 0)}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
+	radio := attach(t, medium, tx)
 	for i := 0; i < 8; i++ {
-		medium.Transmit(&ieee80211.Frame{
+		radio.Transmit(&ieee80211.Frame{
 			Subtype: ieee80211.SubtypeProbeRequest,
 			DA:      ieee80211.BroadcastMAC, SA: tx.addr,
 		})
@@ -117,10 +121,8 @@ func TestMonitorOnFirstDrop(t *testing.T) {
 func TestEntriesReturnsCopy(t *testing.T) {
 	engine, medium, mon := monitorFixture(t)
 	tx := &beeper{addr: ieee80211.MAC{0x02, 0, 0, 0, 0, 1}, pos: geo.Pt(10, 0)}
-	if err := medium.Attach(tx); err != nil {
-		t.Fatal(err)
-	}
-	medium.Transmit(&ieee80211.Frame{Subtype: ieee80211.SubtypeProbeRequest, DA: ieee80211.BroadcastMAC, SA: tx.addr})
+	radio := attach(t, medium, tx)
+	radio.Transmit(&ieee80211.Frame{Subtype: ieee80211.SubtypeProbeRequest, DA: ieee80211.BroadcastMAC, SA: tx.addr})
 	engine.RunContext(context.Background(), time.Second)
 	got := mon.Entries()
 	got[0].SSID = "mutated"
