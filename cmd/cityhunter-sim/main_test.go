@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"cityhunter"
+	"cityhunter/internal/promlint"
 )
 
 // TestRunMetricsAndTrace drives the acceptance path: one invocation with
@@ -317,6 +319,48 @@ func TestRunDeploymentPopulation(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("city-scale output missing %q\n--- output ---\n%s", want, out.String())
 		}
+	}
+}
+
+// TestMonitorExpositionLints runs the city-scale deployment with -monitor
+// on an ephemeral port, then reads the monitor's /metrics page: the event
+// engine's, the medium's and each site's attacker engine's series are
+// there, stamped with their run and site labels, and the page must be
+// valid Prometheus text exposition.
+func TestMonitorExpositionLints(t *testing.T) {
+	const addr = "127.0.0.1:0"
+	var out bytes.Buffer
+	if err := run(context.Background(),
+		[]string{"-population", "200", "-minutes", "3", "-monitor", addr}, &out); err != nil {
+		t.Fatalf("monitored run: %v", err)
+	}
+	mon, bound, err := cityhunter.SharedMonitor(addr) // the run's own server
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mon.Addr() != bound {
+		t.Fatalf("monitor bound at %s, reports %s", bound, mon.Addr())
+	}
+	resp, err := http.Get("http://" + bound + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, err %v", resp.StatusCode, err)
+	}
+	for _, want := range []string{"sim_events_executed{", "medium_frames_sent{", "core_hits{", `site="`} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	probs, err := promlint.Lint(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range probs {
+		t.Errorf("exposition lint: %s", p)
 	}
 }
 

@@ -398,9 +398,9 @@ func (e *Engine) ghostHitSetup(t *testing.T, kind BufferKind, victim ieee80211.M
 	for round := 0; round < 50; round++ {
 		e.BroadcastReply(time.Duration(round)*time.Second, lnk(victim), e.cfg.ReplyBudget)
 		tr := e.clientFor(victim)
-		for _, r := range tr.log {
-			if r.kind() == kind {
-				return e.ssidOf(r.id())
+		for id := 0; id < 2*len(tr.kinds); id++ {
+			if tr.kindOf(id) == kind {
+				return e.ssidOf(id)
 			}
 		}
 	}

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -63,28 +64,27 @@ type entry struct {
 	lastHit time.Duration
 	hasHit  bool
 	// id is the entry's dense insertion index (0, 1, 2, ...). It breaks
-	// weight ties deterministically (older first) and keys the per-track
-	// sent sets and the per-reply chosen stamps, so the reply path never
-	// hashes an SSID.
+	// weight ties deterministically (older first) and indexes the
+	// per-track sent-kind arrays and the per-reply chosen stamps, so the
+	// reply path never hashes an SSID.
 	id int
 }
 
-// database is the weighted SSID store with three lazily sorted views:
-// by descending weight (popularity), by descending last-hit time
-// (freshness), and by SSID (the "unordered" view: a deterministic order
-// uncorrelated with popularity, standing in for the arbitrary storage
-// order of the paper's §III preliminary design).
+// database is the weighted SSID store with three views, each kept in its
+// order as entries change: by descending weight (popularity), by
+// descending last-hit time (freshness), and by SSID (the "unordered" view:
+// a deterministic order uncorrelated with popularity, standing in for the
+// arbitrary storage order of the paper's §III preliminary design). Each
+// view's order is strict and total (ties go to the older entry, and SSIDs
+// are unique), so an entry whose key changes is moved to its one correct
+// place by a binary search and a shift, and every view always reads
+// exactly what a full sort would give.
 type database struct {
 	entries map[string]*entry
 
-	byWeight    []*entry
-	weightDirty bool
-
-	byFresh    []*entry
-	freshDirty bool
-
-	bySSID     []*entry
-	ssidsDirty bool
+	byWeight []*entry
+	byFresh  []*entry
+	bySSID   []*entry
 }
 
 func newDatabase() *database {
@@ -98,6 +98,55 @@ func (db *database) get(ssid string) (*entry, bool) {
 	return e, ok
 }
 
+// heavier is the popularity order: higher weight first, then the older
+// entry.
+func heavier(a, b *entry) bool {
+	if a.weight != b.weight {
+		return a.weight > b.weight
+	}
+	return a.id < b.id
+}
+
+// fresher is the freshness order: later last hit first, then the older
+// entry.
+func fresher(a, b *entry) bool {
+	if a.lastHit != b.lastHit {
+		return a.lastHit > b.lastHit
+	}
+	return a.id < b.id
+}
+
+// ssidBefore is the unordered view's order.
+func ssidBefore(a, b *entry) bool { return a.ssid < b.ssid }
+
+// search returns the number of entries in view that rank before e, which
+// is e's index when e is in the view under the key it holds now, and its
+// insertion point when it is not.
+func search(view []*entry, e *entry, before func(a, b *entry) bool) int {
+	return sort.Search(len(view), func(k int) bool { return !before(view[k], e) })
+}
+
+// insert adds e to view at its place.
+func insert(view []*entry, e *entry, before func(a, b *entry) bool) []*entry {
+	return slices.Insert(view, search(view, e, before), e)
+}
+
+// settle moves view[i], whose key just changed, to its place among the
+// others, which are in order, shifting the ones it passes by one.
+func settle(view []*entry, i int, before func(a, b *entry) bool) {
+	e := view[i]
+	switch {
+	case i > 0 && before(e, view[i-1]):
+		j := search(view[:i], e, before)
+		copy(view[j+1:i+1], view[j:i])
+		view[j] = e
+	case i+1 < len(view) && before(view[i+1], e):
+		j := i + search(view[i+1:], e, before)
+		copy(view[i:j], view[i+1:j+1])
+		view[j] = e
+	}
+}
+
 // add inserts a new entry or, if the SSID exists, raises its weight to at
 // least w (keeping the original source). It returns the entry and reports
 // whether it was created. The empty SSID is never stored: add returns nil.
@@ -107,78 +156,55 @@ func (db *database) add(ssid string, source Source, w float64) (*entry, bool) {
 	}
 	if e, ok := db.entries[ssid]; ok {
 		if w > e.weight {
-			e.weight = w
-			db.weightDirty = true
+			db.setWeight(e, w)
 		}
 		return e, false
 	}
 	e := &entry{ssid: ssid, source: source, weight: w, id: len(db.entries)}
 	db.entries[ssid] = e
-	db.byWeight = append(db.byWeight, e)
-	db.weightDirty = true
-	db.bySSID = append(db.bySSID, e)
-	db.ssidsDirty = true
+	db.byWeight = insert(db.byWeight, e, heavier)
+	db.bySSID = insert(db.bySSID, e, ssidBefore)
 	return e, true
 }
 
 // bump raises an entry's weight by delta.
 func (db *database) bump(e *entry, delta float64) {
-	e.weight += delta
-	db.weightDirty = true
+	db.setWeight(e, e.weight+delta)
+}
+
+// setWeight changes an entry's weight and moves it to its new place in
+// the popularity view, found by searching on the weight it held before.
+func (db *database) setWeight(e *entry, w float64) {
+	i := search(db.byWeight, e, heavier)
+	e.weight = w
+	settle(db.byWeight, i, heavier)
 }
 
 // recordHit registers a successful capture via e at the given time.
 func (db *database) recordHit(e *entry, now time.Duration, weightDelta float64) {
 	e.hits++
-	e.weight += weightDelta
-	e.lastHit = now
+	db.setWeight(e, e.weight+weightDelta)
 	if !e.hasHit {
 		e.hasHit = true
-		db.byFresh = append(db.byFresh, e)
+		e.lastHit = now
+		db.byFresh = insert(db.byFresh, e, fresher)
+		return
 	}
-	db.weightDirty = true
-	db.freshDirty = true
+	i := search(db.byFresh, e, fresher)
+	e.lastHit = now
+	settle(db.byFresh, i, fresher)
 }
 
 // popularityRank returns the entries ordered by descending weight; ties go
 // to the older entry. The returned slice is owned by the database — do not
 // mutate.
-func (db *database) popularityRank() []*entry {
-	if db.weightDirty {
-		sort.SliceStable(db.byWeight, func(i, j int) bool {
-			if db.byWeight[i].weight != db.byWeight[j].weight {
-				return db.byWeight[i].weight > db.byWeight[j].weight
-			}
-			return db.byWeight[i].id < db.byWeight[j].id
-		})
-		db.weightDirty = false
-	}
-	return db.byWeight
-}
+func (db *database) popularityRank() []*entry { return db.byWeight }
 
 // unorderedRank returns all entries in SSID order — stable, deterministic,
 // and uncorrelated with popularity.
-func (db *database) unorderedRank() []*entry {
-	if db.ssidsDirty {
-		sort.Slice(db.bySSID, func(i, j int) bool {
-			return db.bySSID[i].ssid < db.bySSID[j].ssid
-		})
-		db.ssidsDirty = false
-	}
-	return db.bySSID
-}
+func (db *database) unorderedRank() []*entry { return db.bySSID }
 
 // freshnessRank returns the entries with at least one hit ordered by
-// descending last-hit time. The returned slice is owned by the database.
-func (db *database) freshnessRank() []*entry {
-	if db.freshDirty {
-		sort.SliceStable(db.byFresh, func(i, j int) bool {
-			if db.byFresh[i].lastHit != db.byFresh[j].lastHit {
-				return db.byFresh[i].lastHit > db.byFresh[j].lastHit
-			}
-			return db.byFresh[i].id < db.byFresh[j].id
-		})
-		db.freshDirty = false
-	}
-	return db.byFresh
-}
+// descending last-hit time; ties go to the older entry. The returned slice
+// is owned by the database.
+func (db *database) freshnessRank() []*entry { return db.byFresh }

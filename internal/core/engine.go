@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"cityhunter/internal/ieee80211"
@@ -90,39 +89,32 @@ type StateSample struct {
 // re-identifies a rotated MAC resumes the device's rotation mid-list
 // instead of restarting from the head.
 type clientTrack struct {
-	// sent is a bitset over entry ids, grown on demand to the highest id
-	// sent to this track: the untried check is one word test.
-	sent []uint64
-	// log has one record per entry ever sent, in send order, with the
-	// bucket it was first served from. Only RecordHit reads the kinds;
-	// its length is the track's sent count.
-	log []sentRecord
+	// kinds packs one 4-bit slot per entry id, two to a byte (the even id
+	// in the low nibble): the BufferKind (1–5) the entry was first sent
+	// from, or 0 if it was never sent. It is grown on demand to the
+	// highest id sent to this track, so the untried check and a hit's
+	// attribution are one nibble read each.
+	kinds []byte
+	// sent counts the entries ever sent.
+	sent int
 }
 
-// sentRecord is one entry sent to a track and the bucket it came from,
-// packed into one word: the entry id above sentKindBits, the BufferKind
-// (1–5) in the low bits.
-type sentRecord uint32
-
-const sentKindBits = 3
-
-func newSentRecord(id int, kind BufferKind) sentRecord {
-	return sentRecord(uint32(id)<<sentKindBits | uint32(kind))
+// kindOf returns the bucket entry id was first sent from, or 0 if it was
+// never sent to the track.
+func (t *clientTrack) kindOf(id int) BufferKind {
+	if b := id >> 1; b < len(t.kinds) {
+		return BufferKind(t.kinds[b] >> (id & 1 * 4) & 0xf)
+	}
+	return 0
 }
-
-func (r sentRecord) id() int          { return int(r >> sentKindBits) }
-func (r sentRecord) kind() BufferKind { return BufferKind(r & (1<<sentKindBits - 1)) }
 
 // has reports whether entry id was ever sent to the track.
-func (t *clientTrack) has(id int) bool {
-	w := id >> 6
-	return w < len(t.sent) && t.sent[w]&(1<<(id&63)) != 0
-}
+func (t *clientTrack) has(id int) bool { return t.kindOf(id) != 0 }
 
-// grow extends the sent bitset to cover entry ids up to maxID.
+// grow extends the array to cover entry ids up to maxID.
 func (t *clientTrack) grow(maxID int) {
-	if n := maxID>>6 + 1; n > len(t.sent) {
-		t.sent = append(t.sent, make([]uint64, n-len(t.sent))...)
+	if n := maxID>>1 + 1; n > len(t.kinds) {
+		t.kinds = append(t.kinds, make([]byte, n-len(t.kinds))...)
 	}
 }
 
@@ -133,27 +125,14 @@ func (t *clientTrack) record(id int, kind BufferKind) {
 		return
 	}
 	t.grow(id)
-	t.sent[id>>6] |= 1 << (id & 63)
-	t.log = append(t.log, newSentRecord(id, kind))
-}
-
-// kindOf returns the bucket entry id was first sent from. It scans the log
-// from the newest send, since a hit almost always answers a recent batch.
-func (t *clientTrack) kindOf(id int) (BufferKind, bool) {
-	if !t.has(id) {
-		return 0, false
-	}
-	for i := len(t.log) - 1; i >= 0; i-- {
-		if t.log[i].id() == id {
-			return t.log[i].kind(), true
-		}
-	}
-	return 0, false
+	t.kinds[id>>1] |= byte(kind) << (id & 1 * 4)
+	t.sent++
 }
 
 // selection is one reply batch under construction: the entries taken so
-// far and the bucket each came from, checked against the asking track's
-// sent set. The engine keeps one and reuses its buffers for every reply.
+// far and the bucket each came from, checked against what the asking
+// track was already sent. The engine keeps one and reuses its buffers for
+// every reply.
 type selection struct {
 	track   *clientTrack
 	rotate  bool
@@ -340,7 +319,7 @@ func (e *Engine) SentCount(mac ieee80211.MAC) int {
 		return 0
 	}
 	if t, ok := e.clients[id]; ok {
-		return len(t.log)
+		return t.sent
 	}
 	return 0
 }
@@ -371,7 +350,7 @@ func (e *Engine) SentCountAcross(macs []ieee80211.MAC) int {
 		}
 		seen = append(seen, id)
 		if t, ok := e.clients[id]; ok {
-			total += len(t.log)
+			total += t.sent
 		}
 	}
 	return total
@@ -494,14 +473,13 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 		}
 	}
 
-	// Size the track's bitset and log once for the whole batch (an empty
-	// batch leaves maxID at -1, which grows nothing).
+	// Size the track's array once for the whole batch (an empty batch
+	// leaves maxID at -1, which grows nothing).
 	maxID := -1
 	for _, en := range s.entries {
 		maxID = max(maxID, en.id)
 	}
 	t.grow(maxID)
-	t.log = slices.Grow(t.log, len(s.entries))
 	out := e.batch[:0]
 	for i, en := range s.entries {
 		t.record(en.id, s.kinds[i])
@@ -637,7 +615,7 @@ func (e *Engine) RecordHit(now time.Duration, victim linker.Observation, ssid st
 	if known {
 		source = en.source
 		if t, ok := e.clients[id]; ok {
-			if k, ok := t.kindOf(en.id); ok {
+			if k := t.kindOf(en.id); k != 0 {
 				kind = k
 			}
 		}

@@ -1,8 +1,9 @@
 // Package promlint validates Prometheus text exposition (format 0.0.4)
 // the way promtool's `check metrics` pass would, with no dependency on the
-// Prometheus toolchain. It exists so CI can hard-fail on a malformed
+// Prometheus toolchain. It exists so tests can fail on a malformed
 // /metrics page — bad escaping, duplicate series, non-cumulative histogram
-// buckets — using only the standard library.
+// buckets — using only the standard library: the monitor's, a monitored
+// cityhunter-sim run's and the job server's pages are linted.
 //
 // The linter is deliberately stricter than the wire parser: problems that
 // scrape fine but trip real-world tooling (missing HELP, TYPE after the

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cityhunter/internal/promlint"
 )
 
 // simEventsLine matches one run's sim_events_executed sample on /metrics,
@@ -120,5 +122,33 @@ func TestLiveScrape(t *testing.T) {
 	done := regexp.MustCompile(`(?m)^campaign_specs_done\{job="` + st.ID + `",run="run-\d+",workers="2"\} 2$`)
 	if code != http.StatusOK || !done.Match(body) {
 		t.Errorf("/metrics lacks campaign_specs_done 2 for %s:\n%s", st.ID, body)
+	}
+}
+
+// TestMergedExpositionLints lints the server's merged /metrics page after
+// a real campaign job: the server's own counters beside every run's
+// metrics, labelled with the job and run, must be valid Prometheus text
+// exposition.
+func TestMergedExpositionLints(t *testing.T) {
+	_, base := newServer(t, t.TempDir())
+	st := submit(t, base, fmt.Sprintf(`{"plan": %s, "seed": 3}`, testPlanJSON(t, 2, 2)), http.StatusAccepted)
+	if done := pollUntil(t, base, st.ID, "job completion", terminal); done.State != "finished" {
+		t.Fatalf("job ended %q (error %q), want finished", done.State, done.Error)
+	}
+	code, body := getBody(t, base+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", code)
+	}
+	for _, want := range []string{"server_jobs_finished", `core_hits{`, `job="` + st.ID + `"`} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	probs, err := promlint.Lint(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range probs {
+		t.Errorf("exposition lint: %s", p)
 	}
 }

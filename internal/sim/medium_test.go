@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -268,6 +269,46 @@ func TestMediumInFlightFromDetachedRadioIsLost(t *testing.T) {
 			e.RunContext(context.Background(), 2*time.Second)
 			if len(dst.received) != 1 {
 				t.Errorf("the new radio's frame reached dst %d times, want 1", len(dst.received))
+			}
+		})
+	}
+}
+
+// TestMediumUnicastReceiverReattachMidBurst sends a burst of probe
+// responses to one DA whose radio detaches after the fourth lands, and
+// either stays away or re-attaches under the same MAC as a new station:
+// the rest of the burst is lost, or reaches the new station.
+func TestMediumUnicastReceiverReattachMidBurst(t *testing.T) {
+	for _, reattach := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reattach=%v", reattach), func(t *testing.T) {
+			tx := &fakeStation{addr: mac(1), pos: geo.Pt(0, 0)}
+			dst := &fakeStation{addr: mac(2), pos: geo.Pt(1, 0)}
+			e, m := newTestMedium(t, 50, tx, dst)
+			next := &fakeStation{addr: dst.addr, pos: geo.Pt(2, 0)}
+			dst.onRecv = func(*ieee80211.Frame) {
+				if len(dst.received) == 4 {
+					dst.radio.Detach()
+					if reattach {
+						next.radio = attach(t, m.Attach, next)
+					}
+				}
+			}
+			for i := 0; i < 10; i++ {
+				tx.radio.Transmit(probeResp(tx.addr, dst.addr, fmt.Sprintf("Net-%d", i)))
+			}
+			e.RunContext(context.Background(), time.Second)
+			want := 0
+			if reattach {
+				want = 6
+			}
+			if len(dst.received) != 4 || len(next.received) != want {
+				t.Fatalf("first radio got %d frames, re-attached one %d; want 4 and %d",
+					len(dst.received), len(next.received), want)
+			}
+			for i, f := range next.received {
+				if want := fmt.Sprintf("Net-%d", i+4); f.SSID != want {
+					t.Errorf("re-attached radio's frame %d is %q, want %q", i, f.SSID, want)
+				}
 			}
 		})
 	}

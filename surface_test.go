@@ -41,6 +41,9 @@ var keptSurface = []string{
 	"ieee80211.RandomMAC", "ieee80211.Frame.IsBroadcastProbe",
 	"core.Engine.SeededSize", "core.Engine.SentCount",
 	"pnl.Model.AdoptionProbability",
+	// The exposition checker the monitor, CLI and job-server tests lint
+	// /metrics with.
+	"promlint.Lint",
 }
 
 func isKept(key string) bool {
