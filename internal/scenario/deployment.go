@@ -336,10 +336,7 @@ func runDeployment(ctx context.Context, dcfg DeploymentConfig, slot int, duratio
 		for i := range siteEnvs {
 			siteEnvs[i] = d.env(i)
 		}
-		tiers, err = newTierManager(siteEnvs, *ff, d.sites)
-		if err != nil {
-			return nil, nil, err
-		}
+		tiers = newTierManager(siteEnvs, *ff, d.sites)
 		tiers.spawn(duration, coord.Parts())
 	}
 

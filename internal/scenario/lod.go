@@ -204,7 +204,7 @@ func farFieldMAC(id int) ieee80211.MAC {
 }
 
 // tierManager owns the far-field tier: it spawns the statistical
-// population, turns routes into promotion windows via the site grid, and
+// population, turns routes into promotion windows around the sites, and
 // performs the promote/demote transitions during the run. Each window's
 // promote/demote runs in the group of the site that owns its boundary, so
 // all tier accounting is kept per site (touched only by the owning group)
@@ -221,7 +221,6 @@ type tierManager struct {
 	cfg   FarFieldConfig
 	sites []*site
 
-	grid    *geo.HashGrid
 	sitePos []geo.Point
 
 	peds []*pedestrian
@@ -257,15 +256,10 @@ type tierDelta struct {
 	delta int
 }
 
-func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierManager, error) {
-	grid, err := geo.NewHashGrid(cfg.Radius)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: far-field grid: %w", err)
-	}
-	tm := &tierManager{envs: envs, cfg: cfg, sites: sites, grid: grid}
+func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) *tierManager {
+	tm := &tierManager{envs: envs, cfg: cfg, sites: sites}
 	tm.perSite = make([]tierSite, len(sites))
 	for i, st := range sites {
-		tm.grid.Insert(int32(i), st.venue.Position)
 		tm.sitePos = append(tm.sitePos, st.venue.Position)
 		tm.perSite[i].stats = FarFieldSite{Name: st.venue.Name}
 		if env := envs[i]; env.rt != nil {
@@ -278,7 +272,7 @@ func newTierManager(envs []*runEnv, cfg FarFieldConfig, sites []*site) (*tierMan
 			tm.mDemotions = env.rt.Metrics.Counter("lod_demotions")
 		}
 	}
-	return tm, nil
+	return tm
 }
 
 // spawn creates the far-field population for one run of the given horizon
@@ -304,7 +298,7 @@ func (tm *tierManager) spawn(horizon time.Duration, workers int) {
 // stream; everything else a pedestrian's spawn draws — its direct-prober
 // flag, arrival, entry point and route — comes from its own seed, so the
 // windows are built on up to workers goroutines, each over a contiguous
-// block of IDs with its own generator, sharing the grid and site positions
+// block of IDs with its own generator, sharing the site positions
 // read-only. The result is the same for every worker count.
 func (tm *tierManager) sample(horizon time.Duration, workers int) [][]promoWindow {
 	direct := tm.envs[0].cfg.DirectProberFraction
@@ -330,7 +324,7 @@ func (tm *tierManager) sample(horizon time.Duration, workers int) [][]promoWindo
 			)
 			p.route = tm.cfg.Route.Sample(rng, arrival, entry, tm.cfg.Stops)
 			p.spawnDraws = src.n
-			windows[id] = promoWindows(tm.grid, tm.sitePos, tm.cfg.Radius, p.route)
+			windows[id] = promoWindows(tm.sitePos, tm.cfg.Radius, p.route)
 		}
 	}
 	workers = max(1, min(workers, n))
@@ -352,22 +346,17 @@ func (tm *tierManager) sample(horizon time.Duration, workers int) [][]promoWindo
 
 // promoWindows computes a route's stays inside promotion boundaries,
 // merged and in time order: per transit leg an analytic segment–disk
-// intersection against every candidate site from the grid, per dwell leg a
-// point-in-disk test. The grid query radius — half the leg length plus the
-// promotion radius — routinely spans thousands of cells, but the grid holds
-// only the sites, so AppendNeighborhood scans those few occupied cells
-// instead of the box. promoWindows only reads the grid and sitePos, so the
-// spawn workers call it concurrently.
-func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
+// intersection against every site, per dwell leg a point-in-disk test
+// that credits the first site in index order. A deployment has a handful
+// of sites, so every leg is tested against all of them. promoWindows only
+// reads sitePos, so the spawn workers call it concurrently.
+func promoWindows(sitePos []geo.Point, r float64, route mobility.Route) []promoWindow {
 	var raw []promoWindow
-	var cand []int32
 	for _, leg := range route.Legs {
 		switch leg.Kind {
 		case mobility.LegTransit:
-			mid := leg.From.Add(leg.To.Sub(leg.From).Scale(0.5))
-			cand = grid.AppendNeighborhood(cand[:0], mid, leg.From.Dist(leg.To)/2+r)
-			for _, si := range cand {
-				t0, t1, ok := geo.SegmentDiskCrossings(leg.From, leg.To, sitePos[si], r)
+			for si, sp := range sitePos {
+				t0, t1, ok := geo.SegmentDiskCrossings(leg.From, leg.To, sp, r)
 				if !ok {
 					continue
 				}
@@ -375,14 +364,13 @@ func promoWindows(grid *geo.HashGrid, sitePos []geo.Point, r float64, route mobi
 				raw = append(raw, promoWindow{
 					start: leg.Start + time.Duration(t0*float64(span)),
 					end:   leg.Start + time.Duration(t1*float64(span)),
-					site:  int(si),
+					site:  si,
 				})
 			}
 		case mobility.LegDwell:
-			cand = grid.AppendNeighborhood(cand[:0], leg.To, r)
-			for _, si := range cand {
-				if leg.To.Dist(sitePos[si]) <= r {
-					raw = append(raw, promoWindow{start: leg.Start, end: leg.End, site: int(si)})
+			for si, sp := range sitePos {
+				if leg.To.Dist(sp) <= r {
+					raw = append(raw, promoWindow{start: leg.Start, end: leg.End, site: si})
 					break
 				}
 			}

@@ -173,14 +173,8 @@ func TestFarFieldAwayFromSitesLeavesVenuesUntouched(t *testing.T) {
 // transit leg clipping a boundary opens a window strictly inside the leg,
 // a dwell inside a boundary spans the whole leg, and overlaps merge.
 func TestFarFieldWindows(t *testing.T) {
-	grid, err := geo.NewHashGrid(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid.Insert(0, geo.Pt(500, 0))
-	grid.Insert(1, geo.Pt(560, 0))
 	sitePos := []geo.Point{geo.Pt(500, 0), geo.Pt(560, 0)}
-	windows := func(route mobility.Route) []promoWindow { return promoWindows(grid, sitePos, 100, route) }
+	windows := func(route mobility.Route) []promoWindow { return promoWindows(sitePos, 100, route) }
 
 	// Leg 1: walk 0→1000 along y=0 between minutes 0 and 10, crossing both
 	// boundaries; their windows overlap and must merge into one.
@@ -279,10 +273,7 @@ func TestFarFieldSpawnWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm, err := newTierManager(envs, ff, sites)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tm := newTierManager(envs, ff, sites)
 		return tm, tm.sample(horizon, workers)
 	}
 	ref, refWindows := sample(1)

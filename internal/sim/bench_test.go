@@ -112,8 +112,8 @@ func BenchmarkMediumUnicast(b *testing.B) {
 
 // BenchmarkMediumBroadcastSpread fans a broadcast out to 200 stations
 // scattered over the transmitter's 3×3 cell neighborhood, attached in
-// random spatial order, so every cell list interleaves with the others
-// and the candidates must be merged into attach order.
+// random spatial order, so every cell's slots interleave with the
+// others'.
 func BenchmarkMediumBroadcastSpread(b *testing.B) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
@@ -138,12 +138,42 @@ func BenchmarkMediumBroadcastSpread(b *testing.B) {
 
 // BenchmarkMediumBroadcastChannels fans a channel-6 broadcast out over 150
 // stations spread across the transmitter's cell neighbourhood on channels
-// 1, 6 and 11, plus one channel-agnostic station: the medium merges the
-// cells of the channel-6 grid and the agnostic one.
+// 1, 6 and 11, plus one channel-agnostic station: the medium ORs the
+// cells and masks them with the channel-6 and agnostic slots.
 func BenchmarkMediumBroadcastChannels(b *testing.B) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
 	radio, f := channelCrowd(b, m, 150)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		radio.Transmit(f)
+		e.RunContext(ctx, e.Now()+time.Millisecond)
+	}
+}
+
+// BenchmarkMediumBroadcastLargeTable fans a channel-6 broadcast out from
+// the middle of 2,000 stations spread over 40 cells (a 400 × 250 m
+// rectangle of 50 m cells), round-robin over channels 1, 6 and 11: the
+// fan-out visits a few hundred candidates, but its index work spans the
+// whole 32-word station table in each of the nine cells it reads.
+func BenchmarkMediumBroadcastLargeTable(b *testing.B) {
+	e := NewEngine()
+	m := NewMedium(e, 50)
+	tx := &quietTuner{quietStation: quietStation{addr: mac(0), pos: geo.Pt(200, 125)}, ch: 6}
+	radio := attach(b, m.Attach, tx)
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i < 2000; i++ {
+		attach(b, m.Attach, &quietTuner{
+			quietStation: quietStation{
+				addr: ieee80211.MAC{0x02, 1, 0, 0, byte(i >> 8), byte(i)},
+				pos:  geo.Pt(rng.Float64()*400, rng.Float64()*250),
+			},
+			ch: []uint8{1, 6, 11}[i%3],
+		})
+	}
+	f := probeReq(tx.addr)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -27,7 +29,7 @@ type fanoutRadio interface {
 // CurrentChannel, so its radios need neither Moved nor Retuned. A
 // broadcast's candidates are the stations attached and on its channel
 // when it lands; positions do not change while a fan-out runs in the tests
-// that use it, so the medium's cell query selects the same ones.
+// that use it, so the medium's cell bitsets select the same ones.
 type scanMedium struct {
 	e        *Engine
 	radius   float64
@@ -311,15 +313,21 @@ func scanCoord(b byte) float64 { return float64(b)*300/256 - 100 }
 
 var scanChannels = []uint8{0, 1, 6, 11}
 
+// fanoutStats is what runFanout saw of the Medium: its compactions, the
+// actions run mid-fan-out, and its station table's peak and final length.
+type fanoutStats struct {
+	compactions, midFanout int
+	peakSlots, slots       int
+}
+
 // runFanout decodes ops four bytes at a time and applies each to a Medium
 // and to the full-scan reference, both with frame loss at 30 %. It checks
 // that every transmission returned the same end time and, after every
 // operation, that every radio the stations have held reports the same
 // BusyUntil. At the end it checks that they delivered the same frames to
 // the same stations at the same times in the same order, counted the same,
-// and left the loss RNG at the same position. It returns the Medium's
-// compaction count and the number of actions run mid-fan-out.
-func runFanout(t *testing.T, ops []byte, seed int64) (compactions int, midFanout int) {
+// and left the loss RNG at the same position.
+func runFanout(t *testing.T, ops []byte, seed int64) fanoutStats {
 	t.Helper()
 	const radius, loss = 50.0, 0.3
 	real, ref := NewEngine(), NewEngine()
@@ -347,6 +355,7 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions int, midFanout
 		}
 	}
 	var seq uint16
+	var peak int
 	// transmit sends f through station i's radio, whatever f's SA.
 	transmit := func(i int, f *ieee80211.Frame) {
 		seq++
@@ -429,6 +438,7 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions int, midFanout
 		for i, r := range worlds[0].retired {
 			checkBusy(t, r, worlds[1].retired[i])
 		}
+		peak = max(peak, len(m.order))
 	}
 	each(func(w *scanWorld) { w.e.RunContext(context.Background(), w.e.Now()+time.Hour) })
 
@@ -454,7 +464,12 @@ func runFanout(t *testing.T, ops []byte, seed int64) (compactions int, midFanout
 	if g, w := m.lossRNG.Int63(), sm.rng.Int63(); g != w {
 		t.Fatalf("loss RNG out of step: next draw %d on the medium, %d on the full scan", g, w)
 	}
-	return int(snap.Value("medium_compactions")), got.midFanout
+	return fanoutStats{
+		compactions: int(snap.Value("medium_compactions")),
+		midFanout:   got.midFanout,
+		peakSlots:   peak,
+		slots:       len(m.order),
+	}
 }
 
 // checkBusy compares BusyUntil for one station's radio in both worlds of
@@ -487,12 +502,150 @@ func TestMediumMatchesFullScan(t *testing.T) {
 			}
 			ops = append(ops, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
-		c, n := runFanout(t, ops, int64(trial))
-		compactions += c
-		mid += n
+		st := runFanout(t, ops, int64(trial))
+		compactions += st.compactions
+		mid += st.midFanout
 	}
 	if compactions == 0 || mid == 0 {
 		t.Fatalf("%d compactions and %d mid-fan-out actions: the trials miss what they test", compactions, mid)
+	}
+	for _, sc := range wordBoundaryScripts() {
+		runFanout(t, sc.ops, 3)
+	}
+}
+
+// fanoutScript builds runFanout programs op by op.
+type fanoutScript []byte
+
+func (s *fanoutScript) op(op, a, b, c byte) { *s = append(*s, op, a, b, c) }
+
+// scanByte is the inverse of scanCoord: the byte whose coordinate is
+// nearest x.
+func scanByte(x float64) byte { return byte(math.Round((x + 100) * 256 / 300)) }
+
+// crowd attaches n stations of the given kind, station i on the grid of
+// 40×40 spots that fills the 50 m cell [0, 50)², so none lands in another
+// cell. With no detaches before it, station i holds slot i.
+func (s *fanoutScript) crowd(n int, kind byte) {
+	for i := range n {
+		s.op(0, kind, scanByte(1+float64(i%40)), scanByte(1+float64(i*7%40)))
+	}
+}
+
+// broadcast transmits a probe request from station i and lets it land.
+func (s *fanoutScript) broadcast(i int) {
+	s.op(5, byte(i), 0, 0)
+	s.op(8, 255, 0, 0)
+}
+
+// boundaryScript is a named runFanout program and what it must reach: a
+// station table of more than peakOver slots at some point, one of at most
+// endAtMost slots (with at least one compaction) at the end when that is
+// positive, and at least midFanout actions run mid-fan-out.
+type boundaryScript struct {
+	name      string
+	ops       []byte
+	peakOver  int
+	endAtMost int
+	midFanout int
+}
+
+// wordBoundaryScripts are runFanout programs that put the broadcast
+// index's bitsets at their 64-slot word boundaries: tables just past 64
+// and 128 slots, transmitters in slots 63, 64 and 127, a cell whose only
+// member is the table's highest slot, a compaction that shrinks a
+// three-word table to one word, and receivers retuned out of and into the
+// transmitter's channel mask in the middle of a fan-out.
+func wordBoundaryScripts() []boundaryScript {
+	var out []boundaryScript
+
+	// Stations on channels 1, 6, 11 and 0 and untuned, scattered over the
+	// 3×3 neighbourhood and beyond; broadcasts as the table passes 64 and
+	// 128 slots, from the slots either side of each boundary.
+	var past fanoutScript
+	rng := rand.New(rand.NewSource(5))
+	for i := range 131 {
+		past.op(0, byte(i%5), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		switch i {
+		case 64:
+			past.broadcast(63)
+			past.broadcast(64)
+		case 128:
+			past.broadcast(127)
+			past.broadcast(128)
+		}
+	}
+	for _, tx := range []int{0, 63, 64, 127, 128, 130} {
+		past.broadcast(tx)
+	}
+	out = append(out, boundaryScript{name: "tables-past-64-and-128", ops: past, peakOver: 128})
+
+	// The highest slot alone in its cell, at each side of a boundary:
+	// slot 63 ends a full word, 64 is a word's only bit, and so on.
+	for _, hi := range []int{63, 64, 127, 128} {
+		var lone fanoutScript
+		lone.crowd(hi, 3)
+		lone.op(0, 3, scanByte(60), scanByte(25)) // cell (1, 0)
+		lone.broadcast(39)                        // at (39, 34), in range of it
+		lone.broadcast(hi)
+		lone.broadcast(hi - 1)
+		out = append(out, boundaryScript{name: fmt.Sprintf("lone-highest-slot-%d", hi), ops: lone, peakOver: hi})
+	}
+
+	// 140 agnostic stations in one cell, three words; a mid-fan-out
+	// detach of every other one compacts the table after the broadcast,
+	// then detaches outside delivery compact it further, to one word.
+	var shrink fanoutScript
+	shrink.crowd(140, 3)
+	shrink.op(7, 1, 3, 0)
+	shrink.broadcast(139)
+	shrink.broadcast(137) // in case frame loss spared station 1
+	for i := 1; i < 120; i += 2 {
+		shrink.op(2, byte(i), 0, 0)
+	}
+	shrink.broadcast(139)
+	shrink.broadcast(121)
+	shrink.crowd(3, 0)
+	shrink.broadcast(141)
+	out = append(out, boundaryScript{name: "compaction-below-cell-length", ops: shrink, peakOver: 128, endAtMost: 64, midFanout: 1})
+
+	// 130 stations on channel 1. Station 0 hears the broadcast first and
+	// retunes station 103 and every third after it to channel 11: out of
+	// the mask, past the first word. The next broadcast's first receiver
+	// retunes some back to channel 1, into the mask too late to count.
+	var retune fanoutScript
+	retune.crowd(130, 0)
+	// Frame loss may spare station 0 a broadcast, so each action gets
+	// several on channel 1.
+	retune.op(7, 0, 1, 103) // 103 % 4 == 3: channel 11
+	for _, tx := range []int{129, 128, 126} {
+		retune.broadcast(tx)
+	}
+	retune.op(7, 0, 1, 109) // 109 % 4 == 1: channel 1
+	for _, tx := range []int{64, 65, 66, 68} {
+		retune.broadcast(tx)
+	}
+	out = append(out, boundaryScript{name: "retune-out-of-mask-mid-fanout", ops: retune, peakOver: 128, midFanout: 2})
+	return out
+}
+
+// TestMediumFanoutWordBoundaries runs wordBoundaryScripts against the
+// full scan and checks that each reached the table sizes it is about.
+func TestMediumFanoutWordBoundaries(t *testing.T) {
+	for _, sc := range wordBoundaryScripts() {
+		t.Run(sc.name, func(t *testing.T) {
+			st := runFanout(t, sc.ops, 7)
+			if st.peakSlots <= sc.peakOver {
+				t.Errorf("station table peaked at %d slots, want over %d", st.peakSlots, sc.peakOver)
+			}
+			if sc.endAtMost > 0 && (st.slots > sc.endAtMost || st.compactions == 0) {
+				t.Errorf("station table ends at %d slots after %d compactions, want at most %d after some",
+					st.slots, st.compactions, sc.endAtMost)
+			}
+			if st.midFanout < sc.midFanout {
+				t.Errorf("%d actions ran mid-fan-out, want %d", st.midFanout, sc.midFanout)
+			}
+		})
 	}
 }
 
@@ -500,6 +653,9 @@ func TestMediumMatchesFullScan(t *testing.T) {
 func FuzzMediumFanout(f *testing.F) {
 	f.Add([]byte{1, 31, 1, 2, 7, 0, 3, 5, 5, 0, 0, 0, 1, 20, 9, 9, 7, 3, 2, 4, 5, 3, 0, 0, 9, 4, 0, 0, 5, 4, 0, 0}, int64(1))
 	f.Add([]byte{1, 31, 7, 7, 1, 31, 8, 8, 1, 31, 9, 9, 7, 0, 3, 0, 5, 1, 0, 0, 6, 2, 3, 0, 8, 9, 0, 0, 5, 0, 0, 0}, int64(2))
+	for _, sc := range wordBoundaryScripts() {
+		f.Add([]byte(sc.ops), int64(3))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
 		runFanout(t, ops, seed)
 	})

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cityhunter/internal/geo"
@@ -40,7 +43,7 @@ type Station interface {
 	// station's positions are read live at delivery time. A station whose
 	// position changes while attached must report each change through
 	// Moved, and a ChannelTuner each channel change through Retuned — the
-	// medium's spatial delivery index relies on both to keep broadcast
+	// medium's cell and channel bitsets rely on both to keep broadcast
 	// fan-out exact.
 	Pos() geo.Point
 	// Receive delivers a frame that arrived at the station's antenna. The
@@ -76,13 +79,13 @@ type Radio struct {
 // deterministic for a given seed. Each station gets a slot when it attaches,
 // and the medium resolves its position and channel into per-slot arrays
 // then, so the delivery path makes no interface call or type assertion
-// until Receive. One spatial hash grid per channel in use holds the slots
-// tuned to it (channel 0 holds the channel-agnostic ones); a broadcast
-// merges the neighbouring cells of its channel's grid and the agnostic
-// grid, so fan-out cost scales with the local density of its own channel
-// instead of the whole population. Every grid cell keeps its slots
-// ascending, so the merge yields the receivers in attach order without a
-// sort.
+// until Receive. The slots are indexed by two kinds of bitset over the
+// station table: one per occupied cell of a radio-range grid, and one per
+// channel in use (channel 0 holds the channel-agnostic slots). A broadcast
+// ORs the cells around its transmitter, masks the result with its channel
+// and the agnostic one, and walks the set bits in ascending order, which
+// is attach order, so fan-out visits only the stations near it on its
+// channel without a merge or a sort.
 //
 // A broadcast's candidate set is fixed when its query runs: a station
 // that attaches, walks into reach or tunes to the channel while the
@@ -93,8 +96,7 @@ type Medium struct {
 	engine *Engine
 
 	// radius is the distance in metres within which a receiver hears a
-	// transmitter. It also sizes the spatial grid cells and the broadcast
-	// candidate query.
+	// transmitter. It also sizes the cells of the broadcast index.
 	radius float64
 
 	// order holds the attached radios in attach order, with pos and ch
@@ -112,18 +114,19 @@ type Medium struct {
 	// ones included: it addresses unicast frames and refuses duplicates.
 	index map[uint64]*Radio
 
-	// grids[c] buckets the slots tuned to channel c by position for
-	// broadcast delivery, each cell in ascending slot order, so slot i
-	// sits in grids[ch[i]] at the cell of pos[i]; inUse lists the grids
-	// created so far, the agnostic grids[0] first.
-	grids []*geo.HashGrid
-	inUse []*geo.HashGrid
-	// scratch is the reusable broadcast candidate buffer, and renumber the
-	// reusable slot map of a compaction. Delivery never nests (events run
-	// one at a time and Receive callbacks only schedule future work), so a
-	// single buffer is safe.
-	scratch  []int32
-	renumber []int32
+	// cells and chans index the slots for broadcast delivery, as bitsets
+	// over the station table: slot i's bit is set in the cell of pos[i]
+	// (keyOf with the radius) and in chans[ch[i]], and nowhere else. A
+	// bitset may be shorter than the table; its missing words are zero.
+	// Only occupied cells are kept, and spare holds the cleared bitsets of
+	// emptied cells for new ones to reuse.
+	cells map[cellKey][]uint64
+	chans [][]uint64
+	spare [][]uint64
+	// scratch is the reusable broadcast candidate bitset. Delivery never
+	// nests (events run one at a time and Receive callbacks only schedule
+	// future work), so a single buffer is safe.
+	scratch []uint64
 	// delivering is set while a delivery runs Receive callbacks. A Detach
 	// in a callback defers compaction to the delivery's end, so slot
 	// numbers — the transmitter's and the broadcast candidates' — hold for
@@ -195,20 +198,51 @@ func (m *Medium) Instrument(rt *obs.Runtime) {
 // at 100 mW covers roughly a 50 m disk in open indoor space. radius must
 // be positive; NewMedium panics otherwise.
 func NewMedium(engine *Engine, radius float64) *Medium {
-	// One cell per range disk: a 3×3 neighborhood always covers the
-	// transmitter's reach, and typical venues keep the crowd within a
-	// handful of cells.
-	agnostic, err := geo.NewHashGrid(radius)
-	if err != nil {
-		panic("sim: medium radius: " + err.Error())
+	if radius <= 0 {
+		panic(fmt.Sprintf("sim: medium radius %v must be positive", radius))
 	}
 	return &Medium{
 		engine: engine,
 		radius: radius,
-		grids:  []*geo.HashGrid{agnostic},
-		inUse:  []*geo.HashGrid{agnostic},
+		cells:  make(map[cellKey][]uint64),
+		chans:  make([][]uint64, 1),
 		index:  make(map[uint64]*Radio),
 	}
+}
+
+// cellKey identifies one square cell of the broadcast index.
+type cellKey struct{ X, Y int32 }
+
+// keyOf returns the key of the size-metre cell containing p. One cell per
+// range disk means a 3×3 box of cells always covers a transmitter's reach,
+// and typical venues keep the crowd within a handful of cells. It floors
+// rather than truncates, which would fold the cells either side of an axis
+// together.
+func keyOf(p geo.Point, size float64) cellKey {
+	return cellKey{X: int32(math.Floor(p.X / size)), Y: int32(math.Floor(p.Y / size))}
+}
+
+// setBit sets bit i of b, growing it with zero words as needed, and
+// returns it.
+func setBit(b []uint64, i int32) []uint64 {
+	if w, n := int(i>>6), len(b); w >= n {
+		b = slices.Grow(b, w+1-n)[:w+1]
+		clear(b[n:])
+	}
+	b[i>>6] |= 1 << (i & 63)
+	return b
+}
+
+// clearBit clears bit i of b, which must reach it: every bitset that
+// holds a slot is long enough to.
+func clearBit(b []uint64, i int32) { b[i>>6] &^= 1 << (i & 63) }
+
+// wordAt returns word w of b, 0 past its end.
+func wordAt(b []uint64, w int) uint64 {
+	if w < len(b) {
+		return b[w]
+	}
+	return 0
 }
 
 // macKey packs a MAC into the low 48 bits of a uint64, the medium's map
@@ -228,18 +262,39 @@ func tunedTo(s Station) uint8 {
 	return 0
 }
 
-// grid returns channel c's spatial grid, creating it on first use.
-func (m *Medium) grid(c uint8) *geo.HashGrid {
-	if n := int(c) + 1; n > len(m.grids) {
-		m.grids = append(m.grids, make([]*geo.HashGrid, n-len(m.grids))...)
+// tune sets slot i's bit in channel c's mask, creating the mask on first
+// use.
+func (m *Medium) tune(i int32, c uint8) {
+	if n := int(c) + 1; n > len(m.chans) {
+		m.chans = append(m.chans, make([][]uint64, n-len(m.chans))...)
 	}
-	g := m.grids[c]
-	if g == nil {
-		g, _ = geo.NewHashGrid(m.radius) // NewMedium checked the radius
-		m.grids[c] = g
-		m.inUse = append(m.inUse, g)
+	m.chans[c] = setBit(m.chans[c], i)
+}
+
+// bucket sets slot i's bit in cell k, starting an absent cell from a
+// spare bitset.
+func (m *Medium) bucket(i int32, k cellKey) {
+	b, ok := m.cells[k]
+	if n := len(m.spare); !ok && n > 0 {
+		b = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
 	}
-	return g
+	m.cells[k] = setBit(b, i)
+}
+
+// unbucket clears slot i's bit in cell k, dropping the cell once it is
+// empty.
+func (m *Medium) unbucket(i int32, k cellKey) {
+	b := m.cells[k]
+	clearBit(b, i)
+	for _, w := range b {
+		if w != 0 {
+			return
+		}
+	}
+	delete(m.cells, k)
+	m.spare = append(m.spare, b[:0])
 }
 
 // SetFrameLoss drops each frame delivery independently with probability p
@@ -284,7 +339,8 @@ func (m *Medium) Attach(s Station) (*Radio, error) {
 	m.pos = append(m.pos, p)
 	m.ch = append(m.ch, c)
 	m.busy = append(m.busy, 0)
-	m.grid(c).Insert(r.slot, p)
+	m.tune(r.slot, c)
+	m.bucket(r.slot, keyOf(p, m.radius))
 	return r, nil
 }
 
@@ -332,7 +388,8 @@ func (r *Radio) Detach() {
 		m.promisc[i] = nil
 		return
 	}
-	m.unbucket(i)
+	clearBit(m.chans[m.ch[i]], i)
+	m.unbucket(i, keyOf(m.pos[i], m.radius))
 	m.order[i] = nil
 	m.tombstones++
 	if !m.delivering {
@@ -340,8 +397,8 @@ func (r *Radio) Detach() {
 	}
 }
 
-// Moved records the station's new position and re-buckets it in the
-// spatial delivery index. Every station whose position changes while
+// Moved records the station's new position and moves its bit to the new
+// cell when the cell changes. Every station whose position changes while
 // attached must call it; a stale position can hide the station from
 // broadcasts it should hear, or let it hear ones it should not. A move
 // during a broadcast's fan-out counts for that fan-out's range check,
@@ -351,14 +408,16 @@ func (r *Radio) Moved() {
 	if !r.attached() || r.promisc {
 		return
 	}
-	m, i := r.m, r.slot
-	g, p := m.grids[m.ch[i]], r.s.Pos()
-	g.Move(i, g.Key(m.pos[i]), p)
+	m, i, p := r.m, r.slot, r.s.Pos()
+	if from, to := keyOf(m.pos[i], m.radius), keyOf(p, m.radius); from != to {
+		m.unbucket(i, from)
+		m.bucket(i, to)
+	}
 	m.pos[i] = p
 }
 
-// Retuned records a ChannelTuner's new channel and moves it to that
-// channel's spatial grid. Every tuner whose channel changes while attached
+// Retuned records a ChannelTuner's new channel and moves its bit to that
+// channel's mask. Every tuner whose channel changes while attached
 // must call it; until it does, the medium delivers to and from the station
 // on its old channel. A retune during a broadcast's fan-out counts for
 // that fan-out's channel check, though not for its candidate set. It is
@@ -376,9 +435,9 @@ func (r *Radio) Retuned() {
 	if c == m.ch[i] {
 		return
 	}
-	m.unbucket(i)
+	clearBit(m.chans[m.ch[i]], i)
 	m.ch[i] = c
-	m.grid(c).Insert(i, m.pos[i])
+	m.tune(i, c)
 }
 
 // BusyUntil returns when the radio's transmit queue drains; before that
@@ -391,27 +450,19 @@ func (r *Radio) BusyUntil() time.Duration {
 	return r.m.busy[r.slot]
 }
 
-// unbucket removes slot i from its channel's grid.
-func (m *Medium) unbucket(i int32) {
-	g := m.grids[m.ch[i]]
-	g.Remove(i, g.Key(m.pos[i]))
-}
-
 // maybeCompact drops the station table's tombstones once it has at least
 // 64 slots and half of them are, preserving attach order. It runs between
 // deliveries only, so it rewrites the per-slot arrays and each live
-// radio's slot in place, and renumbers every grid's slots through a
-// monotone map, which keeps each cell ascending.
+// radio's slot in place, then rebuilds the cell and channel bitsets from
+// pos and ch, reusing their words.
 func (m *Medium) maybeCompact() {
 	if len(m.order) < 64 || m.tombstones*2 < len(m.order) {
 		return
 	}
 	m.mCompactions.Inc()
 	m.tombstones = 0
-	renumber := m.renumber[:0]
 	n := int32(0)
 	for i, r := range m.order {
-		renumber = append(renumber, n)
 		if r == nil {
 			continue
 		}
@@ -421,10 +472,17 @@ func (m *Medium) maybeCompact() {
 	}
 	clear(m.order[n:])
 	m.order, m.pos, m.ch, m.busy = m.order[:n], m.pos[:n], m.ch[:n], m.busy[:n]
-	for _, g := range m.inUse {
-		g.Renumber(renumber)
+	for _, b := range m.cells {
+		m.spare = append(m.spare, b[:0])
 	}
-	m.renumber = renumber
+	clear(m.cells)
+	for c := range m.chans {
+		m.chans[c] = m.chans[c][:0]
+	}
+	for i := range n {
+		m.tune(i, m.ch[i])
+		m.bucket(i, keyOf(m.pos[i], m.radius))
+	}
 }
 
 // Transmit queues f for transmission on the radio, whatever f.SA says (a
@@ -573,31 +631,55 @@ func (m *Medium) retry(tx *Radio, txCh uint8, f *ieee80211.Frame, retriesLeft in
 }
 
 // deliverBroadcast fans f out, from the radio in slot ti, to every
-// in-range station in attach order. Only stations bucketed in cells the
-// transmitter can reach, in its channel's grid and the agnostic one (every
-// grid for an agnostic transmitter), are visited; the merge returns their
-// slot ids ascending, which IS attach order, so the delivery sequence (and
-// thus every RNG draw) is identical to a full scan. No compaction runs
-// while the fan-out does, so a slot keeps its station throughout; each
-// candidate's channel, position and attachment are read when its turn
-// comes.
+// in-range station in attach order. Only the slots of the candidates
+// bitset are visited, in ascending order, which IS attach order, so the
+// delivery sequence (and thus every RNG draw) is identical to a full scan.
+// No compaction runs while the fan-out does, so a slot keeps its station
+// throughout; each candidate's channel, position and attachment are read
+// when its turn comes.
 func (m *Medium) deliverBroadcast(ti int32, txPos geo.Point, txCh uint8, f *ieee80211.Frame) {
-	cands := m.scratch[:0]
-	if txCh == 0 {
-		cands = geo.AppendNeighborhoods(cands, txPos, m.radius, m.inUse...)
-	} else {
-		cands = geo.AppendNeighborhoods(cands, txPos, m.radius, m.grids[txCh], m.grids[0])
-	}
-	m.scratch = cands
-	for _, i := range cands {
-		if !hears(txCh, m.ch[i]) || !m.inRange(txPos, m.pos[i]) || i == ti {
-			continue
+	for w, word := range m.candidates(txPos, txCh) {
+		for ; word != 0; word &= word - 1 {
+			i := int32(w<<6 + bits.TrailingZeros64(word))
+			if !hears(txCh, m.ch[i]) || !m.inRange(txPos, m.pos[i]) || i == ti {
+				continue
+			}
+			rx := m.order[i]
+			if rx == nil || m.dropped(f.Subtype) {
+				continue
+			}
+			m.mDelivered[f.Subtype&0xf].Inc()
+			rx.s.Receive(f)
 		}
-		rx := m.order[i]
-		if rx == nil || m.dropped(f.Subtype) {
-			continue
-		}
-		m.mDelivered[f.Subtype&0xf].Inc()
-		rx.s.Receive(f)
 	}
+}
+
+// candidates returns, in the scratch bitset, the slots a broadcast on txCh
+// from p may reach: the union of the cells its range box touches — at most
+// 3×3, since a cell is one radius wide — masked, unless txCh is agnostic,
+// with the slots tuned to txCh or agnostic. It is sized to the station
+// table, so a station attached during the fan-out is not a candidate.
+func (m *Medium) candidates(p geo.Point, txCh uint8) []uint64 {
+	n := (len(m.order) + 63) >> 6
+	s := slices.Grow(m.scratch[:0], n)[:n]
+	clear(s)
+	m.scratch = s
+	lo := keyOf(geo.Point{X: p.X - m.radius, Y: p.Y - m.radius}, m.radius)
+	hi := keyOf(geo.Point{X: p.X + m.radius, Y: p.Y + m.radius}, m.radius)
+	for y := lo.Y; y <= hi.Y; y++ {
+		for x := lo.X; x <= hi.X; x++ {
+			b := m.cells[cellKey{X: x, Y: y}]
+			for w, v := range b[:min(len(b), n)] {
+				s[w] |= v
+			}
+		}
+	}
+	if txCh != 0 {
+		// The transmitter was tuned to txCh, so its mask exists.
+		on, agnostic := m.chans[txCh], m.chans[0]
+		for w := range s {
+			s[w] &= wordAt(on, w) | wordAt(agnostic, w)
+		}
+	}
+	return s
 }

@@ -343,7 +343,8 @@ func TestMediumRangeBoundary(t *testing.T) {
 }
 
 // TestNewMediumRequiresPositiveRadius pins NewMedium's precondition: the
-// spatial grid is sized by the radius, and there is no full-scan fallback.
+// broadcast index's cells are sized by the radius, and there is no
+// full-scan fallback.
 func TestNewMediumRequiresPositiveRadius(t *testing.T) {
 	for _, r := range []float64{0, -1} {
 		func() {
@@ -354,6 +355,104 @@ func TestNewMediumRequiresPositiveRadius(t *testing.T) {
 			}()
 			NewMedium(NewEngine(), r)
 		}()
+	}
+}
+
+// TestCellKeyNegativeCoordinates checks that the broadcast index's cells
+// partition the plane: the cells just left of and just right of the
+// origin are distinct (truncation toward zero would fold them together),
+// and a cell boundary belongs to the cell on its right.
+func TestCellKeyNegativeCoordinates(t *testing.T) {
+	if keyOf(geo.Pt(-1, 0), 10) == keyOf(geo.Pt(1, 0), 10) {
+		t.Error("cells across x=0 folded together")
+	}
+	for _, c := range []struct {
+		p    geo.Point
+		want cellKey
+	}{
+		{geo.Pt(-1, -1), cellKey{X: -1, Y: -1}},
+		{geo.Pt(-10, 0), cellKey{X: -1, Y: 0}},
+		{geo.Pt(-10.5, 9.99), cellKey{X: -2, Y: 0}},
+		{geo.Pt(10, -20), cellKey{X: 1, Y: -2}},
+	} {
+		if got := keyOf(c.p, 10); got != c.want {
+			t.Errorf("keyOf(%v) = %+v, want %+v", c.p, got, c.want)
+		}
+	}
+}
+
+// TestMediumIndexMatchesSlots drives random attaches, moves, retunes,
+// detaches and compactions, and after each checks the broadcast index
+// against the station table: every cell bitset and channel mask holds
+// exactly the attached slots whose position and channel put them there,
+// and no empty cell is kept.
+func TestMediumIndexMatchesSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	_, m := newTestMedium(t, 50)
+	reg := meter(m)
+	var sts []*quietTuner
+	var radios []*Radio
+	for op := 0; op < 3000; op++ {
+		// Attaches outnumber detaches early on, then match them, so the
+		// table grows past 64 slots and then compacts.
+		switch k := rng.Intn(10); {
+		case k < 3 || len(sts) == 0 || op < 300 && k < 6:
+			s := &quietTuner{
+				quietStation: quietStation{addr: ieee80211.MAC{0x02, 2, 0, 0, byte(op >> 8), byte(op)},
+					pos: geo.Pt(rng.Float64()*300-150, rng.Float64()*300-150)},
+				ch: []uint8{0, 1, 6, 11}[rng.Intn(4)],
+			}
+			sts, radios = append(sts, s), append(radios, attach(t, m.Attach, s))
+		case k < 6:
+			i := rng.Intn(len(sts))
+			sts[i].pos = sts[i].pos.Add(geo.Pt(rng.Float64()*60-30, rng.Float64()*60-30))
+			radios[i].Moved()
+		case k < 8:
+			i := rng.Intn(len(sts))
+			sts[i].ch = []uint8{0, 1, 6, 11}[rng.Intn(4)]
+			radios[i].Retuned()
+		case len(m.index) > 0:
+			// A live one, so tombstones build up to a compaction.
+			i := rng.Intn(len(sts))
+			for !radios[i].attached() {
+				i = (i + 1) % len(sts)
+			}
+			radios[i].Detach()
+		}
+		cells := map[cellKey][]uint64{}
+		chans := map[uint8][]uint64{}
+		for i, r := range m.order {
+			if r != nil {
+				k := keyOf(m.pos[i], m.radius)
+				cells[k] = setBit(cells[k], int32(i))
+				chans[m.ch[i]] = setBit(chans[m.ch[i]], int32(i))
+			}
+		}
+		// same compares two bitsets up to trailing zero words.
+		same := func(a, b []uint64) bool {
+			for w := range max(len(a), len(b)) {
+				if wordAt(a, w) != wordAt(b, w) {
+					return false
+				}
+			}
+			return true
+		}
+		if len(m.cells) != len(cells) {
+			t.Fatalf("op %d: %d cells kept, %d occupied", op, len(m.cells), len(cells))
+		}
+		for k, want := range cells {
+			if !same(m.cells[k], want) {
+				t.Fatalf("op %d: cell %+v holds %b, want %b", op, k, m.cells[k], want)
+			}
+		}
+		for c, got := range m.chans {
+			if !same(got, chans[uint8(c)]) {
+				t.Fatalf("op %d: channel %d mask %b, want %b", op, c, got, chans[uint8(c)])
+			}
+		}
+	}
+	if n := reg.Snapshot().Value("medium_compactions"); n == 0 {
+		t.Fatal("no compaction: the ops miss the rebuild")
 	}
 }
 

@@ -207,7 +207,7 @@ func channelCrowd(tb testing.TB, m *Medium, n int) (*Radio, *ieee80211.Frame) {
 
 // TestMediumBroadcastChannelsSteadyStateAllocs is
 // TestMediumBroadcastSteadyStateAllocs over a crowd on channels 1, 6 and 11
-// and one agnostic station, so the fan-out merges two grids' cells.
+// and one agnostic station, so the fan-out masks its cells by channel.
 func TestMediumBroadcastChannelsSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	m := NewMedium(e, 50)
@@ -220,13 +220,13 @@ func TestMediumBroadcastChannelsSteadyStateAllocs(t *testing.T) {
 		e.RunContext(ctx, e.Now()+time.Second)
 	})
 	if avg != 0 {
-		t.Errorf("broadcast delivery across channel grids allocates %.2f/op, want 0", avg)
+		t.Errorf("broadcast delivery across channels allocates %.2f/op, want 0", avg)
 	}
 }
 
 // TestMediumRetunedSteadyStateAllocs pins Retuned: reporting an unchanged
 // channel allocates nothing, and neither does hopping a lone station
-// between channel grids once each grid has held it.
+// between channels once each channel's mask has held it.
 func TestMediumRetunedSteadyStateAllocs(t *testing.T) {
 	_, m := newTestMedium(t, 50)
 	s := &quietTuner{quietStation: quietStation{addr: mac(1), pos: geo.Pt(10, 10)}, ch: 1}
