@@ -131,8 +131,8 @@ func (t *clientTrack) record(id int, kind BufferKind) {
 
 // selection is one reply batch under construction: the entries taken so
 // far and the bucket each came from, checked against what the asking
-// track was already sent. The engine keeps one and reuses its buffers for
-// every reply.
+// track was already sent, and where the popularity walk stopped. The
+// engine keeps one and reuses its buffers for every reply.
 type selection struct {
 	track   *clientTrack
 	rotate  bool
@@ -145,12 +145,18 @@ type selection struct {
 	gen    uint32
 	// ghostPop and ghostFresh collect the ghost-list candidates.
 	ghostPop, ghostFresh []*entry
+	// resume is the popularity-rank position the full-mode backfill
+	// starts from: the first entry the popularity walk found eligible
+	// but did not take, or the rank's length if it found none. Every
+	// entry before it was already sent or is in the batch, so a
+	// backfill from the head of the rank would take nothing there.
+	resume int
 }
 
 // reset starts an empty batch of at most budget entries for track t over
 // a database of dbLen entries.
 func (s *selection) reset(t *clientTrack, rotate bool, budget, dbLen int) {
-	s.track, s.rotate, s.budget = t, rotate, budget
+	s.track, s.rotate, s.budget, s.resume = t, rotate, budget, 0
 	s.entries, s.kinds = s.entries[:0], s.kinds[:0]
 	if n := dbLen - len(s.chosen); n > 0 {
 		s.chosen = append(s.chosen, make([]uint32, n)...)
@@ -172,9 +178,12 @@ func (s *selection) eligible(en *entry) bool {
 // take adds en to the batch from the given bucket when it is eligible,
 // and reports whether the batch is full.
 func (s *selection) take(en *entry, kind BufferKind) bool {
-	if !s.eligible(en) {
-		return false
-	}
+	return s.eligible(en) && s.add(en, kind)
+}
+
+// add adds en, which must be eligible, to the batch from the given bucket
+// and reports whether the batch is full.
+func (s *selection) add(en *entry, kind BufferKind) bool {
 	s.chosen[en.id] = s.gen
 	s.entries = append(s.entries, en)
 	s.kinds = append(s.kinds, kind)
@@ -460,11 +469,11 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 	// Preliminary mode — and full-mode backfill when the freshness side
 	// could not fill its share. The §III design has no weights yet, so
 	// it walks the database in storage order; the full design backfills
-	// down the popularity ranking.
+	// down the popularity ranking from where the popularity walk stopped.
 	if len(s.entries) < budget {
-		backfill := e.db.popularityRank()
-		if e.cfg.Mode == ModePreliminary {
-			backfill = e.db.unorderedRank()
+		backfill := e.db.unorderedRank()
+		if e.cfg.Mode == ModeFull {
+			backfill = e.db.popularityRank()[s.resume:]
 		}
 		for _, en := range backfill {
 			if s.take(en, KindPopularity) {
@@ -498,6 +507,7 @@ func (e *Engine) BroadcastReply(_ time.Duration, o linker.Observation, limit int
 // selectFull fills the batch from PB, FB and both ghost lists. Both the
 // regular buffers and the ghost candidates honour the per-client untried
 // rotation: a client never wastes a slot on an SSID it already received.
+// It records in s.resume where the popularity walk stopped.
 func (e *Engine) selectFull(s *selection) {
 	regular := max(s.budget-2*e.cfg.GhostPicks, 0)
 	fb := min(e.fbSize, regular)
@@ -507,16 +517,21 @@ func (e *Engine) selectFull(s *selection) {
 	// GhostSize eligible entries form its ghost list.
 	s.ghostPop = s.ghostPop[:0]
 	taken := 0
-	for _, en := range e.db.popularityRank() {
+	rank := e.db.popularityRank()
+	s.resume = len(rank)
+	for i, en := range rank {
 		if !s.eligible(en) {
 			continue
 		}
 		if taken < pb {
-			if s.take(en, KindPopularity) {
+			if s.add(en, KindPopularity) {
 				return
 			}
 			taken++
 			continue
+		}
+		if len(s.ghostPop) == 0 {
+			s.resume = i
 		}
 		if len(s.ghostPop) < e.cfg.GhostSize {
 			s.ghostPop = append(s.ghostPop, en)
@@ -534,7 +549,7 @@ func (e *Engine) selectFull(s *selection) {
 			continue
 		}
 		if taken < fb {
-			if s.take(en, KindFreshness) {
+			if s.add(en, KindFreshness) {
 				return
 			}
 			taken++

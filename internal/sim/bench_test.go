@@ -110,6 +110,46 @@ func BenchmarkMediumUnicast(b *testing.B) {
 	e.RunContext(context.Background(), e.Now()+time.Hour)
 }
 
+// BenchmarkMediumUnicastBurst times one landed probe response in the
+// pattern an attacker answers phones with: a phone's broadcast probe, then
+// a burst of 40 responses to it, then the next phone, over a table of 300
+// stations that all hear each other. The broadcast walks the whole table
+// between bursts, so the receiver lookup does not find the medium's state
+// hot in cache the way BenchmarkMediumUnicast's two-station table does.
+func BenchmarkMediumUnicastBurst(b *testing.B) {
+	e := NewEngine()
+	m := NewMedium(e, 100)
+	tx := &quietStation{addr: mac(0), pos: geo.Pt(0, 0)}
+	radio := attach(b, m.Attach, tx)
+	rng := rand.New(rand.NewSource(1))
+	phones := make([]*quietStation, 300)
+	radios := make([]*Radio, len(phones))
+	for i := range phones {
+		phones[i] = &quietStation{
+			addr: ieee80211.MAC{0x02, 1, 0, 0, byte(i >> 8), byte(i)},
+			pos:  geo.Pt(rng.Float64()*100-50, rng.Float64()*100-50),
+		}
+		radios[i] = attach(b, m.Attach, phones[i])
+	}
+	order := rng.Perm(len(phones))
+	req, resp := probeReq(tx.addr), probeResp(tx.addr, tx.addr, "Bench Net")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%40 == 0 {
+			k := order[i/40%len(order)]
+			req.SA, resp.DA = phones[k].addr, phones[k].addr
+			radios[k].Transmit(req)
+		}
+		radio.Transmit(resp)
+		if i%40 == 39 {
+			e.RunContext(ctx, e.Now()+time.Second)
+		}
+	}
+	e.RunContext(ctx, e.Now()+time.Hour)
+}
+
 // BenchmarkMediumBroadcastSpread fans a broadcast out to 200 stations
 // scattered over the transmitter's 3×3 cell neighborhood, attached in
 // random spatial order, so every cell's slots interleave with the

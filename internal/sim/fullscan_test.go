@@ -26,15 +26,17 @@ type fanoutRadio interface {
 
 // scanMedium is the medium's definition as a full scan: every delivery
 // walks every attached station in attach order and reads its live Pos and
-// CurrentChannel, so its radios need neither Moved nor Retuned. A
-// broadcast's candidates are the stations attached and on its channel
-// when it lands; positions do not change while a fan-out runs in the tests
-// that use it, so the medium's cell bitsets select the same ones.
+// CurrentChannel, so its radios need neither Moved nor Retuned, and finds a
+// unicast destination by its address among them. A broadcast's candidates
+// are the radios attached and on its channel when it lands; positions do
+// not change while a fan-out runs in the tests that use it, so the
+// medium's cell bitsets select the same ones. A station that detaches and
+// attaches again mid-fan-out has a new radio, which is no candidate.
 type scanMedium struct {
 	e        *Engine
 	radius   float64
-	stations []Station // attached, in attach order
-	promisc  []Station
+	stations []*scanRadio // attached, in attach order
+	promisc  []*scanRadio
 	loss     float64
 	rng      *rand.Rand
 
@@ -42,7 +44,8 @@ type scanMedium struct {
 }
 
 // scanRadio is a scanMedium handle: it holds its own busy-until time, and
-// its frames are lost once it detaches.
+// its frames are lost once it detaches. Its attached flag is the
+// membership check a fan-out makes on each candidate.
 type scanRadio struct {
 	r        *scanMedium
 	s        Station
@@ -55,11 +58,11 @@ func newScanMedium(e *Engine, radius float64, loss float64, seed int64) *scanMed
 	return &scanMedium{e: e, radius: radius, loss: loss, rng: rand.New(rand.NewSource(seed))}
 }
 
-// find returns the attached station with the given address, nil if none.
-func find(stations []Station, addr ieee80211.MAC) Station {
-	for _, s := range stations {
-		if s.Addr() == addr {
-			return s
+// find returns the attached radio with the given address, nil if none.
+func find(radios []*scanRadio, addr ieee80211.MAC) *scanRadio {
+	for _, x := range radios {
+		if x.s.Addr() == addr {
+			return x
 		}
 	}
 	return nil
@@ -69,12 +72,13 @@ func (r *scanMedium) attach(s Station, promisc bool) (*scanRadio, error) {
 	if find(r.stations, s.Addr()) != nil || find(r.promisc, s.Addr()) != nil {
 		return nil, errDuplicate
 	}
+	x := &scanRadio{r: r, s: s, promisc: promisc, attached: true}
 	if promisc {
-		r.promisc = append(r.promisc, s)
+		r.promisc = append(r.promisc, x)
 	} else {
-		r.stations = append(r.stations, s)
+		r.stations = append(r.stations, x)
 	}
-	return &scanRadio{r: r, s: s, promisc: promisc, attached: true}, nil
+	return x, nil
 }
 
 func (x *scanRadio) Detach() {
@@ -82,7 +86,7 @@ func (x *scanRadio) Detach() {
 		return
 	}
 	x.attached = false
-	del := func(s Station) bool { return s == x.s }
+	del := func(y *scanRadio) bool { return y == x }
 	x.r.promisc = slices.DeleteFunc(x.r.promisc, del)
 	x.r.stations = slices.DeleteFunc(x.r.stations, del)
 }
@@ -124,24 +128,23 @@ func (r *scanMedium) deliver(tx *scanRadio, txCh uint8, f *ieee80211.Frame, retr
 	if !tx.attached {
 		return
 	}
-	txs := tx.s
-	txPos := txs.Pos()
+	txPos := tx.s.Pos()
 	for _, rx := range slices.Clone(r.promisc) {
-		if slices.Contains(r.promisc, rx) && hears(txCh, tunedTo(rx)) && r.receives(txPos, rx) {
-			rx.Receive(f)
+		if rx.attached && hears(txCh, tunedTo(rx.s)) && r.receives(txPos, rx.s) {
+			rx.s.Receive(f)
 		}
 	}
 	if f.DA.IsBroadcast() {
-		var cands []Station
-		for _, s := range r.stations {
-			if s != txs && hears(txCh, tunedTo(s)) {
-				cands = append(cands, s)
+		var cands []*scanRadio
+		for _, x := range r.stations {
+			if x != tx && hears(txCh, tunedTo(x.s)) {
+				cands = append(cands, x)
 			}
 		}
 		for _, rx := range cands {
-			if slices.Contains(r.stations, rx) && hears(txCh, tunedTo(rx)) && r.receives(txPos, rx) {
+			if rx.attached && hears(txCh, tunedTo(rx.s)) && r.receives(txPos, rx.s) {
 				r.delivered++
-				rx.Receive(f)
+				rx.s.Receive(f)
 			}
 		}
 		return
@@ -150,13 +153,13 @@ func (r *scanMedium) deliver(tx *scanRadio, txCh uint8, f *ieee80211.Frame, retr
 	if rx == nil {
 		return
 	}
-	if hears(txCh, tunedTo(rx)) {
-		if txPos.Dist2(rx.Pos()) > r.radius*r.radius {
+	if hears(txCh, tunedTo(rx.s)) {
+		if txPos.Dist2(rx.s.Pos()) > r.radius*r.radius {
 			return
 		}
 		if r.loss == 0 || r.rng.Float64() < 1-r.loss {
 			r.delivered++
-			rx.Receive(f)
+			rx.s.Receive(f)
 			return
 		}
 	}
@@ -180,10 +183,12 @@ type heard struct {
 }
 
 // scanAction is what a station does on its next reception, in the middle
-// of a fan-out: 0 detaches target, 1 retunes target and every third
-// station after it to ch, 2 attaches a fresh station beside the receiver
-// and then detaches target, 3 detaches every other attached station
-// (enough, on a large table, to compact it).
+// of a fan-out or a unicast burst: 0 detaches target, 1 retunes target and
+// every third station after it to ch, 2 attaches a fresh station beside
+// the receiver and then detaches target, 3 detaches every other attached
+// station (enough, on a large table, to compact it), 4 detaches target and
+// attaches a fresh station under its MAC beside the receiver, 5 rotates
+// target's MAC.
 type scanAction struct {
 	kind   byte
 	target int
@@ -285,7 +290,7 @@ func (w *scanWorld) apply(by *scanStation, a scanAction) {
 		return
 	}
 	target := a.target % len(w.sts)
-	switch a.kind % 4 {
+	switch a.kind % 6 {
 	case 0:
 		w.detach(target)
 	case 1:
@@ -304,7 +309,26 @@ func (w *scanWorld) apply(by *scanStation, a scanAction) {
 				w.detach(i)
 			}
 		}
+	case 4:
+		// The same MAC on another station, with another radio: frames
+		// still in flight to it reach the newcomer.
+		w.detach(target)
+		s := w.add(byte(target), by.pos.Add(geo.Pt(1, 1)), a.ch)
+		s.addr = w.sts[target].addr
+		w.attach(s.id)
+	case 5:
+		w.rotate(target)
 	}
+}
+
+// rotate rotates station i's MAC: it leaves, re-keys and comes back at the
+// table's end with a new radio.
+func (w *scanWorld) rotate(i int) {
+	w.detach(i)
+	w.retired = append(w.retired, w.radios[i])
+	w.nextAddr++
+	w.sts[i].addr = ieee80211.MAC{0x02, 1, 0, 0, byte(w.nextAddr >> 8), byte(w.nextAddr)}
+	w.attach(i)
 }
 
 // scanCoord maps a byte onto [-100, 200) metres: with a 50 m radius, the
@@ -369,7 +393,7 @@ func runFanout(t *testing.T, ops []byte, seed int64) fanoutStats {
 		}
 	}
 	for ; len(ops) >= 4; ops = ops[4:] {
-		op, a, b, c := ops[0]%12, ops[1], ops[2], ops[3]
+		op, a, b, c := ops[0]%13, ops[1], ops[2], ops[3]
 		n := len(worlds[0].sts)
 		switch {
 		case op <= 1 && n >= 300:
@@ -408,16 +432,7 @@ func runFanout(t *testing.T, ops []byte, seed int64) fanoutStats {
 				w.e.RunContext(context.Background(), w.e.Now()+(time.Duration(a)+1)*100*time.Microsecond)
 			})
 		case op == 9:
-			// A MAC rotation: leave, re-key, come back at the table's end
-			// with a new radio.
-			each(func(w *scanWorld) {
-				i := int(a) % n
-				w.detach(i)
-				w.retired = append(w.retired, w.radios[i])
-				w.nextAddr++
-				w.sts[i].addr = ieee80211.MAC{0x02, 1, 0, 0, byte(w.nextAddr >> 8), byte(w.nextAddr)}
-				w.attach(i)
-			})
+			each(func(w *scanWorld) { w.rotate(int(a) % n) })
 		case op == 10:
 			each(func(w *scanWorld) {
 				if i := int(a) % n; !w.sts[i].attached {
@@ -428,6 +443,16 @@ func runFanout(t *testing.T, ops []byte, seed int64) fanoutStats {
 			// A spoofed frame: the radio of one station, another's SA.
 			sts := worlds[0].sts
 			transmit(int(a)%n, probeResp(sts[int(b)%n].addr, sts[int(c)%n].addr, "Net"))
+		case op == 12:
+			// An attacker's reply burst: 2–40 probe responses to one DA,
+			// queued back to back. Ops that follow before they have all
+			// landed (detaches, re-attaches, rotations, compactions, or
+			// actions the DA runs on a reception) land mid-burst.
+			sts := worlds[0].sts
+			i, da := int(a)%n, sts[int(b)%n].addr
+			for range 2 + int(c)%39 {
+				transmit(i, probeResp(sts[i].addr, da, "Net"))
+			}
 		}
 		for i, s := range worlds[0].sts {
 			if s.addr != worlds[1].sts[i].addr {
@@ -484,9 +509,9 @@ func checkBusy(t *testing.T, got, want fanoutRadio) {
 // TestMediumMatchesFullScan drives random stations — tuned to channels 1,
 // 6 and 11, tuned to channel 0, untuned and promiscuous — through random
 // moves, retunes, MAC rotations, detach/attach churn and compactions, with
-// broadcasts, unicasts, spoofed frames and transmissions through detached
-// and never-attached radios under frame loss, and Receive callbacks that
-// detach, retune and attach stations mid-fan-out. It checks every
+// broadcasts, unicasts, unicast bursts, spoofed frames and transmissions
+// through detached and never-attached radios under frame loss, and Receive
+// callbacks that detach, retune, re-key and attach stations mid-fan-out. It checks every
 // delivery, every transmission's end time and every radio's busy-until
 // time against a full scan of the attached stations.
 func TestMediumMatchesFullScan(t *testing.T) {
@@ -496,7 +521,7 @@ func TestMediumMatchesFullScan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		ops := make([]byte, 0, 4*400)
 		for k := 0; k < 400; k++ {
-			op := byte(rng.Intn(12))
+			op := byte(rng.Intn(13))
 			if k < 4 {
 				op = 1 // start from a crowd
 			}
@@ -509,7 +534,7 @@ func TestMediumMatchesFullScan(t *testing.T) {
 	if compactions == 0 || mid == 0 {
 		t.Fatalf("%d compactions and %d mid-fan-out actions: the trials miss what they test", compactions, mid)
 	}
-	for _, sc := range wordBoundaryScripts() {
+	for _, sc := range slices.Concat(wordBoundaryScripts(), unicastBurstScripts()) {
 		runFanout(t, sc.ops, 3)
 	}
 }
@@ -629,10 +654,79 @@ func wordBoundaryScripts() []boundaryScript {
 	return out
 }
 
-// TestMediumFanoutWordBoundaries runs wordBoundaryScripts against the
-// full scan and checks that each reached the table sizes it is about.
-func TestMediumFanoutWordBoundaries(t *testing.T) {
-	for _, sc := range wordBoundaryScripts() {
+// burst queues an n-response unicast burst from station tx to station da.
+func (s *fanoutScript) burst(tx, da, n int) { s.op(12, byte(tx), byte(da), byte(n-2)) }
+
+// unicastBurstScripts are runFanout programs that send 40-response bursts
+// to one DA, the way an attacker answers a phone's probe, and change the
+// DA while the burst is in flight: it detaches, re-attaches under its MAC
+// with a new radio, is replaced by another station with its MAC, rotates
+// its MAC, or moves to another slot in a compaction. Between bursts the
+// DA changes, to a promiscuous station's MAC and to one no station holds.
+func unicastBurstScripts() []boundaryScript {
+	var out []boundaryScript
+	// land1ms lets the first few responses of a burst land.
+	land1ms := func(s *fanoutScript) { s.op(8, 9, 0, 0) }
+	landAll := func(s *fanoutScript) { s.op(8, 255, 0, 0) }
+
+	// Station 4 is promiscuous on channel 1 (kind 5 with a = 5); the rest
+	// are channel-agnostic. Station 3 detaches before the last burst.
+	var next fanoutScript
+	next.crowd(4, 3)
+	next.op(0, 5, scanByte(3), scanByte(3))
+	next.burst(0, 1, 40)
+	landAll(&next)
+	next.burst(0, 2, 40)
+	next.burst(3, 1, 40)
+	landAll(&next)
+	next.burst(0, 4, 40)
+	next.op(2, 3, 0, 0)
+	next.burst(0, 3, 40)
+	next.burst(0, 1, 2)
+	out = append(out, boundaryScript{name: "burst-then-next-da", ops: next})
+
+	for _, c := range []struct {
+		name string
+		mid  func(s *fanoutScript)
+		acts int
+	}{
+		{"detach-da-mid-burst", func(s *fanoutScript) { s.op(2, 1, 0, 0) }, 0},
+		{"reattach-da-mid-burst", func(s *fanoutScript) { s.op(2, 1, 0, 0); s.op(10, 1, 0, 0) }, 0},
+		{"rotate-da-mid-burst", func(s *fanoutScript) { s.op(9, 1, 0, 0) }, 0},
+		// Armed on the DA, so they run in its Receive, mid-delivery.
+		{"da-replaced-under-its-mac", func(s *fanoutScript) { s.op(7, 1, 4, 1) }, 1},
+		{"da-rotates-on-reception", func(s *fanoutScript) { s.op(7, 1, 5, 1) }, 1},
+	} {
+		var sc fanoutScript
+		sc.crowd(4, 3)
+		sc.burst(0, 1, 40)
+		land1ms(&sc)
+		c.mid(&sc)
+		landAll(&sc)
+		// Station 1's MAC now, whatever it became.
+		sc.burst(0, 1, 40)
+		landAll(&sc)
+		out = append(out, boundaryScript{name: c.name, ops: sc, midFanout: c.acts})
+	}
+
+	// 140 stations; the DA (slot 3) detaches every even-numbered station
+	// on a reception from the middle of a burst, which compacts the table
+	// and moves the DA to slot 1 before the rest of the burst lands.
+	var compact fanoutScript
+	compact.crowd(140, 3)
+	compact.burst(1, 3, 40)
+	land1ms(&compact)
+	compact.op(7, 3, 3, 0)
+	landAll(&compact)
+	compact.burst(1, 3, 40)
+	out = append(out, boundaryScript{name: "compaction-mid-burst", ops: compact, peakOver: 128, endAtMost: 70, midFanout: 1})
+	return out
+}
+
+// runScripts runs scripts against the full scan and checks that each
+// reached the table sizes and mid-delivery actions it is about.
+func runScripts(t *testing.T, scripts []boundaryScript) {
+	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
 			st := runFanout(t, sc.ops, 7)
 			if st.peakSlots <= sc.peakOver {
@@ -649,11 +743,20 @@ func TestMediumFanoutWordBoundaries(t *testing.T) {
 	}
 }
 
+// TestMediumFanoutWordBoundaries runs wordBoundaryScripts against the
+// full scan and checks that each reached the table sizes it is about.
+func TestMediumFanoutWordBoundaries(t *testing.T) { runScripts(t, wordBoundaryScripts()) }
+
+// TestMediumUnicastBurstsMatchFullScan runs unicastBurstScripts against
+// the full scan: every response of a burst reaches the radio its DA names
+// when it lands, however the DA changed since the burst began.
+func TestMediumUnicastBurstsMatchFullScan(t *testing.T) { runScripts(t, unicastBurstScripts()) }
+
 // FuzzMediumFanout is TestMediumMatchesFullScan over fuzzed operations.
 func FuzzMediumFanout(f *testing.F) {
 	f.Add([]byte{1, 31, 1, 2, 7, 0, 3, 5, 5, 0, 0, 0, 1, 20, 9, 9, 7, 3, 2, 4, 5, 3, 0, 0, 9, 4, 0, 0, 5, 4, 0, 0}, int64(1))
 	f.Add([]byte{1, 31, 7, 7, 1, 31, 8, 8, 1, 31, 9, 9, 7, 0, 3, 0, 5, 1, 0, 0, 6, 2, 3, 0, 8, 9, 0, 0, 5, 0, 0, 0}, int64(2))
-	for _, sc := range wordBoundaryScripts() {
+	for _, sc := range slices.Concat(wordBoundaryScripts(), unicastBurstScripts()) {
 		f.Add([]byte(sc.ops), int64(3))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {

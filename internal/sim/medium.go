@@ -85,7 +85,9 @@ type Radio struct {
 // ORs the cells around its transmitter, masks the result with its channel
 // and the agnostic one, and walks the set bits in ascending order, which
 // is attach order, so fan-out visits only the stations near it on its
-// channel without a merge or a sort.
+// channel without a merge or a sort. A unicast frame finds its receiver by
+// its packed DA in a map, behind a one-entry memo of the last receiver: an
+// attacker sends its probe responses in bursts of up to 40 to one phone.
 //
 // A broadcast's candidate set is fixed when its query runs: a station
 // that attaches, walks into reach or tunes to the channel while the
@@ -113,6 +115,13 @@ type Medium struct {
 	// index maps a packed MAC (macKey) to its attached radio, promiscuous
 	// ones included: it addresses unicast frames and refuses duplicates.
 	index map[uint64]*Radio
+	// uniKey and uniRx memoize the last unicast receiver index gave, so
+	// the burst of probe responses an attacker sends one phone looks it
+	// up once. The memo holds while uniRx is attached: only Attach and
+	// Detach change what index maps a key to, Attach never replaces an
+	// attached radio, and a detached radio never attaches again.
+	uniKey uint64
+	uniRx  *Radio
 
 	// cells and chans index the slots for broadcast delivery, as bitsets
 	// over the station table: slot i's bit is set in the cell of pos[i]
@@ -575,7 +584,8 @@ func (m *Medium) deliver(de *deliverEvent) {
 
 // land delivers a transmission from the attached radio tx: to the
 // monitor-mode stations, then to the unicast destination or the broadcast
-// fan-out.
+// fan-out. A unicast destination is looked up in index only when it
+// differs from the last one or that one has detached.
 func (m *Medium) land(tx *Radio, txCh uint8, f *ieee80211.Frame, retriesLeft int) {
 	txPos := m.pos[tx.slot]
 
@@ -594,9 +604,13 @@ func (m *Medium) land(tx *Radio, txCh uint8, f *ieee80211.Frame, retriesLeft int
 		m.deliverBroadcast(tx.slot, txPos, txCh, f)
 		return
 	}
-	rx, ok := m.index[macKey(f.DA)]
-	if !ok || rx.promisc {
-		return
+	rx := m.uniRx
+	if k := macKey(f.DA); k != m.uniKey || !rx.attached() {
+		var ok bool
+		if rx, ok = m.index[k]; !ok || rx.promisc {
+			return
+		}
+		m.uniKey, m.uniRx = k, rx
 	}
 	if !hears(txCh, m.ch[rx.slot]) {
 		// Wrong channel: no ACK, so the transmitter retries exactly as
