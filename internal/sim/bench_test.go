@@ -113,9 +113,8 @@ func BenchmarkMediumUnicast(b *testing.B) {
 // BenchmarkMediumUnicastBurst times one landed probe response in the
 // pattern an attacker answers phones with: a phone's broadcast probe, then
 // a burst of 40 responses to it, then the next phone, over a table of 300
-// stations that all hear each other. The broadcast walks the whole table
-// between bursts, so the receiver lookup does not find the medium's state
-// hot in cache the way BenchmarkMediumUnicast's two-station table does.
+// stations that all hear each other, where BenchmarkMediumUnicast's table
+// holds two.
 func BenchmarkMediumUnicastBurst(b *testing.B) {
 	e := NewEngine()
 	m := NewMedium(e, 100)
